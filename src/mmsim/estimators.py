@@ -48,7 +48,6 @@ EST_TDF1 = "TDF1"
 EST_TDF2 = "TDF2"
 
 ALL_ESTIMATORS = (EST_T1, EST_T2, EST_T2_ALT, EST_TA, EST_TB1, EST_TDF1, EST_TDF2)
-HYBRID_ONLY = (EST_TA, EST_TB1, EST_TDF1, EST_TDF2)
 
 
 class DegenerateEstimate(EstimationError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -40,6 +40,12 @@ class Population:
     ``labels`` is None for a raw (mode-only) population and becomes a
     per-household response label once a rule or propensity draw is applied.
     ``y`` has one column per analysis variable.
+
+    Construction checks the whole object: it is nonempty, ``y`` is
+    (N, variables), ``psu_ids`` and ``labels`` have length N, ids are
+    distinct, and propensities are a valid (N, 2) array.  Copies derived
+    with ``with_labels`` or ``with_propensities`` check only the field
+    they change, since the rest was checked when the source was built.
     """
 
     ids: np.ndarray
@@ -62,12 +68,13 @@ class Population:
             )
         if len(self.psu_ids) != n:
             raise IntegrityError("psu_ids length mismatch")
-        if len(np.unique(self.ids)) != n:
-            raise IntegrityError("duplicate household ids")
+        dup = _first_duplicate(self.ids)
+        if dup is not None:
+            raise IntegrityError(f"duplicate household id {dup}")
         if self.labels is not None and len(self.labels) != n:
             raise IntegrityError("labels length mismatch")
         if self.propensities is not None:
-            _validate_propensities(self.propensities)
+            _validate_propensities(self.propensities, n)
 
     @property
     def n_households(self) -> int:
@@ -112,10 +119,30 @@ class Population:
         )
 
     def with_labels(self, labels: np.ndarray) -> "Population":
-        return replace(self, labels=labels, _psu_index=self._psu_index)
+        if len(labels) != self.n_households:
+            raise IntegrityError("labels length mismatch")
+        return _derive(self, labels=labels)
 
     def with_propensities(self, phi: np.ndarray) -> "Population":
-        return replace(self, propensities=phi, _psu_index=self._psu_index)
+        _validate_propensities(phi, self.n_households)
+        return _derive(self, propensities=phi)
+
+
+def _derive(obj, **changes):
+    """Copy of a frozen dataclass with ``changes`` applied, without running
+    ``__post_init__``; the caller checks the fields it sets.  Cached state
+    such as ``Population._psu_index`` carries over."""
+    new = object.__new__(type(obj))
+    vars(new).update(vars(obj), **changes)
+    return new
+
+
+def _first_duplicate(ids: np.ndarray) -> int | None:
+    """Smallest id that occurs more than once, or None; one sort and one
+    adjacent-equal scan."""
+    s = np.sort(ids)
+    dups = s[1:][s[1:] == s[:-1]]
+    return int(dups[0]) if len(dups) else None
 
 
 @dataclass(frozen=True)
@@ -360,9 +387,9 @@ def _half_split(labels: np.ndarray, idx: np.ndarray, rng: np.random.Generator) -
     labels[idx[perm[half:]]] = LABEL_NONE
 
 
-def _validate_propensities(phi: np.ndarray) -> None:
-    if phi.ndim != 2 or phi.shape[1] != 2:
-        raise IntegrityError("propensity array must be (N, 2)")
+def _validate_propensities(phi: np.ndarray, n: int) -> None:
+    if phi.shape != (n, 2):
+        raise IntegrityError(f"propensity array must be ({n}, 2), got {phi.shape}")
     pw, pf = phi[:, 0], phi[:, 1]
     if (pw < 0).any() or (pw > 1).any() or (pf < 0).any() or (pf > 1).any():
         raise ValidationError("propensities must lie in [0, 1]")
@@ -380,9 +407,7 @@ def attach_propensities(pop: Population, by_mode: Mapping[str, tuple[float, floa
         if name not in by_mode:
             raise ValidationError(f"missing propensity entry for mode {name}")
         table[code] = by_mode[name]
-    phi = table[pop.modes]
-    _validate_propensities(phi)
-    return pop.with_propensities(phi)
+    return pop.with_propensities(table[pop.modes])
 
 
 def draw_stochastic_labels(pop: Population, rng: np.random.Generator) -> Population:
@@ -483,13 +508,8 @@ def load_microdata(path: str | Path, schema: MicrodataSchema) -> Population:
                 labels.append(label_codes[lab])
     if not ids:
         raise ParseError(f"{path.name}: no data rows")
-    ids_arr = np.asarray(ids, dtype=np.int64)
-    if len(np.unique(ids_arr)) != len(ids_arr):
-        seen: set[int] = set()
-        dup = next(i for i in ids if i in seen or seen.add(i))
-        raise IntegrityError(f"duplicate household id {dup}")
     return Population(
-        ids=ids_arr,
+        ids=np.asarray(ids, dtype=np.int64),
         psu_ids=np.asarray(psus, dtype=np.int64),
         y=np.asarray(rows, dtype=float),
         modes=np.asarray(modes, dtype=np.int8),

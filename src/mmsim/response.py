@@ -8,12 +8,12 @@ then the full pass that lets flagged ftf-respondent households respond.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EstimationError
-from .population import LABEL_FTF, LABEL_WEB
+from .population import LABEL_FTF, LABEL_WEB, _derive
 from .sampling import DrawnSample
 
 WEB_ONLY = "web_only"
@@ -62,7 +62,7 @@ def apply_protocol(sample: DrawnSample, labels: np.ndarray, protocol: str) -> Dr
         delta_f = ((lab == LABEL_FTF) & sample.flags()).astype(np.uint8)
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
-    return replace(sample, delta_w=delta_w, delta_f=delta_f)
+    return _derive(sample, delta_w=delta_w, delta_f=delta_f)
 
 
 def response_rates(sample: DrawnSample) -> ResponseRates:

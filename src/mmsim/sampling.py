@@ -15,12 +15,12 @@ that probability), or an equal-probability subset of whole PSUs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EstimationError, ValidationError
-from .population import Population
+from .population import Population, _derive
 
 PI_FPC_WARNING = 0.2  # first-stage fractions above this make the
                       # with-replacement variance noticeably conservative
@@ -42,6 +42,12 @@ class DrawnSample:
     ``unit_idx`` indexes rows of the source population; all other arrays
     are parallel to it.  ``psu_pi`` maps each sampled PSU id to its
     first-stage inclusion probability (two-stage designs only).
+
+    Construction checks the design: positive weights, and for two-stage
+    samples PSU probabilities in (0, 1] that cover every sampled unit's
+    PSU, and a unit follow-up fraction in (0, 1].  The follow-up and
+    protocol steps derive copies that set only response and follow-up
+    fields and check just those inputs, never re-running these checks.
     """
 
     tag: str
@@ -227,7 +233,7 @@ def subsample_nonrespondents_units(sample: DrawnSample, omega: float,
         perm = rng.permutation(len(pool))
         take = _systematic_take(len(pool), omega, rng)
         flags[pool[perm[take]]] = True
-    return replace(sample, in_ftf_subsample=flags,
+    return _derive(sample, in_ftf_subsample=flags,
                    followup=FollowUp("unit", omega=omega))
 
 
@@ -243,7 +249,7 @@ def subsample_psus(sample: DrawnSample, count: int,
     chosen = frozenset(int(p) for p in rng.permutation(psus)[:count])
     in_chosen = np.isin(sample.psu_ids, sorted(chosen))
     flags = in_chosen & (sample.delta_w == 0)
-    return replace(sample, in_ftf_subsample=flags, psu_subsample=chosen,
+    return _derive(sample, in_ftf_subsample=flags, psu_subsample=chosen,
                    followup=FollowUp("psu", n_sub_psus=count))
 
 
@@ -251,7 +257,7 @@ def followup_all_units(sample: DrawnSample) -> DrawnSample:
     """Flag every web nonrespondent for follow-up (no subsampling)."""
     if sample.delta_w is None:
         raise EstimationError("web response indicators must be set before follow-up")
-    return replace(sample, in_ftf_subsample=sample.delta_w == 0,
+    return _derive(sample, in_ftf_subsample=sample.delta_w == 0,
                    followup=FollowUp("all"))
 
 

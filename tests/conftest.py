@@ -87,6 +87,8 @@ def random_case(rng):
     n_psus = int(rng.integers(2, 6))
     d = rng.uniform(0.5, 10.0, n)
     psu_ids = np.sort(rng.integers(0, n_psus, n))
+    if psu_ids[0] == psu_ids[-1]:  # variance needs at least 2 PSUs; no extra draw
+        psu_ids[-1] += 1
     kind = ("all", "unit", "psu")[int(rng.integers(0, 3))]
     delta_w = (rng.random(n) < 0.45).astype(np.uint8)
     delta_w[int(rng.integers(0, n))] = 1

@@ -83,6 +83,30 @@ def test_stochastic_rule_redraws_labels_per_iteration(small_synthetic):
     assert len(set(points)) == len(points)  # different labels, different draws
 
 
+def test_stochastic_iteration_skips_population_wide_id_checks(small_synthetic, monkeypatch):
+    from mmsim import population as population_mod
+    from mmsim.population import attach_propensities
+
+    pop = attach_propensities(small_synthetic,
+                              {"WEB": (0.6, 0.3), "MAIL": (0.3, 0.4), "FTF": (0.2, 0.4)})
+    scen = mini_hybrid(rule="stochastic", iterations=1)
+    pop.psu_frame()  # the PSU index is built once per population, not per replicate
+    sizes = []
+
+    def recording(fn):
+        def wrapper(ar, *args, **kwargs):
+            sizes.append(np.size(ar))
+            return fn(ar, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "unique", recording(np.unique))
+    monkeypatch.setattr(population_mod, "_first_duplicate",
+                        recording(population_mod._first_duplicate))
+    run_iteration(scen, pop, pop.y.sum(axis=0), 0)
+    assert sizes, "the replicate should still pass sample-sized arrays to numpy.unique"
+    assert pop.n_households not in sizes
+
+
 # ---------------------------------------------------------------------------
 # Structure and validation
 # ---------------------------------------------------------------------------

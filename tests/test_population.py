@@ -14,6 +14,7 @@ from mmsim.population import (
     MODE_MAIL,
     MODE_WEB,
     MicrodataSchema,
+    Population,
     SyntheticPopSpec,
     VariableSpec,
     attach_propensities,
@@ -66,6 +67,29 @@ def test_duplicate_id_is_integrity_error(tmp_path):
     path = _write(tmp_path, "id,psu,mode,v1\n1,1,WEB,1.0\n1,1,MAIL,2.0\n")
     with pytest.raises(IntegrityError, match="duplicate"):
         load_microdata(path, MicrodataSchema(variables=("v1",)))
+
+
+def test_direct_construction_names_duplicate_id():
+    with pytest.raises(IntegrityError, match="duplicate household id 7"):
+        Population(
+            ids=np.array([3, 7, 1, 7], dtype=np.int64),
+            psu_ids=np.array([0, 0, 1, 1], dtype=np.int64),
+            y=np.ones((4, 1)), modes=None, labels=None, variable_names=("v1",),
+        )
+
+
+def test_with_labels_checks_length():
+    pop = make_population(np.ones(4), [0, 0, 1, 1])
+    with pytest.raises(IntegrityError, match="labels length"):
+        pop.with_labels(np.zeros(3, dtype=np.int8))
+
+
+def test_with_propensities_checks_range_and_shape():
+    pop = make_population(np.ones(3), [0, 0, 1])
+    with pytest.raises(ValidationError):
+        pop.with_propensities(np.array([[0.5, 0.2], [1.2, 0.0], [0.1, 0.1]]))
+    with pytest.raises(IntegrityError, match=r"\(3, 2\)"):
+        pop.with_propensities(np.full((2, 2), 0.25))
 
 
 def test_roundtrip_is_lossless(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmsim.errors import EstimationError, ValidationError
@@ -55,6 +55,7 @@ def test_hybrid_variance_is_weighted_sum_of_components():
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=244994930)  # draws every unit into one PSU before random_case adjusts it
 def test_variance_is_nonnegative(seed):
     rng = np.random.default_rng(seed)
     sample, y = random_case(rng)

@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+import reprlib
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import IntegrityError, ParseError, SchemaError, ValidationError
+from .errors import DataError, IntegrityError, ParseError, SchemaError, ValidationError
 
 # Source modes (from ingested or generated microdata).
 MODE_WEB, MODE_MAIL, MODE_FTF = 0, 1, 2
@@ -41,9 +44,9 @@ class Population:
     per-household response label once a rule or propensity draw is applied.
     ``y`` has one column per analysis variable.
 
-    Construction checks the whole object: it is nonempty, ``y`` is
-    (N, variables), ``psu_ids`` and ``labels`` have length N, ids are
-    distinct, and propensities are a valid (N, 2) array.  Copies derived
+    Construction checks the whole object: it is nonempty, ``y`` is a
+    finite (N, variables) array, ``psu_ids`` and ``labels`` have length N,
+    ids are distinct, and propensities are a valid (N, 2) array.  Copies derived
     with ``with_labels`` or ``with_propensities`` check only the field
     they change, since the rest was checked when the source was built.
     """
@@ -66,6 +69,8 @@ class Population:
                 f"outcome matrix shape {self.y.shape} does not match "
                 f"{n} households x {len(self.variable_names)} variables"
             )
+        if not np.isfinite(self.y).all():
+            raise IntegrityError("outcome matrix has non-finite values")
         if len(self.psu_ids) != n:
             raise IntegrityError("psu_ids length mismatch")
         dup = _first_duplicate(self.ids)
@@ -471,51 +476,139 @@ def estimate_icc(values: np.ndarray, groups: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def load_microdata(path: str | Path, schema: MicrodataSchema) -> Population:
-    """Read a household microdata CSV into a raw population."""
+    """Read a household microdata CSV into a raw population.
+
+    The file is UTF-8 text: a header row naming the columns, then one row
+    per household, fields separated by ``,`` and quoted with ``"`` where
+    they hold a comma, quote or newline.  There are no comment lines
+    (``#`` is data) and blank lines are skipped.  Each schema column is
+    named once in the header, in any order; other columns are ignored.
+    Ids and PSUs are decimal int64 values.  Outcomes are finite decimal
+    numbers, parsed with correct rounding to the double ``float()`` gives,
+    without the ``_`` digit separators ``float()`` accepts.  Modes
+    (WEB/MAIL/FTF) and labels (W/F/N) match ignoring case and surrounding
+    whitespace.  Any problem raises a ``DataError`` (the CLI exits 3)
+    whose message names the file, and the line and column where there is
+    one.
+    """
     path = Path(path)
-    mode_codes = {name: code for code, name in enumerate(MODE_NAMES)}
-    label_codes = {name: code for code, name in enumerate(LABEL_NAMES)}
     if not schema.variables:
         raise SchemaError("schema lists no variable columns")
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        needed = [schema.id, schema.psu, schema.mode, *schema.variables]
-        if schema.label is not None:
-            needed.append(schema.label)
-        for col in needed:
-            if col not in header:
-                raise SchemaError(f"required column {col!r} missing from {path.name}")
-        ids, psus, modes, labels, rows = [], [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                ids.append(int(row[schema.id]))
-                psus.append(int(row[schema.psu]))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path.name}:{lineno}: bad id/psu value ({exc})") from None
-            mode = (row[schema.mode] or "").strip().upper()
-            if mode not in mode_codes:
-                raise ParseError(f"{path.name}:{lineno}: unknown mode {row[schema.mode]!r}")
-            modes.append(mode_codes[mode])
-            try:
-                rows.append([float(row[c]) for c in schema.variables])
-            except (TypeError, ValueError):
-                raise ParseError(f"{path.name}:{lineno}: non-numeric outcome value") from None
-            if schema.label is not None:
-                lab = (row[schema.label] or "").strip().upper()
-                if lab not in label_codes:
-                    raise ParseError(f"{path.name}:{lineno}: unknown label {row[schema.label]!r}")
-                labels.append(label_codes[lab])
-    if not ids:
+    columns = [schema.id, schema.psu, schema.mode, *schema.variables]
+    dtype = [("id", np.int64), ("psu", np.int64), ("mode", object),
+             ("y", np.float64, (len(schema.variables),))]
+    if schema.label is not None:
+        columns.append(schema.label)
+        dtype.append(("label", object))
+    table = _read_columns(path, columns, dtype)
+    modes = _codes(table["mode"], MODE_NAMES, path, schema.mode)
+    labels = (None if schema.label is None
+              else _codes(table["label"], LABEL_NAMES, path, schema.label))
+    y = np.ascontiguousarray(table["y"])
+    if not np.isfinite(y).all():
+        row, j = np.argwhere(~np.isfinite(y))[0]
+        raise ParseError(f"{_where(path, row)}: non-finite value {float(y[row, j])} "
+                         f"in column {schema.variables[j]!r}")
+    ids = np.ascontiguousarray(table["id"])
+    try:
+        return Population(ids=ids, psu_ids=np.ascontiguousarray(table["psu"]), y=y,
+                          modes=modes, labels=labels,
+                          variable_names=tuple(schema.variables))
+    except IntegrityError as exc:  # distinct ids: the one check not made above
+        row = np.flatnonzero(ids == _first_duplicate(ids))[1]
+        raise IntegrityError(f"{_where(path, row)}: {exc}") from None
+
+
+def _read_columns(path: Path, columns: list[str], dtype: list) -> np.ndarray:
+    """One record per data row holding the named columns, parsed in one
+    ``np.loadtxt`` call; raises a DataError naming file:line and column."""
+    header: list[str] = []
+    try:
+        with path.open(encoding="utf-8", newline="") as fh, warnings.catch_warnings():
+            # A header-only file is reported below as "no data rows".
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # Older numpy parses "1.5" into an int64 field with this warning.
+            warnings.filterwarnings("error", category=DeprecationWarning)
+            header = next(csv.reader(fh), [])
+            for col in columns:
+                if col not in header:
+                    raise SchemaError(f"required column {col!r} missing from {path.name}")
+                if header.count(col) > 1:
+                    raise SchemaError(f"column {col!r} appears twice in {path.name}")
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",",
+                               usecols=[header.index(c) for c in columns],
+                               comments=None, quotechar='"', ndmin=1)
+    except OSError as exc:
+        raise DataError(f"cannot read microdata {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path.name}:{_undecodable_line(path)}: not UTF-8 text") from None
+    except (ValueError, DeprecationWarning, csv.Error) as exc:
+        message = str(exc)
+        # loadtxt counts data rows from 0 in the first message and from 1
+        # in the second; columns from 1 in the first and from 0 in the second.
+        if m := re.search(r"could not convert string (.*) to (\w+) at row (\d+), "
+                          r"column (\d+)", message):
+            raise ParseError(f"{_where(path, int(m[3]))}: {m[1]} is not a valid {m[2]} "
+                             f"in column {header[int(m[4]) - 1]!r}") from None
+        if m := re.search(r"invalid column index (\d+) at row (\d+)", message):
+            raise ParseError(f"{_where(path, int(m[2]) - 1)}: no value "
+                             f"in column {header[int(m[1])]!r}") from None
+        raise ParseError(f"{path.name}: {message}") from None
+    if len(table) == 0:
         raise ParseError(f"{path.name}: no data rows")
-    return Population(
-        ids=np.asarray(ids, dtype=np.int64),
-        psu_ids=np.asarray(psus, dtype=np.int64),
-        y=np.asarray(rows, dtype=float),
-        modes=np.asarray(modes, dtype=np.int8),
-        labels=np.asarray(labels, dtype=np.int8) if schema.label is not None else None,
-        variable_names=tuple(schema.variables),
-    )
+    return table
+
+
+def _codes(raw: np.ndarray, names: tuple[str, ...], path: Path, column: str) -> np.ndarray:
+    """Index into ``names`` of each string in ``raw``, ignoring case and
+    surrounding whitespace.  Exact spellings are matched first, so only
+    the other values pay for normalization."""
+    codes = np.full(len(raw), -1, dtype=np.int8)
+    for code, name in enumerate(names):
+        codes[raw == name] = code
+    rest = np.flatnonzero(codes < 0)
+    if len(rest):
+        norm = np.char.upper(np.char.strip(raw[rest].astype(str)))
+        for code, name in enumerate(names):
+            codes[rest[norm == name]] = code
+        if (codes < 0).any():
+            row = np.argmax(codes < 0)
+            raise ParseError(f"{_where(path, row)}: unknown value {reprlib.repr(raw[row])} "
+                             f"in column {column!r}, expected one of {'/'.join(names)}")
+    return codes
+
+
+def _where(path: Path, row: int) -> str:
+    """``file:line`` of the line on which data row ``row`` (from 0, blank
+    lines not counted) starts, or ``file (data row n)`` where the csv
+    module cannot rescan that far.  The file is rescanned only to report
+    an error, so valid input never pays for line numbers."""
+    seen, where = -1, f"{path.name} (data row {row + 1})"
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            next(reader, None)
+            start = reader.line_num + 1
+            for fields in reader:
+                seen += bool(fields)
+                if seen == row:
+                    where = f"{path.name}:{start}"
+                    break
+                start = reader.line_num + 1
+        except csv.Error:  # a field longer than the csv module's limit
+            pass
+    return where
+
+
+def _undecodable_line(path: Path) -> int:
+    """First line holding bytes that are not UTF-8."""
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return lineno
 
 
 def write_population_csv(pop: Population, path: str | Path) -> None:

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,38 @@ population:
     variables: [v1]
 """ + SCENARIO_BLOCK)
     assert main(["run", "--config", str(cfg), "--quiet"]) == 3
+
+
+def _run_on_microdata(tmp_path, csv_path):
+    cfg = write_config(tmp_path, f"""\
+population:
+  path: {csv_path}
+  schema:
+    variables: [v1]
+""" + SCENARIO_BLOCK)
+    return main(["run", "--config", str(cfg), "--quiet"])
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"id,psu,mode,v1\n99999999999999999999,1,WEB,1.0\n", "pop.csv:2: .* 'id'"),
+    (b"id,psu,mode,v1\n1,99999999999999999999,WEB,1.0\n", "pop.csv:2: .* 'psu'"),
+    (b"id,psu,mode,v1\n1,1,WEB,1.0\n2,1,W\xe9B,1.0\n", "pop.csv:3: not UTF-8"),
+    (b"id,psu,mode,v1\n1,1,WEB,1.0\n2,1,MAIL,nan\n", "pop.csv:3: non-finite .* 'v1'"),
+    (b"id,psu,mode,v1\n1,1,WEB,inf\n", "pop.csv:2: non-finite .* 'v1'"),
+], ids=["id-beyond-int64", "psu-beyond-int64", "not-utf8", "nan-outcome", "inf-outcome"])
+def test_run_bad_microdata_is_data_error(tmp_path, capsys, data, message):
+    csv_path = tmp_path / "pop.csv"
+    csv_path.write_bytes(data)
+    assert _run_on_microdata(tmp_path, csv_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert re.search(message, err)
+
+
+def test_run_missing_microdata_file_is_data_error(tmp_path, capsys):
+    missing = tmp_path / "nowhere" / "pop.csv"
+    assert _run_on_microdata(tmp_path, missing) == 3
+    assert f"cannot read microdata {missing}" in capsys.readouterr().err
 
 
 def test_run_degenerate_results_exit_code(tmp_path):

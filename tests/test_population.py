@@ -1,17 +1,27 @@
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmsim.errors import IntegrityError, ParseError, SchemaError, ValidationError
+from mmsim.errors import (
+    DataError,
+    IntegrityError,
+    ParseError,
+    SchemaError,
+    ValidationError,
+)
 from mmsim.population import (
     LABEL_FTF,
+    LABEL_NAMES,
     LABEL_NONE,
     LABEL_WEB,
     MODE_FTF,
     MODE_MAIL,
+    MODE_NAMES,
     MODE_WEB,
     MicrodataSchema,
     Population,
@@ -57,6 +67,12 @@ def test_missing_column_is_schema_error(tmp_path):
         load_microdata(path, MicrodataSchema(variables=("v1",)))
 
 
+def test_schema_column_named_twice_is_schema_error(tmp_path):
+    path = _write(tmp_path, "id,psu,mode,v1,v1\n1,1,WEB,1.0,2.0\n")
+    with pytest.raises(SchemaError, match="'v1' appears twice"):
+        load_microdata(path, MicrodataSchema(variables=("v1",)))
+
+
 def test_bad_value_reports_line_number(tmp_path):
     path = _write(tmp_path, "id,psu,mode,v1\n1,1,WEB,1.0\n2,1,MAIL,oops\n")
     with pytest.raises(ParseError, match=":3"):
@@ -65,7 +81,7 @@ def test_bad_value_reports_line_number(tmp_path):
 
 def test_duplicate_id_is_integrity_error(tmp_path):
     path = _write(tmp_path, "id,psu,mode,v1\n1,1,WEB,1.0\n1,1,MAIL,2.0\n")
-    with pytest.raises(IntegrityError, match="duplicate"):
+    with pytest.raises(IntegrityError, match=r"^pop\.csv:3: duplicate household id 1$"):
         load_microdata(path, MicrodataSchema(variables=("v1",)))
 
 
@@ -109,6 +125,152 @@ def test_roundtrip_is_lossless(tmp_path):
     np.testing.assert_array_equal(back.modes, pop.modes)
     np.testing.assert_array_equal(back.labels, pop.labels)
     np.testing.assert_array_equal(back.y, pop.y)
+
+
+def _oracle(path, schema):
+    """Reference reader: csv.reader plus int()/float() per field."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    col = {name: rows[0].index(name) for name in rows[0]}
+    body = rows[1:]
+    code = lambda names, text: names.index(text.strip().upper())  # noqa: E731
+    return dict(
+        ids=np.array([int(r[col[schema.id]]) for r in body], dtype=np.int64),
+        psu_ids=np.array([int(r[col[schema.psu]]) for r in body], dtype=np.int64),
+        modes=np.array([code(MODE_NAMES, r[col[schema.mode]]) for r in body], dtype=np.int8),
+        labels=np.array([code(LABEL_NAMES, r[col[schema.label]]) for r in body], dtype=np.int8),
+        y=np.array([[float(r[col[v]]) for v in schema.variables] for r in body]),
+    )
+
+
+def _assert_matches_oracle(path, schema):
+    pop = load_microdata(path, schema)
+    ref = _oracle(path, schema)
+    for name in ("ids", "psu_ids", "modes", "labels"):
+        got = getattr(pop, name)
+        assert got.dtype == ref[name].dtype
+        np.testing.assert_array_equal(got, ref[name])
+    assert pop.y.shape == ref["y"].shape
+    # bit patterns, so -0.0 and 0.0 differ and every last digit counts
+    np.testing.assert_array_equal(pop.y.view(np.uint64), ref["y"].view(np.uint64))
+
+
+TRICKY_CSV = """\
+note,lab,v2,"hh,id",mode,psu,v1
+"a, quoted note",w,1e-3,9223372036854775807, web ,-9223372036854775808,0.1
+plain,F ,-0.0,-9223372036854775807,Mail,0,0.30000000000000004
+"x""y",n," 2.5E+10 ",42,"FTF",7,5e-324
+
+"multi
+line",W,4.9406564584124654e-324,-1,fTf,+12,2.2250738585072009e-308
+#not-a-comment, N ,-1.7976931348623157e308,  17  ,WEB,3,1.2345678901234567e-300
+,f,123456789012345678,18,mail,3,.5
+"""
+
+
+def test_reader_matches_csv_oracle(tmp_path):
+    path = _write(tmp_path, TRICKY_CSV)
+    schema = MicrodataSchema(id="hh,id", variables=("v1", "v2"), label="lab")
+    _assert_matches_oracle(path, schema)
+    assert load_microdata(path, schema).n_households == 6
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ids=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=20, unique=True),
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=20,
+                    max_size=20),
+    fmt=st.sampled_from(["{!r}", "{:.17e}", "{:.17g}", "{:.3f}", " {!r} "]),
+)
+def test_reader_matches_oracle_on_random_numbers(tmp_path_factory, ids, values, fmt):
+    lines = ["psu,id,v1,mode,label"]
+    for i, hh in enumerate(ids):
+        lines.append(f"{i % 3},{hh},{fmt.format(values[i])},"
+                     f"{MODE_NAMES[i % 3].lower()},{LABEL_NAMES[i % 3]}")
+    path = tmp_path_factory.mktemp("oracle") / "pop.csv"
+    path.write_text("\n".join(lines) + "\n")
+    _assert_matches_oracle(path, default_schema(("v1",), with_label=True))
+
+
+def test_hash_is_data_not_a_comment(tmp_path):
+    ok = "id,psu,mode,v1,note\n1,1,WEB,1.0,#keep\n"
+    assert load_microdata(_write(tmp_path, ok), MicrodataSchema(variables=("v1",))
+                          ).n_households == 1
+    for text in ("id,psu,mode,v1\n1,1,WEB,1.0\n#2,1,WEB,1.0\n",
+                 "id,psu,mode,v1\n1,1,WEB,1.0\n2,1,WEB,1.0 # note\n",
+                 "id,psu,mode,v1\n1,1,WEB,1.0\n2,1,WEB#,1.0\n"):
+        with pytest.raises(ParseError, match=r"^pop\.csv:3: "):
+            load_microdata(_write(tmp_path, text), MicrodataSchema(variables=("v1",)))
+
+
+@pytest.mark.parametrize("text", ["id,psu,mode,v1\n", "id,psu,mode,v1\n\n\n"])
+def test_header_only_file_has_no_data_rows_and_no_warning(tmp_path, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="no data rows"):
+            load_microdata(_write(tmp_path, text), MicrodataSchema(variables=("v1",)))
+
+
+@pytest.mark.parametrize("column,value", [
+    ("mode", "WEBSITE"), ("mode", "MAILX"),
+    pytest.param("mode", "FTF" + "F" * 300, id="mode-FTF+300F"),
+    # beyond the csv module's field limit the line is given as a data row
+    pytest.param("mode", "FTF" + "F" * 200_000, id="mode-FTF+200000F"),
+    ("label", "WEB"), ("label", "NN"),
+])
+def test_overlong_mode_or_label_is_rejected_not_truncated(tmp_path, column, value):
+    row = {"mode": "FTF", "label": "N", column: value}
+    text = f"id,psu,mode,v1,label\n1,1,WEB,0.5,W\n2,1,{row['mode']},1.0,{row['label']}\n"
+    with pytest.raises(ParseError, match=rf"^pop\.csv(:3| \(data row 2\)): unknown value "
+                                         rf".* '{column}'"):
+        load_microdata(_write(tmp_path, text), default_schema(("v1",), with_label=True))
+
+
+@pytest.mark.parametrize("column,bad", [
+    ("id", "x7"), ("id", "1.0"), ("id", "1_000"), ("id", "99999999999999999999"),
+    ("psu", ""), ("psu", "-99999999999999999999"),
+    ("v1", "oops"), ("v1", "1_0.5"), ("v1", "nan"), ("v1", "-inf"), ("v1", "1e999"),
+    ("mode", "PHONE"), ("label", "Q"),
+])
+def test_bad_value_names_line_and_column(tmp_path, column, bad):
+    good = {"id": "9", "psu": "3", "mode": "MAIL", "v1": "0.25", "label": "f"}
+    bad_row = ",".join(bad if c == column else v for c, v in good.items())
+    text = ("id,psu,mode,v1,label,note\n"
+            "1,3,WEB,1.0,W,\n"
+            '2,3,FTF,1.0,N,"two\nlines"\n'   # this row spans lines 3-4
+            "\n"                              # a blank line is not a row
+            f"{bad_row},\n"
+            "10,3,WEB,1.0,W,\n")
+    with pytest.raises(ParseError, match=rf"^pop\.csv:6: .*'{column}'"):
+        load_microdata(_write(tmp_path, text), default_schema(("v1",), with_label=True))
+
+
+def test_short_row_names_line_and_missing_column(tmp_path):
+    path = _write(tmp_path, "id,psu,mode,v1\n1,1,WEB,1.0\n2,1,MAIL\n")
+    with pytest.raises(ParseError, match=r"^pop\.csv:3: no value in column 'v1'"):
+        load_microdata(path, MicrodataSchema(variables=("v1",)))
+
+
+def test_undecodable_bytes_name_the_line(tmp_path):
+    path = tmp_path / "pop.csv"
+    path.write_bytes(b"id,psu,mode,v1\n1,1,WEB,1.0\n2,1,W\xe9B,1.0\n")
+    with pytest.raises(ParseError, match=r"^pop\.csv:3: not UTF-8"):
+        load_microdata(path, MicrodataSchema(variables=("v1",)))
+
+
+def test_missing_file_is_data_error_naming_path(tmp_path):
+    missing = tmp_path / "absent.csv"
+    with pytest.raises(DataError, match="absent.csv"):
+        load_microdata(missing, MicrodataSchema(variables=("v1",)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_population_rejects_non_finite_outcomes(value):
+    y = np.ones((3, 2))
+    y[1, 1] = value
+    with pytest.raises(IntegrityError, match="non-finite"):
+        Population(ids=np.arange(3), psu_ids=np.zeros(3, dtype=np.int64), y=y,
+                   modes=None, labels=None, variable_names=("a", "b"))
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,17 @@ def _get(node: dict, key: str, types, path: str, required: bool = False, default
     value = node[key]
     if types is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, types):
+    # bool is a subclass of int, but YAML's true/false is never a number
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
         raise ConfigError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
     return value
+
+
+def _seed(node: dict, path: str, **kwargs) -> int:
+    seed = _get(node, "seed", int, path, **kwargs)
+    if seed < 0:
+        raise ConfigError(f"{path}.seed: must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _parse_variables(items, path: str) -> tuple[VariableSpec, ...]:
@@ -117,7 +125,7 @@ def _parse_population(node: dict) -> PopulationConfig:
             share_mail=_get(g, "share_mail", float, gp, required=True),
             icc_outcome=_get(g, "icc_outcome", float, gp, default=0.0),
             icc_response=_get(g, "icc_response", float, gp, default=0.0),
-            seed=_get(g, "seed", int, gp, default=0),
+            seed=_seed(g, gp, default=0),
             variables=_parse_variables(g.get("variables"), f"{gp}.variables"),
         )
     if csv_path is None and synthetic is None:
@@ -185,7 +193,7 @@ def _parse_scenario(node: dict) -> ScenarioSpec:
         id=_get(node, "id", str, path, required=True),
         rule=_get(node, "rule", str, path, required=True),
         iterations=_get(node, "iterations", int, path, required=True),
-        seed=_get(node, "seed", int, path, required=True),
+        seed=_seed(node, path, required=True),
         compositing=comp,
         icc_planning=_get(node, "icc_planning", float, path, default=0.0),
         n_hat_mode=_get(node, "n_hat", str, path, default="composite"),

@@ -93,10 +93,11 @@ class Population:
         """Distinct PSU ids, their household counts, and per-household
         dense PSU codes (index into the distinct-id array)."""
         if self._psu_index is None:
-            psus, codes = np.unique(self.psu_ids, return_inverse=True)
-            sizes = np.bincount(codes)
-            by_psu = np.argsort(codes, kind="stable")
-            starts = np.concatenate(([0], np.cumsum(sizes)))
+            by_psu, starts = _group(self.psu_ids)
+            sizes = np.diff(starts)
+            codes = np.empty(self.n_households, dtype=np.intp)
+            codes[by_psu] = np.repeat(np.arange(len(sizes)), sizes)
+            psus = self.psu_ids[by_psu[starts[:-1]]]
             object.__setattr__(
                 self,
                 "_psu_index",
@@ -106,11 +107,15 @@ class Population:
         ix = self._psu_index
         return ix["psus"], ix["sizes"], ix["codes"]
 
-    def psu_members(self, psu_code: int) -> np.ndarray:
-        """Household row indices belonging to the PSU with dense code."""
-        self.psu_frame()
+    def psu_members(self, psu_codes: np.ndarray) -> np.ndarray:
+        """Household row indices of the PSUs with the given dense codes,
+        PSU by PSU in the order given, ascending within each PSU."""
+        _, sizes, _ = self.psu_frame()
         ix = self._psu_index
-        return ix["members"][ix["starts"][psu_code]:ix["starts"][psu_code + 1]]
+        sizes = sizes[psu_codes]
+        offsets = np.cumsum(sizes) - sizes
+        return ix["members"][np.arange(sizes.sum())
+                             + np.repeat(ix["starts"][psu_codes] - offsets, sizes)]
 
     def household(self, i: int) -> "Household":
         return Household(
@@ -140,6 +145,20 @@ def _derive(obj, **changes):
     new = object.__new__(type(obj))
     vars(new).update(vars(obj), **changes)
     return new
+
+
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``keys`` grouped by value, and where each group starts.
+
+    Returns ``(order, starts)``: group g, the g-th smallest distinct
+    value, is ``order[starts[g]:starts[g + 1]]`` with positions ascending
+    (one stable sort); ``starts`` ends with ``len(keys)``.
+    """
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return order, np.append(np.flatnonzero(first), len(keys))
 
 
 def _first_duplicate(ids: np.ndarray) -> int | None:
@@ -478,11 +497,12 @@ def estimate_icc(values: np.ndarray, groups: np.ndarray) -> float:
 def load_microdata(path: str | Path, schema: MicrodataSchema) -> Population:
     """Read a household microdata CSV into a raw population.
 
-    The file is UTF-8 text: a header row naming the columns, then one row
-    per household, fields separated by ``,`` and quoted with ``"`` where
-    they hold a comma, quote or newline.  There are no comment lines
-    (``#`` is data) and blank lines are skipped.  Each schema column is
-    named once in the header, in any order; other columns are ignored.
+    The file is UTF-8 text, with or without a byte-order mark: a header
+    row naming the columns, then one row per household, fields separated
+    by ``,`` and quoted with ``"`` where they hold a comma, quote or
+    newline.  There are no comment lines (``#`` is data) and blank lines
+    are skipped.  Each schema column is named once in the header, in any
+    order; other columns are ignored.
     Ids and PSUs are decimal int64 values.  Outcomes are finite decimal
     numbers, parsed with correct rounding to the double ``float()`` gives,
     without the ``_`` digit separators ``float()`` accepts.  Modes
@@ -524,7 +544,7 @@ def _read_columns(path: Path, columns: list[str], dtype: list) -> np.ndarray:
     ``np.loadtxt`` call; raises a DataError naming file:line and column."""
     header: list[str] = []
     try:
-        with path.open(encoding="utf-8", newline="") as fh, warnings.catch_warnings():
+        with path.open(encoding="utf-8-sig", newline="") as fh, warnings.catch_warnings():
             # A header-only file is reported below as "no data rows".
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             # Older numpy parses "1.5" into an int64 field with this warning.
@@ -584,7 +604,7 @@ def _where(path: Path, row: int) -> str:
     module cannot rescan that far.  The file is rescanned only to report
     an error, so valid input never pays for line numbers."""
     seen, where = -1, f"{path.name} (data row {row + 1})"
-    with path.open(encoding="utf-8", newline="") as fh:
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             next(reader, None)
@@ -613,20 +633,18 @@ def _undecodable_line(path: Path) -> int:
 
 def write_population_csv(pop: Population, path: str | Path) -> None:
     """Write a population back out in the interchange layout."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["id", "psu", "mode", *pop.variable_names]
-        if pop.labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i in range(pop.n_households):
-            row = [int(pop.ids[i]), int(pop.psu_ids[i]),
-                   MODE_NAMES[pop.modes[i]] if pop.modes is not None else "WEB",
-                   *(repr(float(v)) for v in pop.y[i])]
-            if pop.labels is not None:
-                row.append(LABEL_NAMES[pop.labels[i]])
-            writer.writerow(row)
+    header = ["id", "psu", "mode", *pop.variable_names]
+    columns = [map(str, pop.ids.tolist()), map(str, pop.psu_ids.tolist()),
+               ([MODE_NAMES[m] for m in pop.modes.tolist()] if pop.modes is not None
+                else ["WEB"] * pop.n_households),
+               *(map(repr, col) for col in pop.y.T.tolist())]
+    if pop.labels is not None:
+        header.append("label")
+        columns.append([LABEL_NAMES[c] for c in pop.labels.tolist()])
+    with Path(path).open("w", newline="") as fh:
+        # Only the header can hold a comma or quote, so only it goes through csv.
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def default_schema(variable_names: Sequence[str], with_label: bool = False) -> MicrodataSchema:

@@ -10,6 +10,13 @@ Follow-up subsampling for face-to-face interviewing comes in two forms:
 a fixed fraction of web nonrespondents within each PSU (systematic from
 a randomly ordered list, so each nonrespondent is flagged with exactly
 that probability), or an equal-probability subset of whole PSUs.
+
+The two-stage take and the unit follow-up work on all selected PSUs at
+once, but they draw exactly what the per-PSU definitions draw: the same
+random numbers in the same order, so each generator ends in the same
+state, and the samples and flags they return are identical.  Only the
+work that draws nothing (grouping, sorting, the systematic positions)
+is vectorized.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, ValidationError
-from .population import Population, _derive
+from .population import Population, _derive, _first_duplicate, _group
 
 PI_FPC_WARNING = 0.2  # first-stage fractions above this make the
                       # with-replacement variance noticeably conservative
@@ -68,9 +75,12 @@ class DrawnSample:
         if self.design == "two_stage":
             if self.psu_pi is None:
                 raise ValidationError("two-stage sample needs PSU inclusion probabilities")
-            missing = set(np.unique(self.psu_ids)) - set(self.psu_pi)
-            if missing:
-                raise ValidationError(f"units from PSUs outside the PSU sample: {sorted(missing)[:5]}")
+            known = np.sort(np.fromiter(self.psu_pi, np.int64, len(self.psu_pi)))
+            at = np.searchsorted(known, self.psu_ids).clip(max=len(known) - 1)
+            outside = self.psu_ids[known[at] != self.psu_ids] if len(known) else self.psu_ids
+            if len(outside):
+                missing = sorted(set(outside.tolist()))
+                raise ValidationError(f"units from PSUs outside the PSU sample: {missing[:5]}")
             for pi in self.psu_pi.values():
                 if not 0.0 < pi <= 1.0:
                     raise ValidationError(f"PSU inclusion probability {pi} outside (0, 1]")
@@ -146,7 +156,7 @@ def pps_select_psus(sizes: np.ndarray, n_psus: int,
     # the clip guards the last interval against float rounding of the cumsum
     pos = np.minimum(np.searchsorted(cum, points, side="left"), len(cum) - 1)
     selected = order[pos]
-    if len(np.unique(selected)) != n_psus:
+    if _first_duplicate(selected) is not None:
         raise EstimationError("systematic PPS produced duplicate PSUs")  # pragma: no cover
     if pi[selected].max() > PI_FPC_WARNING:
         warnings.warn(
@@ -180,10 +190,12 @@ def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
     f = n_psus * m_per_psu / pop.n_households
 
     sel_sizes = sizes[sel]
-    members = np.concatenate([pop.psu_members(int(c)) for c in sel])
-    block = np.repeat(np.arange(len(sel)), sel_sizes)
+    members = pop.psu_members(sel)
+    # The smallest fitting code type lets the stable sort below be a radix sort.
+    block = np.repeat(np.arange(len(sel), dtype=np.min_scalar_type(len(sel) - 1)),
+                      sel_sizes)
     keys = rng.random(len(members))
-    order = np.lexsort((keys, block))
+    order = _lexsort_order(keys, block)
     starts = np.cumsum(sel_sizes) - sel_sizes
     rank = np.arange(len(members)) - np.repeat(starts, sel_sizes)
     chosen = members[order[rank < m_per_psu]]
@@ -196,22 +208,38 @@ def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
         d=np.full(len(chosen), 1.0 / f),
         psu_ids=pop.psu_ids[chosen],
         followup=FollowUp("none"),
-        psu_pi={int(psus[c]): float(p) for c, p in zip(sel, pi_sel)},
+        psu_pi=dict(zip(psus[sel].tolist(), pi_sel.tolist())),
     )
 
 
-def _systematic_take(m: int, omega: float, rng: np.random.Generator) -> np.ndarray:
-    """Positions (0-based) of a fractional-interval systematic sample of a
-    randomly ordered list of length m; every position has inclusion
-    probability exactly omega."""
+def _lexsort_order(keys: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``np.lexsort((keys, block))``: by block, then key, then position.
+
+    An unstable argsort of the keys followed by a stable argsort of their
+    block codes gives that order whenever no two keys are equal; after an
+    exact tie the keys are sorted stably, so tied keys keep their positions.
+    """
+    by_key = np.argsort(keys)
+    ranked = keys[by_key]
+    if (ranked[1:] == ranked[:-1]).any():
+        by_key = np.argsort(keys, kind="stable")
+    return by_key[np.argsort(block[by_key], kind="stable")]
+
+
+def _systematic_positions(sizes: np.ndarray, omega: float, u: np.ndarray) -> np.ndarray:
+    """Positions in the concatenation of randomly ordered lists of lengths
+    ``sizes`` of a fractional-interval systematic sample of each list,
+    list i starting from the uniform draw ``u[i]``; every position has
+    inclusion probability exactly omega."""
     if omega >= 1.0:
-        return np.arange(m)
+        return np.arange(sizes.sum())
+    first = np.cumsum(sizes) - sizes
     interval = 1.0 / omega
-    start = interval * (1.0 - rng.random())  # in (0, interval]
-    count = int(np.floor((m - start) / interval)) + 1 if start <= m else 0
-    if count <= 0:
-        return np.empty(0, dtype=int)
-    return np.ceil(start + interval * np.arange(count)).astype(int) - 1
+    start = interval * (1.0 - u)  # in (0, interval]
+    count = np.where(start <= sizes, np.floor((sizes - start) / interval) + 1, 0).astype(int)
+    k = np.repeat(np.arange(len(sizes)), count)
+    j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    return first[k] + np.ceil(start[k] + interval * j).astype(int) - 1
 
 
 def subsample_nonrespondents_units(sample: DrawnSample, omega: float,
@@ -221,18 +249,26 @@ def subsample_nonrespondents_units(sample: DrawnSample, omega: float,
     Systematic selection from a randomly ordered list per PSU: the take
     is floor or ceil of omega * count and each nonrespondent is flagged
     with probability exactly omega.  Web respondents are never flagged.
+    PSUs are visited in ascending id order; each draws a permutation of
+    its nonrespondents, then (for omega < 1) one uniform start.
     """
     if sample.delta_w is None:
         raise EstimationError("web response indicators must be set before subsampling")
     if not 0.0 < omega <= 1.0:
         raise ValidationError("omega must be in (0, 1]")
-    flags = np.zeros(sample.n_units, dtype=bool)
     nonresp = np.flatnonzero(sample.delta_w == 0)
-    for psu in np.unique(sample.psu_ids[nonresp]):
-        pool = nonresp[sample.psu_ids[nonresp] == psu]
-        perm = rng.permutation(len(pool))
-        take = _systematic_take(len(pool), omega, rng)
-        flags[pool[perm[take]]] = True
+    by_psu, starts = _group(sample.psu_ids[nonresp])
+    pool = nonresp[by_psu]  # grouped by ascending PSU id, rows ascending within
+    first, sizes = starts[:-1], np.diff(starts)
+    perm = np.empty(len(pool), dtype=np.int64)
+    u = []
+    for a, m in zip(first.tolist(), sizes.tolist()):
+        perm[a:a + m] = rng.permutation(m)
+        if omega < 1.0:
+            u.append(rng.random())
+    shuffled = pool[perm + np.repeat(first, sizes)]
+    flags = np.zeros(sample.n_units, dtype=bool)
+    flags[shuffled[_systematic_positions(sizes, omega, np.asarray(u))]] = True
     return _derive(sample, in_ftf_subsample=flags,
                    followup=FollowUp("unit", omega=omega))
 

@@ -89,6 +89,22 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "grid_search" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, old, new", [
+    ("scenario.seed", "  seed: 77\n", "  seed: -1\n"),
+    ("population.synthetic.seed", "    seed: 5150\n", "    seed: -5\n"),
+    ("scenario.iterations", "  iterations: 6\n", "  iterations: true\n"),
+    ("scenario.design.n_psus", "    n_psus: 8\n", "    n_psus: false\n"),
+    ("scenario.icc_planning", "  icc_planning: 0.02\n", "  icc_planning: true\n"),
+], ids=["scenario-seed", "synthetic-seed", "iterations", "n_psus", "icc_planning"])
+def test_run_bad_yaml_number_is_config_error(tmp_path, capsys, field, old, new):
+    text = POP_BLOCK + SCENARIO_BLOCK + f"output:\n  dir: {tmp_path}/out\n"
+    assert old in text
+    cfg = write_config(tmp_path, text.replace(old, new))
+    assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------

@@ -84,8 +84,10 @@ def test_stochastic_rule_redraws_labels_per_iteration(small_synthetic):
 
 
 def test_stochastic_iteration_skips_population_wide_id_checks(small_synthetic, monkeypatch):
+    import dataclasses
+
     from mmsim import population as population_mod
-    from mmsim.population import attach_propensities
+    from mmsim.population import attach_propensities, estimate_icc
 
     pop = attach_propensities(small_synthetic,
                               {"WEB": (0.6, 0.3), "MAIL": (0.3, 0.4), "FTF": (0.2, 0.4)})
@@ -103,8 +105,11 @@ def test_stochastic_iteration_skips_population_wide_id_checks(small_synthetic, m
     monkeypatch.setattr(population_mod, "_first_duplicate",
                         recording(population_mod._first_duplicate))
     run_iteration(scen, pop, pop.y.sum(axis=0), 0)
-    assert sizes, "the replicate should still pass sample-sized arrays to numpy.unique"
-    assert pop.n_households not in sizes
+    assert sizes == []
+    # Positive control: both patches still see population-wide calls.
+    estimate_icc(pop.y[:, 0], pop.psu_ids)
+    dataclasses.replace(pop)
+    assert sizes == [pop.n_households, pop.n_households]
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,22 @@ def test_direct_construction_names_duplicate_id():
         )
 
 
+@settings(max_examples=60, deadline=None)
+@given(psu_ids=st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(0, 5), min_size=1,
+                        max_size=80))
+def test_psu_frame_matches_numpy_unique(psu_ids):
+    pop = make_population(np.zeros(len(psu_ids)), psu_ids)
+    psus, sizes, codes = pop.psu_frame()
+    want_psus, want_codes = np.unique(pop.psu_ids, return_inverse=True)
+    np.testing.assert_array_equal(psus, want_psus)
+    np.testing.assert_array_equal(codes, want_codes)
+    np.testing.assert_array_equal(sizes, np.bincount(want_codes))
+    members = pop.psu_members(np.arange(len(psus))[::-1])
+    np.testing.assert_array_equal(
+        members, np.concatenate([np.flatnonzero(want_codes == c)
+                                 for c in range(len(psus))][::-1]))
+
+
 def test_with_labels_checks_length():
     pop = make_population(np.ones(4), [0, 0, 1, 1])
     with pytest.raises(IntegrityError, match="labels length"):
@@ -262,6 +278,57 @@ def test_missing_file_is_data_error_naming_path(tmp_path):
     missing = tmp_path / "absent.csv"
     with pytest.raises(DataError, match="absent.csv"):
         load_microdata(missing, MicrodataSchema(variables=("v1",)))
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    text = "id,psu,mode,v1\n1,10,WEB,1.5\n2,10,MAIL,-0.0\n3,20,FTF,3e-7\n"
+    schema = MicrodataSchema(variables=("v1",))
+    plain = load_microdata(_write(tmp_path, text), schema)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    marked = load_microdata(bom, schema)
+    for field in ("ids", "psu_ids", "y", "modes"):
+        np.testing.assert_array_equal(getattr(marked, field), getattr(plain, field))
+        assert getattr(marked, field).dtype == getattr(plain, field).dtype
+    assert marked.labels is None and marked.variable_names == plain.variable_names
+    bom.write_bytes(b"\xef\xbb\xbf" + b"id,psu,mode,v1\n1,1,WEB,1.0\n2,1,MAIL,oops\n")
+    with pytest.raises(ParseError, match=r"^bom\.csv:3: 'oops' is not a valid float"):
+        load_microdata(bom, schema)
+
+
+def _write_population_rows(pop, path):
+    """Reference writer: one csv.writer row per household."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        header = ["id", "psu", "mode", *pop.variable_names]
+        if pop.labels is not None:
+            header.append("label")
+        writer.writerow(header)
+        for i in range(pop.n_households):
+            row = [int(pop.ids[i]), int(pop.psu_ids[i]),
+                   MODE_NAMES[pop.modes[i]] if pop.modes is not None else "WEB",
+                   *(repr(float(v)) for v in pop.y[i])]
+            if pop.labels is not None:
+                row.append(LABEL_NAMES[pop.labels[i]])
+            writer.writerow(row)
+
+
+@pytest.mark.parametrize("with_modes", [True, False])
+@pytest.mark.parametrize("with_labels", [True, False])
+def test_population_writer_matches_row_by_row_writer(tmp_path, with_labels, with_modes):
+    rng = np.random.default_rng(4)
+    n = 300
+    y = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    y[:4, 0] = [-0.0, 0.0, 5e-324, 1.7976931348623157e308]
+    ids = rng.permutation(n).astype(np.int64)
+    ids[:2] = [np.iinfo(np.int64).max, np.iinfo(np.int64).min]
+    pop = Population(ids=ids, psu_ids=rng.integers(-2**62, 2**62, n), y=y,
+                     modes=rng.integers(0, 3, n).astype(np.int8) if with_modes else None,
+                     labels=rng.integers(0, 3, n).astype(np.int8) if with_labels else None,
+                     variable_names=("v1", "odd, \"name\"", "v3"))
+    write_population_csv(pop, tmp_path / "columns.csv")
+    _write_population_rows(pop, tmp_path / "rows.csv")
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -1,9 +1,14 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmsim.errors import ValidationError
+from mmsim.population import _derive
 from mmsim.sampling import (
     DrawnSample,
     FollowUp,
@@ -146,6 +151,167 @@ def test_two_stage_rejects_small_psu():
 def test_two_stage_units_belong_to_selected_psus(small_synthetic):
     s = two_stage_select(small_synthetic, 20, 60, np.random.default_rng(10))
     assert set(np.unique(s.psu_ids)) <= set(s.psu_pi)
+
+
+@pytest.mark.parametrize("psu_pi, missing", [
+    ({4: 0.5, 8: 0.5}, [1, 2, 9, 12, 30]),  # six outside, the five smallest named
+    ({}, [1, 2, 4, 8, 9]),
+])
+def test_units_from_unsampled_psus_are_rejected(psu_pi, missing):
+    psu_ids = [9, 4, 12, 4, 30, 2, 8, 1, 50, 9]
+    with pytest.raises(ValidationError, match="^" + re.escape(
+            f"units from PSUs outside the PSU sample: {missing}") + "$"):
+        make_drawn(len(psu_ids), psu_ids=psu_ids, design="two_stage", psu_pi=psu_pi)
+
+
+# ---------------------------------------------------------------------------
+# The vectorized draws against the per-PSU definitions
+# ---------------------------------------------------------------------------
+
+def _two_stage_reference(pop, n_psus, m_per_psu, rng):
+    """Per-PSU definition of the two-stage take: PSU members gathered one
+    PSU at a time, uniform keys ordered within PSUs by ``np.lexsort``."""
+    psus, sizes, _ = pop.psu_frame()
+    sel, pi_sel = pps_select_psus(sizes, n_psus, rng)
+    f = n_psus * m_per_psu / pop.n_households
+    sel_sizes = sizes[sel]
+    members = np.concatenate([np.flatnonzero(pop.psu_ids == psus[c]) for c in sel])
+    block = np.repeat(np.arange(len(sel)), sel_sizes)
+    keys = rng.random(len(members))
+    order = np.lexsort((keys, block))
+    starts = np.cumsum(sel_sizes) - sel_sizes
+    rank = np.arange(len(members)) - np.repeat(starts, sel_sizes)
+    chosen = members[order[rank < m_per_psu]]
+    chosen.sort()
+    return DrawnSample(
+        tag="S", design="two_stage", unit_idx=chosen, d=np.full(len(chosen), 1.0 / f),
+        psu_ids=pop.psu_ids[chosen], followup=FollowUp("none"),
+        psu_pi={int(psus[c]): float(p) for c, p in zip(sel, pi_sel)},
+    )
+
+
+def _systematic_take(m, omega, rng):
+    """Positions (0-based) of a fractional-interval systematic sample of a
+    randomly ordered list of length m; every position has inclusion
+    probability exactly omega."""
+    if omega >= 1.0:
+        return np.arange(m)
+    interval = 1.0 / omega
+    start = interval * (1.0 - rng.random())  # in (0, interval]
+    count = int(np.floor((m - start) / interval)) + 1 if start <= m else 0
+    if count <= 0:
+        return np.empty(0, dtype=int)
+    return np.ceil(start + interval * np.arange(count)).astype(int) - 1
+
+
+def _unit_followup_reference(sample, omega, rng):
+    """Per-PSU definition of the unit follow-up: PSUs in ascending id order,
+    each a permutation of its nonrespondents, then a systematic take."""
+    flags = np.zeros(sample.n_units, dtype=bool)
+    nonresp = np.flatnonzero(sample.delta_w == 0)
+    for psu in np.unique(sample.psu_ids[nonresp]):
+        pool = nonresp[sample.psu_ids[nonresp] == psu]
+        perm = rng.permutation(len(pool))
+        take = _systematic_take(len(pool), omega, rng)
+        flags[pool[perm[take]]] = True
+    return _derive(sample, in_ftf_subsample=flags, followup=FollowUp("unit", omega=omega))
+
+
+def _assert_same_sample(got, want):
+    for field in ("unit_idx", "d", "psu_ids"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert list(got.psu_pi.items()) == list(want.psu_pi.items())
+    assert got.flags().tobytes() == want.flags().tobytes()
+    assert got.followup == want.followup
+
+
+@st.composite
+def clustered_layouts(draw):
+    """A population of PSUs with distinct, unsorted, non-contiguous ids whose
+    households are interleaved in row order, a two-stage design on it, and
+    each household's web response."""
+    m_per_psu = draw(st.integers(1, 12))
+    n_frame = draw(st.integers(3, 12))
+    ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=n_frame, max_size=n_frame,
+                        unique=True))
+    # sizes in [m, 2m], some exactly m; so no first-stage probability exceeds 2/3
+    sizes = [m_per_psu + draw(st.sampled_from([0, 0, 1, 2, m_per_psu])) for _ in ids]
+    rows = np.repeat(ids, sizes)[draw(st.permutations(range(sum(sizes))))]
+    responds = draw(st.lists(st.sampled_from([0, 0, 1]), min_size=len(rows),
+                             max_size=len(rows)))
+    return rows.tolist(), m_per_psu, draw(st.integers(1, n_frame // 3)), responds
+
+
+# PSU ids 30, 7, 5, 12 with 3 households each, all four PSUs selected; web
+# nonrespondents: PSU 30 two, PSU 7 none, PSU 5 all three, PSU 12 one.
+FOLLOWUP_LAYOUT = ([30, 7, 7, 30, 5, 5, 12, 12, 7, 30, 5, 12], 3, 4,
+                   [0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(layout=clustered_layouts(),
+       omega=st.one_of(st.just(1.0), st.just(1e-3),
+                       st.floats(0.01, 1.0, exclude_max=True)),
+       seed=st.integers(0, 2**32 - 1))
+@example(layout=FOLLOWUP_LAYOUT, omega=0.5, seed=3)
+@example(layout=FOLLOWUP_LAYOUT, omega=1.0, seed=3)
+@example(layout=FOLLOWUP_LAYOUT, omega=1e-3, seed=3)  # every take empty
+def test_draws_match_per_psu_definitions(layout, omega, seed):
+    psu_ids, m_per_psu, n_psus, responds = layout
+    pop = make_population(np.zeros(len(psu_ids)), psu_ids)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # large first-stage fractions
+        got = two_stage_select(pop, n_psus, m_per_psu, rng)
+        want = _two_stage_reference(pop, n_psus, m_per_psu, ref_rng)
+    _assert_same_sample(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    delta_w = np.asarray(responds, dtype=np.uint8)[got.unit_idx]
+    got = _derive(got, delta_w=delta_w, delta_f=np.zeros_like(delta_w))
+    want = _derive(want, delta_w=delta_w.copy(), delta_f=np.zeros_like(delta_w))
+    got = subsample_nonrespondents_units(got, omega, rng)
+    want = _unit_followup_reference(want, omega, ref_rng)
+    _assert_same_sample(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _Rigged:
+    """Generator stand-in: real permutations, uniform arrays that take only
+    four values (so the within-PSU key sort meets exact ties), and scalar
+    uniforms fixed at ``u`` when it is given."""
+
+    def __init__(self, seed, u=None):
+        self._rng, self._u = np.random.default_rng(seed), u
+
+    def permutation(self, n):
+        return self._rng.permutation(n)
+
+    def random(self, size=None):
+        if size is None:
+            return self._rng.random() if self._u is None else self._u
+        return np.floor(self._rng.random(size) * 4) / 4
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_two_stage_breaks_exact_key_ties_like_lexsort(seed):
+    pop = make_population(np.zeros(1200), np.repeat(np.arange(30, 0, -1), 40))
+    got = two_stage_select(pop, 5, 25, _Rigged(seed))
+    want = _two_stage_reference(pop, 5, 25, _Rigged(seed))
+    _assert_same_sample(got, want)
+
+
+@pytest.mark.parametrize("u", [0.5, 0.0, 0.75])
+def test_unit_followup_start_on_the_last_position(u):
+    # omega 0.5 and u 0.5 start at 1.0, exactly the single nonrespondent of
+    # PSU 4; omega 0.25 and u 0.75 also start at 1.0 (PSU 4's list of one)
+    s = make_drawn(9, psu_ids=[6, 4, 6, 2, 2, 2, 6, 4, 6], delta_w=[0, 0, 0, 0, 0, 0, 1, 1, 0],
+                   design="two_stage", psu_pi={2: 0.1, 4: 0.1, 6: 0.1})
+    for omega in (0.5, 0.25):
+        got = subsample_nonrespondents_units(s, omega, _Rigged(1, u))
+        want = _unit_followup_reference(s, omega, _Rigged(1, u))
+        _assert_same_sample(got, want)
 
 
 # ---------------------------------------------------------------------------

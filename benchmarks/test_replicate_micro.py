@@ -1,0 +1,85 @@
+"""Micro-benchmarks of one replicate's hot path, on the b1a preset.
+
+    PYTHONPATH=src python -m pytest benchmarks -q                       # timings
+    PYTHONPATH=src python -m pytest benchmarks -q --benchmark-disable   # one run each
+
+The population is the ``b1a-synthetic`` preset's (959k households in 8000
+PSUs).  The samples are the first replicate of its hybrid design: 2500
+unclustered households (A) and 50 PSUs of 50 households (B).  Estimators
+are timed on statistics that earlier calls have already used, as every
+estimator after the first one of a replicate sees them.
+"""
+
+import numpy as np
+import pytest
+
+from mmsim import estimators as est
+from mmsim import montecarlo as mc
+from mmsim import sampling, variance
+from mmsim.config import load_config, preset_path
+from mmsim.population import generate_synthetic
+
+
+@pytest.fixture(scope="module")
+def b1a():
+    cfg = load_config(preset_path("b1a-synthetic"))
+    scenario = cfg.scenario
+    pop = mc.prepare_population(generate_synthetic(cfg.population.synthetic), scenario)
+    _, samples = mc.run_iteration(scenario, pop, pop.y.sum(axis=0), 0, keep_samples=True)
+    stats = {tag: est.sample_stats(s, np.take(pop.y, s.unit_idx, axis=0))
+             for tag, s in samples.items()}
+    return scenario, pop, samples, stats
+
+
+@pytest.mark.parametrize("tag", ["A", "B"])
+def test_sample_stats(benchmark, b1a, tag):
+    _, pop, samples, _ = b1a
+    y = np.take(pop.y, samples[tag].unit_idx, axis=0)
+    st = benchmark(est.sample_stats, samples[tag], y)
+    assert st.n_hat == pytest.approx(pop.n_households)
+
+
+ESTIMATORS = {
+    "T1": lambda stats: est.uniform_adjustment(stats["B"]),
+    "T2": lambda stats: est.followup_adjustment(stats["B"]),
+    "TA": lambda stats: est.web_only(stats["A"]),
+    "TDF1": lambda stats: est.composite_total(est.web_only(stats["A"]),
+                                              est.uniform_adjustment(stats["B"]), 0.5),
+    "TDF2": lambda stats: est.web_composite(stats["A"], stats["B"], 0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(ESTIMATORS))
+def test_estimator(benchmark, b1a, name):
+    stats = b1a[3]
+    result = benchmark(ESTIMATORS[name], stats)
+    assert np.isfinite(result.total).all()
+
+
+def test_compute_factors(benchmark, b1a):
+    scenario, _, samples, _ = b1a
+    fac = benchmark(est.compute_factors, samples["A"], samples["B"], scenario.icc_planning)
+    assert 0.0 < fac.lam < 1.0
+
+
+@pytest.mark.parametrize("tag", ["A", "B"])
+def test_wr_variance(benchmark, b1a, tag):
+    _, pop, samples, stats = b1a
+    e = est.uniform_adjustment(stats[tag]).score_blocks[0].e
+    bins, n_groups = variance.first_stage_units(samples[tag], None, pop.n_variables)
+    v = benchmark(variance._wr_variance, e, bins, n_groups)
+    assert (v >= 0).all()
+
+
+def test_first_stage_units(benchmark, b1a):
+    _, pop, samples, _ = b1a
+    bins, n_groups = benchmark(variance.first_stage_units, samples["B"], None, pop.n_variables)
+    assert n_groups == 50 and len(bins) == samples["B"].n_units * pop.n_variables
+
+
+def test_two_stage_select(benchmark, b1a):
+    scenario, pop, _, _ = b1a
+    rng = np.random.default_rng(0)
+    design = scenario.design
+    s = benchmark(sampling.two_stage_select, pop, design.n_psus, design.m_per_psu, rng)
+    assert s.n_units == design.n_psus * design.m_per_psu

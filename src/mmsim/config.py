@@ -69,8 +69,8 @@ def _get(node: dict, key: str, types, path: str, required: bool = False, default
 
 def _seed(node: dict, path: str, **kwargs) -> int:
     seed = _get(node, "seed", int, path, **kwargs)
-    if seed < 0:
-        raise ConfigError(f"{path}.seed: must be a non-negative integer, got {seed}")
+    if not 0 <= seed < 2**64:  # the bound of --seed
+        raise ConfigError(f"{path}.seed: must fit in an unsigned 64-bit integer, got {seed}")
     return seed
 
 

@@ -22,9 +22,13 @@ weights times outcomes:
   the two samples, then carries the nonrespondents on the clustered
   sample's ftf respondents.
 
-Every result carries (a) the respondent weight vectors, built from the
-weight-table rows, (b) linearization scores for variance estimation, and
-(c) the bracket components (estimated N, shares, mode means); the three
+Each ``*_total`` function wraps the function named without ``_total``,
+which works on the ``sample_stats`` of its samples: weighted masses and
+mode means, built once per sample and shared by every estimator on it.
+A result carries the total and its linearization scores, all a replicate
+reads.  Its audit views, built on first access, are the respondent
+weight vectors (from the weight-table rows), the bracket components
+(estimated N, shares, mode means) and the response rates; the three
 representations agree to floating-point accuracy by construction.
 """
 
@@ -32,6 +36,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -73,13 +79,22 @@ class ScoreBlock:
 
 @dataclass(frozen=True)
 class EstimatorResult:
+    """A total and its scores.  The audit views ``rates`` (None for composites),
+    ``components`` and ``weight_blocks`` are built by ``views()`` when first read."""
+
     estimator: str
     total: np.ndarray  # [n_variables]
     n_hat: float
-    rates: ResponseRates | None
-    components: dict
-    weight_blocks: tuple[WeightBlock, ...]
     score_blocks: tuple[ScoreBlock, ...]
+    views: Callable[[], tuple] = field(repr=False)  # -> (rates, components, weight_blocks)
+
+    @cached_property
+    def _views(self) -> tuple[ResponseRates | None, dict, tuple[WeightBlock, ...]]:
+        return self.views()
+
+    rates = property(lambda self: self._views[0])
+    components = property(lambda self: self._views[1])
+    weight_blocks = property(lambda self: self._views[2])
 
 
 @dataclass(frozen=True)
@@ -93,8 +108,12 @@ class CompositeFactors:
             raise ValidationError("compositing factors must lie in [0, 1]")
 
 
-@dataclass
-class _Sums:
+@dataclass(frozen=True)
+class SampleStats:
+    """Design-weighted masses, mode sums and means of one sample."""
+
+    sample: DrawnSample
+    y: np.ndarray
     d: np.ndarray
     dw: np.ndarray
     df: np.ndarray
@@ -106,11 +125,22 @@ class _Sums:
     f_hat: float
     a_w: np.ndarray
     a_f: np.ndarray
-    ybar_w: np.ndarray = field(default=None)
-    ybar_f: np.ndarray = field(default=None)
+    ybar_w: np.ndarray
+    ybar_f: np.ndarray
+
+    @cached_property
+    def yc_w(self) -> np.ndarray:
+        """Outcomes centered on the web respondent mean."""
+        return self.y - self.ybar_w[None, :]
+
+    @cached_property
+    def yc_f(self) -> np.ndarray:
+        """Outcomes centered on the ftf respondent mean."""
+        return self.y - self.ybar_f[None, :]
 
 
-def _sums(sample: DrawnSample, y: np.ndarray) -> _Sums:
+def sample_stats(sample: DrawnSample, y: np.ndarray) -> SampleStats:
+    """The statistics every estimator reads of ``sample`` with outcomes ``y``."""
     if sample.delta_w is None or sample.delta_f is None:
         raise EstimationError("response indicators are unset")
     if y.shape[0] != sample.n_units:
@@ -119,19 +149,16 @@ def _sums(sample: DrawnSample, y: np.ndarray) -> _Sums:
     dw = sample.delta_w.astype(float)
     df = sample.delta_f.astype(float)
     elig = sample.flags().astype(float)
-    s = _Sums(
-        d=d, dw=dw, df=df, elig=elig,
-        n_hat=float(d.sum()),
-        w_hat=float((d * dw).sum()),
-        m_hat=float((d * (1.0 - dw)).sum()),
-        me_hat=float((d * (1.0 - dw) * elig).sum()),
-        f_hat=float((d * df).sum()),
-        a_w=(d * dw) @ y,
-        a_f=(d * df) @ y,
+    d_w, d_f, d_m = d * dw, d * df, d * (1.0 - dw)
+    w_hat, f_hat = float(d_w.sum()), float(d_f.sum())
+    a_w, a_f = d_w @ y, d_f @ y
+    return SampleStats(
+        sample=sample, y=y, d=d, dw=dw, df=df, elig=elig,
+        n_hat=float(d.sum()), w_hat=w_hat, m_hat=float(d_m.sum()),
+        me_hat=float((d_m * elig).sum()), f_hat=f_hat, a_w=a_w, a_f=a_f,
+        ybar_w=a_w / w_hat if w_hat > 0 else np.full(y.shape[1], np.nan),
+        ybar_f=a_f / f_hat if f_hat > 0 else np.full(y.shape[1], np.nan),
     )
-    s.ybar_w = s.a_w / s.w_hat if s.w_hat > 0 else np.full(y.shape[1], np.nan)
-    s.ybar_f = s.a_f / s.f_hat if s.f_hat > 0 else np.full(y.shape[1], np.nan)
-    return s
 
 
 def _omega(sample: DrawnSample, omega: float | None) -> float:
@@ -143,46 +170,58 @@ def _omega(sample: DrawnSample, omega: float | None) -> float:
     return 1.0 if rate is None else rate
 
 
-def uniform_adjustment_total(sample: DrawnSample, y: np.ndarray,
-                             omega: float | None = None,
-                             estimator: str = EST_T1) -> EstimatorResult:
+def _weights(st: SampleStats, mask: np.ndarray, factor=1.0) -> WeightBlock:
+    """Weight-table rows of the units in ``mask``: design weight * factor."""
+    pos = np.flatnonzero(mask)
+    return WeightBlock(st.sample, pos, st.d[pos] * factor)
+
+
+def _result(estimator: str, total: np.ndarray, n_hat: float, st: SampleStats,
+            e: np.ndarray, views) -> EstimatorResult:
+    """A one-sample result; ``views()`` gives its components and weights."""
+    return EstimatorResult(estimator, total, n_hat, (ScoreBlock(st.sample, e),),
+                           lambda: (response_rates(st.sample), *views()))
+
+
+def uniform_adjustment(st: SampleStats, omega: float | None = None,
+                       estimator: str = EST_T1) -> EstimatorResult:
     """T1: every respondent is adjusted by the same overall response rate.
 
     total = sum_k d_k (dw_k + df_k/omega) y_k / R,
     R = sum_k d_k (dw_k + df_k/omega) / sum_k d_k.
     """
-    om = _omega(sample, omega)
-    s = _sums(sample, y)
-    g = s.dw + s.df / om  # per-unit response expansion
-    num = float((s.d * g).sum())
+    om = _omega(st.sample, omega)
+    g = st.dw + st.df / om  # per-unit response expansion
+    dg = st.d * g
+    num = float(dg.sum())
     if num <= 0.0:
         raise DegenerateEstimate("no respondents; overall response rate is zero")
-    r_hat = num / s.n_hat
-    total = ((s.d * g) @ y) / r_hat
-    ybar_t = total / s.n_hat
+    r_hat = num / st.n_hat
+    total = (dg @ st.y) / r_hat
+    ybar_t = total / st.n_hat
+    # d * (ybar_t + (g / R) * (y - ybar_t))
+    e = st.y - ybar_t[None, :]
+    e *= (g / r_hat)[:, None]
+    e += ybar_t
+    e *= st.d[:, None]
 
-    resp = np.flatnonzero(g > 0)
-    weights = s.d[resp] * g[resp] / r_hat
-    z = ybar_t[None, :] + (g / r_hat)[:, None] * (y - ybar_t[None, :])
-    return EstimatorResult(
-        estimator=estimator,
-        total=total,
-        n_hat=s.n_hat,
-        rates=response_rates(sample),
-        components={
-            "n_hat": s.n_hat, "r_hat": r_hat,
-            "gamma_w": s.w_hat / s.n_hat, "gamma_f": (s.f_hat / om) / s.n_hat,
-            "ybar_w": s.ybar_w, "ybar_f": s.ybar_f, "omega": om,
-        },
-        weight_blocks=(WeightBlock(sample, resp, weights),),
-        score_blocks=(ScoreBlock(sample, s.d[:, None] * z),),
-    )
+    def views():
+        resp = np.flatnonzero(g > 0)
+        return ({"n_hat": st.n_hat, "r_hat": r_hat,
+                 "gamma_w": st.w_hat / st.n_hat, "gamma_f": (st.f_hat / om) / st.n_hat,
+                 "ybar_w": st.ybar_w, "ybar_f": st.ybar_f, "omega": om},
+                (WeightBlock(st.sample, resp, st.d[resp] * g[resp] / r_hat),))
+
+    return _result(estimator, total, st.n_hat, st, e, views)
 
 
-def followup_adjustment_total(sample: DrawnSample, y: np.ndarray,
-                              omega: float | None = None,
-                              expansion: str = "design",
-                              estimator: str | None = None) -> EstimatorResult:
+def uniform_adjustment_total(sample: DrawnSample, y: np.ndarray, omega: float | None = None,
+                             estimator: str = EST_T1) -> EstimatorResult:
+    return uniform_adjustment(sample_stats(sample, y), omega, estimator)
+
+
+def followup_adjustment(st: SampleStats, omega: float | None = None, expansion: str = "design",
+                        estimator: str | None = None) -> EstimatorResult:
     """T2 / T2_AltOmega: adjust only the ftf respondents.
 
     total = sum d dw y + (1/omega) * (ME/F) * sum d df y, where ME is the
@@ -195,81 +234,76 @@ def followup_adjustment_total(sample: DrawnSample, y: np.ndarray,
         raise ValidationError(f"unknown expansion {expansion!r}")
     if estimator is None:
         estimator = EST_T2 if expansion == "design" else EST_T2_ALT
+    sample = st.sample
     if expansion == "realized" and sample.followup.kind != "psu":
         raise ValidationError("the realized expansion applies to PSU-subsampling designs")
     om = _omega(sample, omega)
-    s = _sums(sample, y)
 
-    if s.m_hat == 0.0:
+    if st.m_hat == 0.0:
         # Full web response: plain design-weighted total.
-        total = s.a_w.copy()
-        resp = np.flatnonzero(s.dw > 0)
-        return EstimatorResult(
-            estimator=estimator, total=total, n_hat=s.w_hat,
-            rates=response_rates(sample),
-            components={"n_hat": s.w_hat, "gamma_tilde": 1.0,
-                        "ybar_w": s.ybar_w, "ybar_f": s.ybar_f, "carry": 0.0},
-            weight_blocks=(WeightBlock(sample, resp, s.d[resp]),),
-            score_blocks=(ScoreBlock(sample, s.d[:, None] * (s.dw[:, None] * y)),),
-        )
-    if s.me_hat == 0.0:
+        def full_views():
+            return ({"n_hat": st.w_hat, "gamma_tilde": 1.0,
+                     "ybar_w": st.ybar_w, "ybar_f": st.ybar_f, "carry": 0.0},
+                    (_weights(st, st.dw > 0),))
+
+        e = st.dw[:, None] * st.y
+        e *= st.d[:, None]
+        return _result(estimator, st.a_w.copy(), st.w_hat, st, e, full_views)
+    if st.me_hat == 0.0:
         raise DegenerateEstimate("nonrespondents exist but none were eligible for follow-up")
-    if s.f_hat == 0.0:
+    if st.f_hat == 0.0:
         raise DegenerateEstimate("no ftf respondents; conditional ftf rate adjustment undefined")
 
     # carry = total weight placed on the ftf respondents.
-    carry = s.me_hat / om if expansion == "design" else s.m_hat
-    rf_inv = s.me_hat / s.f_hat  # reciprocal conditional ftf response rate
-    total = s.a_w + (carry / s.f_hat) * s.a_f
-    n_tilde = s.w_hat + carry
+    carry = st.me_hat / om if expansion == "design" else st.m_hat
+    rf_inv = st.me_hat / st.f_hat  # reciprocal conditional ftf response rate
+    total = st.a_w + (carry / st.f_hat) * st.a_f
+    n_tilde = st.w_hat + carry
 
-    resp_w = np.flatnonzero(s.dw > 0)
-    resp_f = np.flatnonzero(s.df > 0)
+    # weight factor of the ftf respondents over their design weight
+    f_factor = rf_inv / om if expansion == "design" else st.m_hat / st.f_hat
+    e = st.dw[:, None] * st.y
+    e += f_factor * st.df[:, None] * st.yc_f
     if expansion == "design":
-        f_weights = s.d[resp_f] * (rf_inv / om)
-        z = (s.dw[:, None] * y
-             + ((s.me_hat / s.f_hat) / om) * s.df[:, None] * (y - s.ybar_f[None, :])
-             + (1.0 / om) * (s.elig * (1.0 - s.dw))[:, None] * s.ybar_f[None, :])
+        e += (1.0 / om) * (st.elig * (1.0 - st.dw))[:, None] * st.ybar_f[None, :]
     else:
-        f_weights = s.d[resp_f] * (s.m_hat / s.f_hat)
-        z = (s.dw[:, None] * y
-             + (s.m_hat / s.f_hat) * s.df[:, None] * (y - s.ybar_f[None, :])
-             + (1.0 - s.dw)[:, None] * s.ybar_f[None, :])
-    return EstimatorResult(
-        estimator=estimator,
-        total=total,
-        n_hat=n_tilde,
-        rates=response_rates(sample),
-        components={
-            "n_hat": n_tilde, "gamma_tilde": s.w_hat / n_tilde,
-            "ybar_w": s.ybar_w, "ybar_f": s.ybar_f,
-            "carry": carry, "rf_inv": rf_inv, "omega": om,
-        },
-        weight_blocks=(WeightBlock(sample, resp_w, s.d[resp_w].copy()),
-                       WeightBlock(sample, resp_f, f_weights)),
-        score_blocks=(ScoreBlock(sample, s.d[:, None] * z),),
-    )
+        e += (1.0 - st.dw)[:, None] * st.ybar_f[None, :]
+    e *= st.d[:, None]
+
+    def views():
+        return ({"n_hat": n_tilde, "gamma_tilde": st.w_hat / n_tilde,
+                 "ybar_w": st.ybar_w, "ybar_f": st.ybar_f,
+                 "carry": carry, "rf_inv": rf_inv, "omega": om},
+                (_weights(st, st.dw > 0), _weights(st, st.df > 0, f_factor)))
+
+    return _result(estimator, total, n_tilde, st, e, views)
 
 
-def web_only_total(sample: DrawnSample, y: np.ndarray,
-                   estimator: str = EST_TA) -> EstimatorResult:
+def followup_adjustment_total(sample: DrawnSample, y: np.ndarray, omega: float | None = None,
+                              expansion: str = "design",
+                              estimator: str | None = None) -> EstimatorResult:
+    return followup_adjustment(sample_stats(sample, y), omega, expansion, estimator)
+
+
+def web_only(st: SampleStats, estimator: str = EST_TA) -> EstimatorResult:
     """TA: ratio-adjusted total over the web respondents."""
-    s = _sums(sample, y)
-    if s.w_hat == 0.0:
+    if st.w_hat == 0.0:
         raise DegenerateEstimate("no web respondents")
-    total = s.n_hat * s.ybar_w
-    resp = np.flatnonzero(s.dw > 0)
-    rw_inv = s.n_hat / s.w_hat
-    z = s.ybar_w[None, :] + rw_inv * s.dw[:, None] * (y - s.ybar_w[None, :])
-    return EstimatorResult(
-        estimator=estimator,
-        total=total,
-        n_hat=s.n_hat,
-        rates=response_rates(sample),
-        components={"n_hat": s.n_hat, "r_w": s.w_hat / s.n_hat, "ybar_w": s.ybar_w},
-        weight_blocks=(WeightBlock(sample, resp, s.d[resp] * rw_inv),),
-        score_blocks=(ScoreBlock(sample, s.d[:, None] * z),),
-    )
+    total = st.n_hat * st.ybar_w
+    rw_inv = st.n_hat / st.w_hat
+    e = rw_inv * st.dw[:, None] * st.yc_w
+    e += st.ybar_w
+    e *= st.d[:, None]
+
+    def views():
+        return ({"n_hat": st.n_hat, "r_w": st.w_hat / st.n_hat, "ybar_w": st.ybar_w},
+                (_weights(st, st.dw > 0, rw_inv),))
+
+    return _result(estimator, total, st.n_hat, st, e, views)
+
+
+def web_only_total(sample: DrawnSample, y: np.ndarray, estimator: str = EST_TA) -> EstimatorResult:
+    return web_only(sample_stats(sample, y), estimator)
 
 
 def clustered_uniform_total(sample: DrawnSample, y: np.ndarray) -> EstimatorResult:
@@ -289,29 +323,21 @@ def composite_total(res_a: EstimatorResult, res_b: EstimatorResult,
         parts.append((1.0 - lam, res_b))
     total = sum(f * r.total for f, r in parts)
     n_hat = sum(f * r.n_hat for f, r in parts)
+
     return EstimatorResult(
-        estimator=EST_TDF1,
-        total=total,
-        n_hat=float(n_hat),
-        rates=None,
-        components={"lam": lam,
-                    "total_a": res_a.total if lam > 0 else None,
-                    "total_b": res_b.total if lam < 1 else None},
-        weight_blocks=tuple(
-            WeightBlock(b.sample, b.positions, f * b.weights)
-            for f, r in parts for b in r.weight_blocks
-        ),
-        score_blocks=tuple(
-            ScoreBlock(b.sample, f * b.e) for f, r in parts for b in r.score_blocks
-        ),
+        EST_TDF1, total, float(n_hat),
+        tuple(ScoreBlock(b.sample, f * b.e) for f, r in parts for b in r.score_blocks),
+        lambda: (None, {"lam": lam,
+                        "total_a": res_a.total if lam > 0 else None,
+                        "total_b": res_b.total if lam < 1 else None},
+                 tuple(WeightBlock(b.sample, b.positions, f * b.weights)
+                       for f, r in parts for b in r.weight_blocks)),
     )
 
 
-def web_composite_total(sample_a: DrawnSample, y_a: np.ndarray,
-                        sample_b: DrawnSample, y_b: np.ndarray,
-                        kappa: float,
-                        n_hat_mode: str = "composite",
-                        frame_n: float | None = None) -> EstimatorResult:
+def web_composite(sa: SampleStats, sb: SampleStats, kappa: float,
+                  n_hat_mode: str = "composite",
+                  frame_n: float | None = None) -> EstimatorResult:
     """TDF2: composite the web respondents of both samples, then carry the
     remaining share on the clustered sample's ftf respondents.
 
@@ -326,77 +352,67 @@ def web_composite_total(sample_a: DrawnSample, y_a: np.ndarray,
         raise ValidationError(f"unknown n_hat mode {n_hat_mode!r}")
     if n_hat_mode == "frame" and not frame_n:
         raise ValidationError("frame n_hat mode requires the frame size")
-    sa, sb = _sums(sample_a, y_a), _sums(sample_b, y_b)
     if kappa > 0.0 and sa.w_hat == 0.0:
         raise DegenerateEstimate("no web respondents in the unclustered sample")
     if kappa < 1.0 and sb.w_hat == 0.0:
         raise DegenerateEstimate("no web respondents in the clustered sample")
-    nonresp_mass = sa.m_hat + sb.m_hat
-    if nonresp_mass > 0.0 and sb.f_hat == 0.0:
+    carried = sa.m_hat + sb.m_hat > 0.0  # nonrespondents to carry
+    if carried and sb.f_hat == 0.0:
         raise DegenerateEstimate("nonrespondents exist but the clustered sample "
                                  "has no ftf respondents to carry them")
 
     sum_n = sa.n_hat + sb.n_hat
     gam = (sa.w_hat + sb.w_hat) / sum_n  # pooled web response rate
     n_c = float(frame_n) if n_hat_mode == "frame" else kappa * sa.n_hat + (1.0 - kappa) * sb.n_hat
+    # each sample with its share of the web composite, and whether its ftf
+    # respondents carry the nonrespondents
+    shares = ((sa, kappa, False), (sb, 1.0 - kappa, carried))
 
-    k = y_a.shape[1]
+    k = sa.y.shape[1]
     pooled_web = np.zeros(k)
-    if kappa > 0.0:
-        pooled_web += kappa * sa.ybar_w
-    if kappa < 1.0:
-        pooled_web += (1.0 - kappa) * sb.ybar_w
-    ftf_part = (1.0 - gam) * sb.ybar_f if nonresp_mass > 0.0 else np.zeros(k)
-    total = n_c * (gam * pooled_web + ftf_part)
-
-    blocks = []
-    if kappa > 0.0:
-        pos = np.flatnonzero(sa.dw > 0)
-        blocks.append(WeightBlock(sample_a, pos,
-                                  sa.d[pos] * (kappa * n_c * gam / sa.w_hat)))
-    if kappa < 1.0:
-        pos = np.flatnonzero(sb.dw > 0)
-        blocks.append(WeightBlock(sample_b, pos,
-                                  sb.d[pos] * ((1.0 - kappa) * n_c * gam / sb.w_hat)))
-    if nonresp_mass > 0.0:
-        pos = np.flatnonzero(sb.df > 0)
-        blocks.append(WeightBlock(sample_b, pos,
-                                  sb.d[pos] * (n_c * (1.0 - gam) / sb.f_hat)))
+    for st, part, _ in shares:
+        if part > 0.0:
+            pooled_web += part * st.ybar_w
+    ybar_fb = sb.ybar_f if carried else np.zeros(k)
+    total = n_c * (gam * pooled_web + (1.0 - gam) * ybar_fb)
 
     # Linearization.  The pooled rate couples the samples; each unit's
     # score collects its derivatives through N_c, the pooled rate, and
     # its own sample's means.
-    ybar_fb = sb.ybar_f if nonresp_mass > 0.0 else np.zeros(k)
     shift = n_c * (pooled_web - ybar_fb) / sum_n  # [K] per unit of (dw - gam)
     level = total / n_c  # [K]
+    blocks = []
+    for st, part, carries in shares:
+        e = (st.dw - gam)[:, None] * shift[None, :]
+        if n_hat_mode == "composite":
+            e += part * level
+        if part > 0.0:
+            e += (n_c * gam * part / st.w_hat) * st.dw[:, None] * st.yc_w
+        if carries:
+            e += (n_c * (1.0 - gam) / st.f_hat) * st.df[:, None] * st.yc_f
+        e *= st.d[:, None]
+        blocks.append(ScoreBlock(st.sample, e))
 
-    z_a = (sa.dw - gam)[:, None] * shift[None, :]
-    if n_hat_mode == "composite":
-        z_a = z_a + kappa * level[None, :] * np.ones((sample_a.n_units, 1))
-    if kappa > 0.0:
-        z_a = z_a + (n_c * gam * kappa / sa.w_hat) * sa.dw[:, None] * (y_a - sa.ybar_w[None, :])
+    def views():
+        weights = [_weights(st, st.dw > 0, part * n_c * gam / st.w_hat)
+                   for st, part, _ in shares if part > 0.0]
+        if carried:
+            weights.append(_weights(sb, sb.df > 0, n_c * (1.0 - gam) / sb.f_hat))
+        return (None, {"n_hat": n_c, "gamma_pooled": gam, "kappa": kappa,
+                       "ybar_wa": sa.ybar_w, "ybar_wb": sb.ybar_w, "ybar_fb": sb.ybar_f},
+                tuple(weights))
 
-    z_b = (sb.dw - gam)[:, None] * shift[None, :]
-    if n_hat_mode == "composite":
-        z_b = z_b + (1.0 - kappa) * level[None, :] * np.ones((sample_b.n_units, 1))
-    if kappa < 1.0:
-        z_b = z_b + (n_c * gam * (1.0 - kappa) / sb.w_hat) * sb.dw[:, None] * (y_b - sb.ybar_w[None, :])
-    if nonresp_mass > 0.0:
-        z_b = z_b + (n_c * (1.0 - gam) / sb.f_hat) * sb.df[:, None] * (y_b - sb.ybar_f[None, :])
+    return EstimatorResult(EST_TDF2, total, n_c, tuple(blocks), views)
 
-    return EstimatorResult(
-        estimator=EST_TDF2,
-        total=total,
-        n_hat=n_c,
-        rates=None,
-        components={
-            "n_hat": n_c, "gamma_pooled": gam, "kappa": kappa,
-            "ybar_wa": sa.ybar_w, "ybar_wb": sb.ybar_w, "ybar_fb": sb.ybar_f,
-        },
-        weight_blocks=tuple(blocks),
-        score_blocks=(ScoreBlock(sample_a, sa.d[:, None] * z_a),
-                      ScoreBlock(sample_b, sb.d[:, None] * z_b)),
-    )
+
+def web_composite_total(sample_a: DrawnSample, y_a: np.ndarray,
+                        sample_b: DrawnSample, y_b: np.ndarray, kappa: float,
+                        n_hat_mode: str = "composite",
+                        frame_n: float | None = None) -> EstimatorResult:
+    return web_composite(sample_stats(sample_a, y_a), sample_stats(sample_b, y_b),
+                         kappa, n_hat_mode, frame_n)
+
+
 
 
 def compute_factors(sample_a: DrawnSample, sample_b: DrawnSample,

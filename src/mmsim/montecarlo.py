@@ -22,12 +22,13 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import estimators as est
 from . import response, sampling, variance
-from .errors import ConfigError, DegenerateResultsError, EstimationError
+from .errors import ConfigError, DataError, DegenerateResultsError, EstimationError
 from .population import Population, RULES, build_pseudopopulation, draw_stochastic_labels
 from .variance import VarianceUnitPlan, build_variance_units, confidence_interval
 
@@ -39,15 +40,6 @@ STAGE_FOLLOWUP = 3
 STAGE_VARUNITS = 4
 STAGE_RULE = 999  # one-shot pseudopopulation build
 
-DESIGN_KINDS = ("hybrid", "two_phase_unit", "two_phase_psu")
-
-_ALLOWED = {
-    "hybrid": {est.EST_T1, est.EST_T2, est.EST_TA, est.EST_TB1, est.EST_TDF1, est.EST_TDF2},
-    "two_phase_unit": {est.EST_T1, est.EST_T2},
-    "two_phase_psu": {est.EST_T1, est.EST_T2, est.EST_T2_ALT},
-}
-
-
 @dataclass(frozen=True)
 class DesignSpec:
     kind: str
@@ -58,7 +50,7 @@ class DesignSpec:
     n_sub_psus: int = 0         # PSU subsampling count
 
     def validate(self) -> None:
-        if self.kind not in DESIGN_KINDS:
+        if self.kind not in {kind for kind, _ in ESTIMATORS}:
             raise ConfigError(f"unknown design kind {self.kind!r}")
         if self.kind == "hybrid":
             if self.n_unclustered < 1 or self.n_psus < 1 or self.m_per_psu < 1:
@@ -103,15 +95,13 @@ class ScenarioSpec:
         if self.rule not in (*RULES, "stochastic", "as_is"):
             raise ConfigError(f"unknown pseudopopulation rule {self.rule!r}")
         self.design.validate()
-        allowed = _ALLOWED[self.design.kind]
         names = set()
         for spec in self.estimators:
             if spec.id not in est.ALL_ESTIMATORS:
                 raise ConfigError(f"unknown estimator id {spec.id!r}")
-            if spec.id not in allowed:
-                raise ConfigError(
-                    f"estimator {spec.id} is not defined for the {self.design.kind} design"
-                )
+            if (self.design.kind, spec.id) not in ESTIMATORS:
+                raise ConfigError(f"estimator {spec.id} is not defined for the "
+                                  f"{self.design.kind} design")
             if spec.name in names:
                 raise ConfigError(f"duplicate estimator label {spec.name!r}")
             names.add(spec.name)
@@ -165,124 +155,107 @@ def prepare_population(pop: Population, scenario: ScenarioSpec) -> Population:
     return build_pseudopopulation(pop, scenario.rule, rng)
 
 
-def _factors_for(spec: EstimatorSpec, scenario: ScenarioSpec,
-                 sa: sampling.DrawnSample, sb: sampling.DrawnSample,
-                 cache: dict) -> est.CompositeFactors:
-    setting = spec.compositing if spec.compositing is not None else scenario.compositing
-    key = ("eff",) if setting == "effective" else ("fix", float(setting))
-    if key not in cache:
-        if setting == "effective":
-            cache[key] = est.compute_factors(sa, sb, scenario.icc_planning)
-        else:
-            cache[key] = est.compute_factors(sa, sb, 0.0, fixed=float(setting))
-    return cache[key]
+class _Replicate:
+    """What one replicate's estimator labels share, each computed once:
+    every sample's statistics and first-stage units, the compositing
+    factors, and the TA and TB1 results."""
+
+    def __init__(self, scenario: ScenarioSpec, pop: Population, samples: dict, plans: dict):
+        self.scenario, self.pop, self._factors = scenario, pop, {}
+        self.stats = {tag: est.sample_stats(s, np.take(pop.y, s.unit_idx, axis=0))
+                      for tag, s in samples.items()}
+        self.units = {tag: variance.first_stage_units(s, plans.get(tag), pop.n_variables)
+                      for tag, s in samples.items()}
+
+    @cached_property
+    def ta(self) -> est.EstimatorResult:
+        return est.web_only(self.stats["A"])
+
+    @cached_property
+    def tb1(self) -> est.EstimatorResult:
+        return est.uniform_adjustment(self.stats["B"])
+
+    def factors(self, spec: EstimatorSpec) -> est.CompositeFactors:
+        setting = spec.compositing if spec.compositing is not None else self.scenario.compositing
+        fixed = None if setting == "effective" else float(setting)
+        if fixed not in self._factors:
+            a, b = self.stats["A"].sample, self.stats["B"].sample
+            icc = self.scenario.icc_planning
+            self._factors[fixed] = est.compute_factors(a, b, icc, fixed=fixed)
+        return self._factors[fixed]
+
+
+def _tdf1(rep: _Replicate, spec: EstimatorSpec) -> est.EstimatorResult:
+    lam = rep.factors(spec).lam
+    return est.composite_total(rep.ta, rep.tb1, lam)
+
+
+# (design kind, estimator id) -> the estimate in one replicate; a pair absent
+# here is undefined for that design.  Every clustered-sample nonrespondent of
+# the hybrid design is followed up, so T1's expansion omega is 1: T1 is TB1.
+ESTIMATORS = {
+    ("hybrid", est.EST_T1): lambda rep, spec: rep.tb1,
+    ("hybrid", est.EST_TB1): lambda rep, spec: rep.tb1,
+    ("hybrid", est.EST_T2): lambda rep, spec: est.followup_adjustment(rep.stats["B"]),
+    ("hybrid", est.EST_TA): lambda rep, spec: rep.ta,
+    ("hybrid", est.EST_TDF1): _tdf1,
+    ("hybrid", est.EST_TDF2): lambda rep, spec: est.web_composite(
+        rep.stats["A"], rep.stats["B"], rep.factors(spec).kappa,
+        rep.scenario.n_hat_mode, rep.pop.n_households),
+    ("two_phase_unit", est.EST_T1): lambda rep, spec: est.uniform_adjustment(rep.stats["S"]),
+    ("two_phase_unit", est.EST_T2): lambda rep, spec: est.followup_adjustment(rep.stats["S"]),
+    ("two_phase_psu", est.EST_T1): lambda rep, spec: est.uniform_adjustment(rep.stats["S"]),
+    ("two_phase_psu", est.EST_T2): lambda rep, spec: est.followup_adjustment(rep.stats["S"]),
+    ("two_phase_psu", est.EST_T2_ALT):
+        lambda rep, spec: est.followup_adjustment(rep.stats["S"], expansion="realized"),
+}
 
 
 def run_iteration(scenario: ScenarioSpec, pop: Population, truth: np.ndarray,
                   iteration: int, keep_samples: bool = False) -> IterationResult:
     """Draw, collect, estimate, and attach variances for one replicate."""
-    key = scenario_key(scenario.id)
-    if scenario.rule == "stochastic":
-        labels = draw_stochastic_labels(
-            pop, stage_rng(scenario.seed, key, iteration, STAGE_LABELS)
-        ).labels
-    else:
-        labels = pop.labels
+    rng = partial(stage_rng, scenario.seed, scenario_key(scenario.id), iteration)
+    labels = (draw_stochastic_labels(pop, rng(STAGE_LABELS)).labels
+              if scenario.rule == "stochastic" else pop.labels)
     design = scenario.design
 
     plans: dict[str, VarianceUnitPlan] = {}
-    samples: dict[str, sampling.DrawnSample] = {}
-    outcomes: dict[str, np.ndarray] = {}
-
     if design.kind == "hybrid":
-        sa = sampling.srswor(pop, design.n_unclustered,
-                             stage_rng(scenario.seed, key, iteration, STAGE_UNCLUSTERED),
-                             tag="A")
+        sa = sampling.srswor(pop, design.n_unclustered, rng(STAGE_UNCLUSTERED), tag="A")
         sa = response.apply_protocol(sa, labels, response.WEB_ONLY)
         sb = sampling.two_stage_select(pop, design.n_psus, design.m_per_psu,
-                                       stage_rng(scenario.seed, key, iteration, STAGE_CLUSTERED),
-                                       tag="B")
+                                       rng(STAGE_CLUSTERED), tag="B")
         sb = response.apply_protocol(sb, labels, response.WEB_ONLY)
         sb = sampling.followup_all_units(sb)
         sb = response.apply_protocol(sb, labels, response.WEB_THEN_FTF)
         samples = {"A": sa, "B": sb}
     else:
         s = sampling.two_stage_select(pop, design.n_psus, design.m_per_psu,
-                                      stage_rng(scenario.seed, key, iteration, STAGE_CLUSTERED),
-                                      tag="S")
+                                      rng(STAGE_CLUSTERED), tag="S")
         s = response.apply_protocol(s, labels, response.WEB_ONLY)
-        rng_follow = stage_rng(scenario.seed, key, iteration, STAGE_FOLLOWUP)
         if design.kind == "two_phase_unit":
-            s = sampling.subsample_nonrespondents_units(s, design.omega, rng_follow)
+            s = sampling.subsample_nonrespondents_units(s, design.omega, rng(STAGE_FOLLOWUP))
         else:
-            s = sampling.subsample_psus(s, design.n_sub_psus, rng_follow)
-            plans["S"] = build_variance_units(
-                s, stage_rng(scenario.seed, key, iteration, STAGE_VARUNITS)
-            )
+            s = sampling.subsample_psus(s, design.n_sub_psus, rng(STAGE_FOLLOWUP))
+            plans["S"] = build_variance_units(s, rng(STAGE_VARUNITS))
         s = response.apply_protocol(s, labels, response.WEB_THEN_FTF)
         samples = {"S": s}
-    outcomes = {tag: pop.y[smp.unit_idx] for tag, smp in samples.items()}
 
+    rep = _Replicate(scenario, pop, samples, plans)
     cells: dict[str, EstimatorCell] = {}
-    factor_cache: dict = {}
-    component_cache: dict[str, est.EstimatorResult] = {}
-
-    def component(eid: str) -> est.EstimatorResult:
-        if eid not in component_cache:
-            if eid == est.EST_TA:
-                component_cache[eid] = est.web_only_total(samples["A"], outcomes["A"])
-            else:  # TB1
-                component_cache[eid] = est.clustered_uniform_total(samples["B"], outcomes["B"])
-        return component_cache[eid]
-
     for spec in scenario.estimators:
         try:
-            if design.kind == "hybrid":
-                if spec.id == est.EST_T1:
-                    result = est.uniform_adjustment_total(samples["B"], outcomes["B"])
-                elif spec.id == est.EST_TB1:
-                    result = component(est.EST_TB1)
-                elif spec.id == est.EST_T2:
-                    result = est.followup_adjustment_total(samples["B"], outcomes["B"])
-                elif spec.id == est.EST_TA:
-                    result = component(est.EST_TA)
-                elif spec.id == est.EST_TDF1:
-                    fac = _factors_for(spec, scenario, samples["A"], samples["B"], factor_cache)
-                    result = est.composite_total(component(est.EST_TA),
-                                                 component(est.EST_TB1), fac.lam)
-                else:  # TDF2
-                    fac = _factors_for(spec, scenario, samples["A"], samples["B"], factor_cache)
-                    result = est.web_composite_total(
-                        samples["A"], outcomes["A"], samples["B"], outcomes["B"],
-                        fac.kappa, n_hat_mode=scenario.n_hat_mode,
-                        frame_n=pop.n_households,
-                    )
-            else:
-                s = samples["S"]
-                if spec.id == est.EST_T1:
-                    result = est.uniform_adjustment_total(s, outcomes["S"])
-                elif spec.id == est.EST_T2:
-                    result = est.followup_adjustment_total(s, outcomes["S"])
-                else:  # T2_AltOmega
-                    result = est.followup_adjustment_total(s, outcomes["S"],
-                                                           expansion="realized")
-            var = variance.taylor_variance(result, plans=plans or None)
-            low, high, covered = confidence_interval(result.total, var.variance, truth)
-            cells[spec.name] = EstimatorCell(
-                point=result.total, variance=var.variance,
-                ci_low=low, ci_high=high, covered=covered,
-            )
+            result = ESTIMATORS[design.kind, spec.id](rep, spec)
+            var = variance.score_variance(result.score_blocks,
+                                          [rep.units[b.sample.tag] for b in result.score_blocks])
+            low, high, covered = confidence_interval(result.total, var, truth)
+            cells[spec.name] = EstimatorCell(result.total, var, low, high, covered)
         except EstimationError as exc:
             nan = np.full(len(truth), np.nan)
-            cells[spec.name] = EstimatorCell(
-                point=nan, variance=nan, ci_low=nan, ci_high=nan,
-                covered=np.zeros(len(truth), dtype=bool),
-                degenerate=True, reason=str(exc),
-            )
+            cells[spec.name] = EstimatorCell(nan, nan, nan, nan, np.zeros(len(truth), dtype=bool),
+                                             degenerate=True, reason=str(exc))
     out = IterationResult(iteration=iteration, cells=cells)
-    if keep_samples:
-        out = (out, samples)  # debugging hook used by tests
-    return out
+    return (out, samples) if keep_samples else out  # the samples: a debugging hook for tests
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +278,12 @@ def run_scenario(pop: Population, scenario: ScenarioSpec, jobs: int = 1,
                  progress: bool = False) -> list[IterationResult]:
     """Run all iterations; output is independent of ``jobs``."""
     scenario.validate()
-    pop = prepare_population(pop, scenario)
     truth = pop.y.sum(axis=0)
+    for name, total in zip(pop.variable_names, truth):
+        if total == 0:
+            raise DataError(f"variable {name!r} has a population total of 0, so its "
+                            "relative bias, CV and RRMSE are undefined")
+    pop = prepare_population(pop, scenario)
     n = scenario.iterations
     if jobs <= 1:
         results = []

@@ -107,6 +107,14 @@ class Population:
         ix = self._psu_index
         return ix["psus"], ix["sizes"], ix["codes"]
 
+    def frame_cache(self, key, build):
+        """``build()``, computed once per population and kept with the PSU
+        frame, which copies made by ``_derive`` share."""
+        self.psu_frame()
+        if key not in self._psu_index:
+            self._psu_index[key] = build()
+        return self._psu_index[key]
+
     def psu_members(self, psu_codes: np.ndarray) -> np.ndarray:
         """Household row indices of the PSUs with the given dense codes,
         PSU by PSU in the order given, ascending within each PSU."""

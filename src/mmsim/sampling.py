@@ -127,13 +127,10 @@ def srswor(pop: Population, n: int, rng: np.random.Generator, tag: str = "S") ->
     )
 
 
-def pps_select_psus(sizes: np.ndarray, n_psus: int,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Randomized-order systematic PPS selection of ``n_psus`` clusters.
-
-    Returns (selected frame indices, their inclusion probabilities
-    n_psus * size / total).  Certainty clusters are rejected.
-    """
+def _pps_frame(sizes: np.ndarray, n_psus: int) -> tuple:
+    """What a PPS draw needs of the frame alone, checked once: float
+    sizes, their total, every PSU's inclusion probability, and the
+    systematic points before the random start."""
     sizes = np.asarray(sizes, dtype=float)
     if (sizes <= 0).any():
         raise ValidationError("all PSU sizes must be positive")
@@ -147,11 +144,16 @@ def pps_select_psus(sizes: np.ndarray, n_psus: int,
             f"PSU {worst} would be a certainty selection (pi={pi[worst]:.3f}); "
             f"reduce n_psus or split the PSU before sampling"
         )
+    step = total / n_psus
+    return sizes, step, pi, step * np.arange(n_psus)
+
+
+def _pps_draw(frame: tuple, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    sizes, step, pi, offsets = frame
     order = rng.permutation(len(sizes))
     cum = np.cumsum(sizes[order])
-    step = total / n_psus
     start = step * (1.0 - rng.random())  # in (0, step]
-    points = start + step * np.arange(n_psus)
+    points = start + offsets
     # side="left" with points in (0, total]: position i covers (C_{i-1}, C_i];
     # the clip guards the last interval against float rounding of the cumsum
     pos = np.minimum(np.searchsorted(cum, points, side="left"), len(cum) - 1)
@@ -167,16 +169,19 @@ def pps_select_psus(sizes: np.ndarray, n_psus: int,
     return selected, pi[selected]
 
 
-def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
-                     rng: np.random.Generator, tag: str = "S") -> DrawnSample:
-    """PPS PSUs then equal takes of ``m_per_psu`` households per PSU.
+def pps_select_psus(sizes: np.ndarray, n_psus: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Randomized-order systematic PPS selection of ``n_psus`` clusters.
 
-    The within-PSU rate is m_per_psu/size, i.e. proportional to the
-    reciprocal of the PSU probability, so the overall inclusion
-    probability is f = n_psus*m_per_psu/N for every household and the
-    design is self-weighting with d = 1/f.
+    Returns (selected frame indices, their inclusion probabilities
+    n_psus * size / total).  Certainty clusters are rejected.
     """
-    psus, sizes, _codes = pop.psu_frame()
+    return _pps_draw(_pps_frame(sizes, n_psus), rng)
+
+
+def _two_stage_frame(sizes: np.ndarray, psus: np.ndarray, n_psus: int,
+                     m_per_psu: int) -> tuple:
+    """The design checks and PPS frame of ``two_stage_select``."""
     if m_per_psu < 1:
         raise ValidationError("m_per_psu must be positive")
     too_small = np.flatnonzero(sizes < m_per_psu)
@@ -186,7 +191,24 @@ def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
             f"PSU {psus[bad]} has {sizes[bad]} households, fewer than the "
             f"within-PSU take {m_per_psu} (conditional rate would exceed 1)"
         )
-    sel, pi_sel = pps_select_psus(sizes, n_psus, rng)
+    return _pps_frame(sizes, n_psus)
+
+
+def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
+                     rng: np.random.Generator, tag: str = "S") -> DrawnSample:
+    """PPS PSUs then equal takes of ``m_per_psu`` households per PSU.
+
+    The within-PSU rate is m_per_psu/size, i.e. proportional to the
+    reciprocal of the PSU probability, so the overall inclusion
+    probability is f = n_psus*m_per_psu/N for every household and the
+    design is self-weighting with d = 1/f.  The checks and the PPS frame
+    depend only on the population and the design, so they are computed
+    once per population and kept with its PSU frame.
+    """
+    psus, sizes, _codes = pop.psu_frame()
+    frame = pop.frame_cache(("pps", n_psus, m_per_psu),
+                            lambda: _two_stage_frame(sizes, psus, n_psus, m_per_psu))
+    sel, pi_sel = _pps_draw(frame, rng)
     f = n_psus * m_per_psu / pop.n_households
 
     sel_sizes = sizes[sel]

@@ -39,9 +39,6 @@ class VarianceUnitPlan:
     groups: tuple[tuple[int, ...], ...]
     subsample_balance: int
 
-    def group_of(self) -> dict[int, int]:
-        return {psu: g for g, members in enumerate(self.groups) for psu in members}
-
 
 @dataclass(frozen=True)
 class VarEstimate:
@@ -98,32 +95,46 @@ def build_variance_units(sample: DrawnSample, rng: np.random.Generator) -> Varia
     return VarianceUnitPlan(groups=tuple(groups), subsample_balance=a)
 
 
-def _first_stage_codes(sample: DrawnSample, plan: VarianceUnitPlan | None) -> tuple[np.ndarray | None, int]:
-    """Dense first-stage unit code per sampled household (None when every
-    household is its own first-stage unit)."""
+def first_stage_units(sample: DrawnSample, plan: VarianceUnitPlan | None,
+                      n_variables: int) -> tuple[np.ndarray | None, int]:
+    """The ``_wr_variance`` bins of a sample's scores and its number of
+    first-stage units, computed once per sample: variable j of a household
+    in unit g goes to bin g * n_variables + j.  No bins (None) when every
+    household is its own unit."""
     if sample.design == "unclustered":
         return None, sample.n_units
     psus = sample.sampled_psus()
     codes = np.searchsorted(psus, sample.psu_ids)
-    if plan is None:
-        return codes, len(psus)
-    lookup = plan.group_of()
-    psu_to_group = np.array([lookup[int(p)] for p in psus])
-    return psu_to_group[codes], len(plan.groups)
+    n_groups = len(psus)
+    if plan is not None:
+        lookup = {psu: g for g, members in enumerate(plan.groups) for psu in members}
+        codes = np.array([lookup[int(p)] for p in psus])[codes]
+        n_groups = len(plan.groups)
+    return (codes[:, None] * n_variables + np.arange(n_variables)).ravel(), n_groups
 
 
-def _wr_variance(e: np.ndarray, codes: np.ndarray | None, n_groups: int) -> np.ndarray:
+def _wr_variance(e: np.ndarray, bins: np.ndarray | None, n_groups: int) -> np.ndarray:
     """With-replacement between-unit variance of a total: for group sums
-    U_g, v = G/(G-1) * sum_g (U_g - mean U)^2, per variable."""
+    U_g, v = G/(G-1) * sum_g (U_g - mean U)^2, per variable.  One bincount
+    adds every U_g up row by row, as a bincount per variable would."""
     if n_groups < 2:
         raise EstimationError("fewer than 2 variance units")
-    if codes is None:
+    if bins is None:
         totals = e
     else:
-        totals = np.stack([np.bincount(codes, weights=e[:, j], minlength=n_groups)
-                           for j in range(e.shape[1])], axis=1)
-    dev = totals - totals.mean(axis=0, keepdims=True)
-    return n_groups / (n_groups - 1.0) * (dev**2).sum(axis=0)
+        k = e.shape[1]
+        totals = np.bincount(bins, weights=e.ravel(),
+                             minlength=n_groups * k).reshape(n_groups, k)
+    dev = totals - totals.sum(axis=0, keepdims=True) / n_groups  # as np.mean computes it
+    dev *= dev
+    return n_groups / (n_groups - 1.0) * dev.sum(axis=0)
+
+
+def score_variance(blocks: tuple[ScoreBlock, ...],
+                   units: list[tuple[np.ndarray | None, int]]) -> np.ndarray:
+    """Linearization variance from score blocks, given each block's
+    ``first_stage_units``; independent samples contribute additively."""
+    return sum((_wr_variance(b.e, *u) for b, u in zip(blocks, units)), 0.0)
 
 
 def taylor_variance(result: EstimatorResult,
@@ -135,15 +146,12 @@ def taylor_variance(result: EstimatorResult,
     by PSU-subsampling designs).  Independent samples contribute
     additively.
     """
-    variance = np.zeros_like(result.total)
-    df = 0
-    for block in result.score_blocks:
-        plan = (plans or {}).get(block.sample.tag)
-        codes, n_groups = _first_stage_codes(block.sample, plan)
-        variance = variance + _wr_variance(block.e, codes, n_groups)
-        df += n_groups - 1
+    units = [first_stage_units(b.sample, (plans or {}).get(b.sample.tag), b.e.shape[1])
+             for b in result.score_blocks]
+    variance = score_variance(result.score_blocks, units)
     low, high = confidence_interval(result.total, variance, z=z)
-    return VarEstimate(variance=variance, df_proxy=df, ci_low=low, ci_high=high)
+    return VarEstimate(variance=variance, df_proxy=sum(n - 1 for _, n in units),
+                       ci_low=low, ci_high=high)
 
 
 def confidence_interval(point, variance, truth=None, z: float = Z_95):
@@ -165,5 +173,4 @@ def confidence_interval(point, variance, truth=None, z: float = Z_95):
 
 def score_block_variance(block: ScoreBlock, plan: VarianceUnitPlan | None = None) -> np.ndarray:
     """Variance contribution of a single sample's scores (diagnostic)."""
-    codes, n_groups = _first_stage_codes(block.sample, plan)
-    return _wr_variance(block.e, codes, n_groups)
+    return _wr_variance(block.e, *first_stage_units(block.sample, plan, block.e.shape[1]))

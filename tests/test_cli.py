@@ -95,7 +95,10 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("scenario.iterations", "  iterations: 6\n", "  iterations: true\n"),
     ("scenario.design.n_psus", "    n_psus: 8\n", "    n_psus: false\n"),
     ("scenario.icc_planning", "  icc_planning: 0.02\n", "  icc_planning: true\n"),
-], ids=["scenario-seed", "synthetic-seed", "iterations", "n_psus", "icc_planning"])
+    ("scenario.seed", "  seed: 77\n", "  seed: 18446744073709551616\n"),
+    ("population.synthetic.seed", "    seed: 5150\n", "    seed: 18446744073709551616\n"),
+], ids=["scenario-seed", "synthetic-seed", "iterations", "n_psus", "icc_planning",
+        "scenario-seed-2**64", "synthetic-seed-2**64"])
 def test_run_bad_yaml_number_is_config_error(tmp_path, capsys, field, old, new):
     text = POP_BLOCK + SCENARIO_BLOCK + f"output:\n  dir: {tmp_path}/out\n"
     assert old in text
@@ -163,6 +166,22 @@ population:
     variables: [v1]
 """ + SCENARIO_BLOCK)
     assert main(["run", "--config", str(cfg), "--quiet"]) == 3
+
+
+def test_run_zero_total_variable_is_data_error(tmp_path, capsys):
+    csv_path = tmp_path / "pop.csv"
+    rows = "".join(f"{i},{i % 10},WEB,{i % 2},0\n" for i in range(400))
+    csv_path.write_text("id,psu,mode,v1,v2\n" + rows)
+    cfg = write_config(tmp_path, f"""\
+population:
+  path: {csv_path}
+  schema:
+    variables: [v1, v2]
+""" + SCENARIO_BLOCK + f"output:\n  dir: {tmp_path}/out\n")
+    assert main(["run", "--config", str(cfg), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "variable 'v2' has a population total of 0" in err
+    assert not (tmp_path / "out" / "iterations.csv").exists()
 
 
 def _run_on_microdata(tmp_path, csv_path):

@@ -1,0 +1,229 @@
+"""The replicate path of ``run_iteration`` against the public estimator
+functions, and the work it must not repeat."""
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from mmsim import estimators as est
+from mmsim import montecarlo as mc
+from mmsim import response, sampling
+from mmsim.errors import DataError, EstimationError
+from mmsim.montecarlo import DesignSpec, EstimatorSpec, ScenarioSpec
+from mmsim.variance import build_variance_units, confidence_interval, taylor_variance
+
+from conftest import make_population, random_case
+
+HYBRID_SPECS = (
+    EstimatorSpec("T1"), EstimatorSpec("TB1"), EstimatorSpec("T2"), EstimatorSpec("TA"),
+    EstimatorSpec("TDF1"), EstimatorSpec("TDF2"),
+    EstimatorSpec("TDF1", label="TDF1_fixed", compositing=0.3),
+    EstimatorSpec("TDF2", label="TDF2_fixed", compositing=0.3),
+)
+TWO_PHASE_SPECS = {
+    "two_phase_unit": (EstimatorSpec("T1"), EstimatorSpec("T2")),
+    "two_phase_psu": (EstimatorSpec("T1"), EstimatorSpec("T2"), EstimatorSpec("T2_AltOmega")),
+}
+
+
+def _reference_result(scenario, pop, samples, outcomes, spec):
+    """The estimate as the public functions define it, one label at a time."""
+    design = scenario.design
+    if design.kind != "hybrid":
+        s, y = samples["S"], outcomes["S"]
+        if spec.id == est.EST_T1:
+            return est.uniform_adjustment_total(s, y)
+        if spec.id == est.EST_T2:
+            return est.followup_adjustment_total(s, y)
+        return est.followup_adjustment_total(s, y, expansion="realized")
+    (sa, ya), (sb, yb) = (samples["A"], outcomes["A"]), (samples["B"], outcomes["B"])
+    if spec.id == est.EST_T1:
+        return est.uniform_adjustment_total(sb, yb)
+    if spec.id == est.EST_TB1:
+        return est.clustered_uniform_total(sb, yb)
+    if spec.id == est.EST_T2:
+        return est.followup_adjustment_total(sb, yb)
+    if spec.id == est.EST_TA:
+        return est.web_only_total(sa, ya)
+    setting = spec.compositing if spec.compositing is not None else scenario.compositing
+    if setting == "effective":
+        fac = est.compute_factors(sa, sb, scenario.icc_planning)
+    else:
+        fac = est.compute_factors(sa, sb, 0.0, fixed=float(setting))
+    if spec.id == est.EST_TDF1:
+        return est.composite_total(est.web_only_total(sa, ya),
+                                   est.clustered_uniform_total(sb, yb), fac.lam)
+    return est.web_composite_total(sa, ya, sb, yb, fac.kappa, n_hat_mode=scenario.n_hat_mode,
+                                   frame_n=pop.n_households)
+
+
+def _reference_cells(scenario, pop, truth, iteration):
+    """One replicate drawn with the public sampling functions and estimated
+    label by label with ``taylor_variance`` and ``confidence_interval``."""
+    key = mc.scenario_key(scenario.id)
+
+    def rng(stage):
+        return mc.stage_rng(scenario.seed, key, iteration, stage)
+
+    design, labels, plans = scenario.design, pop.labels, {}
+    if design.kind == "hybrid":
+        sa = response.apply_protocol(sampling.srswor(pop, design.n_unclustered,
+                                                     rng(mc.STAGE_UNCLUSTERED), tag="A"),
+                                     labels, response.WEB_ONLY)
+        sb = sampling.two_stage_select(pop, design.n_psus, design.m_per_psu,
+                                       rng(mc.STAGE_CLUSTERED), tag="B")
+        sb = sampling.followup_all_units(response.apply_protocol(sb, labels, response.WEB_ONLY))
+        samples = {"A": sa, "B": response.apply_protocol(sb, labels, response.WEB_THEN_FTF)}
+    else:
+        s = sampling.two_stage_select(pop, design.n_psus, design.m_per_psu,
+                                      rng(mc.STAGE_CLUSTERED), tag="S")
+        s = response.apply_protocol(s, labels, response.WEB_ONLY)
+        if design.kind == "two_phase_unit":
+            s = sampling.subsample_nonrespondents_units(s, design.omega, rng(mc.STAGE_FOLLOWUP))
+        else:
+            s = sampling.subsample_psus(s, design.n_sub_psus, rng(mc.STAGE_FOLLOWUP))
+            plans["S"] = build_variance_units(s, rng(mc.STAGE_VARUNITS))
+        samples = {"S": response.apply_protocol(s, labels, response.WEB_THEN_FTF)}
+    outcomes = {tag: pop.y[s.unit_idx] for tag, s in samples.items()}
+
+    cells = {}
+    for spec in scenario.estimators:
+        try:
+            result = _reference_result(scenario, pop, samples, outcomes, spec)
+            var = taylor_variance(result, plans=plans or None)
+            low, high, covered = confidence_interval(result.total, var.variance, truth)
+            cells[spec.name] = (result.total, var.variance, low, high, covered, False, None)
+        except EstimationError as exc:
+            nan = np.full(len(truth), np.nan)
+            cells[spec.name] = (nan, nan, nan, nan, np.zeros(len(truth), dtype=bool),
+                                True, str(exc))
+    return cells
+
+
+@st.composite
+def replicates(draw):
+    """A small population, a design on it with every estimator it allows,
+    and an iteration; samples are small enough to come out degenerate."""
+    n_psus_frame = 20
+    sizes = draw(st.lists(st.integers(8, 12), min_size=n_psus_frame, max_size=n_psus_frame))
+    web_share = draw(st.sampled_from([0.02, 0.3, 0.6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    modes = np.where(rng.random(n) < web_share, 0, rng.integers(1, 3, n))
+    pop = make_population(rng.normal(2.0, 1.0, size=(n, 2)),
+                          np.repeat(np.arange(n_psus_frame) * 7 + 3, sizes), modes=modes)
+    kind = draw(st.sampled_from(["hybrid", "two_phase_unit", "two_phase_psu"]))
+    m_per_psu = draw(st.integers(1, 8))
+    if kind == "hybrid":
+        design = DesignSpec(kind, n_unclustered=draw(st.integers(1, 40)),
+                            n_psus=draw(st.integers(1, 6)), m_per_psu=m_per_psu)
+        specs = HYBRID_SPECS
+    elif kind == "two_phase_unit":
+        design = DesignSpec(kind, n_psus=draw(st.integers(1, 6)), m_per_psu=m_per_psu,
+                            omega=draw(st.sampled_from([1.0, 0.5, 0.3])))
+        specs = TWO_PHASE_SPECS[kind]
+    else:
+        # a/b of g*b PSUs followed up: g >= 2 balanced variance units
+        a, b = draw(st.sampled_from([(1, 2), (1, 3), (2, 3), (1, 1)]))
+        g = draw(st.integers(2, 3))
+        design = DesignSpec(kind, n_psus=g * b, m_per_psu=m_per_psu, n_sub_psus=g * a)
+        specs = TWO_PHASE_SPECS[kind]
+    scenario = ScenarioSpec(
+        id="REPLICATE", rule=draw(st.sampled_from(["A", "B", "C", "D"])), design=design,
+        estimators=specs, iterations=1, seed=draw(st.integers(0, 2**64 - 1)),
+        compositing=draw(st.sampled_from(["effective", 0.0, 1.0])),
+        icc_planning=0.02, n_hat_mode=draw(st.sampled_from(["composite", "frame"])),
+    )
+    scenario.validate()
+    return scenario, mc.prepare_population(pop, scenario), draw(st.integers(0, 50))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=replicates())
+def test_run_iteration_matches_public_functions_bit_for_bit(case):
+    scenario, pop, iteration = case
+    truth = pop.y.sum(axis=0)
+    got = mc.run_iteration(scenario, pop, truth, iteration).cells
+    want = _reference_cells(scenario, pop, truth, iteration)
+    assert list(got) == list(want)
+    event(f"{scenario.design.kind}: {sum(c.degenerate for c in got.values())} degenerate")
+    for label, (point, var, low, high, covered, degenerate, reason) in want.items():
+        cell = got[label]
+        for name, a, b in (("point", cell.point, point), ("variance", cell.variance, var),
+                           ("ci_low", cell.ci_low, low), ("ci_high", cell.ci_high, high),
+                           ("covered", cell.covered, covered)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, name)
+        assert (cell.degenerate, cell.reason) == (degenerate, reason), label
+
+
+def test_hybrid_replicate_skips_rates_and_builds_each_sample_once(small_synthetic,
+                                                                  monkeypatch):
+    scenario = ScenarioSpec(
+        id="MINI", rule="B",
+        design=DesignSpec(kind="hybrid", n_unclustered=300, n_psus=12, m_per_psu=30),
+        estimators=HYBRID_SPECS, iterations=1, seed=99, icc_planning=0.02,
+    )
+    pop = mc.prepare_population(small_synthetic, scenario)
+    rates_calls, stats_tags = [], []
+    real_rates, real_stats = response.response_rates, est.sample_stats
+
+    def counting_rates(sample):
+        rates_calls.append(sample.tag)
+        return real_rates(sample)
+
+    def recording_stats(sample, y):
+        stats_tags.append(sample.tag)
+        return real_stats(sample, y)
+
+    monkeypatch.setattr(est, "response_rates", counting_rates)
+    monkeypatch.setattr(response, "response_rates", counting_rates)
+    monkeypatch.setattr(est, "sample_stats", recording_stats)
+    res, samples = mc.run_iteration(scenario, pop, pop.y.sum(axis=0), 0, keep_samples=True)
+    assert len(res.cells) == len(HYBRID_SPECS)
+    assert rates_calls == []
+    assert sorted(stats_tags) == ["A", "B"]
+    # Positive control: the patches see the public path and its audit view.
+    t1 = est.uniform_adjustment_total(samples["B"], pop.y[samples["B"].unit_idx])
+    assert stats_tags == ["A", "B", "B"] and rates_calls == []
+    assert t1.rates is not None and rates_calls == ["B"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_on_demand_rates_equal_response_rates(seed):
+    sample, y = random_case(np.random.default_rng(seed))
+    want = response.response_rates(sample)
+    results = [est.uniform_adjustment_total(sample, y), est.followup_adjustment_total(sample, y),
+               est.web_only_total(sample, y)]
+    if sample.followup.kind == "psu":
+        results.append(est.followup_adjustment_total(sample, y, expansion="realized"))
+    for res in results:
+        assert res.rates == want, res.estimator
+    ta, t1 = results[2], results[0]
+    assert est.composite_total(ta, t1, 0.5).rates is None
+    assert est.web_composite_total(sample, y, sample, y, 0.5).rates is None
+
+
+def test_audit_views_are_built_once_on_first_read():
+    sample, y = random_case(np.random.default_rng(11))
+    res = est.followup_adjustment_total(sample, y)
+    assert "_views" not in vars(res)
+    blocks = res.weight_blocks
+    assert res.weight_blocks is blocks and res.components is res.components
+    assert "_views" in vars(res)
+
+
+def test_zero_total_variable_is_rejected_before_any_replicate(monkeypatch):
+    y = np.column_stack([np.linspace(1, 2, 80), np.zeros(80)])
+    pop = make_population(y, np.repeat(np.arange(8), 10), modes=np.zeros(80, dtype=int))
+    scenario = ScenarioSpec(
+        id="ZERO", rule="A",
+        design=DesignSpec("hybrid", n_unclustered=20, n_psus=2, m_per_psu=5),
+        estimators=(EstimatorSpec("TA"),), iterations=2, seed=1,
+    )
+    ran = []
+    monkeypatch.setattr(mc, "run_iteration", lambda *args: ran.append(args))
+    with pytest.raises(DataError, match="'v2' has a population total of 0"):
+        mc.run_scenario(pop, scenario)
+    assert ran == []

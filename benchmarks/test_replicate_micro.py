@@ -25,7 +25,7 @@ def b1a():
     cfg = load_config(preset_path("b1a-synthetic"))
     scenario = cfg.scenario
     pop = mc.prepare_population(generate_synthetic(cfg.population.synthetic), scenario)
-    _, samples = mc.run_iteration(scenario, pop, pop.y.sum(axis=0), 0, keep_samples=True)
+    samples, _ = mc.draw_samples(scenario, pop, 0)
     stats = {tag: est.sample_stats(s, np.take(pop.y, s.unit_idx, axis=0))
              for tag, s in samples.items()}
     return scenario, pop, samples, stats

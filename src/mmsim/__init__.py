@@ -17,10 +17,11 @@ from .estimators import (
     EstimatorResult,
     composite_total,
     compute_factors,
-    followup_adjustment_total,
-    uniform_adjustment_total,
-    web_composite_total,
-    web_only_total,
+    followup_adjustment,
+    sample_stats,
+    uniform_adjustment,
+    web_composite,
+    web_only,
 )
 from .montecarlo import DesignSpec, EstimatorSpec, ScenarioSpec, run_scenario, summarize
 from .population import (
@@ -32,7 +33,7 @@ from .population import (
     generate_synthetic,
     load_microdata,
 )
-from .response import apply_protocol, response_rates
+from .response import collect, response_rates
 from .sampling import (
     DrawnSample,
     followup_all_units,

@@ -80,14 +80,21 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def _load_cil_reference(path: str | None) -> dict | None:
+    """``output.cil_reference``: a JSON object of positive numbers by variable name."""
     if path is None:
         return None
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read CIL reference {path}: {exc}") from None
-    return {str(k): float(v) for k, v in doc.items()}
+    if not isinstance(doc, dict):
+        raise DataError(f"CIL reference {path}: expected a JSON object, got {type(doc).__name__}")
+    for name, value in doc.items():
+        if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+            raise DataError(f"CIL reference {path}: {name!r} must be a positive number, "
+                            f"got {value!r}")
+    return {name: float(value) for name, value in doc.items()}
 
 
 def cmd_run(cfg: RunConfig, jobs: int = 1, quiet: bool = False) -> int:
@@ -95,15 +102,15 @@ def cmd_run(cfg: RunConfig, jobs: int = 1, quiet: bool = False) -> int:
         raise ConfigError("run requires a scenario section")
     scenario = cfg.scenario
     scenario.validate()
-    out = Path(cfg.output.dir)
-    out.mkdir(parents=True, exist_ok=True)
+    cil_reference = _load_cil_reference(cfg.output.cil_reference)
     pop = _build_population(cfg)
     results = mc.run_scenario(pop, scenario, jobs=jobs, progress=not quiet)
     truth = pop.y.sum(axis=0)
     summary = mc.summarize(results, truth, pop.variable_names,
-                           scenario_id=scenario.id,
-                           cil_reference=_load_cil_reference(cfg.output.cil_reference))
+                           scenario_id=scenario.id, cil_reference=cil_reference)
     meta = _metadata(cfg, scenario)
+    out = Path(cfg.output.dir)
+    out.mkdir(parents=True, exist_ok=True)
     if cfg.output.write_iterations:
         mc.write_iterations_csv(out / "iterations.csv", scenario.id, results,
                                 pop.variable_names, meta)

@@ -74,6 +74,12 @@ def _seed(node: dict, path: str, **kwargs) -> int:
     return seed
 
 
+def _unique(name: str, earlier, path: str) -> str:
+    if name in earlier:
+        raise ConfigError(f"{path}: duplicate variable name {name!r}")
+    return name
+
+
 def _parse_variables(items, path: str) -> tuple[VariableSpec, ...]:
     if not isinstance(items, list) or not items:
         raise ConfigError(f"{path}: expected a non-empty list of variables")
@@ -83,7 +89,8 @@ def _parse_variables(items, path: str) -> tuple[VariableSpec, ...]:
         node = _require_mapping(item, p)
         _check_keys(node, {"name", "kind", "mean_web", "mean_mail", "mean_ftf", "sd"}, p)
         out.append(VariableSpec(
-            name=_get(node, "name", str, p, required=True),
+            name=_unique(_get(node, "name", str, p, required=True), [v.name for v in out],
+                         f"{p}.name"),
             kind=_get(node, "kind", str, p, default="binary"),
             mean_web=_get(node, "mean_web", float, p, required=True),
             mean_mail=_get(node, "mean_mail", float, p, required=True),
@@ -102,13 +109,14 @@ def _parse_population(node: dict) -> PopulationConfig:
         sp = f"{path}.schema"
         s = _require_mapping(node["schema"], sp)
         _check_keys(s, {"id", "psu", "mode", "label", "variables"}, sp)
-        variables = _get(s, "variables", list, sp, required=True)
+        variables = [str(v) for v in _get(s, "variables", list, sp, required=True)]
         schema = MicrodataSchema(
             id=_get(s, "id", str, sp, default="id"),
             psu=_get(s, "psu", str, sp, default="psu"),
             mode=_get(s, "mode", str, sp, default="mode"),
             label=_get(s, "label", str, sp),
-            variables=tuple(str(v) for v in variables),
+            variables=tuple(_unique(v, variables[:i], f"{sp}.variables")
+                            for i, v in enumerate(variables)),
         )
     synthetic = None
     if "synthetic" in node and node["synthetic"] is not None:

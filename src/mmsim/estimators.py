@@ -3,28 +3,29 @@ r"""Estimators of population totals for web-then-ftf data collection.
 Five estimators of the total, all expressible as sums of respondent
 weights times outcomes:
 
-* ``uniform_adjustment_total`` (T1): one nonresponse adjustment 1/R
-  spread over all respondents; ftf respondents additionally carry the
+* ``uniform_adjustment`` (T1): one nonresponse adjustment 1/R spread
+  over all respondents; ftf respondents additionally carry the
   follow-up expansion 1/omega.  Unbiased only if web respondents, ftf
-  respondents and nonrespondents share the same mean.
-* ``followup_adjustment_total`` (T2): web respondents keep their design
+  respondents and nonrespondents share the same mean.  With omega = 1
+  on the hybrid design's fully followed clustered sample it is TB1.
+* ``followup_adjustment`` (T2): web respondents keep their design
   weight; ftf respondents absorb the nonrespondents via the conditional
   ftf response rate and the follow-up expansion.  Unbiased if ftf
   respondents and nonrespondents share the same mean.  With
   ``expansion="realized"`` (T2_AltOmega) the fixed design expansion is
   replaced by the realized ratio of weighted nonrespondents to weighted
   nonrespondents inside the follow-up subsample.
-* ``web_only_total`` (TA): ratio-adjusted total over web respondents of
-  an unclustered sample.
+* ``web_only`` (TA): ratio-adjusted total over web respondents of an
+  unclustered sample.
 * ``composite_total`` (TDF1): convex combination of TA on the
   unclustered sample and T1 on the clustered sample.
-* ``web_composite_total`` (TDF2): composites only the web respondents of
-  the two samples, then carries the nonrespondents on the clustered
+* ``web_composite`` (TDF2): composites only the web respondents of the
+  two samples, then carries the nonrespondents on the clustered
   sample's ftf respondents.
 
-Each ``*_total`` function wraps the function named without ``_total``,
-which works on the ``sample_stats`` of its samples: weighted masses and
-mode means, built once per sample and shared by every estimator on it.
+Every estimator but ``composite_total``, which combines two results,
+reads the ``sample_stats`` of its samples: weighted masses and mode
+means, built once per sample and shared by every estimator on it.
 A result carries the total and its linearization scores, all a replicate
 reads.  Its audit views, built on first access, are the respondent
 weight vectors (from the weight-table rows), the bracket components
@@ -215,11 +216,6 @@ def uniform_adjustment(st: SampleStats, omega: float | None = None,
     return _result(estimator, total, st.n_hat, st, e, views)
 
 
-def uniform_adjustment_total(sample: DrawnSample, y: np.ndarray, omega: float | None = None,
-                             estimator: str = EST_T1) -> EstimatorResult:
-    return uniform_adjustment(sample_stats(sample, y), omega, estimator)
-
-
 def followup_adjustment(st: SampleStats, omega: float | None = None, expansion: str = "design",
                         estimator: str | None = None) -> EstimatorResult:
     """T2 / T2_AltOmega: adjust only the ftf respondents.
@@ -279,12 +275,6 @@ def followup_adjustment(st: SampleStats, omega: float | None = None, expansion: 
     return _result(estimator, total, n_tilde, st, e, views)
 
 
-def followup_adjustment_total(sample: DrawnSample, y: np.ndarray, omega: float | None = None,
-                              expansion: str = "design",
-                              estimator: str | None = None) -> EstimatorResult:
-    return followup_adjustment(sample_stats(sample, y), omega, expansion, estimator)
-
-
 def web_only(st: SampleStats, estimator: str = EST_TA) -> EstimatorResult:
     """TA: ratio-adjusted total over the web respondents."""
     if st.w_hat == 0.0:
@@ -300,15 +290,6 @@ def web_only(st: SampleStats, estimator: str = EST_TA) -> EstimatorResult:
                 (_weights(st, st.dw > 0, rw_inv),))
 
     return _result(estimator, total, st.n_hat, st, e, views)
-
-
-def web_only_total(sample: DrawnSample, y: np.ndarray, estimator: str = EST_TA) -> EstimatorResult:
-    return web_only(sample_stats(sample, y), estimator)
-
-
-def clustered_uniform_total(sample: DrawnSample, y: np.ndarray) -> EstimatorResult:
-    """TB1: the uniform-adjustment estimator on a fully followed clustered sample."""
-    return uniform_adjustment_total(sample, y, omega=1.0, estimator=EST_TB1)
 
 
 def composite_total(res_a: EstimatorResult, res_b: EstimatorResult,
@@ -403,16 +384,6 @@ def web_composite(sa: SampleStats, sb: SampleStats, kappa: float,
                 tuple(weights))
 
     return EstimatorResult(EST_TDF2, total, n_c, tuple(blocks), views)
-
-
-def web_composite_total(sample_a: DrawnSample, y_a: np.ndarray,
-                        sample_b: DrawnSample, y_b: np.ndarray, kappa: float,
-                        n_hat_mode: str = "composite",
-                        frame_n: float | None = None) -> EstimatorResult:
-    return web_composite(sample_stats(sample_a, y_a), sample_stats(sample_b, y_b),
-                         kappa, n_hat_mode, frame_n)
-
-
 
 
 def compute_factors(sample_a: DrawnSample, sample_b: DrawnSample,

@@ -107,8 +107,12 @@ class ScenarioSpec:
             names.add(spec.name)
             if isinstance(spec.compositing, float) and not 0.0 <= spec.compositing <= 1.0:
                 raise ConfigError("compositing override must be in [0, 1]")
-        if isinstance(self.compositing, str) and self.compositing != "effective":
-            raise ConfigError(f"unknown compositing mode {self.compositing!r}")
+        if self.compositing != "effective" and (isinstance(self.compositing, str)
+                                                or not 0.0 <= self.compositing <= 1.0):
+            raise ConfigError("scenario.compositing must be 'effective' or in [0, 1], "
+                              f"got {self.compositing!r}")
+        if not 0.0 <= self.icc_planning < 1.0:
+            raise ConfigError(f"scenario.icc_planning must be in [0, 1), got {self.icc_planning}")
         if self.n_hat_mode not in ("composite", "frame"):
             raise ConfigError(f"unknown n_hat mode {self.n_hat_mode!r}")
 
@@ -211,41 +215,39 @@ ESTIMATORS = {
 }
 
 
-def run_iteration(scenario: ScenarioSpec, pop: Population, truth: np.ndarray,
-                  iteration: int, keep_samples: bool = False) -> IterationResult:
-    """Draw, collect, estimate, and attach variances for one replicate."""
+def draw_samples(scenario: ScenarioSpec, pop: Population, iteration: int
+                 ) -> tuple[dict[str, sampling.DrawnSample], dict[str, VarianceUnitPlan]]:
+    """One replicate's collected samples by tag, and the variance-unit plans
+    of the samples that need them (PSU subsampling)."""
     rng = partial(stage_rng, scenario.seed, scenario_key(scenario.id), iteration)
     labels = (draw_stochastic_labels(pop, rng(STAGE_LABELS)).labels
               if scenario.rule == "stochastic" else pop.labels)
     design = scenario.design
-
-    plans: dict[str, VarianceUnitPlan] = {}
     if design.kind == "hybrid":
         sa = sampling.srswor(pop, design.n_unclustered, rng(STAGE_UNCLUSTERED), tag="A")
-        sa = response.apply_protocol(sa, labels, response.WEB_ONLY)
         sb = sampling.two_stage_select(pop, design.n_psus, design.m_per_psu,
                                        rng(STAGE_CLUSTERED), tag="B")
-        sb = response.apply_protocol(sb, labels, response.WEB_ONLY)
-        sb = sampling.followup_all_units(sb)
-        sb = response.apply_protocol(sb, labels, response.WEB_THEN_FTF)
-        samples = {"A": sa, "B": sb}
-    else:
-        s = sampling.two_stage_select(pop, design.n_psus, design.m_per_psu,
-                                      rng(STAGE_CLUSTERED), tag="S")
-        s = response.apply_protocol(s, labels, response.WEB_ONLY)
-        if design.kind == "two_phase_unit":
-            s = sampling.subsample_nonrespondents_units(s, design.omega, rng(STAGE_FOLLOWUP))
-        else:
-            s = sampling.subsample_psus(s, design.n_sub_psus, rng(STAGE_FOLLOWUP))
-            plans["S"] = build_variance_units(s, rng(STAGE_VARUNITS))
-        s = response.apply_protocol(s, labels, response.WEB_THEN_FTF)
-        samples = {"S": s}
+        return {"A": response.collect(sa, labels),
+                "B": response.collect(sb, labels, sampling.followup_all_units)}, {}
+    s = sampling.two_stage_select(pop, design.n_psus, design.m_per_psu,
+                                  rng(STAGE_CLUSTERED), tag="S")
+    if design.kind == "two_phase_unit":
+        s = response.collect(s, labels, partial(sampling.subsample_nonrespondents_units,
+                                                omega=design.omega, rng=rng(STAGE_FOLLOWUP)))
+        return {"S": s}, {}
+    s = response.collect(s, labels, partial(sampling.subsample_psus, count=design.n_sub_psus,
+                                            rng=rng(STAGE_FOLLOWUP)))
+    return {"S": s}, {"S": build_variance_units(s, rng(STAGE_VARUNITS))}
 
-    rep = _Replicate(scenario, pop, samples, plans)
+
+def run_iteration(scenario: ScenarioSpec, pop: Population, truth: np.ndarray,
+                  iteration: int) -> IterationResult:
+    """Draw, collect, estimate, and attach variances for one replicate."""
+    rep = _Replicate(scenario, pop, *draw_samples(scenario, pop, iteration))
     cells: dict[str, EstimatorCell] = {}
     for spec in scenario.estimators:
         try:
-            result = ESTIMATORS[design.kind, spec.id](rep, spec)
+            result = ESTIMATORS[scenario.design.kind, spec.id](rep, spec)
             var = variance.score_variance(result.score_blocks,
                                           [rep.units[b.sample.tag] for b in result.score_blocks])
             low, high, covered = confidence_interval(result.total, var, truth)
@@ -254,8 +256,7 @@ def run_iteration(scenario: ScenarioSpec, pop: Population, truth: np.ndarray,
             nan = np.full(len(truth), np.nan)
             cells[spec.name] = EstimatorCell(nan, nan, nan, nan, np.zeros(len(truth), dtype=bool),
                                              degenerate=True, reason=str(exc))
-    out = IterationResult(iteration=iteration, cells=cells)
-    return (out, samples) if keep_samples else out  # the samples: a debugging hook for tests
+    return IterationResult(iteration=iteration, cells=cells)
 
 
 # ---------------------------------------------------------------------------

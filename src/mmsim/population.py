@@ -125,17 +125,6 @@ class Population:
         return ix["members"][np.arange(sizes.sum())
                              + np.repeat(ix["starts"][psu_codes] - offsets, sizes)]
 
-    def household(self, i: int) -> "Household":
-        return Household(
-            id=int(self.ids[i]),
-            psu_id=int(self.psu_ids[i]),
-            y=self.y[i],
-            source_mode=MODE_NAMES[self.modes[i]] if self.modes is not None else None,
-            label=LABEL_NAMES[self.labels[i]] if self.labels is not None else None,
-            propensity=(tuple(float(p) for p in self.propensities[i])
-                        if self.propensities is not None else None),
-        )
-
     def with_labels(self, labels: np.ndarray) -> "Population":
         if len(labels) != self.n_households:
             raise IntegrityError("labels length mismatch")
@@ -175,25 +164,6 @@ def _first_duplicate(ids: np.ndarray) -> int | None:
     s = np.sort(ids)
     dups = s[1:][s[1:] == s[:-1]]
     return int(dups[0]) if len(dups) else None
-
-
-@dataclass(frozen=True)
-class Household:
-    """Row view of one household (for inspection and audits)."""
-
-    id: int
-    psu_id: int
-    y: np.ndarray
-    source_mode: str | None
-    label: str | None
-    propensity: tuple[float, float] | None
-
-    @property
-    def phi_f_given_wc(self) -> float | None:
-        """Conditional ftf propensity, defined only when phi_w < 1."""
-        if self.propensity is None or self.propensity[0] >= 1.0:
-            return None
-        return self.propensity[1] / (1.0 - self.propensity[0])
 
 
 @dataclass(frozen=True)

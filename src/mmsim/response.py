@@ -1,23 +1,21 @@
-"""Data-collection protocol and weighted response rates.
+"""Data collection and weighted response rates.
 
-The protocol is applied in two passes when there is a follow-up phase:
-first a web-only pass to set the web response indicators (the follow-up
-subsample is drawn from web nonrespondents, so it needs those first),
-then the full pass that lets flagged ftf-respondent households respond.
+Each sample is collected in one step: a web push, then the optional
+face-to-face (ftf) follow-up of a subsample of web nonrespondents.  The
+follow-up subsample is drawn from the web outcome, so ``collect`` sets
+the web response indicators before it runs the follow-up step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import EstimationError
 from .population import LABEL_FTF, LABEL_WEB, _derive
 from .sampling import DrawnSample
-
-WEB_ONLY = "web_only"
-WEB_THEN_FTF = "web_then_ftf"
 
 
 @dataclass(frozen=True)
@@ -42,27 +40,23 @@ class ResponseRates:
         return bool(np.isnan(self.r))
 
 
-def apply_protocol(sample: DrawnSample, labels: np.ndarray, protocol: str) -> DrawnSample:
+def collect(sample: DrawnSample, labels: np.ndarray,
+            followup: Callable[[DrawnSample], DrawnSample] | None = None) -> DrawnSample:
     """Set response indicators from population labels.
 
-    delta_w = 1 iff the household is a web respondent.  Under the full
-    protocol, delta_f = 1 iff it is an ftf respondent *and* was flagged
-    for follow-up.  Nonrespondent households never respond.
+    delta_w = 1 iff the household is a web respondent.  ``followup`` (for
+    example ``sampling.followup_all_units`` or a ``subsample_*`` step with
+    its rng bound) then flags web nonrespondents, and delta_f = 1 iff the
+    household is an ftf respondent *and* was flagged.  Without a follow-up
+    step nobody is flagged.  Nonrespondent households never respond.
     """
     lab = labels[sample.unit_idx]
-    delta_w = (lab == LABEL_WEB).astype(np.uint8)
-    if protocol == WEB_ONLY:
-        delta_f = np.zeros(sample.n_units, dtype=np.uint8)
-    elif protocol == WEB_THEN_FTF:
-        if sample.followup.kind == "none":
-            raise EstimationError(
-                "web_then_ftf protocol requires follow-up flags; "
-                "run a follow-up subsampling step first"
-            )
-        delta_f = ((lab == LABEL_FTF) & sample.flags()).astype(np.uint8)
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    return _derive(sample, delta_w=delta_w, delta_f=delta_f)
+    sample = _derive(sample, delta_w=(lab == LABEL_WEB).astype(np.uint8),
+                     delta_f=np.zeros(sample.n_units, dtype=np.uint8))
+    if followup is None:
+        return sample
+    sample = followup(sample)
+    return _derive(sample, delta_f=((lab == LABEL_FTF) & sample.flags()).astype(np.uint8))
 
 
 def response_rates(sample: DrawnSample) -> ResponseRates:

@@ -52,8 +52,8 @@ class DrawnSample:
 
     Construction checks the design: positive weights, and for two-stage
     samples PSU probabilities in (0, 1] that cover every sampled unit's
-    PSU, and a unit follow-up fraction in (0, 1].  The follow-up and
-    protocol steps derive copies that set only response and follow-up
+    PSU, and a unit follow-up fraction in (0, 1].  ``response.collect``
+    and the follow-up steps derive copies that set only response and follow-up
     fields and check just those inputs, never re-running these checks.
     """
 

@@ -170,7 +170,3 @@ def confidence_interval(point, variance, truth=None, z: float = Z_95):
     truth = np.asarray(truth, dtype=float)
     return low, high, (low <= truth) & (truth <= high)
 
-
-def score_block_variance(block: ScoreBlock, plan: VarianceUnitPlan | None = None) -> np.ndarray:
-    """Variance contribution of a single sample's scores (diagnostic)."""
-    return _wr_variance(block.e, *first_stage_units(block.sample, plan, block.e.shape[1]))

@@ -26,12 +26,13 @@ from mmsim.cli import _build_population, main
 from mmsim.config import load_config, preset_path
 from mmsim.designtools import PlanParams, plan_three_designs
 from mmsim.estimators import (
-    clustered_uniform_total,
+    EST_TB1,
     composite_total,
-    followup_adjustment_total,
-    uniform_adjustment_total,
-    web_composite_total,
-    web_only_total,
+    followup_adjustment,
+    sample_stats,
+    uniform_adjustment,
+    web_composite,
+    web_only,
     weighted_total,
 )
 from mmsim.montecarlo import AGGREGATE, DesignSpec, EstimatorSpec, ScenarioSpec
@@ -158,10 +159,10 @@ def test_acceptance_3_weight_formula_duality(capsys):
         rng = np.random.default_rng(90_000 + seed)
         sample, y = random_case(rng)
         outcomes = {"S": y}
-        check(uniform_adjustment_total(sample, y), outcomes)
-        check(followup_adjustment_total(sample, y), outcomes)
+        check(uniform_adjustment(sample_stats(sample, y)), outcomes)
+        check(followup_adjustment(sample_stats(sample, y)), outcomes)
         if sample.followup.kind == "psu":
-            check(followup_adjustment_total(sample, y, expansion="realized"), outcomes)
+            check(followup_adjustment(sample_stats(sample, y), expansion="realized"), outcomes)
     for seed in range(500):
         rng = np.random.default_rng(70_000 + seed)
         sample_b, y_b = random_case(rng)
@@ -175,13 +176,13 @@ def test_acceptance_3_weight_formula_duality(capsys):
                               elig=np.zeros(n_a, dtype=bool), tag="A")
         y_a = rng.normal(2.0, 1.0, size=(n_a, 2))
         outcomes = {"A": y_a, "B": y_b}
-        ta = web_only_total(sample_a, y_a)
-        tb = clustered_uniform_total(sample_b, y_b)
+        st_a, st_b = sample_stats(sample_a, y_a), sample_stats(sample_b, y_b)
+        ta = web_only(st_a)
+        tb = uniform_adjustment(st_b, omega=1.0, estimator=EST_TB1)
         check(ta, outcomes)
         check(tb, outcomes)
         check(composite_total(ta, tb, float(rng.uniform(0, 1))), outcomes)
-        check(web_composite_total(sample_a, y_a, sample_b, y_b,
-                                  float(rng.uniform(0, 1))), outcomes)
+        check(web_composite(st_a, st_b, float(rng.uniform(0, 1))), outcomes)
     announce(capsys, 3, worst <= 1e-10,
              f"{n_checked} randomized weight-vs-equation checks over 1000 inputs, "
              f"worst relative gap {worst:.2e}")
@@ -279,7 +280,8 @@ def test_acceptance_8_full_response_collapse(capsys):
     truth = pop.y.sum(axis=0)
     exact = 0
     for i in range(100):
-        res, samples = mc.run_iteration(scenario, labeled, truth, i, keep_samples=True)
+        res = mc.run_iteration(scenario, labeled, truth, i)
+        samples, _ = mc.draw_samples(scenario, labeled, i)
         # reference: design-weighted total as a weighted dot product (the
         # same accumulation the estimator uses)
         ht = samples["B"].d @ pop.y[samples["B"].unit_idx]

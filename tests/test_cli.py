@@ -40,6 +40,27 @@ scenario:
     - {id: TDF2}
 """
 
+# SCENARIO_BLOCK's hybrid design, and a two-phase design to put in its place
+TWO_PHASE_DESIGN = ('''\
+  icc_planning: 0.02
+  design:
+    kind: hybrid
+    n_unclustered: 200
+    n_psus: 8
+    m_per_psu: 25
+  estimators:
+    - {id: T2}
+    - {id: TDF2}
+''', '''\
+  design:
+    kind: two_phase_unit
+    n_psus: 8
+    m_per_psu: 25
+    omega: 0.5
+  estimators:
+    - {id: T2}
+''')
+
 
 def write_config(tmp_path, text, name="run.yaml"):
     path = tmp_path / name
@@ -97,14 +118,39 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("scenario.icc_planning", "  icc_planning: 0.02\n", "  icc_planning: true\n"),
     ("scenario.seed", "  seed: 77\n", "  seed: 18446744073709551616\n"),
     ("population.synthetic.seed", "    seed: 5150\n", "    seed: 18446744073709551616\n"),
+    ("scenario.icc_planning", "  icc_planning: 0.02\n", "  icc_planning: -1.0\n"),
+    ("scenario.icc_planning", "  icc_planning: 0.02\n", "  icc_planning: 5.0\n"),
+    ("scenario.icc_planning", "  icc_planning: 0.02\n", "  icc_planning: 1.0\n"),
+    ("scenario.icc_planning", "  icc_planning: 0.02\n", "  icc_planning: .nan\n"),
+    ("scenario.compositing", "  icc_planning: 0.02\n", "  icc_planning: 0.02\n  compositing: 1.5\n"),
+    ("scenario.compositing", "  icc_planning: 0.02\n", "  icc_planning: 0.02\n  compositing: .nan\n"),
+    ("scenario.compositing", TWO_PHASE_DESIGN[0], TWO_PHASE_DESIGN[1] + "  compositing: 7.0\n"),
+    ("scenario.icc_planning", TWO_PHASE_DESIGN[0], TWO_PHASE_DESIGN[1] + "  icc_planning: -0.5\n"),
+    ("population.synthetic.variables[1].name", "- {name: v2,", "- {name: v1,"),
 ], ids=["scenario-seed", "synthetic-seed", "iterations", "n_psus", "icc_planning",
-        "scenario-seed-2**64", "synthetic-seed-2**64"])
+        "scenario-seed-2**64", "synthetic-seed-2**64", "icc_planning-negative",
+        "icc_planning-5", "icc_planning-1", "icc_planning-nan", "compositing-1.5",
+        "compositing-nan", "compositing-two-phase", "icc_planning-two-phase",
+        "duplicate-variable"])
 def test_run_bad_yaml_number_is_config_error(tmp_path, capsys, field, old, new):
     text = POP_BLOCK + SCENARIO_BLOCK + f"output:\n  dir: {tmp_path}/out\n"
     assert old in text
     cfg = write_config(tmp_path, text.replace(old, new))
     assert main(["run", "--config", str(cfg), "--quiet"]) == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_duplicate_schema_variable_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, f"""\
+population:
+  path: {tmp_path / "pop.csv"}
+  schema:
+    variables: [v1, v2, v1]
+""" + SCENARIO_BLOCK + f"output:\n  dir: {tmp_path}/out\n")
+    assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+    assert "population.schema.variables: duplicate variable name 'v1'" in \
+        capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -263,6 +309,59 @@ output:
     rows = {(r["estimator"], r["variable"]): r for r in doc["rows"]}
     row = rows[("T2", "v1")]
     assert row["norm_cil"] == pytest.approx(row["mean_cil"])
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"v1": 1.0,', "cannot read CIL reference {ref}: "),
+    ('[1.0, 1.0]', "CIL reference {ref}: expected a JSON object, got list"),
+    ('{"v1": 1.0, "v2": "wide"}', "CIL reference {ref}: 'v2' must be a positive number, got 'wide'"),
+    ('{"v1": 1.0, "v2": true}', "CIL reference {ref}: 'v2' must be a positive number, got True"),
+    ('{"v1": 0, "v2": 1.0}', "CIL reference {ref}: 'v1' must be a positive number, got 0"),
+    ('{"v1": NaN, "v2": 1.0}', "CIL reference {ref}: 'v1' must be a positive number, got nan"),
+    (None, "cannot read CIL reference {ref}: "),
+], ids=["bad-json", "list", "non-numeric", "bool", "zero", "nan", "missing"])
+def test_bad_cil_reference_is_data_error_before_any_replicate(tmp_path, capsys, monkeypatch,
+                                                              content, message):
+    from mmsim import montecarlo as mc
+
+    ref = tmp_path / "ref.json"
+    if content is not None:
+        ref.write_text(content)
+    cfg = write_config(tmp_path, POP_BLOCK + SCENARIO_BLOCK + f"""\
+output:
+  dir: {tmp_path}/out
+  cil_reference: {ref}
+""")
+    ran = []
+    monkeypatch.setattr(mc, "run_iteration", lambda *args: ran.append(args))
+    assert main(["run", "--config", str(cfg), "--quiet"]) == 3
+    assert message.format(ref=ref) in capsys.readouterr().err
+    assert ran == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case, code", [
+    ("missing-cil-reference", 3), ("zero-total", 3), ("unbalanced-psus", 2),
+    ("all-degenerate", 4)])
+def test_failed_run_creates_no_output_directory(tmp_path, case, code):
+    pop, scen, extra = POP_BLOCK, SCENARIO_BLOCK, ""
+    if case == "missing-cil-reference":
+        extra = f"  cil_reference: {tmp_path / 'missing.json'}\n"
+    elif case == "zero-total":  # found once the population is built
+        csv_path = tmp_path / "pop.csv"
+        csv_path.write_text("id,psu,mode,v1,v2\n" +
+                            "".join(f"{i},{i % 10},WEB,{i % 2},0\n" for i in range(400)))
+        pop = f"population:\n  path: {csv_path}\n  schema:\n    variables: [v1, v2]\n"
+    elif case == "unbalanced-psus":  # found in replicate 0: 3 of 10 PSUs followed up
+        scen = scen.replace(TWO_PHASE_DESIGN[0], TWO_PHASE_DESIGN[1]).replace(
+            "kind: two_phase_unit", "kind: two_phase_psu").replace(
+            "n_psus: 8", "n_psus: 10").replace("omega: 0.5", "n_sub_psus: 3")
+    else:  # found after every replicate has run
+        pop = pop.replace("share_mail: 0.26", "share_mail: 0.0")
+        scen = scen.replace("rule: B", "rule: A").replace("    - {id: TDF2}\n", "")
+    cfg = write_config(tmp_path, pop + scen + f"output:\n  dir: {tmp_path}/out\n" + extra)
+    assert main(["run", "--config", str(cfg), "--quiet"]) == code
+    assert not (tmp_path / "out").exists()
 
 
 def test_stochastic_scenario_via_config(tmp_path):

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mmsim.estimators import followup_adjustment_total
+from mmsim.estimators import followup_adjustment, sample_stats
 from mmsim.sampling import DrawnSample, FollowUp, pps_select_psus
 
 W, F = 0, 1  # full-response labels: web respondent / ftf respondent
@@ -128,7 +128,7 @@ def expected_t2(outcomes, y):
     total = 0.0
     weight = Fraction(0)
     for sample, prob in outcomes:
-        res = followup_adjustment_total(sample, y[sample.unit_idx])
+        res = followup_adjustment(sample_stats(sample, y[sample.unit_idx]))
         total += float(prob) * res.total[0]
         weight += prob
     assert weight == 1  # the enumeration covers the full outcome space

@@ -4,15 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmsim.estimators import (
+    EST_TB1,
     DegenerateEstimate,
     bracket_total,
-    clustered_uniform_total,
     composite_total,
     compute_factors,
-    followup_adjustment_total,
-    uniform_adjustment_total,
-    web_composite_total,
-    web_only_total,
+    followup_adjustment,
+    sample_stats,
+    uniform_adjustment,
+    web_composite,
+    web_only,
     weighted_total,
 )
 from mmsim.sampling import FollowUp
@@ -34,7 +35,7 @@ def four_unit_sample():
 
 def test_t1_hand_case():
     sample, y = four_unit_sample()
-    res = uniform_adjustment_total(sample, y)
+    res = uniform_adjustment(sample_stats(sample, y))
     assert res.components["r_hat"] == pytest.approx(0.5)
     assert res.total[0] == pytest.approx(8.0)
 
@@ -43,7 +44,7 @@ def test_t1_full_response_is_plain_ht_exactly():
     sample = toy_sample(d=[2.5] * 6, delta_w=[1, 0, 1, 0, 1, 0],
                         delta_f=[0, 1, 0, 1, 0, 1])
     y = np.linspace(1, 2, 6).reshape(-1, 1)
-    res = uniform_adjustment_total(sample, y)
+    res = uniform_adjustment(sample_stats(sample, y))
     ht = sample.d @ y
     assert res.total[0] == ht[0]  # bitwise: the adjustment collapses to 1
     np.testing.assert_array_equal(np.concatenate([b.weights for b in res.weight_blocks]),
@@ -52,7 +53,7 @@ def test_t1_full_response_is_plain_ht_exactly():
 
 def test_t1_unit_outcome_returns_n_hat():
     sample, _ = four_unit_sample()
-    res = uniform_adjustment_total(sample, np.ones((4, 1)))
+    res = uniform_adjustment(sample_stats(sample, np.ones((4, 1))))
     assert res.total[0] == pytest.approx(res.n_hat, rel=1e-12)
     assert res.n_hat == pytest.approx(4.0)
 
@@ -60,7 +61,7 @@ def test_t1_unit_outcome_returns_n_hat():
 def test_t1_requires_a_respondent():
     sample = toy_sample(d=[1, 1], delta_w=[0, 0])
     with pytest.raises(DegenerateEstimate):
-        uniform_adjustment_total(sample, np.ones((2, 1)))
+        uniform_adjustment(sample_stats(sample, np.ones((2, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +70,7 @@ def test_t1_requires_a_respondent():
 
 def test_t2_hand_case():
     sample, y = four_unit_sample()
-    res = followup_adjustment_total(sample, y)
+    res = followup_adjustment(sample_stats(sample, y))
     assert res.total[0] == pytest.approx(10.0)
     # weight rows: web keeps d=1; the ftf respondent carries
     # d * (1/omega) * (1/Rf) = 1 * 1 * 3
@@ -82,13 +83,13 @@ def test_t2_hand_case():
 def test_t2_full_followup_response_reduces_to_two_term_ht():
     sample = toy_sample(d=[3.0] * 4, delta_w=[1, 1, 0, 0], delta_f=[0, 0, 1, 1])
     y = np.array([[1.0], [2.0], [3.0], [4.0]])
-    res = followup_adjustment_total(sample, y)
+    res = followup_adjustment(sample_stats(sample, y))
     assert res.total[0] == pytest.approx(3 * (1 + 2) + 3 * (3 + 4))
 
 
 def test_t2_unit_outcome_returns_own_n_hat():
     sample, _ = four_unit_sample()
-    res = followup_adjustment_total(sample, np.ones((4, 1)))
+    res = followup_adjustment(sample_stats(sample, np.ones((4, 1))))
     assert res.total[0] == pytest.approx(res.n_hat, rel=1e-12)
 
 
@@ -101,7 +102,7 @@ def test_t2_subsampled_hand_case():
         followup=FollowUp("unit", omega=0.4),
     )
     y = np.array([[5.0], [2.0], [1.0], [1.0], [1.0], [1.0]])
-    res = followup_adjustment_total(sample, y)
+    res = followup_adjustment(sample_stats(sample, y))
     # carry = ME/omega = 2/0.4 = 5 nonrespondents, mean of ftf resp = 2
     assert res.total[0] == pytest.approx(5.0 + 5.0 * 2.0)
     assert res.n_hat == pytest.approx(1.0 + 5.0)
@@ -115,8 +116,8 @@ def test_t2_alt_symmetric_psus_matches_design_rate():
         followup=FollowUp("psu", n_sub_psus=2), psu_subsample={0, 1},
     )
     y = np.arange(1.0, 9.0).reshape(-1, 1)
-    design = followup_adjustment_total(sample, y, expansion="design")
-    realized = followup_adjustment_total(sample, y, expansion="realized")
+    design = followup_adjustment(sample_stats(sample, y), expansion="design")
+    realized = followup_adjustment(sample_stats(sample, y), expansion="realized")
     # omega_s^-1 = M/ME = 4/2 = 2 = 1/omega
     assert realized.total[0] == pytest.approx(design.total[0])
 
@@ -129,7 +130,7 @@ def test_t2_alt_realized_expansion_value():
     sample = toy_sample(d=d, delta_w=delta_w, delta_f=delta_f,
                         psu_ids=[0] * 10 + [1] * 10,
                         followup=FollowUp("psu", n_sub_psus=1), psu_subsample={0})
-    res = followup_adjustment_total(sample, np.ones((20, 1)), expansion="realized")
+    res = followup_adjustment(sample_stats(sample, np.ones((20, 1))), expansion="realized")
     assert res.components["carry"] == pytest.approx(100.0)
     assert res.components["carry"] / 40.0 == pytest.approx(2.5)  # omega_s^-1
 
@@ -141,8 +142,8 @@ def test_t2_alt_with_all_psus_subsampled_uses_unit_expansion():
         followup=FollowUp("psu", n_sub_psus=2), psu_subsample={0, 1},
     )
     y = np.array([[1.0], [2.0], [3.0], [4.0]])
-    design = followup_adjustment_total(sample, y, expansion="design")
-    realized = followup_adjustment_total(sample, y, expansion="realized")
+    design = followup_adjustment(sample_stats(sample, y), expansion="design")
+    realized = followup_adjustment(sample_stats(sample, y), expansion="realized")
     assert realized.total[0] == pytest.approx(design.total[0])
     assert realized.components["carry"] == pytest.approx(2.0)  # omega_s^-1 = 1
 
@@ -152,13 +153,13 @@ def test_t2_degenerate_without_eligible_nonrespondents():
                         elig=[False, False, False],
                         followup=FollowUp("unit", omega=0.5))
     with pytest.raises(DegenerateEstimate):
-        followup_adjustment_total(sample, np.ones((3, 1)))
+        followup_adjustment(sample_stats(sample, np.ones((3, 1))))
 
 
 def test_t2_degenerate_without_ftf_respondents():
     sample = toy_sample(d=np.ones(3), delta_w=[1, 0, 0])
     with pytest.raises(DegenerateEstimate):
-        followup_adjustment_total(sample, np.ones((3, 1)))
+        followup_adjustment(sample_stats(sample, np.ones((3, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +170,7 @@ def test_ta_full_response_is_ht():
     sample = toy_sample(d=[2.0] * 3, delta_w=[1, 1, 1], design="unclustered",
                         followup=FollowUp("none"), elig=np.zeros(3, dtype=bool))
     y = np.array([[1.0], [2.0], [3.0]])
-    res = web_only_total(sample, y)
+    res = web_only(sample_stats(sample, y))
     assert res.total[0] == pytest.approx(12.0)
 
 
@@ -177,15 +178,15 @@ def test_ta_hand_case():
     sample = toy_sample(d=[2.0] * 5, delta_w=[1, 0, 0, 0, 1], design="unclustered",
                         followup=FollowUp("none"), elig=np.zeros(5, dtype=bool))
     y = np.array([[1.0], [1.0], [2.0], [2.0], [4.0]])
-    res = web_only_total(sample, y)
+    res = web_only(sample_stats(sample, y))
     assert res.total[0] == pytest.approx(25.0)  # 10 * (5/2)
-    assert web_only_total(sample, np.ones((5, 1))).total[0] == pytest.approx(10.0)
+    assert web_only(sample_stats(sample, np.ones((5, 1)))).total[0] == pytest.approx(10.0)
 
 
 def test_tb1_matches_t1_with_full_followup():
     sample, y = four_unit_sample()
-    a = clustered_uniform_total(sample, y)
-    b = uniform_adjustment_total(sample, y, omega=1.0)
+    a = uniform_adjustment(sample_stats(sample, y), omega=1.0, estimator=EST_TB1)
+    b = uniform_adjustment(sample_stats(sample, y), omega=1.0)
     assert a.total[0] == b.total[0]
     assert a.total[0] == pytest.approx(8.0)
 
@@ -205,8 +206,8 @@ def _hybrid_pair():
 
 def test_tdf1_endpoints_and_hand_value():
     sample_a, y_a, sample_b, y_b = _hybrid_pair()
-    ta = web_only_total(sample_a, y_a)
-    tb = clustered_uniform_total(sample_b, y_b)
+    ta = web_only(sample_stats(sample_a, y_a))
+    tb = uniform_adjustment(sample_stats(sample_b, y_b), omega=1.0, estimator=EST_TB1)
     assert composite_total(ta, tb, 1.0).total[0] == ta.total[0]
     assert composite_total(ta, tb, 0.0).total[0] == tb.total[0]
     mixed = composite_total(ta, tb, 0.7)
@@ -217,15 +218,14 @@ def test_tdf1_endpoints_and_hand_value():
 
 def test_tdf2_reduces_to_t2_when_samples_coincide_and_kappa_zero():
     sample_b, y_b = four_unit_sample()
-    res = web_composite_total(sample_b, y_b, sample_b, y_b, kappa=0.0)
-    t2 = followup_adjustment_total(sample_b, y_b)
+    res = web_composite(sample_stats(sample_b, y_b), sample_stats(sample_b, y_b), kappa=0.0)
+    t2 = followup_adjustment(sample_stats(sample_b, y_b))
     assert res.total[0] == pytest.approx(t2.total[0])
 
 
 def test_tdf2_unit_outcome_returns_composite_n_hat():
     sample_a, y_a, sample_b, y_b = _hybrid_pair()
-    res = web_composite_total(sample_a, np.ones((5, 1)), sample_b, np.ones((4, 1)),
-                              kappa=0.25)
+    res = web_composite(sample_stats(sample_a, np.ones((5, 1))), sample_stats(sample_b, np.ones((4, 1))), kappa=0.25)
     n_c = 0.25 * 10 + 0.75 * 4
     assert res.n_hat == pytest.approx(n_c)
     assert res.total[0] == pytest.approx(n_c, rel=1e-12)
@@ -233,7 +233,7 @@ def test_tdf2_unit_outcome_returns_composite_n_hat():
 
 def test_tdf2_hand_evaluation():
     sample_a, y_a, sample_b, y_b = _hybrid_pair()
-    res = web_composite_total(sample_a, y_a, sample_b, y_b, kappa=0.25)
+    res = web_composite(sample_stats(sample_a, y_a), sample_stats(sample_b, y_b), kappa=0.25)
     # pooled web rate (4+1)/(8+4); composite N = .25*8... A has d=2 so
     # N_A=10, W_A=4: gamma = (4+1)/(10+4) = 5/14, N_c = .25*10+.75*4 = 5.5
     gam = 5 / 14
@@ -245,8 +245,7 @@ def test_tdf2_hand_evaluation():
 
 def test_tdf2_frame_n_mode():
     sample_a, y_a, sample_b, y_b = _hybrid_pair()
-    res = web_composite_total(sample_a, np.ones((5, 1)), sample_b, np.ones((4, 1)),
-                              kappa=0.4, n_hat_mode="frame", frame_n=1000.0)
+    res = web_composite(sample_stats(sample_a, np.ones((5, 1))), sample_stats(sample_b, np.ones((4, 1))), kappa=0.4, n_hat_mode="frame", frame_n=1000.0)
     assert res.total[0] == pytest.approx(1000.0)
 
 
@@ -254,7 +253,7 @@ def test_tdf2_degenerate_when_carrying_without_ftf():
     sample_a, y_a, _, _ = _hybrid_pair()
     sample_b = toy_sample(d=np.ones(3), delta_w=[1, 0, 0], tag="B")
     with pytest.raises(DegenerateEstimate):
-        web_composite_total(sample_a, y_a, sample_b, np.ones((3, 1)), kappa=0.5)
+        web_composite(sample_stats(sample_a, y_a), sample_stats(sample_b, np.ones((3, 1))), kappa=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +314,13 @@ def test_weight_equation_bracket_duality(seed):
     rng = np.random.default_rng(seed)
     sample, y = random_case(rng)
     outcomes = {"S": y}
-    _check_dual(uniform_adjustment_total(sample, y), outcomes)
-    _check_dual(followup_adjustment_total(sample, y), outcomes)
+    _check_dual(uniform_adjustment(sample_stats(sample, y)), outcomes)
+    _check_dual(followup_adjustment(sample_stats(sample, y)), outcomes)
     if sample.followup.kind == "psu":
-        _check_dual(followup_adjustment_total(sample, y, expansion="realized"), outcomes)
+        _check_dual(followup_adjustment(sample_stats(sample, y), expansion="realized"), outcomes)
     ones = np.ones((sample.n_units, 1))
-    for res in (uniform_adjustment_total(sample, ones),
-                followup_adjustment_total(sample, ones)):
+    for res in (uniform_adjustment(sample_stats(sample, ones)),
+                followup_adjustment(sample_stats(sample, ones))):
         assert res.total[0] == pytest.approx(res.n_hat, rel=1e-12)
 
 
@@ -341,15 +340,14 @@ def test_hybrid_duality(seed, kappa):
                           elig=np.zeros(n_a, dtype=bool), tag="A")
     y_a = rng.normal(2.0, 1.0, size=(n_a, 2))
     outcomes = {"A": y_a, "B": y_b}
-    ta = web_only_total(sample_a, y_a)
-    tb = clustered_uniform_total(sample_b, y_b)
+    ta = web_only(sample_stats(sample_a, y_a))
+    tb = uniform_adjustment(sample_stats(sample_b, y_b), omega=1.0, estimator=EST_TB1)
     _check_dual(ta, outcomes)
     _check_dual(tb, outcomes)
     lam = float(rng.uniform(0, 1))
     _check_dual(composite_total(ta, tb, lam), outcomes)
-    _check_dual(web_composite_total(sample_a, y_a, sample_b, y_b, kappa), outcomes)
-    res1 = web_composite_total(sample_a, np.ones((n_a, 1)), sample_b,
-                               np.ones((sample_b.n_units, 1)), kappa)
+    _check_dual(web_composite(sample_stats(sample_a, y_a), sample_stats(sample_b, y_b), kappa), outcomes)
+    res1 = web_composite(sample_stats(sample_a, np.ones((n_a, 1))), sample_stats(sample_b, np.ones((sample_b.n_units, 1))), kappa)
     assert res1.total[0] == pytest.approx(res1.n_hat, rel=1e-12)
 
 
@@ -357,7 +355,7 @@ def test_weight_audit_export(tmp_path):
     from mmsim.estimators import export_weights_csv
 
     sample, y = four_unit_sample()
-    res = followup_adjustment_total(sample, y)
+    res = followup_adjustment(sample_stats(sample, y))
     path = tmp_path / "weights.csv"
     export_weights_csv(res, {"S": np.arange(10, 14)}, path)
     lines = path.read_text().splitlines()
@@ -369,7 +367,7 @@ def test_weight_audit_export(tmp_path):
 def test_reduction_identity_t1_equals_t2_under_full_response():
     sample = toy_sample(d=[1.5] * 4, delta_w=[1, 1, 0, 0], delta_f=[0, 0, 1, 1])
     y = np.array([[1.0], [4.0], [2.0], [5.0]])
-    t1 = uniform_adjustment_total(sample, y)
-    t2 = followup_adjustment_total(sample, y)
+    t1 = uniform_adjustment(sample_stats(sample, y))
+    t2 = followup_adjustment(sample_stats(sample, y))
     assert t1.components["r_hat"] == 1.0
     assert t1.total[0] == pytest.approx(t2.total[0], rel=1e-12)

@@ -575,20 +575,6 @@ def test_summary_requires_labels():
         summarize(pop)
 
 
-def test_household_row_view():
-    pop = make_population([[1.0, 2.0]], [7], modes=[MODE_MAIL], labels=[LABEL_FTF])
-    pop = attach_propensities(pop, {"WEB": (0.5, 0.25), "MAIL": (0.5, 0.25),
-                                    "FTF": (0.5, 0.25)})
-    hh = pop.household(0)
-    assert hh.psu_id == 7 and hh.source_mode == "MAIL" and hh.label == "F"
-    assert hh.propensity == (0.5, 0.25)
-    assert hh.phi_f_given_wc == pytest.approx(0.5)
-    certain = attach_propensities(
-        make_population([[0.0, 0.0]], [0], modes=[0]),
-        {"WEB": (1.0, 0.0), "MAIL": (1.0, 0.0), "FTF": (1.0, 0.0)})
-    assert certain.household(0).phi_f_given_wc is None
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     labels=st.lists(st.integers(0, 2), min_size=3, max_size=60),

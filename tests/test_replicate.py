@@ -28,39 +28,44 @@ TWO_PHASE_SPECS = {
 
 
 def _reference_result(scenario, pop, samples, outcomes, spec):
-    """The estimate as the public functions define it, one label at a time."""
+    """The estimate as the public functions define it, one label at a time,
+    each from statistics built afresh."""
+    def stats(tag):
+        return est.sample_stats(samples[tag], outcomes[tag])
+
     design = scenario.design
     if design.kind != "hybrid":
-        s, y = samples["S"], outcomes["S"]
         if spec.id == est.EST_T1:
-            return est.uniform_adjustment_total(s, y)
+            return est.uniform_adjustment(stats("S"))
         if spec.id == est.EST_T2:
-            return est.followup_adjustment_total(s, y)
-        return est.followup_adjustment_total(s, y, expansion="realized")
-    (sa, ya), (sb, yb) = (samples["A"], outcomes["A"]), (samples["B"], outcomes["B"])
+            return est.followup_adjustment(stats("S"))
+        return est.followup_adjustment(stats("S"), expansion="realized")
     if spec.id == est.EST_T1:
-        return est.uniform_adjustment_total(sb, yb)
+        return est.uniform_adjustment(stats("B"))
     if spec.id == est.EST_TB1:
-        return est.clustered_uniform_total(sb, yb)
+        return est.uniform_adjustment(stats("B"), omega=1.0, estimator=est.EST_TB1)
     if spec.id == est.EST_T2:
-        return est.followup_adjustment_total(sb, yb)
+        return est.followup_adjustment(stats("B"))
     if spec.id == est.EST_TA:
-        return est.web_only_total(sa, ya)
+        return est.web_only(stats("A"))
+    sa, sb = samples["A"], samples["B"]
     setting = spec.compositing if spec.compositing is not None else scenario.compositing
     if setting == "effective":
         fac = est.compute_factors(sa, sb, scenario.icc_planning)
     else:
         fac = est.compute_factors(sa, sb, 0.0, fixed=float(setting))
     if spec.id == est.EST_TDF1:
-        return est.composite_total(est.web_only_total(sa, ya),
-                                   est.clustered_uniform_total(sb, yb), fac.lam)
-    return est.web_composite_total(sa, ya, sb, yb, fac.kappa, n_hat_mode=scenario.n_hat_mode,
-                                   frame_n=pop.n_households)
+        return est.composite_total(
+            est.web_only(stats("A")),
+            est.uniform_adjustment(stats("B"), omega=1.0, estimator=est.EST_TB1), fac.lam)
+    return est.web_composite(stats("A"), stats("B"), fac.kappa, n_hat_mode=scenario.n_hat_mode,
+                             frame_n=pop.n_households)
 
 
 def _reference_cells(scenario, pop, truth, iteration):
-    """One replicate drawn with the public sampling functions and estimated
-    label by label with ``taylor_variance`` and ``confidence_interval``."""
+    """One replicate drawn with the public sampling functions, collected with
+    ``response.collect`` and estimated label by label with ``taylor_variance``
+    and ``confidence_interval``."""
     key = mc.scenario_key(scenario.id)
 
     def rng(stage):
@@ -68,23 +73,22 @@ def _reference_cells(scenario, pop, truth, iteration):
 
     design, labels, plans = scenario.design, pop.labels, {}
     if design.kind == "hybrid":
-        sa = response.apply_protocol(sampling.srswor(pop, design.n_unclustered,
-                                                     rng(mc.STAGE_UNCLUSTERED), tag="A"),
-                                     labels, response.WEB_ONLY)
+        sa = sampling.srswor(pop, design.n_unclustered, rng(mc.STAGE_UNCLUSTERED), tag="A")
         sb = sampling.two_stage_select(pop, design.n_psus, design.m_per_psu,
                                        rng(mc.STAGE_CLUSTERED), tag="B")
-        sb = sampling.followup_all_units(response.apply_protocol(sb, labels, response.WEB_ONLY))
-        samples = {"A": sa, "B": response.apply_protocol(sb, labels, response.WEB_THEN_FTF)}
+        samples = {"A": response.collect(sa, labels),
+                   "B": response.collect(sb, labels, sampling.followup_all_units)}
     else:
         s = sampling.two_stage_select(pop, design.n_psus, design.m_per_psu,
                                       rng(mc.STAGE_CLUSTERED), tag="S")
-        s = response.apply_protocol(s, labels, response.WEB_ONLY)
         if design.kind == "two_phase_unit":
-            s = sampling.subsample_nonrespondents_units(s, design.omega, rng(mc.STAGE_FOLLOWUP))
+            s = response.collect(s, labels, lambda web: sampling.subsample_nonrespondents_units(
+                web, design.omega, rng(mc.STAGE_FOLLOWUP)))
         else:
-            s = sampling.subsample_psus(s, design.n_sub_psus, rng(mc.STAGE_FOLLOWUP))
+            s = response.collect(s, labels, lambda web: sampling.subsample_psus(
+                web, design.n_sub_psus, rng(mc.STAGE_FOLLOWUP)))
             plans["S"] = build_variance_units(s, rng(mc.STAGE_VARUNITS))
-        samples = {"S": response.apply_protocol(s, labels, response.WEB_THEN_FTF)}
+        samples = {"S": s}
     outcomes = {tag: pop.y[s.unit_idx] for tag, s in samples.items()}
 
     cells = {}
@@ -179,12 +183,13 @@ def test_hybrid_replicate_skips_rates_and_builds_each_sample_once(small_syntheti
     monkeypatch.setattr(est, "response_rates", counting_rates)
     monkeypatch.setattr(response, "response_rates", counting_rates)
     monkeypatch.setattr(est, "sample_stats", recording_stats)
-    res, samples = mc.run_iteration(scenario, pop, pop.y.sum(axis=0), 0, keep_samples=True)
+    res = mc.run_iteration(scenario, pop, pop.y.sum(axis=0), 0)
     assert len(res.cells) == len(HYBRID_SPECS)
     assert rates_calls == []
     assert sorted(stats_tags) == ["A", "B"]
     # Positive control: the patches see the public path and its audit view.
-    t1 = est.uniform_adjustment_total(samples["B"], pop.y[samples["B"].unit_idx])
+    samples, _ = mc.draw_samples(scenario, pop, 0)
+    t1 = est.uniform_adjustment(est.sample_stats(samples["B"], pop.y[samples["B"].unit_idx]))
     assert stats_tags == ["A", "B", "B"] and rates_calls == []
     assert t1.rates is not None and rates_calls == ["B"]
 
@@ -194,20 +199,21 @@ def test_hybrid_replicate_skips_rates_and_builds_each_sample_once(small_syntheti
 def test_on_demand_rates_equal_response_rates(seed):
     sample, y = random_case(np.random.default_rng(seed))
     want = response.response_rates(sample)
-    results = [est.uniform_adjustment_total(sample, y), est.followup_adjustment_total(sample, y),
-               est.web_only_total(sample, y)]
+    stats = est.sample_stats(sample, y)
+    results = [est.uniform_adjustment(stats), est.followup_adjustment(stats),
+               est.web_only(stats)]
     if sample.followup.kind == "psu":
-        results.append(est.followup_adjustment_total(sample, y, expansion="realized"))
+        results.append(est.followup_adjustment(stats, expansion="realized"))
     for res in results:
         assert res.rates == want, res.estimator
     ta, t1 = results[2], results[0]
     assert est.composite_total(ta, t1, 0.5).rates is None
-    assert est.web_composite_total(sample, y, sample, y, 0.5).rates is None
+    assert est.web_composite(stats, stats, 0.5).rates is None
 
 
 def test_audit_views_are_built_once_on_first_read():
     sample, y = random_case(np.random.default_rng(11))
-    res = est.followup_adjustment_total(sample, y)
+    res = est.followup_adjustment(est.sample_stats(sample, y))
     assert "_views" not in vars(res)
     blocks = res.weight_blocks
     assert res.weight_blocks is blocks and res.components is res.components

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmsim.errors import EstimationError
 from mmsim.population import LABEL_FTF, LABEL_NONE, LABEL_WEB
-from mmsim.response import WEB_ONLY, WEB_THEN_FTF, apply_protocol, response_rates
+from mmsim.response import collect, response_rates
 from mmsim.sampling import followup_all_units, srswor, subsample_nonrespondents_units
 
 from conftest import make_population
@@ -23,20 +22,22 @@ def _sample_with_labels(labels, rng=None):
 
 def test_web_only_marks_web_respondents():
     pop, s = _sample_with_labels([LABEL_WEB] * 4)
-    out = apply_protocol(s, pop.labels, WEB_ONLY)
+    out = collect(s, pop.labels)
     assert out.delta_w.all() and not out.delta_f.any()
 
 
 def test_ftf_response_requires_subsample_flag():
     pop, s = _sample_with_labels([LABEL_WEB, LABEL_FTF, LABEL_FTF, LABEL_NONE])
-    s = apply_protocol(s, pop.labels, WEB_ONLY)
-    s = subsample_nonrespondents_units(s, 1.0, np.random.default_rng(1))
-    # un-flag one ftf respondent by hand: it must not respond
-    flags = s.flags().copy()
     ftf_pos = np.flatnonzero(pop.labels[s.unit_idx] == LABEL_FTF)
-    flags[ftf_pos[0]] = False
-    s = type(s)(**{**s.__dict__, "in_ftf_subsample": flags})
-    out = apply_protocol(s, pop.labels, WEB_THEN_FTF)
+
+    def followup(web):
+        web = subsample_nonrespondents_units(web, 1.0, np.random.default_rng(1))
+        # un-flag one ftf respondent by hand: it must not respond
+        flags = web.flags().copy()
+        flags[ftf_pos[0]] = False
+        return type(web)(**{**web.__dict__, "in_ftf_subsample": flags})
+
+    out = collect(s, pop.labels, followup)
     assert out.delta_f[ftf_pos[0]] == 0
     assert out.delta_f[ftf_pos[1]] == 1
 
@@ -46,27 +47,17 @@ def test_full_followup_on_full_response_population():
     rng = np.random.default_rng(2)
     labels = rng.integers(0, 2, 60)
     pop, s = _sample_with_labels(labels)
-    s = apply_protocol(s, pop.labels, WEB_ONLY)
-    s = followup_all_units(s)
-    out = apply_protocol(s, pop.labels, WEB_THEN_FTF)
+    out = collect(s, pop.labels, followup_all_units)
     assert ((out.delta_w + out.delta_f) == 1).all()
     assert response_rates(out).r == pytest.approx(1.0)
-
-
-def test_protocol_requires_flags():
-    pop, s = _sample_with_labels([LABEL_WEB, LABEL_FTF])
-    with pytest.raises(EstimationError):
-        apply_protocol(s, pop.labels, WEB_THEN_FTF)
 
 
 def test_rate_identity_quarter_half():
     # web rate .25 with conditional ftf rate .5 gives an overall .625
     labels = [LABEL_WEB] + [LABEL_FTF] * 2 + [LABEL_NONE] * 1
     pop, s = _sample_with_labels(labels)
-    s = apply_protocol(s, pop.labels, WEB_ONLY)
-    s = followup_all_units(s)
     # keep only one ftf responder to realize r_f = 0.5 with 3 eligible... use direct check
-    out = apply_protocol(s, pop.labels, WEB_THEN_FTF)
+    out = collect(s, pop.labels, followup_all_units)
     r = response_rates(out)
     assert r.r_w == pytest.approx(0.25)
     assert r.r == pytest.approx(r.r_w + (1 - r.r_w) * r.r_f)
@@ -75,7 +66,7 @@ def test_rate_identity_quarter_half():
 
 def test_all_web_gives_unit_rates():
     pop, s = _sample_with_labels([LABEL_WEB] * 5)
-    out = apply_protocol(s, pop.labels, WEB_ONLY)
+    out = collect(s, pop.labels)
     r = response_rates(out)
     assert r.r_w == 1.0 and r.r == 1.0 and r.gamma_f_hat == 0.0
 
@@ -84,9 +75,7 @@ def test_hand_computed_four_unit_rates():
     # weights 1; one web respondent, one ftf respondent among three eligible
     labels = [LABEL_WEB, LABEL_FTF, LABEL_NONE, LABEL_NONE]
     pop, s = _sample_with_labels(labels)
-    s = apply_protocol(s, pop.labels, WEB_ONLY)
-    s = followup_all_units(s)
-    out = apply_protocol(s, pop.labels, WEB_THEN_FTF)
+    out = collect(s, pop.labels, followup_all_units)
     r = response_rates(out)
     assert r.r_w == pytest.approx(0.25)
     assert r.r_f == pytest.approx(1 / 3)
@@ -99,11 +88,13 @@ def test_hand_computed_four_unit_rates():
 def test_degenerate_rate_when_no_eligible_units():
     labels = [LABEL_WEB, LABEL_NONE, LABEL_NONE]
     pop, s = _sample_with_labels(labels)
-    s = apply_protocol(s, pop.labels, WEB_ONLY)
-    s = subsample_nonrespondents_units(s, 1.0, np.random.default_rng(3))
-    flags = np.zeros(3, dtype=bool)  # force an empty follow-up subsample
-    s = type(s)(**{**s.__dict__, "in_ftf_subsample": flags})
-    out = apply_protocol(s, pop.labels, WEB_THEN_FTF)
+
+    def followup(web):
+        web = subsample_nonrespondents_units(web, 1.0, np.random.default_rng(3))
+        flags = np.zeros(3, dtype=bool)  # force an empty follow-up subsample
+        return type(web)(**{**web.__dict__, "in_ftf_subsample": flags})
+
+    out = collect(s, pop.labels, followup)
     r = response_rates(out)
     assert np.isnan(r.r_f) and np.isnan(r.r) and r.degenerate
 
@@ -113,9 +104,8 @@ def test_degenerate_rate_when_no_eligible_units():
        seed=st.integers(0, 2**16))
 def test_rate_identity_property(labels, seed):
     pop, s = _sample_with_labels(labels, np.random.default_rng(seed))
-    s = apply_protocol(s, pop.labels, WEB_ONLY)
-    s = subsample_nonrespondents_units(s, 0.7, np.random.default_rng(seed + 1))
-    out = apply_protocol(s, pop.labels, WEB_THEN_FTF)
+    out = collect(s, pop.labels, lambda web: subsample_nonrespondents_units(
+        web, 0.7, np.random.default_rng(seed + 1)))
     r = response_rates(out)
     if not r.degenerate:
         assert r.r == pytest.approx(r.r_w + (1 - r.r_w) * r.r_f, abs=1e-12)
@@ -128,15 +118,12 @@ def test_adding_a_responder_never_decreases_overall_rate():
     for _ in range(50):
         labels = rng.integers(0, 3, 12)
         pop, s = _sample_with_labels(labels, np.random.default_rng(5))
-        s = apply_protocol(s, pop.labels, WEB_ONLY)
-        s = followup_all_units(s)
-        out = apply_protocol(s, pop.labels, WEB_THEN_FTF)
+        out = collect(s, pop.labels, followup_all_units)
         base = response_rates(out)
         nonresp = np.flatnonzero((out.delta_w == 0) & (out.delta_f == 0))
         if not len(nonresp) or base.degenerate:
             continue
         promoted = pop.labels.copy()
         promoted[out.unit_idx[rng.choice(nonresp)]] = LABEL_FTF
-        bumped = apply_protocol(followup_all_units(
-            apply_protocol(out, promoted, WEB_ONLY)), promoted, WEB_THEN_FTF)
+        bumped = collect(s, promoted, followup_all_units)
         assert response_rates(bumped).r >= base.r - 1e-12

@@ -5,17 +5,17 @@ from hypothesis import strategies as st
 
 from mmsim.errors import EstimationError, ValidationError
 from mmsim.estimators import (
-    clustered_uniform_total,
+    EST_TB1,
     composite_total,
-    followup_adjustment_total,
-    uniform_adjustment_total,
-    web_only_total,
+    followup_adjustment,
+    sample_stats,
+    uniform_adjustment,
+    web_only,
 )
 from mmsim.sampling import FollowUp
 from mmsim.variance import (
     build_variance_units,
     confidence_interval,
-    score_block_variance,
     taylor_variance,
     z_quantile,
 )
@@ -27,7 +27,7 @@ def test_constant_outcome_full_response_has_zero_variance():
     sample = toy_sample(d=[2.0] * 6, delta_w=[1, 0, 1, 0, 1, 0],
                         delta_f=[0, 1, 0, 1, 0, 1], psu_ids=[0, 0, 1, 1, 2, 2])
     y = np.full((6, 1), 3.7)
-    res = uniform_adjustment_total(sample, y)
+    res = uniform_adjustment(sample_stats(sample, y))
     var = taylor_variance(res)
     assert var.variance[0] == pytest.approx(0.0, abs=1e-18)
     assert var.df_proxy == 2
@@ -43,8 +43,8 @@ def test_hybrid_variance_is_weighted_sum_of_components():
                           design="unclustered", followup=FollowUp("none"),
                           elig=np.zeros(n_a, dtype=bool), tag="A")
     y_a = rng.normal(size=(n_a, 2))
-    ta = web_only_total(sample_a, y_a)
-    tb = clustered_uniform_total(sample_b, y_b)
+    ta = web_only(sample_stats(sample_a, y_a))
+    tb = uniform_adjustment(sample_stats(sample_b, y_b), omega=1.0, estimator=EST_TB1)
     lam = 0.35
     combined = taylor_variance(composite_total(ta, tb, lam))
     va = taylor_variance(ta).variance
@@ -59,8 +59,8 @@ def test_hybrid_variance_is_weighted_sum_of_components():
 def test_variance_is_nonnegative(seed):
     rng = np.random.default_rng(seed)
     sample, y = random_case(rng)
-    for res in (uniform_adjustment_total(sample, y),
-                followup_adjustment_total(sample, y)):
+    for res in (uniform_adjustment(sample_stats(sample, y)),
+                followup_adjustment(sample_stats(sample, y))):
         assert (taylor_variance(res).variance >= 0).all()
 
 
@@ -113,7 +113,7 @@ def test_indivisible_counts_rejected():
 def test_grouped_variance_runs_and_reduces_df():
     sample = _psu_sampled(8, 4, seed=4)
     y = np.random.default_rng(5).normal(2.0, 1.0, size=(sample.n_units, 1))
-    res = followup_adjustment_total(sample, y)
+    res = followup_adjustment(sample_stats(sample, y))
     plan = build_variance_units(sample, np.random.default_rng(6))
     grouped = taylor_variance(res, plans={"S": plan})
     plain = taylor_variance(res)
@@ -123,7 +123,7 @@ def test_grouped_variance_runs_and_reduces_df():
 
 def test_too_few_variance_units_error():
     sample = toy_sample(d=[1.0, 1.0], delta_w=[1, 1], psu_ids=[0, 0])
-    res = uniform_adjustment_total(sample, np.ones((2, 1)))
+    res = uniform_adjustment(sample_stats(sample, np.ones((2, 1))))
     with pytest.raises(EstimationError, match="variance units"):
         taylor_variance(res)
 
@@ -161,11 +161,3 @@ def test_z_quantile_levels():
     with pytest.raises(ValidationError):
         z_quantile(1.5)
 
-
-def test_score_block_diagnostic_matches_total_variance():
-    rng = np.random.default_rng(7)
-    sample, y = random_case(rng)
-    res = followup_adjustment_total(sample, y)
-    block = res.score_blocks[0]
-    np.testing.assert_allclose(score_block_variance(block),
-                               taylor_variance(res).variance)

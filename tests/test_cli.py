@@ -104,6 +104,15 @@ def test_generate_missing_field_names_it(tmp_path, capsys):
     assert "share_web" in capsys.readouterr().err
 
 
+def test_failed_generate_creates_no_output_directory(tmp_path, capsys):
+    broken = POP_BLOCK.replace("households_min: 70", "households_min: 90").replace(
+        "households_max: 90", "households_max: 10")
+    cfg = write_config(tmp_path, broken + f"output:\n  dir: {tmp_path}/out\n")
+    assert main(["generate", "--config", str(cfg)]) == 2
+    assert "households_max" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, POP_BLOCK + "grid_search: true\n")
     assert main(["generate", "--config", str(cfg)]) == 2
@@ -319,7 +328,8 @@ output:
     ('{"v1": 0, "v2": 1.0}', "CIL reference {ref}: 'v1' must be a positive number, got 0"),
     ('{"v1": NaN, "v2": 1.0}', "CIL reference {ref}: 'v1' must be a positive number, got nan"),
     (None, "cannot read CIL reference {ref}: "),
-], ids=["bad-json", "list", "non-numeric", "bool", "zero", "nan", "missing"])
+    ('{"v1": 1.0, "other": 2.0}', "CIL reference {ref}: no value for variable 'v2'"),
+], ids=["bad-json", "list", "non-numeric", "bool", "zero", "nan", "missing", "missing-variable"])
 def test_bad_cil_reference_is_data_error_before_any_replicate(tmp_path, capsys, monkeypatch,
                                                               content, message):
     from mmsim import montecarlo as mc

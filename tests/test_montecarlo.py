@@ -112,6 +112,32 @@ def test_stochastic_iteration_skips_population_wide_id_checks(small_synthetic, m
     assert sizes == [pop.n_households, pop.n_households]
 
 
+def test_stochastic_replicate_labels_only_sampled_rows(small_synthetic, monkeypatch):
+    from mmsim import population as population_mod
+    from mmsim.population import Population, attach_propensities
+
+    pop = attach_propensities(small_synthetic,
+                              {"WEB": (0.6, 0.3), "MAIL": (0.3, 0.4), "FTF": (0.2, 0.4)})
+    scen = mini_hybrid(rule="stochastic", iterations=3)
+    calls, stages = [], []
+    real_stage_rng = mc.stage_rng
+
+    def recording_stage_rng(seed, key, iteration, stage):
+        stages.append((iteration, stage))
+        return real_stage_rng(seed, key, iteration, stage)
+
+    for module in (mc, population_mod):
+        monkeypatch.setattr(module, "draw_stochastic_labels",
+                            lambda *args: calls.append("draw_stochastic_labels"))
+    monkeypatch.setattr(Population, "with_labels",
+                        lambda *args: calls.append("with_labels"))
+    monkeypatch.setattr(mc, "stage_rng", recording_stage_rng)
+    results = run_scenario(pop, scen, jobs=1)
+    assert len(results) == 3
+    assert calls == []
+    assert [i for i, stage in stages if stage == mc.STAGE_LABELS] == [0, 1, 2]
+
+
 # ---------------------------------------------------------------------------
 # Structure and validation
 # ---------------------------------------------------------------------------

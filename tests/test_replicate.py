@@ -11,6 +11,7 @@ from mmsim import montecarlo as mc
 from mmsim import response, sampling
 from mmsim.errors import DataError, EstimationError
 from mmsim.montecarlo import DesignSpec, EstimatorSpec, ScenarioSpec
+from mmsim.population import draw_stochastic_labels
 from mmsim.variance import build_variance_units, confidence_interval, taylor_variance
 
 from conftest import make_population, random_case
@@ -62,16 +63,16 @@ def _reference_result(scenario, pop, samples, outcomes, spec):
                              frame_n=pop.n_households)
 
 
-def _reference_cells(scenario, pop, truth, iteration):
+def _reference_cells(scenario, pop, truth, iteration, labels):
     """One replicate drawn with the public sampling functions, collected with
-    ``response.collect`` and estimated label by label with ``taylor_variance``
-    and ``confidence_interval``."""
+    ``response.collect`` from population-length ``labels`` and estimated label
+    by label with ``taylor_variance`` and ``confidence_interval``."""
     key = mc.scenario_key(scenario.id)
 
     def rng(stage):
         return mc.stage_rng(scenario.seed, key, iteration, stage)
 
-    design, labels, plans = scenario.design, pop.labels, {}
+    design, plans = scenario.design, {}
     if design.kind == "hybrid":
         sa = sampling.srswor(pop, design.n_unclustered, rng(mc.STAGE_UNCLUSTERED), tag="A")
         sb = sampling.two_stage_select(pop, design.n_psus, design.m_per_psu,
@@ -105,10 +106,17 @@ def _reference_cells(scenario, pop, truth, iteration):
     return cells
 
 
+# Propensity vectors (phi_w, phi_f) at the edges of the stochastic rule:
+# sums of 1, no web and no ftf response.
+EDGE_PROPENSITIES = ((0.0, 1.0), (1.0, 0.0), (0.3, 0.7), (0.0, 0.4), (0.55, 0.0))
+
+
 @st.composite
-def replicates(draw):
+def replicates(draw, stochastic=False):
     """A small population, a design on it with every estimator it allows,
-    and an iteration; samples are small enough to come out degenerate."""
+    and an iteration; samples are small enough to come out degenerate.
+    ``stochastic`` gives every household a propensity vector, an edge one
+    or a random one, and the scenario the stochastic rule."""
     n_psus_frame = 20
     sizes = draw(st.lists(st.integers(8, 12), min_size=n_psus_frame, max_size=n_psus_frame))
     web_share = draw(st.sampled_from([0.02, 0.3, 0.6]))
@@ -117,6 +125,14 @@ def replicates(draw):
     modes = np.where(rng.random(n) < web_share, 0, rng.integers(1, 3, n))
     pop = make_population(rng.normal(2.0, 1.0, size=(n, 2)),
                           np.repeat(np.arange(n_psus_frame) * 7 + 3, sizes), modes=modes)
+    if stochastic:
+        edges = np.array(EDGE_PROPENSITIES)
+        pw = rng.uniform(0.0, 1.0, n)
+        phi = np.column_stack([pw, rng.uniform(0.0, 1.0, n) * (1.0 - pw)])
+        edge_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        at_edge = rng.random(n) < edge_share
+        phi[at_edge] = edges[rng.integers(0, len(edges), at_edge.sum())]
+        pop = pop.with_propensities(phi)
     kind = draw(st.sampled_from(["hybrid", "two_phase_unit", "two_phase_psu"]))
     m_per_psu = draw(st.integers(1, 8))
     if kind == "hybrid":
@@ -134,7 +150,8 @@ def replicates(draw):
         design = DesignSpec(kind, n_psus=g * b, m_per_psu=m_per_psu, n_sub_psus=g * a)
         specs = TWO_PHASE_SPECS[kind]
     scenario = ScenarioSpec(
-        id="REPLICATE", rule=draw(st.sampled_from(["A", "B", "C", "D"])), design=design,
+        id="REPLICATE", design=design,
+        rule="stochastic" if stochastic else draw(st.sampled_from(["A", "B", "C", "D"])),
         estimators=specs, iterations=1, seed=draw(st.integers(0, 2**64 - 1)),
         compositing=draw(st.sampled_from(["effective", 0.0, 1.0])),
         icc_planning=0.02, n_hat_mode=draw(st.sampled_from(["composite", "frame"])),
@@ -143,13 +160,7 @@ def replicates(draw):
     return scenario, mc.prepare_population(pop, scenario), draw(st.integers(0, 50))
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=replicates())
-def test_run_iteration_matches_public_functions_bit_for_bit(case):
-    scenario, pop, iteration = case
-    truth = pop.y.sum(axis=0)
-    got = mc.run_iteration(scenario, pop, truth, iteration).cells
-    want = _reference_cells(scenario, pop, truth, iteration)
+def _assert_cells_equal(scenario, got, want):
     assert list(got) == list(want)
     event(f"{scenario.design.kind}: {sum(c.degenerate for c in got.values())} degenerate")
     for label, (point, var, low, high, covered, degenerate, reason) in want.items():
@@ -159,6 +170,52 @@ def test_run_iteration_matches_public_functions_bit_for_bit(case):
                            ("covered", cell.covered, covered)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, name)
         assert (cell.degenerate, cell.reason) == (degenerate, reason), label
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=replicates())
+def test_run_iteration_matches_public_functions_bit_for_bit(case):
+    scenario, pop, iteration = case
+    truth = pop.y.sum(axis=0)
+    got = mc.run_iteration(scenario, pop, truth, iteration).cells
+    _assert_cells_equal(scenario, got, _reference_cells(scenario, pop, truth, iteration,
+                                                        pop.labels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=replicates(stochastic=True))
+def test_stochastic_replicate_matches_whole_population_labels_bit_for_bit(case):
+    """Labels classified at sampled rows against ``draw_stochastic_labels``:
+    the labels every sample reads, the cells, and the label stream's end state."""
+    scenario, pop, iteration = case
+    truth = pop.y.sum(axis=0)
+    label_rng = mc.stage_rng(scenario.seed, mc.scenario_key(scenario.id), iteration,
+                             mc.STAGE_LABELS)
+    labels = draw_stochastic_labels(pop, label_rng).labels
+    read, streams = [], []
+    real_collect, real_stage_rng = response.collect, mc.stage_rng
+
+    def recording_collect(sample, lookup, followup=None):
+        read.append((sample.tag, sample.unit_idx, lookup[sample.unit_idx]))
+        return real_collect(sample, lookup, followup)
+
+    def recording_stage_rng(*key):
+        streams.append((key[-1], real_stage_rng(*key)))
+        return streams[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(response, "collect", recording_collect)
+        mp.setattr(mc, "stage_rng", recording_stage_rng)
+        got = mc.run_iteration(scenario, pop, truth, iteration).cells
+    assert [tag for tag, _, _ in read] == (["A", "B"] if scenario.design.kind == "hybrid"
+                                           else ["S"])
+    for tag, idx, lab in read:
+        want = labels[idx]
+        assert lab.dtype == want.dtype and lab.tobytes() == want.tobytes(), tag
+    label_streams = [g for stage, g in streams if stage == mc.STAGE_LABELS]
+    assert len(label_streams) == 1
+    assert label_streams[0].bit_generator.state == label_rng.bit_generator.state
+    _assert_cells_equal(scenario, got, _reference_cells(scenario, pop, truth, iteration, labels))
 
 
 def test_hybrid_replicate_skips_rates_and_builds_each_sample_once(small_synthetic,

@@ -49,18 +49,25 @@ def _build_population(cfg: RunConfig) -> Population:
     return pop
 
 
+def _icc_or_none(values: np.ndarray, groups: np.ndarray) -> float | None:
+    try:
+        return estimate_icc(values, groups)
+    except ValidationError:  # fewer than 2 PSUs, or no more households than PSUs
+        return None
+
+
 def _population_report(pop: Population) -> dict:
-    shares = {name: float((pop.modes == code).mean())
-              for code, name in enumerate(MODE_NAMES)}
+    in_mode = [pop.modes == code for code in range(len(MODE_NAMES))]
+    shares = {name: float(mask.mean()) for name, mask in zip(MODE_NAMES, in_mode)}
     means = {
-        name: {v: float(pop.y[pop.modes == code, j].mean())
+        name: {v: float(pop.y[mask, j].mean()) if mask.any() else None
                for j, v in enumerate(pop.variable_names)}
-        for code, name in enumerate(MODE_NAMES)
+        for name, mask in zip(MODE_NAMES, in_mode)
     }
-    icc = {v: estimate_icc(pop.y[:, j], pop.psu_ids)
+    icc = {v: _icc_or_none(pop.y[:, j], pop.psu_ids)
            for j, v in enumerate(pop.variable_names)}
     return {"n_households": pop.n_households,
-            "n_psus": int(len(np.unique(pop.psu_ids))),
+            "n_psus": len(pop.psu_frame()[0]),
             "mode_shares": shares, "mode_means": means, "icc_estimates": icc}
 
 
@@ -68,13 +75,12 @@ def cmd_generate(cfg: RunConfig) -> int:
     if cfg.population.synthetic is None:
         raise ConfigError("generate requires a population.synthetic section")
     pop = _build_population(cfg)
+    report = {"metadata": _metadata(cfg), **_population_report(pop)}
+    sidecar = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     write_population_csv(pop, out / "population.csv")
-    report = {"metadata": _metadata(cfg), **_population_report(pop)}
-    with open(out / "population.meta.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out / "population.meta.json").write_text(sidecar)
     print(f"wrote {out / 'population.csv'} ({pop.n_households} households)")
     return 0
 

@@ -35,7 +35,6 @@ representations agree to floating-point accuracy by construction.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -102,7 +101,6 @@ class EstimatorResult:
 class CompositeFactors:
     lam: float
     kappa: float
-    mode: str  # "effective" | "fixed"
 
     def __post_init__(self):
         if not (0.0 <= self.lam <= 1.0 and 0.0 <= self.kappa <= 1.0):
@@ -167,8 +165,7 @@ def _omega(sample: DrawnSample, omega: float | None) -> float:
         if not 0.0 < omega <= 1.0:
             raise ValidationError("omega must be in (0, 1]")
         return omega
-    rate = sample.ftf_rate()
-    return 1.0 if rate is None else rate
+    return 1.0 if sample.ftf_rate is None else sample.ftf_rate
 
 
 def _weights(st: SampleStats, mask: np.ndarray, factor=1.0) -> WeightBlock:
@@ -231,7 +228,7 @@ def followup_adjustment(st: SampleStats, omega: float | None = None, expansion: 
     if estimator is None:
         estimator = EST_T2 if expansion == "design" else EST_T2_ALT
     sample = st.sample
-    if expansion == "realized" and sample.followup.kind != "psu":
+    if expansion == "realized" and sample.psu_subsample is None:
         raise ValidationError("the realized expansion applies to PSU-subsampling designs")
     om = _omega(sample, omega)
 
@@ -395,13 +392,15 @@ def compute_factors(sample_a: DrawnSample, sample_b: DrawnSample,
     design effect 1.  ``kappa`` uses web respondents only.  A ``fixed``
     value short-circuits the computation.
     """
+    if sample_b.psus is None:
+        raise ValidationError("compositing factors need a clustered sample B")
     if fixed is not None:
         if not 0.0 <= fixed <= 1.0:
             raise ValidationError("fixed compositing factor must be in [0, 1]")
-        return CompositeFactors(lam=fixed, kappa=fixed, mode="fixed")
+        return CompositeFactors(lam=fixed, kappa=fixed)
     if sample_a.delta_w is None or sample_b.delta_w is None:
         raise EstimationError("response indicators are unset")
-    n_psus = len(sample_b.psu_pi) if sample_b.psu_pi else len(np.unique(sample_b.psu_ids))
+    n_psus = len(sample_b.psus)
 
     def eff(count: int, clustered: bool) -> float:
         if count <= 0:
@@ -417,7 +416,7 @@ def compute_factors(sample_a: DrawnSample, sample_b: DrawnSample,
     web_b = int((sample_b.delta_w > 0).sum())
     ea, eb = eff(resp_a, False), eff(resp_b, True)
     wa, wb = eff(web_a, False), eff(web_b, True)
-    return CompositeFactors(lam=ea / (ea + eb), kappa=wa / (wa + wb), mode="effective")
+    return CompositeFactors(lam=ea / (ea + eb), kappa=wa / (wa + wb))
 
 
 def bracket_total(result: EstimatorResult) -> np.ndarray:
@@ -471,14 +470,3 @@ def weighted_total(result: EstimatorResult, outcomes: dict[str, np.ndarray]) -> 
         total = total + block.weights @ y[block.positions]
     return total
 
-
-def export_weights_csv(result: EstimatorResult, pop_ids_by_tag: dict[str, np.ndarray], path) -> None:
-    """Audit dump of the respondent weights: unit id, estimator, weight."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["id", "estimator", "weight"])
-        for block in result.weight_blocks:
-            ids = pop_ids_by_tag[block.sample.tag]
-            for pos, wt in zip(block.positions, block.weights):
-                w.writerow([int(ids[block.sample.unit_idx[pos]]),
-                            result.estimator, repr(float(wt))])

@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -65,6 +66,10 @@ class DesignSpec:
             raise ConfigError("unit subsampling fraction must be in (0, 1]")
         if self.kind == "two_phase_psu" and not 0 < self.n_sub_psus <= self.n_psus:
             raise ConfigError("n_sub_psus must be in 1..n_psus")
+        units = math.gcd(self.n_sub_psus, self.n_psus)  # what build_variance_units forms
+        if self.kind == "two_phase_psu" and units < 2:
+            raise ConfigError(f"scenario.design.n_sub_psus: {self.n_sub_psus} of {self.n_psus} "
+                              f"PSUs form gcd = {units} balanced variance unit(s); need at least 2")
 
 
 @dataclass(frozen=True)
@@ -263,7 +268,7 @@ def run_iteration(scenario: ScenarioSpec, pop: Population, truth: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Parallel driver.
+# Driver: the same chunks for every ``jobs``.
 # ---------------------------------------------------------------------------
 
 _CTX: dict = {}
@@ -273,14 +278,15 @@ def _worker_init(pop, scenario, truth):
     _CTX["args"] = (pop, scenario, truth)
 
 
-def _worker_chunk(span):
-    pop, scenario, truth = _CTX["args"]
+def _worker_chunk(span, args=None):
+    pop, scenario, truth = args or _CTX["args"]
     return [run_iteration(scenario, pop, truth, i) for i in span]
 
 
 def run_scenario(pop: Population, scenario: ScenarioSpec, jobs: int = 1,
                  progress: bool = False) -> list[IterationResult]:
-    """Run all iterations; output is independent of ``jobs``."""
+    """Run all iterations, in chunks run in-process for one job or by a pool
+    of ``jobs`` worker processes; output is independent of ``jobs``."""
     scenario.validate()
     truth = pop.y.sum(axis=0)
     for name, total in zip(pop.variable_names, truth):
@@ -289,25 +295,20 @@ def run_scenario(pop: Population, scenario: ScenarioSpec, jobs: int = 1,
                             "relative bias, CV and RRMSE are undefined")
     pop = prepare_population(pop, scenario)
     n = scenario.iterations
-    if jobs <= 1:
-        results = []
-        for i in range(n):
-            results.append(run_iteration(scenario, pop, truth, i))
-            if progress and (i + 1) % 1000 == 0:
-                print(f"{scenario.id}: {i + 1}/{n} iterations", file=sys.stderr)
-        return results
-    chunk = max(1, math.ceil(n / (jobs * 8)))
+    chunk = max(1, math.ceil(n / (max(jobs, 1) * 8)))
     spans = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    results: list[IterationResult | None] = [None] * n
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
-                             initargs=(pop, scenario, truth)) as pool:
-        for span, block in zip(spans, pool.map(_worker_chunk, spans)):
-            for i, res in zip(span, block):
-                results[i] = res
+    results: list[IterationResult] = []
+    # under fork, workers inherit initargs (the population) without pickling
+    with (ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
+                              initargs=(pop, scenario, truth))
+          if jobs > 1 else nullcontext()) as pool:
+        chunks = (pool.map(_worker_chunk, spans) if pool is not None
+                  else map(partial(_worker_chunk, args=(pop, scenario, truth)), spans))
+        for block in chunks:
+            results.extend(block)
             if progress:
-                done = sum(r is not None for r in results)
-                print(f"{scenario.id}: {done}/{n} iterations", file=sys.stderr)
-    return results  # type: ignore[return-value]
+                print(f"{scenario.id}: {len(results)}/{n} iterations", file=sys.stderr)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Finite household populations: ingestion, synthesis, labelling, summaries.
+"""Finite household populations: ingestion, synthesis, labelling, CSV output.
 
 A population is stored column-wise (numpy arrays) and is immutable after
 construction, so it can be shared read-only across worker processes.  Each
@@ -17,7 +17,7 @@ import reprlib
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -164,21 +164,6 @@ def _first_duplicate(ids: np.ndarray) -> int | None:
     s = np.sort(ids)
     dups = s[1:][s[1:] == s[:-1]]
     return int(dups[0]) if len(dups) else None
-
-
-@dataclass(frozen=True)
-class PopulationSummary:
-    """Category shares and means satisfying
-    total = N * (gamma_w*mean_w + gamma_f*mean_f + (1-gamma_w-gamma_f)*mean_n).
-    """
-
-    n_households: int
-    gamma_w: float
-    gamma_f: float
-    mean_w: np.ndarray
-    mean_f: np.ndarray
-    mean_n: np.ndarray
-    total: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -451,26 +436,6 @@ class StochasticLabels:
         return _classify(self._u[idx], self._pw[idx], self._pf[idx])
 
 
-def summarize(pop: Population) -> PopulationSummary:
-    """Category shares and per-variable means and totals."""
-    if pop.labels is None:
-        raise IntegrityError("population has no response labels")
-    n = pop.n_households
-    masks = [pop.labels == c for c in (LABEL_WEB, LABEL_FTF, LABEL_NONE)]
-    counts = [int(m.sum()) for m in masks]
-    means = [pop.y[m].mean(axis=0) if c else np.full(pop.n_variables, np.nan)
-             for m, c in zip(masks, counts)]
-    return PopulationSummary(
-        n_households=n,
-        gamma_w=counts[0] / n,
-        gamma_f=counts[1] / n,
-        mean_w=means[0],
-        mean_f=means[1],
-        mean_n=means[2],
-        total=pop.y.sum(axis=0),
-    )
-
-
 def estimate_icc(values: np.ndarray, groups: np.ndarray) -> float:
     """One-way ANOVA (method of moments) intraclass correlation."""
     gids, codes = np.unique(groups, return_inverse=True)
@@ -647,8 +612,3 @@ def write_population_csv(pop: Population, path: str | Path) -> None:
         csv.writer(fh, lineterminator="\n").writerow(header)
         fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
-
-def default_schema(variable_names: Sequence[str], with_label: bool = False) -> MicrodataSchema:
-    """Schema matching ``write_population_csv`` output."""
-    return MicrodataSchema(variables=tuple(variable_names),
-                           label="label" if with_label else None)

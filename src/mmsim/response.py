@@ -77,7 +77,7 @@ def response_rates(sample: DrawnSample) -> ResponseRates:
     r_w = w_hat / n_hat
     if m_hat == 0.0:
         r_f = 0.0  # nobody left after the web phase
-    elif sample.followup.kind == "none":
+    elif sample.ftf_rate is None:
         r_f = 0.0  # protocol has no second phase
     else:
         elig = sample.flags()

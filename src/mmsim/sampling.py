@@ -11,6 +11,13 @@ a fixed fraction of web nonrespondents within each PSU (systematic from
 a randomly ordered list, so each nonrespondent is flagged with exactly
 that probability), or an equal-probability subset of whole PSUs.
 
+A sample records its design as two facts: which PSUs it drew (none for
+an unclustered sample), and the rate at which its web nonrespondents go
+to face-to-face follow-up (all of them for the hybrid design's clustered
+sample, omega under unit subsampling, the subsampled share of PSUs under
+PSU subsampling).  Estimators and variances read the design from these
+two facts and, under PSU subsampling, from the PSUs followed up.
+
 The two-stage take and the unit follow-up work on all selected PSUs at
 once, but they draw exactly what the per-PSU definitions draw: the same
 random numbers in the same order, so each generator ends in the same
@@ -34,36 +41,33 @@ PI_FPC_WARNING = 0.2  # first-stage fractions above this make the
 
 
 @dataclass(frozen=True)
-class FollowUp:
-    """How web nonrespondents are selected for ftf follow-up."""
-
-    kind: str  # "none" | "all" | "unit" | "psu"
-    omega: float | None = None      # unit kind: within-PSU fraction
-    n_sub_psus: int | None = None   # psu kind: PSUs followed up
-
-
-@dataclass(frozen=True)
 class DrawnSample:
     """A realized sample with design weights and response state.
 
     ``unit_idx`` indexes rows of the source population; all other arrays
-    are parallel to it.  ``psu_pi`` maps each sampled PSU id to its
-    first-stage inclusion probability (two-stage designs only).
+    are parallel to it.  Two facts tell the designs apart:
 
-    Construction checks the design: positive weights, and for two-stage
-    samples PSU probabilities in (0, 1] that cover every sampled unit's
-    PSU, and a unit follow-up fraction in (0, 1].  ``response.collect``
-    and the follow-up steps derive copies that set only response and follow-up
-    fields and check just those inputs, never re-running these checks.
+    * ``psus``: the sampled PSU ids, ascending int64, for a two-stage
+      (clustered) sample; None for an unclustered one.
+    * ``ftf_rate``: the design probability that a web nonrespondent is
+      followed up face to face, set by the follow-up step: 1 when all
+      are, the within-PSU fraction omega under unit subsampling, and the
+      subsampled share of the sampled PSUs under PSU subsampling.  None
+      when the sample has no follow-up phase.
+
+    Construction checks the design: positive weights, ``psus`` strictly
+    ascending and covering every sampled unit's PSU, and ``ftf_rate`` in
+    (0, 1].  ``response.collect`` and the follow-up steps derive copies
+    that set only response and follow-up fields and check just those
+    inputs, never re-running these checks.
     """
 
     tag: str
-    design: str  # "unclustered" | "two_stage"
     unit_idx: np.ndarray
     d: np.ndarray
     psu_ids: np.ndarray
-    followup: FollowUp
-    psu_pi: dict[int, float] | None = None
+    psus: np.ndarray | None = None
+    ftf_rate: float | None = None
     psu_subsample: frozenset | None = None
     in_ftf_subsample: np.ndarray | None = None
     delta_w: np.ndarray | None = None
@@ -72,37 +76,21 @@ class DrawnSample:
     def __post_init__(self):
         if (self.d <= 0).any():
             raise ValidationError("design weights must be positive")
-        if self.design == "two_stage":
-            if self.psu_pi is None:
-                raise ValidationError("two-stage sample needs PSU inclusion probabilities")
-            known = np.sort(np.fromiter(self.psu_pi, np.int64, len(self.psu_pi)))
+        known = self.psus
+        if known is not None:
+            if (known[1:] <= known[:-1]).any():
+                raise ValidationError("sampled PSU ids must be strictly ascending")
             at = np.searchsorted(known, self.psu_ids).clip(max=len(known) - 1)
             outside = self.psu_ids[known[at] != self.psu_ids] if len(known) else self.psu_ids
             if len(outside):
                 missing = sorted(set(outside.tolist()))
                 raise ValidationError(f"units from PSUs outside the PSU sample: {missing[:5]}")
-            for pi in self.psu_pi.values():
-                if not 0.0 < pi <= 1.0:
-                    raise ValidationError(f"PSU inclusion probability {pi} outside (0, 1]")
-        if self.followup.kind == "unit" and not 0.0 < self.followup.omega <= 1.0:
-            raise ValidationError("unit subsampling fraction must be in (0, 1]")
+        if self.ftf_rate is not None and not 0.0 < self.ftf_rate <= 1.0:
+            raise ValidationError(f"follow-up rate {self.ftf_rate} outside (0, 1]")
 
     @property
     def n_units(self) -> int:
         return len(self.unit_idx)
-
-    def sampled_psus(self) -> np.ndarray:
-        return np.asarray(sorted(self.psu_pi)) if self.psu_pi else np.unique(self.psu_ids)
-
-    def ftf_rate(self) -> float | None:
-        """Design probability that a web nonrespondent is followed up."""
-        if self.followup.kind == "none":
-            return None
-        if self.followup.kind == "all":
-            return 1.0
-        if self.followup.kind == "unit":
-            return self.followup.omega
-        return self.followup.n_sub_psus / len(self.psu_pi)
 
     def flags(self) -> np.ndarray:
         if self.in_ftf_subsample is None:
@@ -119,11 +107,9 @@ def srswor(pop: Population, n: int, rng: np.random.Generator, tag: str = "S") ->
     idx.sort()
     return DrawnSample(
         tag=tag,
-        design="unclustered",
         unit_idx=idx,
         d=np.full(n, big_n / n),
         psu_ids=pop.psu_ids[idx],
-        followup=FollowUp("none"),
     )
 
 
@@ -208,7 +194,7 @@ def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
     psus, sizes, _codes = pop.psu_frame()
     frame = pop.frame_cache(("pps", n_psus, m_per_psu),
                             lambda: _two_stage_frame(sizes, psus, n_psus, m_per_psu))
-    sel, pi_sel = _pps_draw(frame, rng)
+    sel, _ = _pps_draw(frame, rng)
     f = n_psus * m_per_psu / pop.n_households
 
     sel_sizes = sizes[sel]
@@ -225,12 +211,10 @@ def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
 
     return DrawnSample(
         tag=tag,
-        design="two_stage",
         unit_idx=chosen,
         d=np.full(len(chosen), 1.0 / f),
         psu_ids=pop.psu_ids[chosen],
-        followup=FollowUp("none"),
-        psu_pi=dict(zip(psus[sel].tolist(), pi_sel.tolist())),
+        psus=psus[np.sort(sel)],
     )
 
 
@@ -291,8 +275,7 @@ def subsample_nonrespondents_units(sample: DrawnSample, omega: float,
     shuffled = pool[perm + np.repeat(first, sizes)]
     flags = np.zeros(sample.n_units, dtype=bool)
     flags[shuffled[_systematic_positions(sizes, omega, np.asarray(u))]] = True
-    return _derive(sample, in_ftf_subsample=flags,
-                   followup=FollowUp("unit", omega=omega))
+    return _derive(sample, in_ftf_subsample=flags, ftf_rate=omega)
 
 
 def subsample_psus(sample: DrawnSample, count: int,
@@ -301,34 +284,21 @@ def subsample_psus(sample: DrawnSample, count: int,
     ``count`` sampled PSUs.  The PSU choice ignores first-phase outcomes."""
     if sample.delta_w is None:
         raise EstimationError("web response indicators must be set before subsampling")
-    psus = sample.sampled_psus()
+    psus = sample.psus
+    if psus is None:
+        raise ValidationError("PSU subsampling needs a clustered sample")
     if count > len(psus):
         raise ValidationError(f"cannot subsample {count} of {len(psus)} PSUs")
     chosen = frozenset(int(p) for p in rng.permutation(psus)[:count])
     in_chosen = np.isin(sample.psu_ids, sorted(chosen))
     flags = in_chosen & (sample.delta_w == 0)
     return _derive(sample, in_ftf_subsample=flags, psu_subsample=chosen,
-                   followup=FollowUp("psu", n_sub_psus=count))
+                   ftf_rate=count / len(psus))
 
 
 def followup_all_units(sample: DrawnSample) -> DrawnSample:
     """Flag every web nonrespondent for follow-up (no subsampling)."""
     if sample.delta_w is None:
         raise EstimationError("web response indicators must be set before follow-up")
-    return _derive(sample, in_ftf_subsample=sample.delta_w == 0,
-                   followup=FollowUp("all"))
+    return _derive(sample, in_ftf_subsample=sample.delta_w == 0, ftf_rate=1.0)
 
-
-def export_sample_csv(sample: DrawnSample, pop: Population, path) -> None:
-    """Audit dump: unit id, psu, weight, flags and response indicators."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["id", "psu", "d", "in_ftf_subsample", "delta_w", "delta_f"])
-        flags = sample.flags()
-        dw = sample.delta_w if sample.delta_w is not None else np.zeros(sample.n_units, int)
-        df = sample.delta_f if sample.delta_f is not None else np.zeros(sample.n_units, int)
-        for i in range(sample.n_units):
-            w.writerow([int(pop.ids[sample.unit_idx[i]]), int(sample.psu_ids[i]),
-                        repr(float(sample.d[i])), int(flags[i]), int(dw[i]), int(df[i])])

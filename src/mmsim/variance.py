@@ -17,7 +17,7 @@ to make that assumption questionable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import NormalDist
+from math import gcd
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class VarianceUnitPlan:
     """
 
     groups: tuple[tuple[int, ...], ...]
-    subsample_balance: int
 
 
 @dataclass(frozen=True)
@@ -50,41 +49,25 @@ class VarEstimate:
     ci_high: np.ndarray
 
 
-def z_quantile(level: float) -> float:
-    """Two-sided normal quantile; 0.95 -> the conventional 1.96."""
-    if not 0.0 < level < 1.0:
-        raise ValidationError("confidence level must be in (0, 1)")
-    if abs(level - 0.95) < 1e-12:
-        return Z_95
-    return NormalDist().inv_cdf(0.5 + level / 2.0)
-
-
 def build_variance_units(sample: DrawnSample, rng: np.random.Generator) -> VarianceUnitPlan:
     """Randomly group sampled PSUs so each group mixes subsampled and
     non-subsampled PSUs in the design proportion.
 
-    A p = a/b subsampling fraction yields groups of b PSUs with a
-    subsampled each; the sampled PSU count must be divisible by b.
+    With a of every b sampled PSUs subsampled (a/b in lowest terms), the
+    gcd of the two counts gives the number of groups, each of b PSUs with
+    a subsampled.
     """
     if sample.psu_subsample is None:
         raise EstimationError("sample has no PSU subsample to balance on")
-    psus = [int(p) for p in sample.sampled_psus()]
+    psus = sample.psus.tolist()
     sub = sorted(sample.psu_subsample)
     non = sorted(set(psus) - set(sub))
-    from math import gcd
-
-    g = gcd(len(sub), len(psus))
-    a, b = len(sub) // g, len(psus) // g
-    if len(psus) % b != 0:
-        raise ValidationError(
-            f"{len(psus)} PSUs with a {a}/{b} subsample cannot form balanced "
-            f"variance units; the PSU count must be a multiple of {b}"
-        )
-    n_groups = len(psus) // b
+    n_groups = gcd(len(sub), len(psus))
+    a, b = len(sub) // n_groups, len(psus) // n_groups
     if n_groups < 2:
         raise ValidationError(
-            f"only {n_groups} variance unit(s); need at least 2 "
-            f"(PSU count must be a multiple of {2 * b})"
+            f"{len(sub)} of {len(psus)} PSUs followed up form gcd = {n_groups} balanced "
+            f"variance unit(s); need at least 2"
         )
     sub_perm = [sub[i] for i in rng.permutation(len(sub))]
     non_perm = [non[i] for i in rng.permutation(len(non))]
@@ -92,7 +75,7 @@ def build_variance_units(sample: DrawnSample, rng: np.random.Generator) -> Varia
     for i in range(n_groups):
         members = sub_perm[i * a:(i + 1) * a] + non_perm[i * (b - a):(i + 1) * (b - a)]
         groups.append(tuple(sorted(members)))
-    return VarianceUnitPlan(groups=tuple(groups), subsample_balance=a)
+    return VarianceUnitPlan(groups=tuple(groups))
 
 
 def first_stage_units(sample: DrawnSample, plan: VarianceUnitPlan | None,
@@ -101,14 +84,14 @@ def first_stage_units(sample: DrawnSample, plan: VarianceUnitPlan | None,
     first-stage units, computed once per sample: variable j of a household
     in unit g goes to bin g * n_variables + j.  No bins (None) when every
     household is its own unit."""
-    if sample.design == "unclustered":
+    psus = sample.psus
+    if psus is None:
         return None, sample.n_units
-    psus = sample.sampled_psus()
     codes = np.searchsorted(psus, sample.psu_ids)
     n_groups = len(psus)
     if plan is not None:
         lookup = {psu: g for g, members in enumerate(plan.groups) for psu in members}
-        codes = np.array([lookup[int(p)] for p in psus])[codes]
+        codes = np.array([lookup[p] for p in psus.tolist()])[codes]
         n_groups = len(plan.groups)
     return (codes[:, None] * n_variables + np.arange(n_variables)).ravel(), n_groups
 

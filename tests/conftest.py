@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmsim.population import Population, SyntheticPopSpec, VariableSpec
-from mmsim.sampling import DrawnSample, FollowUp
+from mmsim.sampling import DrawnSample
 
 
 def make_population(y, psu_ids, modes=None, labels=None, variable_names=None):
@@ -47,8 +47,12 @@ def small_synthetic():
 
 
 def toy_sample(d, delta_w, delta_f=None, elig=None, psu_ids=None,
-               design="two_stage", followup=None, psu_subsample=None, tag="S"):
-    """Directly assemble a DrawnSample in a fixed response state."""
+               clustered=True, ftf_rate=1.0, psu_subsample=None, tag="S"):
+    """Directly assemble a DrawnSample in a fixed response state.
+
+    A clustered sample draws every PSU in ``psu_ids``.  With a
+    ``psu_subsample`` its ftf_rate is the subsampled share of those PSUs.
+    """
     d = np.asarray(d, dtype=float)
     n = len(d)
     delta_w = np.asarray(delta_w, dtype=np.uint8)
@@ -56,22 +60,19 @@ def toy_sample(d, delta_w, delta_f=None, elig=None, psu_ids=None,
                else np.asarray(delta_f, dtype=np.uint8))
     psu_ids = (np.zeros(n, dtype=np.int64) if psu_ids is None
                else np.asarray(psu_ids, dtype=np.int64))
-    if followup is None:
-        followup = FollowUp("all")
+    psus = np.unique(psu_ids) if clustered else None
+    if psu_subsample is not None:
+        ftf_rate = len(psu_subsample) / len(psus)
     if elig is None:
-        if followup.kind == "all":
-            elig = delta_w == 0
-        elif followup.kind == "psu":
+        if psu_subsample is not None:
             inside = np.isin(psu_ids, sorted(psu_subsample))
             elig = inside & (delta_w == 0)
+        elif ftf_rate == 1.0:
+            elig = delta_w == 0
         else:
-            raise ValueError("explicit eligibility needed for this follow-up kind")
-    psu_pi = None
-    if design == "two_stage":
-        psu_pi = {int(p): 0.5 for p in np.unique(psu_ids)}
+            raise ValueError("explicit eligibility needed for this follow-up rate")
     return DrawnSample(
-        tag=tag, design=design, unit_idx=np.arange(n), d=d, psu_ids=psu_ids,
-        followup=followup, psu_pi=psu_pi,
+        tag=tag, unit_idx=np.arange(n), d=d, psu_ids=psu_ids, psus=psus, ftf_rate=ftf_rate,
         psu_subsample=None if psu_subsample is None else frozenset(psu_subsample),
         in_ftf_subsample=np.asarray(elig, dtype=bool), delta_w=delta_w, delta_f=delta_f,
     )
@@ -97,27 +98,23 @@ def random_case(rng):
         delta_w[: max(2, n // 3)] = 0
         nonresp = np.flatnonzero(delta_w == 0)
     psu_subsample = None
-    followup = FollowUp("all")
+    omega = 1.0
     if kind == "all":
         elig = delta_w == 0
-        omega = 1.0
     elif kind == "unit":
         omega = float(rng.uniform(0.3, 1.0))
-        followup = FollowUp("unit", omega=omega)
         elig = np.zeros(n, dtype=bool)
         elig[rng.permutation(nonresp)[: max(1, int(len(nonresp) * omega))]] = True
     else:
         psus = np.unique(psu_ids)
         count = max(1, len(psus) // 2)
         psu_subsample = frozenset(int(p) for p in rng.permutation(psus)[:count])
-        followup = FollowUp("psu", n_sub_psus=count)
         inside = np.isin(psu_ids, sorted(psu_subsample))
         elig = inside & (delta_w == 0)
         if not elig.any():  # make the subsample nonempty in eligible mass
             forced = int(nonresp[0])
             psu_subsample = frozenset(set(psu_subsample) | {int(psu_ids[forced])})
             inside = np.isin(psu_ids, sorted(psu_subsample))
-            followup = FollowUp("psu", n_sub_psus=len(psu_subsample))
             elig = inside & (delta_w == 0)
     delta_f = np.zeros(n, dtype=np.uint8)
     pool = np.flatnonzero(elig)
@@ -125,7 +122,6 @@ def random_case(rng):
     delta_f[rng.permutation(pool)[:take]] = 1
     y = rng.normal(2.0, 1.5, size=(n, 2))
     sample = toy_sample(d, delta_w, delta_f, elig=elig, psu_ids=psu_ids,
-                        design="two_stage", followup=followup,
-                        psu_subsample=psu_subsample)
+                        ftf_rate=omega, psu_subsample=psu_subsample)
     return sample, y
 

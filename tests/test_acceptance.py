@@ -36,7 +36,6 @@ from mmsim.estimators import (
     weighted_total,
 )
 from mmsim.montecarlo import AGGREGATE, DesignSpec, EstimatorSpec, ScenarioSpec
-from mmsim.sampling import FollowUp
 
 from conftest import make_population, random_case, toy_sample
 from test_enumeration import LAB6, Y6, expected_t2, srswor_outcomes, two_stage_outcomes
@@ -161,18 +160,18 @@ def test_acceptance_3_weight_formula_duality(capsys):
         outcomes = {"S": y}
         check(uniform_adjustment(sample_stats(sample, y)), outcomes)
         check(followup_adjustment(sample_stats(sample, y)), outcomes)
-        if sample.followup.kind == "psu":
+        if sample.psu_subsample is not None:
             check(followup_adjustment(sample_stats(sample, y), expansion="realized"), outcomes)
     for seed in range(500):
         rng = np.random.default_rng(70_000 + seed)
         sample_b, y_b = random_case(rng)
-        sample_b = replace(sample_b, tag="B", followup=FollowUp("all"),
+        sample_b = replace(sample_b, tag="B", ftf_rate=1.0, psu_subsample=None,
                            in_ftf_subsample=sample_b.delta_w == 0)
         n_a = int(rng.integers(5, 25))
         delta_w = (rng.random(n_a) < 0.6).astype(np.uint8)
         delta_w[0] = 1
         sample_a = toy_sample(d=rng.uniform(1, 5, n_a), delta_w=delta_w,
-                              design="unclustered", followup=FollowUp("none"),
+                              clustered=False, ftf_rate=None,
                               elig=np.zeros(n_a, dtype=bool), tag="A")
         y_a = rng.normal(2.0, 1.0, size=(n_a, 2))
         outcomes = {"A": y_a, "B": y_b}

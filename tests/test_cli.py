@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,36 @@ def test_generate_is_deterministic(tmp_path):
     assert main(["generate", "--config", str(cfg2)]) == 0
     assert (tmp_path / "a/population.csv").read_bytes() == \
         (tmp_path / "b/population.csv").read_bytes()
+
+
+def test_generate_single_psu_writes_null_icc(tmp_path):
+    # one PSU: the ICC cannot be estimated, so it is null, and generate succeeds
+    pop = POP_BLOCK.replace("n_psus: 60", "n_psus: 1")
+    cfg = write_config(tmp_path, pop + f"output:\n  dir: {tmp_path}/out\n")
+    assert main(["generate", "--config", str(cfg)]) == 0
+    meta = json.loads((tmp_path / "out/population.meta.json").read_text())
+    assert meta["n_psus"] == 1
+    assert meta["icc_estimates"] == {"v1": None, "v2": None}
+    assert (tmp_path / "out/population.csv").exists()
+
+
+def test_generate_empty_mode_writes_null_means(tmp_path):
+    # no FTF households: their means are null, and the sidecar is strict JSON
+    pop = POP_BLOCK.replace("share_web: 0.48", "share_web: 0.5").replace(
+        "share_mail: 0.26", "share_mail: 0.5")
+    cfg = write_config(tmp_path, pop + f"output:\n  dir: {tmp_path}/out\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["generate", "--config", str(cfg)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    meta = json.loads((tmp_path / "out/population.meta.json").read_text(),
+                      parse_constant=reject)
+    assert meta["mode_shares"]["FTF"] == 0.0
+    assert meta["mode_means"]["FTF"] == {"v1": None, "v2": None}
+    assert all(isinstance(m, float) for m in meta["mode_means"]["WEB"].values())
 
 
 def test_generate_missing_field_names_it(tmp_path, capsys):
@@ -362,7 +393,7 @@ def test_failed_run_creates_no_output_directory(tmp_path, case, code):
         csv_path.write_text("id,psu,mode,v1,v2\n" +
                             "".join(f"{i},{i % 10},WEB,{i % 2},0\n" for i in range(400)))
         pop = f"population:\n  path: {csv_path}\n  schema:\n    variables: [v1, v2]\n"
-    elif case == "unbalanced-psus":  # found in replicate 0: 3 of 10 PSUs followed up
+    elif case == "unbalanced-psus":  # found when parsed: 3 of 10 PSUs followed up
         scen = scen.replace(TWO_PHASE_DESIGN[0], TWO_PHASE_DESIGN[1]).replace(
             "kind: two_phase_unit", "kind: two_phase_psu").replace(
             "n_psus: 8", "n_psus: 10").replace("omega: 0.5", "n_sub_psus: 3")
@@ -371,6 +402,22 @@ def test_failed_run_creates_no_output_directory(tmp_path, case, code):
         scen = scen.replace("rule: B", "rule: A").replace("    - {id: TDF2}\n", "")
     cfg = write_config(tmp_path, pop + scen + f"output:\n  dir: {tmp_path}/out\n" + extra)
     assert main(["run", "--config", str(cfg), "--quiet"]) == code
+    assert not (tmp_path / "out").exists()
+
+
+def test_unbalanceable_psu_subsample_is_config_error_before_population(
+        tmp_path, capsys, monkeypatch):
+    # 33 of 100 PSUs followed up form gcd(33, 100) = 1 variance unit
+    from mmsim import cli
+
+    text = Path(cli.preset_path("b2p-synthetic")).read_text()
+    cfg = write_config(tmp_path, text.replace("n_sub_psus: 50", "n_sub_psus: 33"))
+    built = []
+    monkeypatch.setattr(cli, "_build_population", lambda cfg: built.append(cfg))
+    assert main(["run", "--config", str(cfg), "--quiet", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.design.n_sub_psus" in err and "33 of 100 PSUs" in err
+    assert built == []
     assert not (tmp_path / "out").exists()
 
 

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from mmsim.estimators import followup_adjustment, sample_stats
-from mmsim.sampling import DrawnSample, FollowUp, pps_select_psus
+from mmsim.sampling import DrawnSample, pps_select_psus
 
 W, F = 0, 1  # full-response labels: web respondent / ftf respondent
 
@@ -108,18 +108,18 @@ def enum_unit_flags(nonresp_by_psu, omega):
 # Sample assembly and estimator evaluation
 # ---------------------------------------------------------------------------
 
-def assemble(unit_ids, d, psu_ids, labels, flags, followup, psu_pi=None,
-             psu_subsample=None, design="two_stage"):
+def assemble(unit_ids, d, psu_ids, labels, flags, ftf_rate, psus=None,
+             psu_subsample=None):
     unit_ids = list(unit_ids)
     delta_w = np.array([1 if labels[u] == W else 0 for u in unit_ids], dtype=np.uint8)
     elig = np.array([u in flags for u in unit_ids], dtype=bool)
     delta_f = ((delta_w == 0) & elig).astype(np.uint8)  # full ftf response
     return DrawnSample(
-        tag="S", design=design,
+        tag="S",
         unit_idx=np.asarray(unit_ids),
         d=np.full(len(unit_ids), float(d)),
         psu_ids=np.array([psu_ids[u] for u in unit_ids]),
-        followup=followup, psu_pi=psu_pi, psu_subsample=psu_subsample,
+        psus=psus, ftf_rate=ftf_rate, psu_subsample=psu_subsample,
         in_ftf_subsample=elig, delta_w=delta_w, delta_f=delta_f,
     )
 
@@ -142,15 +142,13 @@ def expected_t2(outcomes, y):
 def srswor_outcomes(labels, psu_ids, n, omega):
     n_pop = len(labels)
     d = Fraction(n_pop, n)
-    followup = FollowUp("unit", omega=omega)
     for combo, p_s in enum_srswor(n_pop, n):
         pools = {}
         for u in combo:
             if labels[u] != W:
                 pools.setdefault(psu_ids[u], []).append(u)
         for flags, p_f in enum_unit_flags(list(pools.values()), omega):
-            yield assemble(combo, d, psu_ids, labels, flags, followup,
-                           design="unclustered"), p_s * p_f
+            yield assemble(combo, d, psu_ids, labels, flags, omega), p_s * p_f
 
 
 def two_stage_outcomes(labels, psu_ids, sizes, n_psus, m, omega=None, n_sub=None):
@@ -159,9 +157,8 @@ def two_stage_outcomes(labels, psu_ids, sizes, n_psus, m, omega=None, n_sub=None
     members = {p: [u for u in range(n_pop) if psu_ids[u] == p] for p in set(psu_ids)}
     f = Fraction(n_psus * m, n_pop)
     d = 1 / f
-    pi = {p: Fraction(n_psus * sizes[p], n_pop) for p in members}
     for psu_set, p_psu in enum_pps_sets(sizes, n_psus):
-        psu_pi = {p: float(pi[p]) for p in psu_set}
+        psus = np.array(sorted(psu_set), dtype=np.int64)
         within = [enum_subsets(members[p], m) for p in sorted(psu_set)]
         for chosen in itertools.product(*within):
             units = sorted(u for s, _ in chosen for u in s)
@@ -169,21 +166,19 @@ def two_stage_outcomes(labels, psu_ids, sizes, n_psus, m, omega=None, n_sub=None
             for _, p_c in chosen:
                 p_within *= p_c
             if omega is not None:
-                followup = FollowUp("unit", omega=omega)
                 pools = {}
                 for u in units:
                     if labels[u] != W:
                         pools.setdefault(psu_ids[u], []).append(u)
                 for flags, p_f in enum_unit_flags(list(pools.values()), omega):
-                    yield assemble(units, d, psu_ids, labels, flags, followup,
-                                   psu_pi=psu_pi), p_within * p_f
+                    yield assemble(units, d, psu_ids, labels, flags, omega,
+                                   psus=psus), p_within * p_f
             else:
-                followup = FollowUp("psu", n_sub_psus=n_sub)
                 for sub, p_sub in enum_subsets(sorted(psu_set), n_sub):
                     flags = frozenset(u for u in units
                                       if labels[u] != W and psu_ids[u] in sub)
-                    yield assemble(units, d, psu_ids, labels, flags, followup,
-                                   psu_pi=psu_pi, psu_subsample=sub), p_within * p_sub
+                    yield assemble(units, d, psu_ids, labels, flags, n_sub / len(psus),
+                                   psus=psus, psu_subsample=sub), p_within * p_sub
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ from mmsim.estimators import (
     web_only,
     weighted_total,
 )
-from mmsim.sampling import FollowUp
-
 from conftest import random_case, toy_sample
 
 
@@ -98,8 +96,7 @@ def test_t2_subsampled_hand_case():
     # (omega=0.4), 1 responds ftf with y=2
     sample = toy_sample(
         d=np.ones(6), delta_w=[1, 0, 0, 0, 0, 0], delta_f=[0, 1, 0, 0, 0, 0],
-        elig=[False, True, True, False, False, False],
-        followup=FollowUp("unit", omega=0.4),
+        elig=[False, True, True, False, False, False], ftf_rate=0.4,
     )
     y = np.array([[5.0], [2.0], [1.0], [1.0], [1.0], [1.0]])
     res = followup_adjustment(sample_stats(sample, y))
@@ -112,8 +109,7 @@ def test_t2_alt_symmetric_psus_matches_design_rate():
     # 4 PSUs with identical weighted nonrespondents, 2 subsampled
     sample = toy_sample(
         d=np.ones(8), delta_w=[1, 0] * 4, delta_f=[0, 1, 0, 1, 0, 0, 0, 0],
-        psu_ids=[0, 0, 1, 1, 2, 2, 3, 3],
-        followup=FollowUp("psu", n_sub_psus=2), psu_subsample={0, 1},
+        psu_ids=[0, 0, 1, 1, 2, 2, 3, 3], psu_subsample={0, 1},
     )
     y = np.arange(1.0, 9.0).reshape(-1, 1)
     design = followup_adjustment(sample_stats(sample, y), expansion="design")
@@ -128,8 +124,7 @@ def test_t2_alt_realized_expansion_value():
     delta_w = np.zeros(20, dtype=int)
     delta_f = np.array([1] * 10 + [0] * 10)
     sample = toy_sample(d=d, delta_w=delta_w, delta_f=delta_f,
-                        psu_ids=[0] * 10 + [1] * 10,
-                        followup=FollowUp("psu", n_sub_psus=1), psu_subsample={0})
+                        psu_ids=[0] * 10 + [1] * 10, psu_subsample={0})
     res = followup_adjustment(sample_stats(sample, np.ones((20, 1))), expansion="realized")
     assert res.components["carry"] == pytest.approx(100.0)
     assert res.components["carry"] / 40.0 == pytest.approx(2.5)  # omega_s^-1
@@ -138,8 +133,7 @@ def test_t2_alt_realized_expansion_value():
 def test_t2_alt_with_all_psus_subsampled_uses_unit_expansion():
     sample = toy_sample(
         d=np.ones(4), delta_w=[1, 0, 1, 0], delta_f=[0, 1, 0, 1],
-        psu_ids=[0, 0, 1, 1],
-        followup=FollowUp("psu", n_sub_psus=2), psu_subsample={0, 1},
+        psu_ids=[0, 0, 1, 1], psu_subsample={0, 1},
     )
     y = np.array([[1.0], [2.0], [3.0], [4.0]])
     design = followup_adjustment(sample_stats(sample, y), expansion="design")
@@ -150,8 +144,7 @@ def test_t2_alt_with_all_psus_subsampled_uses_unit_expansion():
 
 def test_t2_degenerate_without_eligible_nonrespondents():
     sample = toy_sample(d=np.ones(3), delta_w=[1, 0, 0],
-                        elig=[False, False, False],
-                        followup=FollowUp("unit", omega=0.5))
+                        elig=[False, False, False], ftf_rate=0.5)
     with pytest.raises(DegenerateEstimate):
         followup_adjustment(sample_stats(sample, np.ones((3, 1))))
 
@@ -167,16 +160,16 @@ def test_t2_degenerate_without_ftf_respondents():
 # ---------------------------------------------------------------------------
 
 def test_ta_full_response_is_ht():
-    sample = toy_sample(d=[2.0] * 3, delta_w=[1, 1, 1], design="unclustered",
-                        followup=FollowUp("none"), elig=np.zeros(3, dtype=bool))
+    sample = toy_sample(d=[2.0] * 3, delta_w=[1, 1, 1], clustered=False,
+                        ftf_rate=None, elig=np.zeros(3, dtype=bool))
     y = np.array([[1.0], [2.0], [3.0]])
     res = web_only(sample_stats(sample, y))
     assert res.total[0] == pytest.approx(12.0)
 
 
 def test_ta_hand_case():
-    sample = toy_sample(d=[2.0] * 5, delta_w=[1, 0, 0, 0, 1], design="unclustered",
-                        followup=FollowUp("none"), elig=np.zeros(5, dtype=bool))
+    sample = toy_sample(d=[2.0] * 5, delta_w=[1, 0, 0, 0, 1], clustered=False,
+                        ftf_rate=None, elig=np.zeros(5, dtype=bool))
     y = np.array([[1.0], [1.0], [2.0], [2.0], [4.0]])
     res = web_only(sample_stats(sample, y))
     assert res.total[0] == pytest.approx(25.0)  # 10 * (5/2)
@@ -196,8 +189,8 @@ def test_tb1_matches_t1_with_full_followup():
 # ---------------------------------------------------------------------------
 
 def _hybrid_pair():
-    sample_a = toy_sample(d=[2.0] * 5, delta_w=[1, 0, 0, 0, 1], design="unclustered",
-                          followup=FollowUp("none"), elig=np.zeros(5, dtype=bool), tag="A")
+    sample_a = toy_sample(d=[2.0] * 5, delta_w=[1, 0, 0, 0, 1], clustered=False,
+                          ftf_rate=None, elig=np.zeros(5, dtype=bool), tag="A")
     y_a = np.array([[1.0], [1.0], [2.0], [2.0], [4.0]])
     sample_b, y_b = four_unit_sample()
     sample_b = type(sample_b)(**{**sample_b.__dict__, "tag": "B"})
@@ -262,7 +255,7 @@ def test_tdf2_degenerate_when_carrying_without_ftf():
 
 def _respondent_samples(n_a, n_b, n_psus):
     a = toy_sample(d=np.ones(n_a), delta_w=np.ones(n_a, dtype=int),
-                   design="unclustered", followup=FollowUp("none"),
+                   clustered=False, ftf_rate=None,
                    elig=np.zeros(n_a, dtype=bool), tag="A")
     b = toy_sample(d=np.ones(n_b), delta_w=np.ones(n_b, dtype=int),
                    psu_ids=np.arange(n_b) % n_psus, tag="B")
@@ -284,7 +277,7 @@ def test_factor_proportional_to_counts():
 def test_factor_fixed_mode():
     a, b = _respondent_samples(10, 10, 2)
     fac = compute_factors(a, b, icc=0.5, fixed=0.2)
-    assert fac.kappa == 0.2 and fac.lam == 0.2 and fac.mode == "fixed"
+    assert fac.kappa == 0.2 and fac.lam == 0.2
 
 
 def test_factor_effective_size_deflates_clustered_sample():
@@ -316,7 +309,7 @@ def test_weight_equation_bracket_duality(seed):
     outcomes = {"S": y}
     _check_dual(uniform_adjustment(sample_stats(sample, y)), outcomes)
     _check_dual(followup_adjustment(sample_stats(sample, y)), outcomes)
-    if sample.followup.kind == "psu":
+    if sample.psu_subsample is not None:
         _check_dual(followup_adjustment(sample_stats(sample, y), expansion="realized"), outcomes)
     ones = np.ones((sample.n_units, 1))
     for res in (uniform_adjustment(sample_stats(sample, ones)),
@@ -330,13 +323,13 @@ def test_hybrid_duality(seed, kappa):
     rng = np.random.default_rng(seed)
     sample_b, y_b = random_case(rng)
     sample_b = type(sample_b)(**{**sample_b.__dict__, "tag": "B",
-                                 "followup": FollowUp("all"),
+                                 "ftf_rate": 1.0, "psu_subsample": None,
                                  "in_ftf_subsample": sample_b.delta_w == 0})
     n_a = int(rng.integers(5, 30))
     delta_w = (rng.random(n_a) < 0.6).astype(np.uint8)
     delta_w[0] = 1
     sample_a = toy_sample(d=rng.uniform(1, 5, n_a), delta_w=delta_w,
-                          design="unclustered", followup=FollowUp("none"),
+                          clustered=False, ftf_rate=None,
                           elig=np.zeros(n_a, dtype=bool), tag="A")
     y_a = rng.normal(2.0, 1.0, size=(n_a, 2))
     outcomes = {"A": y_a, "B": y_b}
@@ -349,19 +342,6 @@ def test_hybrid_duality(seed, kappa):
     _check_dual(web_composite(sample_stats(sample_a, y_a), sample_stats(sample_b, y_b), kappa), outcomes)
     res1 = web_composite(sample_stats(sample_a, np.ones((n_a, 1))), sample_stats(sample_b, np.ones((sample_b.n_units, 1))), kappa)
     assert res1.total[0] == pytest.approx(res1.n_hat, rel=1e-12)
-
-
-def test_weight_audit_export(tmp_path):
-    from mmsim.estimators import export_weights_csv
-
-    sample, y = four_unit_sample()
-    res = followup_adjustment(sample_stats(sample, y))
-    path = tmp_path / "weights.csv"
-    export_weights_csv(res, {"S": np.arange(10, 14)}, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "id,estimator,weight"
-    assert lines[1] == "10,T2,1.0"   # web respondent keeps its design weight
-    assert lines[2] == "12,T2,3.0"   # ftf respondent carries the adjustment
 
 
 def test_reduction_identity_t1_equals_t2_under_full_response():

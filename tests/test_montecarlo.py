@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,16 +51,31 @@ def test_same_seed_and_index_reproduce_bitwise(small_synthetic):
         np.testing.assert_array_equal(a.cells[label].covered, b.cells[label].covered)
 
 
+# every design kind, with every estimator it allows
+PARALLEL_CASES = (
+    (DesignSpec(kind="hybrid", n_unclustered=300, n_psus=12, m_per_psu=30),
+     ("T1", "T2", "TA", "TDF1", "TDF2")),
+    (DesignSpec(kind="two_phase_unit", n_psus=12, m_per_psu=30, omega=0.4), ("T1", "T2")),
+    (DesignSpec(kind="two_phase_psu", n_psus=12, m_per_psu=30, n_sub_psus=4),
+     ("T1", "T2", "T2_AltOmega")),
+)
+
+
 def test_parallel_and_serial_runs_agree(small_synthetic):
-    scen = mini_hybrid(iterations=16)
-    serial = run_scenario(small_synthetic, scen, jobs=1)
-    parallel = run_scenario(small_synthetic, scen, jobs=3)
-    for a, b in zip(serial, parallel):
-        assert a.iteration == b.iteration
-        for label in a.cells:
-            np.testing.assert_array_equal(a.cells[label].point, b.cells[label].point)
-            np.testing.assert_array_equal(a.cells[label].variance,
-                                          b.cells[label].variance)
+    for design, estimators in PARALLEL_CASES:
+        scen = replace(mini_hybrid(iterations=16, estimators=map(EstimatorSpec, estimators)),
+                       design=design)
+        serial = run_scenario(small_synthetic, scen, jobs=1)
+        parallel = run_scenario(small_synthetic, scen, jobs=3)
+        assert [r.iteration for r in serial] == [r.iteration for r in parallel] == list(range(16))
+        for a, b in zip(serial, parallel):
+            assert list(a.cells) == list(b.cells) == list(estimators)
+            for label in a.cells:
+                x, y = a.cells[label], b.cells[label]
+                for field in ("point", "variance", "covered"):
+                    np.testing.assert_array_equal(getattr(x, field), getattr(y, field),
+                                                  err_msg=f"{design.kind} {label} {field}")
+                assert (x.degenerate, x.reason) == (y.degenerate, y.reason)
 
 
 def test_adding_estimators_does_not_perturb_draws(small_synthetic):

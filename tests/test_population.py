@@ -29,12 +29,10 @@ from mmsim.population import (
     VariableSpec,
     attach_propensities,
     build_pseudopopulation,
-    default_schema,
     draw_stochastic_labels,
     estimate_icc,
     generate_synthetic,
     load_microdata,
-    summarize,
     write_population_csv,
 )
 
@@ -135,7 +133,7 @@ def test_roundtrip_is_lossless(tmp_path):
     )
     path = tmp_path / "roundtrip.csv"
     write_population_csv(pop, path)
-    back = load_microdata(path, default_schema(pop.variable_names, with_label=True))
+    back = load_microdata(path, MicrodataSchema(variables=pop.variable_names, label="label"))
     np.testing.assert_array_equal(back.ids, pop.ids)
     np.testing.assert_array_equal(back.psu_ids, pop.psu_ids)
     np.testing.assert_array_equal(back.modes, pop.modes)
@@ -205,7 +203,7 @@ def test_reader_matches_oracle_on_random_numbers(tmp_path_factory, ids, values, 
                      f"{MODE_NAMES[i % 3].lower()},{LABEL_NAMES[i % 3]}")
     path = tmp_path_factory.mktemp("oracle") / "pop.csv"
     path.write_text("\n".join(lines) + "\n")
-    _assert_matches_oracle(path, default_schema(("v1",), with_label=True))
+    _assert_matches_oracle(path, MicrodataSchema(variables=("v1",), label="label"))
 
 
 def test_hash_is_data_not_a_comment(tmp_path):
@@ -239,7 +237,7 @@ def test_overlong_mode_or_label_is_rejected_not_truncated(tmp_path, column, valu
     text = f"id,psu,mode,v1,label\n1,1,WEB,0.5,W\n2,1,{row['mode']},1.0,{row['label']}\n"
     with pytest.raises(ParseError, match=rf"^pop\.csv(:3| \(data row 2\)): unknown value "
                                          rf".* '{column}'"):
-        load_microdata(_write(tmp_path, text), default_schema(("v1",), with_label=True))
+        load_microdata(_write(tmp_path, text), MicrodataSchema(variables=("v1",), label="label"))
 
 
 @pytest.mark.parametrize("column,bad", [
@@ -258,7 +256,7 @@ def test_bad_value_names_line_and_column(tmp_path, column, bad):
             f"{bad_row},\n"
             "10,3,WEB,1.0,W,\n")
     with pytest.raises(ParseError, match=rf"^pop\.csv:6: .*'{column}'"):
-        load_microdata(_write(tmp_path, text), default_schema(("v1",), with_label=True))
+        load_microdata(_write(tmp_path, text), MicrodataSchema(variables=("v1",), label="label"))
 
 
 def test_short_row_names_line_and_missing_column(tmp_path):
@@ -533,61 +531,3 @@ def test_invalid_propensities_rejected():
         attach_propensities(pop, {"WEB": (0.0, 0.0), "MAIL": (0.5, 0.2), "FTF": (0.5, 0.2)})
     with pytest.raises(IntegrityError):
         draw_stochastic_labels(pop, np.random.default_rng(0))
-
-
-# ---------------------------------------------------------------------------
-# Summaries
-# ---------------------------------------------------------------------------
-
-def test_summary_full_response_identity():
-    rng = np.random.default_rng(7)
-    labels = rng.integers(0, 2, 500)  # web or ftf only
-    pop = make_population(rng.normal(size=(500, 2)), np.zeros(500), labels=labels)
-    s = summarize(pop)
-    np.testing.assert_allclose(
-        s.total,
-        s.n_households * (s.gamma_w * s.mean_w + s.gamma_f * s.mean_f),
-        rtol=1e-9,
-    )
-
-
-def test_summary_all_web_unit_outcome():
-    pop = make_population(np.ones(40), np.zeros(40), labels=np.zeros(40, dtype=int))
-    s = summarize(pop)
-    assert s.gamma_w == 1.0 and s.gamma_f == 0.0
-    assert s.total[0] == pytest.approx(40.0)
-
-
-def test_summary_hand_computed():
-    y = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    labels = [LABEL_WEB, LABEL_WEB, LABEL_FTF, LABEL_FTF, LABEL_NONE, LABEL_NONE]
-    s = summarize(make_population(y, [0] * 6, labels=labels))
-    assert s.total[0] == pytest.approx(21.0)
-    assert s.mean_w[0] == pytest.approx(1.5)
-    assert s.mean_f[0] == pytest.approx(3.5)
-    assert s.mean_n[0] == pytest.approx(5.5)
-    assert s.gamma_w == pytest.approx(2 / 6) and s.gamma_f == pytest.approx(2 / 6)
-
-
-def test_summary_requires_labels():
-    pop = make_population([1.0], [0], modes=[0])
-    with pytest.raises(IntegrityError):
-        summarize(pop)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    labels=st.lists(st.integers(0, 2), min_size=3, max_size=60),
-    seed=st.integers(0, 2**16),
-)
-def test_population_identity_property(labels, seed):
-    # total == N * [gw*mw + gf*mf + (1-gw-gf)*mn] with empty-category terms dropped
-    rng = np.random.default_rng(seed)
-    y = rng.normal(size=(len(labels), 2))
-    s = summarize(make_population(y, np.zeros(len(labels)), labels=labels))
-    parts = np.zeros(2)
-    for share, mean in ((s.gamma_w, s.mean_w), (s.gamma_f, s.mean_f),
-                        (1 - s.gamma_w - s.gamma_f, s.mean_n)):
-        if not np.isnan(mean).any():
-            parts = parts + share * mean
-    np.testing.assert_allclose(s.total, s.n_households * parts, rtol=1e-9, atol=1e-9)

@@ -259,7 +259,7 @@ def test_on_demand_rates_equal_response_rates(seed):
     stats = est.sample_stats(sample, y)
     results = [est.uniform_adjustment(stats), est.followup_adjustment(stats),
                est.web_only(stats)]
-    if sample.followup.kind == "psu":
+    if sample.psu_subsample is not None:
         results.append(est.followup_adjustment(stats, expansion="realized"))
     for res in results:
         assert res.rates == want, res.estimator

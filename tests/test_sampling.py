@@ -11,7 +11,6 @@ from mmsim.errors import ValidationError
 from mmsim.population import _derive
 from mmsim.sampling import (
     DrawnSample,
-    FollowUp,
     followup_all_units,
     pps_select_psus,
     srswor,
@@ -23,16 +22,14 @@ from mmsim.sampling import (
 from conftest import make_population
 
 
-def make_drawn(n, psu_ids=None, delta_w=None, design="unclustered", psu_pi=None, d=None):
+def make_drawn(n, psu_ids=None, delta_w=None, psus=None, d=None):
     psu_ids = np.zeros(n, dtype=np.int64) if psu_ids is None else np.asarray(psu_ids)
     sample = DrawnSample(
         tag="S",
-        design=design,
         unit_idx=np.arange(n),
         d=np.ones(n) if d is None else np.asarray(d, dtype=float),
         psu_ids=psu_ids,
-        followup=FollowUp("none"),
-        psu_pi=psu_pi,
+        psus=None if psus is None else np.asarray(psus, dtype=np.int64),
     )
     if delta_w is not None:
         object.__setattr__(sample, "delta_w", np.asarray(delta_w, dtype=np.uint8))
@@ -139,7 +136,7 @@ def test_two_stage_equal_takes_and_self_weighting(small_synthetic):
     assert (counts == 50).all()
     f = 50 * 50 / pop.n_households
     np.testing.assert_allclose(s.d * f, 1.0, rtol=1e-12)  # zero weight spread
-    assert len(s.psu_pi) == 50
+    assert len(s.psus) == 50
 
 
 def test_two_stage_rejects_small_psu():
@@ -150,18 +147,31 @@ def test_two_stage_rejects_small_psu():
 
 def test_two_stage_units_belong_to_selected_psus(small_synthetic):
     s = two_stage_select(small_synthetic, 20, 60, np.random.default_rng(10))
-    assert set(np.unique(s.psu_ids)) <= set(s.psu_pi)
+    assert set(np.unique(s.psu_ids)) <= set(s.psus.tolist())
 
 
-@pytest.mark.parametrize("psu_pi, missing", [
-    ({4: 0.5, 8: 0.5}, [1, 2, 9, 12, 30]),  # six outside, the five smallest named
-    ({}, [1, 2, 4, 8, 9]),
+@pytest.mark.parametrize("psus, missing", [
+    ([4, 8], [1, 2, 9, 12, 30]),  # six outside, the five smallest named
+    ([], [1, 2, 4, 8, 9]),
 ])
-def test_units_from_unsampled_psus_are_rejected(psu_pi, missing):
+def test_units_from_unsampled_psus_are_rejected(psus, missing):
     psu_ids = [9, 4, 12, 4, 30, 2, 8, 1, 50, 9]
     with pytest.raises(ValidationError, match="^" + re.escape(
             f"units from PSUs outside the PSU sample: {missing}") + "$"):
-        make_drawn(len(psu_ids), psu_ids=psu_ids, design="two_stage", psu_pi=psu_pi)
+        make_drawn(len(psu_ids), psu_ids=psu_ids, psus=psus)
+
+
+@pytest.mark.parametrize("psus, ftf_rate, message", [
+    ([8, 4], None, "sampled PSU ids must be strictly ascending"),
+    ([4, 4, 8], None, "sampled PSU ids must be strictly ascending"),
+    ([4, 8], 0.0, "follow-up rate 0.0 outside (0, 1]"),
+    (None, 1.5, "follow-up rate 1.5 outside (0, 1]"),
+])
+def test_malformed_design_facts_are_rejected(psus, ftf_rate, message):
+    psu_ids = np.array([4, 8, 8, 4])
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        DrawnSample(tag="S", unit_idx=np.arange(4), d=np.ones(4), psu_ids=psu_ids,
+                    psus=None if psus is None else np.asarray(psus), ftf_rate=ftf_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +182,7 @@ def _two_stage_reference(pop, n_psus, m_per_psu, rng):
     """Per-PSU definition of the two-stage take: PSU members gathered one
     PSU at a time, uniform keys ordered within PSUs by ``np.lexsort``."""
     psus, sizes, _ = pop.psu_frame()
-    sel, pi_sel = pps_select_psus(sizes, n_psus, rng)
+    sel, _ = pps_select_psus(sizes, n_psus, rng)
     f = n_psus * m_per_psu / pop.n_households
     sel_sizes = sizes[sel]
     members = np.concatenate([np.flatnonzero(pop.psu_ids == psus[c]) for c in sel])
@@ -184,9 +194,8 @@ def _two_stage_reference(pop, n_psus, m_per_psu, rng):
     chosen = members[order[rank < m_per_psu]]
     chosen.sort()
     return DrawnSample(
-        tag="S", design="two_stage", unit_idx=chosen, d=np.full(len(chosen), 1.0 / f),
-        psu_ids=pop.psu_ids[chosen], followup=FollowUp("none"),
-        psu_pi={int(psus[c]): float(p) for c, p in zip(sel, pi_sel)},
+        tag="S", unit_idx=chosen, d=np.full(len(chosen), 1.0 / f),
+        psu_ids=pop.psu_ids[chosen], psus=np.asarray(sorted(psus[sel].tolist())),
     )
 
 
@@ -214,16 +223,16 @@ def _unit_followup_reference(sample, omega, rng):
         perm = rng.permutation(len(pool))
         take = _systematic_take(len(pool), omega, rng)
         flags[pool[perm[take]]] = True
-    return _derive(sample, in_ftf_subsample=flags, followup=FollowUp("unit", omega=omega))
+    return _derive(sample, in_ftf_subsample=flags, ftf_rate=omega)
 
 
 def _assert_same_sample(got, want):
     for field in ("unit_idx", "d", "psu_ids"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
-    assert list(got.psu_pi.items()) == list(want.psu_pi.items())
+    assert got.psus.dtype == want.psus.dtype and got.psus.tobytes() == want.psus.tobytes()
     assert got.flags().tobytes() == want.flags().tobytes()
-    assert got.followup == want.followup
+    assert got.ftf_rate == want.ftf_rate
 
 
 @st.composite
@@ -307,7 +316,7 @@ def test_unit_followup_start_on_the_last_position(u):
     # omega 0.5 and u 0.5 start at 1.0, exactly the single nonrespondent of
     # PSU 4; omega 0.25 and u 0.75 also start at 1.0 (PSU 4's list of one)
     s = make_drawn(9, psu_ids=[6, 4, 6, 2, 2, 2, 6, 4, 6], delta_w=[0, 0, 0, 0, 0, 0, 1, 1, 0],
-                   design="two_stage", psu_pi={2: 0.1, 4: 0.1, 6: 0.1})
+                   psus=[2, 4, 6])
     for omega in (0.5, 0.25):
         got = subsample_nonrespondents_units(s, omega, _Rigged(1, u))
         want = _unit_followup_reference(s, omega, _Rigged(1, u))
@@ -322,7 +331,7 @@ def test_omega_one_flags_all_nonrespondents():
     s = make_drawn(10, delta_w=[1, 0, 0, 1, 0, 1, 0, 0, 0, 1])
     out = subsample_nonrespondents_units(s, 1.0, np.random.default_rng(11))
     np.testing.assert_array_equal(out.flags(), np.asarray(s.delta_w) == 0)
-    assert out.followup == FollowUp("unit", omega=1.0)
+    assert out.ftf_rate == 1.0
 
 
 def test_half_rate_on_105_nonrespondents_takes_52_or_53():
@@ -368,9 +377,8 @@ def test_unit_subsample_flags_each_nonrespondent_at_rate_omega():
 def _clustered_sample(n_psus=4, per_psu=5, resp_every=2):
     n = n_psus * per_psu
     delta_w = (np.arange(n) % resp_every == 0).astype(int)
-    pi = {p: 0.5 for p in range(n_psus)}
     return make_drawn(n, psu_ids=np.repeat(np.arange(n_psus), per_psu),
-                      delta_w=delta_w, design="two_stage", psu_pi=pi)
+                      delta_w=delta_w, psus=np.arange(n_psus))
 
 
 def test_full_psu_subsample_equals_all_units_followup():
@@ -379,13 +387,13 @@ def test_full_psu_subsample_equals_all_units_followup():
     everything = subsample_psus(s, 4, rng)
     all_units = followup_all_units(s)
     np.testing.assert_array_equal(everything.flags(), all_units.flags())
-    assert everything.ftf_rate() == pytest.approx(1.0)
+    assert everything.ftf_rate == pytest.approx(1.0)
 
 
 def test_psu_rate_is_count_over_sampled():
     s = _clustered_sample(n_psus=7)
     out = subsample_psus(s, 2, np.random.default_rng(16))
-    assert out.ftf_rate() == pytest.approx(2 / 7)
+    assert out.ftf_rate == pytest.approx(2 / 7)
     # 700 PSUs subsampled to 200 gives the 3.5 expansion
     assert 1.0 / (200 / 700) == pytest.approx(3.5)
 
@@ -415,21 +423,3 @@ def test_psu_subsample_rejects_overdraw():
     s = _clustered_sample(n_psus=3)
     with pytest.raises(ValidationError):
         subsample_psus(s, 4, np.random.default_rng(19))
-
-
-def test_sample_audit_export(tmp_path):
-    from mmsim.sampling import export_sample_csv
-
-    pop = make_population(np.arange(6.0), np.repeat([3, 4], 3))
-    s = srswor(pop, 4, np.random.default_rng(21))
-    s = subsample_nonrespondents_units(
-        type(s)(**{**s.__dict__,
-                   "delta_w": np.array([1, 0, 0, 1], dtype=np.uint8),
-                   "delta_f": np.zeros(4, dtype=np.uint8)}),
-        1.0, np.random.default_rng(22))
-    path = tmp_path / "sample.csv"
-    export_sample_csv(s, pop, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "id,psu,d,in_ftf_subsample,delta_w,delta_f"
-    assert len(lines) == 5
-    assert all(line.split(",")[2] == "1.5" for line in lines[1:])

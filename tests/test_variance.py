@@ -12,12 +12,10 @@ from mmsim.estimators import (
     uniform_adjustment,
     web_only,
 )
-from mmsim.sampling import FollowUp
 from mmsim.variance import (
     build_variance_units,
     confidence_interval,
     taylor_variance,
-    z_quantile,
 )
 
 from conftest import random_case, toy_sample
@@ -40,7 +38,7 @@ def test_hybrid_variance_is_weighted_sum_of_components():
     sample_b = type(sample_b)(**{**sample_b.__dict__, "tag": "B"})
     n_a = 12
     sample_a = toy_sample(d=np.full(n_a, 2.0), delta_w=(rng.random(n_a) < 0.6).astype(int),
-                          design="unclustered", followup=FollowUp("none"),
+                          clustered=False, ftf_rate=None,
                           elig=np.zeros(n_a, dtype=bool), tag="A")
     y_a = rng.normal(size=(n_a, 2))
     ta = web_only(sample_stats(sample_a, y_a))
@@ -78,8 +76,7 @@ def _psu_sampled(n_psus, n_sub, seed=0):
     inside = np.isin(psu_ids, sorted(sub))
     return toy_sample(d=np.ones(n), delta_w=delta_w,
                       delta_f=(inside & (delta_w == 0)).astype(int),
-                      psu_ids=psu_ids, followup=FollowUp("psu", n_sub_psus=n_sub),
-                      psu_subsample=sub)
+                      psu_ids=psu_ids, psu_subsample=sub)
 
 
 def test_half_subsample_pairs_psus():
@@ -87,11 +84,10 @@ def test_half_subsample_pairs_psus():
     plan = build_variance_units(sample, np.random.default_rng(1))
     assert len(plan.groups) == 50
     assert all(len(g) == 2 for g in plan.groups)
-    assert plan.subsample_balance == 1
     for group in plan.groups:
         assert sum(p in sample.psu_subsample for p in group) == 1
     covered = sorted(p for g in plan.groups for p in g)
-    assert covered == sorted(int(p) for p in sample.sampled_psus())
+    assert covered == sample.psus.tolist()
 
 
 def test_third_subsample_groups_of_three():
@@ -106,7 +102,7 @@ def test_third_subsample_groups_of_three():
 def test_indivisible_counts_rejected():
     with pytest.raises(ValidationError, match="at least 2"):
         build_variance_units(_psu_sampled(3, 1), np.random.default_rng(3))
-    with pytest.raises(ValidationError, match="multiple of 20"):
+    with pytest.raises(ValidationError, match="^3 of 10 PSUs followed up form gcd = 1 "):
         build_variance_units(_psu_sampled(10, 3), np.random.default_rng(3))
 
 
@@ -153,11 +149,3 @@ def test_boundary_truth_is_covered():
 def test_negative_variance_rejected():
     with pytest.raises(ValidationError):
         confidence_interval(1.0, -1e-9)
-
-
-def test_z_quantile_levels():
-    assert z_quantile(0.95) == 1.96
-    assert z_quantile(0.9) == pytest.approx(1.6449, abs=1e-4)
-    with pytest.raises(ValidationError):
-        z_quantile(1.5)
-

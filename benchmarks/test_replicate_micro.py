@@ -9,6 +9,9 @@ unclustered households (A) and 50 PSUs of 50 households (B).  Estimators
 are timed on statistics that earlier calls have already used, as every
 estimator after the first one of a replicate sees them.
 
+The set-up cases build that population, and index it by PSU on a fresh
+copy each round (the frame is kept once built).
+
 The stochastic-label cases run on a population the size of the
 microdata-stochastic workload (240k households) and label 5000 sampled
 rows, once classified only there and once through a whole-population
@@ -31,11 +34,13 @@ from mmsim.population import (
 )
 
 
+B1A = load_config(preset_path("b1a-synthetic"))
+
+
 @pytest.fixture(scope="module")
 def b1a():
-    cfg = load_config(preset_path("b1a-synthetic"))
-    scenario = cfg.scenario
-    pop = mc.prepare_population(generate_synthetic(cfg.population.synthetic), scenario)
+    scenario = B1A.scenario
+    pop = mc.prepare_population(generate_synthetic(B1A.population.synthetic), scenario)
     samples, _ = mc.draw_samples(scenario, pop, 0)
     stats = {tag: est.sample_stats(s, np.take(pop.y, s.unit_idx, axis=0))
              for tag, s in samples.items()}
@@ -94,6 +99,22 @@ def test_two_stage_select(benchmark, b1a):
     design = scenario.design
     s = benchmark(sampling.two_stage_select, pop, design.n_psus, design.m_per_psu, rng)
     assert s.n_units == design.n_psus * design.m_per_psu
+
+
+def test_generate_synthetic(benchmark):
+    pop = benchmark(generate_synthetic, B1A.population.synthetic)
+    assert pop.n_households == 959_383
+
+
+def test_psu_frame(benchmark, b1a):
+    pop = b1a[1]
+
+    def fresh():
+        return (Population(ids=pop.ids, psu_ids=pop.psu_ids, y=pop.y, modes=pop.modes,
+                           labels=None, variable_names=pop.variable_names),), {}
+
+    psus, sizes = benchmark.pedantic(Population.psu_frame, setup=fresh, rounds=10)
+    assert len(psus) == 8000 and sizes.sum() == pop.n_households
 
 
 @pytest.fixture(scope="module")

@@ -49,9 +49,9 @@ def _build_population(cfg: RunConfig) -> Population:
     return pop
 
 
-def _icc_or_none(values: np.ndarray, groups: np.ndarray) -> float | None:
+def _icc_or_none(values: np.ndarray, codes: np.ndarray) -> float | None:
     try:
-        return estimate_icc(values, groups)
+        return estimate_icc(values, codes)
     except ValidationError:  # fewer than 2 PSUs, or no more households than PSUs
         return None
 
@@ -64,8 +64,8 @@ def _population_report(pop: Population) -> dict:
                for j, v in enumerate(pop.variable_names)}
         for name, mask in zip(MODE_NAMES, in_mode)
     }
-    icc = {v: _icc_or_none(pop.y[:, j], pop.psu_ids)
-           for j, v in enumerate(pop.variable_names)}
+    codes = pop.psu_codes()
+    icc = {v: _icc_or_none(pop.y[:, j], codes) for j, v in enumerate(pop.variable_names)}
     return {"n_households": pop.n_households,
             "n_psus": len(pop.psu_frame()[0]),
             "mode_shares": shares, "mode_means": means, "icc_estimates": icc}

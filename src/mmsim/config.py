@@ -58,12 +58,15 @@ def _get(node: dict, key: str, types, path: str, required: bool = False, default
         if required:
             raise ConfigError(f"{path}: missing required field {key!r}")
         return default
-    value = node[key]
+    return _typed(node[key], types, f"{path}.{key}")
+
+
+def _typed(value, types, where: str):
     if types is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     # bool is a subclass of int, but YAML's true/false is never a number
     if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-        raise ConfigError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
+        raise ConfigError(f"{where}: expected {types}, got {type(value).__name__}")
     return value
 
 
@@ -150,7 +153,10 @@ def _parse_population(node: dict) -> PopulationConfig:
             pair = _get(p, mode, list, pp, required=True)
             if len(pair) != 2:
                 raise ConfigError(f"{pp}.{mode}: expected [phi_w, phi_f]")
-            propensities[mode] = (float(pair[0]), float(pair[1]))
+            phi = tuple(_typed(x, float, f"{pp}.{mode}[{i}]") for i, x in enumerate(pair))
+            if not all(0.0 <= x <= 1.0 for x in phi):  # NaN fails both comparisons
+                raise ConfigError(f"{pp}.{mode}: propensities must lie in [0, 1], got {list(phi)}")
+            propensities[mode] = phi
     return PopulationConfig(path=csv_path, schema=schema, synthetic=synthetic,
                             propensities=propensities)
 

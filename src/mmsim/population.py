@@ -35,6 +35,9 @@ RULES = ("A", "B", "C", "D")
 
 _SQRT3 = math.sqrt(3.0)
 
+# Households per chunk when a population is generated or written out.
+_CHUNK_ROWS = 2**16
+
 
 @dataclass(frozen=True)
 class Population:
@@ -49,6 +52,9 @@ class Population:
     ids are distinct, and propensities are a valid (N, 2) array.  Copies derived
     with ``with_labels`` or ``with_propensities`` check only the field
     they change, since the rest was checked when the source was built.
+    The checks copy nothing population-sized: finiteness is read off
+    ``y.min()`` and ``y.max()``, and ids already in ascending order are
+    distinct without a sort.
     """
 
     ids: np.ndarray
@@ -69,7 +75,7 @@ class Population:
                 f"outcome matrix shape {self.y.shape} does not match "
                 f"{n} households x {len(self.variable_names)} variables"
             )
-        if not np.isfinite(self.y).all():
+        if self.y.size and not np.isfinite([self.y.min(), self.y.max()]).all():
             raise IntegrityError("outcome matrix has non-finite values")
         if len(self.psu_ids) != n:
             raise IntegrityError("psu_ids length mismatch")
@@ -89,23 +95,31 @@ class Population:
     def n_variables(self) -> int:
         return len(self.variable_names)
 
-    def psu_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distinct PSU ids, their household counts, and per-household
-        dense PSU codes (index into the distinct-id array)."""
+    def psu_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct PSU ids, ascending, and their household counts.
+
+        The frame is built once per population and also keeps each PSU's
+        household rows (``psu_members``).  It holds no per-household PSU
+        codes; ``psu_codes`` builds those on demand.
+        """
         if self._psu_index is None:
             by_psu, starts = _group(self.psu_ids)
-            sizes = np.diff(starts)
-            codes = np.empty(self.n_households, dtype=np.intp)
-            codes[by_psu] = np.repeat(np.arange(len(sizes)), sizes)
-            psus = self.psu_ids[by_psu[starts[:-1]]]
             object.__setattr__(
                 self,
                 "_psu_index",
-                {"psus": psus, "sizes": sizes, "codes": codes,
+                {"psus": self.psu_ids[by_psu[starts[:-1]]], "sizes": np.diff(starts),
                  "members": by_psu, "starts": starts},
             )
         ix = self._psu_index
-        return ix["psus"], ix["sizes"], ix["codes"]
+        return ix["psus"], ix["sizes"]
+
+    def psu_codes(self) -> np.ndarray:
+        """Each household's dense PSU code, its PSU's index into
+        ``psu_frame()[0]``; built anew on every call and not kept."""
+        _, sizes = self.psu_frame()
+        codes = np.empty(self.n_households, dtype=np.intp)
+        codes[self._psu_index["members"]] = np.repeat(np.arange(len(sizes)), sizes)
+        return codes
 
     def frame_cache(self, key, build):
         """``build()``, computed once per population and kept with the PSU
@@ -118,7 +132,7 @@ class Population:
     def psu_members(self, psu_codes: np.ndarray) -> np.ndarray:
         """Household row indices of the PSUs with the given dense codes,
         PSU by PSU in the order given, ascending within each PSU."""
-        _, sizes, _ = self.psu_frame()
+        _, sizes = self.psu_frame()
         ix = self._psu_index
         sizes = sizes[psu_codes]
         offsets = np.cumsum(sizes) - sizes
@@ -149,10 +163,15 @@ def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(order, starts)``: group g, the g-th smallest distinct
     value, is ``order[starts[g]:starts[g + 1]]`` with positions ascending
-    (one stable sort); ``starts`` ends with ``len(keys)``.
+    (one stable sort); ``starts`` ends with ``len(keys)``.  Keys that
+    are already non-decreasing skip the sort, whose order would be the
+    identity.
     """
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
+    if (keys[1:] >= keys[:-1]).all():
+        order, ordered = np.arange(len(keys)), keys
+    else:
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
     first = np.ones(len(keys), dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
     return order, np.append(np.flatnonzero(first), len(keys))
@@ -160,7 +179,9 @@ def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _first_duplicate(ids: np.ndarray) -> int | None:
     """Smallest id that occurs more than once, or None; one sort and one
-    adjacent-equal scan."""
+    adjacent-equal scan, unless the ids are strictly ascending."""
+    if (ids[1:] > ids[:-1]).all():
+        return None
     s = np.sort(ids)
     dups = s[1:][s[1:] == s[:-1]]
     return int(dups[0]) if len(dups) else None
@@ -289,13 +310,27 @@ def _response_loading(spec: SyntheticPopSpec) -> float:
     return math.sqrt(spec.icc_response * spec.share_web * (1.0 - spec.share_web))
 
 
+def _chunks(n: int) -> list[slice]:
+    """Consecutive row slices of at most ``_CHUNK_ROWS`` rows covering ``n`` rows."""
+    return [slice(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
+
+
 def generate_synthetic(spec: SyntheticPopSpec) -> Population:
-    """Generate a raw clustered population (modes assigned, labels unset)."""
+    """Generate a raw clustered population (modes assigned, labels unset).
+
+    Households are drawn in row chunks written straight into the
+    preallocated ``modes`` and ``y``, so the build needs the population's
+    own arrays plus one chunk of temporaries.  Each step continues the
+    generator stream chunk by chunk, which reproduces its unchunked draw
+    bit for bit: the population and the generator's final state do not
+    depend on the chunk size.
+    """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     sizes = rng.integers(spec.households_min, spec.households_max + 1, spec.n_psus)
     n = int(sizes.sum())
-    psu_of_hh = np.repeat(np.arange(spec.n_psus), sizes)
+    psu_ids = np.repeat(np.arange(spec.n_psus, dtype=np.int64), sizes)
+    chunks = _chunks(n)
 
     # Mode assignment: the PSU effect shifts the web share; mail and ftf
     # split the remainder in their marginal proportions.
@@ -304,32 +339,38 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
     q_web = np.clip(spec.share_web + b_resp * u_resp, 0.0, 1.0)
     rest = 1.0 - spec.share_web
     q_mail = spec.share_mail * (1.0 - q_web) / rest if rest > 0 else np.zeros_like(q_web)
-    u = rng.random(n)
-    qw = q_web[psu_of_hh]
-    qm = q_mail[psu_of_hh]
-    modes = np.where(u < qw, MODE_WEB, np.where(u < qw + qm, MODE_MAIL, MODE_FTF))
-    modes = modes.astype(np.int8)
+    modes = np.empty(n, dtype=np.int8)
+    for rows in chunks:
+        u = rng.random(rows.stop - rows.start)
+        qw = q_web[psu_ids[rows]]
+        qm = q_mail[psu_ids[rows]]
+        modes[rows] = np.where(u < qw, MODE_WEB, np.where(u < qw + qm, MODE_MAIL, MODE_FTF))
 
     # Outcomes: one shared standardized PSU effect per variable.
     shares = _mode_shares(spec)
     y = np.empty((n, len(spec.variables)))
     for j, v in enumerate(spec.variables):
-        u_y = rng.uniform(-_SQRT3, _SQRT3, spec.n_psus)[psu_of_hh]
-        means = v.mode_means()[modes]
+        u_psu = rng.uniform(-_SQRT3, _SQRT3, spec.n_psus)
+        mode_means = v.mode_means()
         if v.kind == "binary":
-            loads = _binary_loadings(v.mode_means(), shares, spec.icc_outcome)
-            p = np.clip(means + loads[modes] * u_y, 0.0, 1.0)
-            y[:, j] = (rng.random(n) < p).astype(float)
+            loads = _binary_loadings(mode_means, shares, spec.icc_outcome)
         else:
-            v_tot = _total_variance(v.mode_means(), shares,
-                                    np.full(3, v.sd**2))
+            v_tot = _total_variance(mode_means, shares, np.full(3, v.sd**2))
             b = math.sqrt(spec.icc_outcome * v_tot)
             sd_within = math.sqrt(max(v.sd**2 - b**2, 0.0))
-            y[:, j] = means + b * u_y + rng.normal(0.0, sd_within, n)
+        for rows in chunks:
+            m = modes[rows]
+            u_y = u_psu[psu_ids[rows]]
+            means = mode_means[m]
+            if v.kind == "binary":
+                p = np.clip(means + loads[m] * u_y, 0.0, 1.0)
+                y[rows, j] = rng.random(len(m)) < p
+            else:
+                y[rows, j] = means + b * u_y + rng.normal(0.0, sd_within, len(m))
 
     return Population(
         ids=np.arange(n, dtype=np.int64),
-        psu_ids=psu_of_hh.astype(np.int64),
+        psu_ids=psu_ids,
         y=y,
         modes=modes,
         labels=None,
@@ -377,10 +418,9 @@ def _half_split(labels: np.ndarray, idx: np.ndarray, rng: np.random.Generator) -
 def _validate_propensities(phi: np.ndarray, n: int) -> None:
     if phi.shape != (n, 2):
         raise IntegrityError(f"propensity array must be ({n}, 2), got {phi.shape}")
-    pw, pf = phi[:, 0], phi[:, 1]
-    if (pw < 0).any() or (pw > 1).any() or (pf < 0).any() or (pf > 1).any():
+    if not ((phi >= 0) & (phi <= 1)).all():  # NaN fails both comparisons
         raise ValidationError("propensities must lie in [0, 1]")
-    s = pw + pf
+    s = phi[:, 0] + phi[:, 1]
     if (s <= 0).any() or (s > 1 + 1e-12).any():
         raise ValidationError("phi_w + phi_f must lie in (0, 1]")
 
@@ -436,14 +476,17 @@ class StochasticLabels:
         return _classify(self._u[idx], self._pw[idx], self._pf[idx])
 
 
-def estimate_icc(values: np.ndarray, groups: np.ndarray) -> float:
-    """One-way ANOVA (method of moments) intraclass correlation."""
-    gids, codes = np.unique(groups, return_inverse=True)
-    k = len(gids)
+def estimate_icc(values: np.ndarray, codes: np.ndarray) -> float:
+    """One-way ANOVA (method of moments) intraclass correlation of
+    ``values`` grouped by dense group codes 0..k-1, such as
+    ``Population.psu_codes()``."""
+    sizes = np.bincount(codes)
+    k = len(sizes)
     n = len(values)
+    if not sizes.all():
+        raise ValidationError("group codes must be dense: a code below the largest is unused")
     if k < 2 or n <= k:
         raise ValidationError("need at least 2 groups and more units than groups")
-    sizes = np.bincount(codes)
     sums = np.bincount(codes, weights=values)
     grand = values.sum() / n
     ss_between = float((sums**2 / sizes).sum() - n * grand**2)
@@ -598,17 +641,20 @@ def _undecodable_line(path: Path) -> int:
 
 
 def write_population_csv(pop: Population, path: str | Path) -> None:
-    """Write a population back out in the interchange layout."""
+    """Write a population back out in the interchange layout, one row
+    chunk at a time."""
     header = ["id", "psu", "mode", *pop.variable_names]
-    columns = [map(str, pop.ids.tolist()), map(str, pop.psu_ids.tolist()),
-               ([MODE_NAMES[m] for m in pop.modes.tolist()] if pop.modes is not None
-                else ["WEB"] * pop.n_households),
-               *(map(repr, col) for col in pop.y.T.tolist())]
     if pop.labels is not None:
         header.append("label")
-        columns.append([LABEL_NAMES[c] for c in pop.labels.tolist()])
     with Path(path).open("w", newline="") as fh:
         # Only the header can hold a comma or quote, so only it goes through csv.
         csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        for rows in _chunks(pop.n_households):
+            columns = [map(str, pop.ids[rows].tolist()), map(str, pop.psu_ids[rows].tolist()),
+                       ([MODE_NAMES[m] for m in pop.modes[rows].tolist()]
+                        if pop.modes is not None else ["WEB"] * (rows.stop - rows.start)),
+                       *(map(repr, col) for col in pop.y[rows].T.tolist())]
+            if pop.labels is not None:
+                columns.append([LABEL_NAMES[c] for c in pop.labels[rows].tolist()])
+            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 

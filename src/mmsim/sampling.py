@@ -191,7 +191,7 @@ def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
     depend only on the population and the design, so they are computed
     once per population and kept with its PSU frame.
     """
-    psus, sizes, _codes = pop.psu_frame()
+    psus, sizes = pop.psu_frame()
     frame = pop.frame_cache(("pps", n_psus, m_per_psu),
                             lambda: _two_stage_frame(sizes, psus, n_psus, m_per_psu))
     sel, _ = _pps_draw(frame, rng)

@@ -436,6 +436,24 @@ def test_stochastic_scenario_via_config(tmp_path):
     assert any(r["estimator"] == "T2" for r in rows)
 
 
+@pytest.mark.parametrize("pair", ['["x", 0.5]', "[.nan, 0.0]", "[0.5, .nan]", "[true, 0.0]"],
+                         ids=["string", "nan_web", "nan_ftf", "bool"])
+def test_malformed_propensity_pair_is_config_error(tmp_path, capsys, pair):
+    propensities = f"""\
+  propensities:
+    WEB: {pair}
+    MAIL: [0.3, 0.4]
+    FTF: [0.15, 0.45]
+"""
+    scen = SCENARIO_BLOCK.replace("rule: B", "rule: stochastic")
+    cfg = write_config(tmp_path, POP_BLOCK + propensities + scen +
+                       f"output:\n  dir: {tmp_path}/out\n")
+    assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: population.propensities.WEB")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # deff
 # ---------------------------------------------------------------------------

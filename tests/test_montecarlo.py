@@ -104,7 +104,7 @@ def test_stochastic_iteration_skips_population_wide_id_checks(small_synthetic, m
     import dataclasses
 
     from mmsim import population as population_mod
-    from mmsim.population import attach_propensities, estimate_icc
+    from mmsim.population import attach_propensities
 
     pop = attach_propensities(small_synthetic,
                               {"WEB": (0.6, 0.3), "MAIL": (0.3, 0.4), "FTF": (0.2, 0.4)})
@@ -124,7 +124,7 @@ def test_stochastic_iteration_skips_population_wide_id_checks(small_synthetic, m
     run_iteration(scen, pop, pop.y.sum(axis=0), 0)
     assert sizes == []
     # Positive control: both patches still see population-wide calls.
-    estimate_icc(pop.y[:, 0], pop.psu_ids)
+    np.unique(pop.psu_ids)
     dataclasses.replace(pop)
     assert sizes == [pop.n_households, pop.n_households]
 

@@ -1,12 +1,15 @@
 import csv
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mmsim import population as population_mod
 from mmsim.errors import (
     DataError,
     IntegrityError,
@@ -55,7 +58,7 @@ def test_load_three_rows(tmp_path):
     assert pop.n_households == 3
     assert pop.labels is None
     assert list(pop.modes) == [MODE_WEB, MODE_MAIL, MODE_FTF]
-    psus, sizes, _ = pop.psu_frame()
+    psus, sizes = pop.psu_frame()
     assert list(psus) == [10, 20] and list(sizes) == [2, 1]
 
 
@@ -97,7 +100,8 @@ def test_direct_construction_names_duplicate_id():
                         max_size=80))
 def test_psu_frame_matches_numpy_unique(psu_ids):
     pop = make_population(np.zeros(len(psu_ids)), psu_ids)
-    psus, sizes, codes = pop.psu_frame()
+    psus, sizes = pop.psu_frame()
+    codes = pop.psu_codes()
     want_psus, want_codes = np.unique(pop.psu_ids, return_inverse=True)
     np.testing.assert_array_equal(psus, want_psus)
     np.testing.assert_array_equal(codes, want_codes)
@@ -106,6 +110,74 @@ def test_psu_frame_matches_numpy_unique(psu_ids):
     np.testing.assert_array_equal(
         members, np.concatenate([np.flatnonzero(want_codes == c)
                                  for c in range(len(psus))][::-1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(psu_ids=st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-3, 3), min_size=1,
+                        max_size=80), presorted=st.booleans())
+def test_psu_frame_fast_path_matches_numpy_unique(psu_ids, presorted):
+    # Non-decreasing ids skip the sort; the frame must not tell the difference.
+    if presorted:
+        psu_ids = sorted(psu_ids)
+    pop = make_population(np.zeros(len(psu_ids)), psu_ids)
+    order, starts = population_mod._group(pop.psu_ids)
+    np.testing.assert_array_equal(order, np.argsort(pop.psu_ids, kind="stable"))
+    assert order.dtype == np.intp
+    psus, sizes = pop.psu_frame()
+    want_psus, want_codes = np.unique(pop.psu_ids, return_inverse=True)
+    np.testing.assert_array_equal(psus, want_psus)
+    np.testing.assert_array_equal(sizes, np.bincount(want_codes))
+    np.testing.assert_array_equal(pop.psu_codes(), want_codes)
+    np.testing.assert_array_equal(starts, np.append(np.cumsum(sizes) - sizes, len(psu_ids)))
+
+
+def test_estimate_icc_rejects_sparse_codes():
+    with pytest.raises(ValidationError, match="dense"):
+        estimate_icc(np.arange(6.0), np.array([0, 0, 2, 2, 3, 3]))
+
+
+def _traced_peak(fn):
+    """``fn()`` and the bytes its allocations added at their peak, as
+    tracemalloc sees them (numpy reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _nbytes(pop):
+    return sum(a.nbytes for a in (pop.ids, pop.psu_ids, pop.y, pop.modes))
+
+
+LARGE_SPEC = SyntheticPopSpec(
+    n_psus=1000, households_min=80, households_max=120, share_web=0.48, share_mail=0.26,
+    variables=SMALL_SPEC.variables, icc_outcome=0.02, icc_response=0.02, seed=3,
+)
+
+
+def test_generate_peak_is_population_plus_a_few_chunks(monkeypatch):
+    chunk = 2**14
+    monkeypatch.setattr(population_mod, "_CHUNK_ROWS", chunk, raising=False)
+    pop, peak = _traced_peak(lambda: generate_synthetic(LARGE_SPEC))
+    assert pop.n_households > 6 * chunk
+    assert peak <= _nbytes(pop) + 12 * chunk * 8
+
+
+def test_psu_frame_allocates_little_beyond_members():
+    pop = generate_synthetic(LARGE_SPEC)
+    _, peak = _traced_peak(pop.psu_frame)
+    assert peak <= 1.5 * pop.n_households * 8
+
+
+def test_constructing_with_ascending_ids_copies_no_id_column():
+    pop = generate_synthetic(LARGE_SPEC)
+    _, peak = _traced_peak(lambda: Population(
+        ids=pop.ids, psu_ids=pop.psu_ids, y=pop.y, modes=pop.modes, labels=None,
+        variable_names=pop.variable_names))
+    assert peak < pop.n_households * 8 / 2
 
 
 def test_with_labels_checks_length():
@@ -417,6 +489,115 @@ def test_random_half_rules_equalize_ftf_and_nonresp_means(rule):
 # Synthetic generation
 # ---------------------------------------------------------------------------
 
+def _generate_synthetic_reference(spec):
+    """The unchunked definition of ``generate_synthetic``: each step draws
+    all of its uniforms or normals in one call."""
+    from mmsim.population import (
+        _SQRT3,
+        _binary_loadings,
+        _mode_shares,
+        _response_loading,
+        _total_variance,
+    )
+
+    spec.validate()
+    rng = np.random.default_rng(spec.seed)
+    sizes = rng.integers(spec.households_min, spec.households_max + 1, spec.n_psus)
+    n = int(sizes.sum())
+    psu_of_hh = np.repeat(np.arange(spec.n_psus), sizes)
+    u_resp = rng.uniform(-_SQRT3, _SQRT3, spec.n_psus)
+    b_resp = _response_loading(spec)
+    q_web = np.clip(spec.share_web + b_resp * u_resp, 0.0, 1.0)
+    rest = 1.0 - spec.share_web
+    q_mail = spec.share_mail * (1.0 - q_web) / rest if rest > 0 else np.zeros_like(q_web)
+    u = rng.random(n)
+    qw = q_web[psu_of_hh]
+    qm = q_mail[psu_of_hh]
+    modes = np.where(u < qw, MODE_WEB, np.where(u < qw + qm, MODE_MAIL, MODE_FTF))
+    modes = modes.astype(np.int8)
+    shares = _mode_shares(spec)
+    y = np.empty((n, len(spec.variables)))
+    for j, v in enumerate(spec.variables):
+        u_y = rng.uniform(-_SQRT3, _SQRT3, spec.n_psus)[psu_of_hh]
+        means = v.mode_means()[modes]
+        if v.kind == "binary":
+            loads = _binary_loadings(v.mode_means(), shares, spec.icc_outcome)
+            p = np.clip(means + loads[modes] * u_y, 0.0, 1.0)
+            y[:, j] = (rng.random(n) < p).astype(float)
+        else:
+            v_tot = _total_variance(v.mode_means(), shares, np.full(3, v.sd**2))
+            b = math.sqrt(spec.icc_outcome * v_tot)
+            sd_within = math.sqrt(max(v.sd**2 - b**2, 0.0))
+            y[:, j] = means + b * u_y + rng.normal(0.0, sd_within, n)
+    return np.arange(n, dtype=np.int64), psu_of_hh.astype(np.int64), y, modes
+
+
+_means = st.floats(0.05, 0.95)
+_variables = st.lists(
+    st.one_of(
+        st.builds(VariableSpec, name=st.just(""), mean_web=_means, mean_mail=_means,
+                  mean_ftf=_means),
+        st.builds(VariableSpec, name=st.just(""), mean_web=st.floats(-5, 5),
+                  mean_mail=st.floats(-5, 5), mean_ftf=st.floats(-5, 5),
+                  kind=st.just("continuous"), sd=st.floats(0.1, 3.0)),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@st.composite
+def _synthetic_specs(draw):
+    share_web = draw(st.sampled_from([1.0, 0.0]) | st.floats(0.05, 0.95))
+    share_mail = draw(st.floats(0.0, 1.0 - share_web))
+    h_min = draw(st.integers(1, 40))
+    variables = tuple(dataclasses.replace(v, name=f"v{j}")
+                      for j, v in enumerate(draw(_variables)))
+    return SyntheticPopSpec(
+        n_psus=draw(st.integers(1, 30)), households_min=h_min,
+        households_max=h_min + draw(st.just(0) | st.integers(0, 20)),
+        share_web=share_web, share_mail=share_mail, variables=variables,
+        icc_outcome=draw(st.just(0.0) | st.floats(0.001, 0.05)),
+        icc_response=draw(st.just(0.0) | st.floats(0.001, 0.05)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+@pytest.mark.parametrize("regime", ["below_one_chunk", "multiple_of_chunk",
+                                    "several_chunks"])
+@settings(max_examples=25, deadline=None)
+@given(spec=_synthetic_specs(), data=st.data())
+def test_chunked_generation_matches_unchunked_reference(regime, spec, data):
+    try:
+        spec.validate()
+    except ValidationError:
+        assume(False)
+    real_default_rng = np.random.default_rng
+    made = []
+
+    def recording_default_rng(*args, **kwargs):
+        made.append(real_default_rng(*args, **kwargs))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", recording_default_rng)
+        want = _generate_synthetic_reference(spec)
+        n = len(want[0])
+        if regime == "below_one_chunk":
+            chunk = n + data.draw(st.integers(0, 50))
+        elif regime == "multiple_of_chunk":
+            chunk = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        else:
+            assume(n >= 3)
+            chunk = data.draw(st.integers(1, (n - 1) // 2))
+        mp.setattr(population_mod, "_CHUNK_ROWS", chunk)
+        pop = generate_synthetic(spec)
+    ref_rng, rng = made
+    for got, exp in zip((pop.ids, pop.psu_ids, pop.y, pop.modes), want):
+        assert got.dtype == exp.dtype
+        assert got.tobytes() == exp.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_zero_icc_spec_yields_zero_icc():
     spec = SyntheticPopSpec(
         n_psus=400, households_min=60, households_max=80,
@@ -531,3 +712,10 @@ def test_invalid_propensities_rejected():
         attach_propensities(pop, {"WEB": (0.0, 0.0), "MAIL": (0.5, 0.2), "FTF": (0.5, 0.2)})
     with pytest.raises(IntegrityError):
         draw_stochastic_labels(pop, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("phi", [(np.nan, 0.0), (0.5, np.nan), (np.nan, np.nan)])
+def test_nan_propensities_rejected(phi):
+    pop = make_population(np.ones(3), np.zeros(3), modes=np.zeros(3, dtype=int))
+    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        attach_propensities(pop, {"WEB": phi, "MAIL": (0.5, 0.2), "FTF": (0.5, 0.2)})

@@ -181,7 +181,7 @@ def test_malformed_design_facts_are_rejected(psus, ftf_rate, message):
 def _two_stage_reference(pop, n_psus, m_per_psu, rng):
     """Per-PSU definition of the two-stage take: PSU members gathered one
     PSU at a time, uniform keys ordered within PSUs by ``np.lexsort``."""
-    psus, sizes, _ = pop.psu_frame()
+    psus, sizes = pop.psu_frame()
     sel, _ = pps_select_psus(sizes, n_psus, rng)
     f = n_psus * m_per_psu / pop.n_households
     sel_sizes = sizes[sel]

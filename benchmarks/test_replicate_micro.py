@@ -9,6 +9,10 @@ unclustered households (A) and 50 PSUs of 50 households (B).  Estimators
 are timed on statistics that earlier calls have already used, as every
 estimator after the first one of a replicate sees them.
 
+The variance cases time one pass over every distinct score block of the
+preset's labels on one sample, and the replicate case one whole warm
+``run_iteration``.
+
 The set-up cases build that population, and index it by PSU on a fresh
 copy each round (the frame is kept once built).
 
@@ -78,19 +82,39 @@ def test_compute_factors(benchmark, b1a):
     assert 0.0 < fac.lam < 1.0
 
 
+@pytest.fixture(scope="module")
+def b1a_blocks(b1a):
+    """The distinct score blocks of every b1a label on each sample, as one
+    replicate's variance pass sees them, and each sample's units."""
+    scenario, pop, samples, _ = b1a
+    rep = mc._Replicate(scenario, pop, samples, {})
+    blocks: dict = {}
+    for spec in scenario.estimators:
+        for b in mc.ESTIMATORS[scenario.design.kind, spec.id](rep, spec).score_blocks:
+            blocks.setdefault(b.sample.tag, {})[id(b.e)] = b.e
+    return rep.units, {tag: list(es.values()) for tag, es in blocks.items()}
+
+
 @pytest.mark.parametrize("tag", ["A", "B"])
-def test_wr_variance(benchmark, b1a, tag):
-    _, pop, samples, stats = b1a
-    e = est.uniform_adjustment(stats[tag]).score_blocks[0].e
-    bins, n_groups = variance.first_stage_units(samples[tag], None, pop.n_variables)
-    v = benchmark(variance._wr_variance, e, bins, n_groups)
-    assert (v >= 0).all()
+def test_sample_variances(benchmark, b1a_blocks, tag):
+    units, blocks = b1a_blocks
+    v = benchmark(variance.sample_variances, blocks[tag], units[tag], {})
+    assert len(v) == len(blocks[tag]) >= 4 and all((x >= 0).all() for x in v)
 
 
 def test_first_stage_units(benchmark, b1a):
-    _, pop, samples, _ = b1a
-    bins, n_groups = benchmark(variance.first_stage_units, samples["B"], None, pop.n_variables)
-    assert n_groups == 50 and len(bins) == samples["B"].n_units * pop.n_variables
+    _, _, samples, _ = b1a
+    codes, n_groups = benchmark(variance.first_stage_units, samples["B"], None)
+    assert n_groups == 50 and len(codes) == samples["B"].n_units
+
+
+def test_run_iteration(benchmark, b1a):
+    """One whole warm b1a replicate: draws, estimates, variances, intervals."""
+    scenario, pop, _, _ = b1a
+    truth, workspace = pop.y.sum(axis=0), {}
+    mc.run_iteration(scenario, pop, truth, 0, workspace)
+    res = benchmark(mc.run_iteration, scenario, pop, truth, 1, workspace)
+    assert len(res.cells) == len(scenario.estimators)
 
 
 def test_two_stage_select(benchmark, b1a):

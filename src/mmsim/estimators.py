@@ -74,7 +74,7 @@ class ScoreBlock:
     """Per-unit linearized contributions d_k * z_k for one sample."""
 
     sample: DrawnSample
-    e: np.ndarray  # [n_units, n_variables]
+    e: np.ndarray  # [n_variables, n_units], C-contiguous
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,7 @@ class SampleStats:
 
     sample: DrawnSample
     y: np.ndarray
+    yt: np.ndarray  # y variables-major, [K, n], the layout of the scores
     d: np.ndarray
     dw: np.ndarray
     df: np.ndarray
@@ -129,13 +130,13 @@ class SampleStats:
 
     @cached_property
     def yc_w(self) -> np.ndarray:
-        """Outcomes centered on the web respondent mean."""
-        return self.y - self.ybar_w[None, :]
+        """Outcomes centered on the web respondent mean, [K, n]."""
+        return self.yt - self.ybar_w[:, None]
 
     @cached_property
     def yc_f(self) -> np.ndarray:
-        """Outcomes centered on the ftf respondent mean."""
-        return self.y - self.ybar_f[None, :]
+        """Outcomes centered on the ftf respondent mean, [K, n]."""
+        return self.yt - self.ybar_f[:, None]
 
 
 def sample_stats(sample: DrawnSample, y: np.ndarray) -> SampleStats:
@@ -152,7 +153,7 @@ def sample_stats(sample: DrawnSample, y: np.ndarray) -> SampleStats:
     w_hat, f_hat = float(d_w.sum()), float(d_f.sum())
     a_w, a_f = d_w @ y, d_f @ y
     return SampleStats(
-        sample=sample, y=y, d=d, dw=dw, df=df, elig=elig,
+        sample=sample, y=y, yt=np.ascontiguousarray(y.T), d=d, dw=dw, df=df, elig=elig,
         n_hat=float(d.sum()), w_hat=w_hat, m_hat=float(d_m.sum()),
         me_hat=float((d_m * elig).sum()), f_hat=f_hat, a_w=a_w, a_f=a_f,
         ybar_w=a_w / w_hat if w_hat > 0 else np.full(y.shape[1], np.nan),
@@ -198,10 +199,10 @@ def uniform_adjustment(st: SampleStats, omega: float | None = None,
     total = (dg @ st.y) / r_hat
     ybar_t = total / st.n_hat
     # d * (ybar_t + (g / R) * (y - ybar_t))
-    e = st.y - ybar_t[None, :]
-    e *= (g / r_hat)[:, None]
-    e += ybar_t
-    e *= st.d[:, None]
+    e = st.yt - ybar_t[:, None]
+    e *= g / r_hat
+    e += ybar_t[:, None]
+    e *= st.d
 
     def views():
         resp = np.flatnonzero(g > 0)
@@ -239,8 +240,8 @@ def followup_adjustment(st: SampleStats, omega: float | None = None, expansion: 
                      "ybar_w": st.ybar_w, "ybar_f": st.ybar_f, "carry": 0.0},
                     (_weights(st, st.dw > 0),))
 
-        e = st.dw[:, None] * st.y
-        e *= st.d[:, None]
+        e = st.dw * st.yt
+        e *= st.d
         return _result(estimator, st.a_w.copy(), st.w_hat, st, e, full_views)
     if st.me_hat == 0.0:
         raise DegenerateEstimate("nonrespondents exist but none were eligible for follow-up")
@@ -255,13 +256,13 @@ def followup_adjustment(st: SampleStats, omega: float | None = None, expansion: 
 
     # weight factor of the ftf respondents over their design weight
     f_factor = rf_inv / om if expansion == "design" else st.m_hat / st.f_hat
-    e = st.dw[:, None] * st.y
-    e += f_factor * st.df[:, None] * st.yc_f
+    e = st.dw * st.yt
+    e += (f_factor * st.df) * st.yc_f
     if expansion == "design":
-        e += (1.0 / om) * (st.elig * (1.0 - st.dw))[:, None] * st.ybar_f[None, :]
+        e += ((1.0 / om) * (st.elig * (1.0 - st.dw))) * st.ybar_f[:, None]
     else:
-        e += (1.0 - st.dw)[:, None] * st.ybar_f[None, :]
-    e *= st.d[:, None]
+        e += (1.0 - st.dw) * st.ybar_f[:, None]
+    e *= st.d
 
     def views():
         return ({"n_hat": n_tilde, "gamma_tilde": st.w_hat / n_tilde,
@@ -278,9 +279,9 @@ def web_only(st: SampleStats, estimator: str = EST_TA) -> EstimatorResult:
         raise DegenerateEstimate("no web respondents")
     total = st.n_hat * st.ybar_w
     rw_inv = st.n_hat / st.w_hat
-    e = rw_inv * st.dw[:, None] * st.yc_w
-    e += st.ybar_w
-    e *= st.d[:, None]
+    e = (rw_inv * st.dw) * st.yc_w
+    e += st.ybar_w[:, None]
+    e *= st.d
 
     def views():
         return ({"n_hat": st.n_hat, "r_w": st.w_hat / st.n_hat, "ybar_w": st.ybar_w},
@@ -361,14 +362,14 @@ def web_composite(sa: SampleStats, sb: SampleStats, kappa: float,
     level = total / n_c  # [K]
     blocks = []
     for st, part, carries in shares:
-        e = (st.dw - gam)[:, None] * shift[None, :]
+        e = (st.dw - gam) * shift[:, None]
         if n_hat_mode == "composite":
-            e += part * level
+            e += (part * level)[:, None]
         if part > 0.0:
-            e += (n_c * gam * part / st.w_hat) * st.dw[:, None] * st.yc_w
+            e += ((n_c * gam * part / st.w_hat) * st.dw) * st.yc_w
         if carries:
-            e += (n_c * (1.0 - gam) / st.f_hat) * st.df[:, None] * st.yc_f
-        e *= st.d[:, None]
+            e += ((n_c * (1.0 - gam) / st.f_hat) * st.df) * st.yc_f
+        e *= st.d
         blocks.append(ScoreBlock(st.sample, e))
 
     def views():

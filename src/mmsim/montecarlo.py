@@ -176,7 +176,7 @@ class _Replicate:
         self.scenario, self.pop, self._factors = scenario, pop, {}
         self.stats = {tag: est.sample_stats(s, np.take(pop.y, s.unit_idx, axis=0))
                       for tag, s in samples.items()}
-        self.units = {tag: variance.first_stage_units(s, plans.get(tag), pop.n_variables)
+        self.units = {tag: variance.first_stage_units(s, plans.get(tag))
                       for tag, s in samples.items()}
 
     @cached_property
@@ -249,21 +249,26 @@ def draw_samples(scenario: ScenarioSpec, pop: Population, iteration: int
 
 
 def run_iteration(scenario: ScenarioSpec, pop: Population, truth: np.ndarray,
-                  iteration: int) -> IterationResult:
-    """Draw, collect, estimate, and attach variances for one replicate."""
+                  iteration: int, workspace: dict | None = None) -> IterationResult:
+    """Draw, collect and estimate one replicate: all totals and scores, one
+    variance pass per sample (buffers kept in ``workspace``), intervals."""
     rep = _Replicate(scenario, pop, *draw_samples(scenario, pop, iteration))
-    cells: dict[str, EstimatorCell] = {}
+    estimates: dict[str, est.EstimatorResult | EstimationError] = {}
     for spec in scenario.estimators:
         try:
-            result = ESTIMATORS[scenario.design.kind, spec.id](rep, spec)
-            var = variance.score_variance(result.score_blocks,
-                                          [rep.units[b.sample.tag] for b in result.score_blocks])
-            low, high, covered = confidence_interval(result.total, var, truth)
-            cells[spec.name] = EstimatorCell(result.total, var, low, high, covered)
+            estimates[spec.name] = ESTIMATORS[scenario.design.kind, spec.id](rep, spec)
         except EstimationError as exc:
+            estimates[spec.name] = exc
+    variances = variance.score_variances(list(estimates.values()), rep.units, workspace)
+    cells: dict[str, EstimatorCell] = {}
+    for (name, result), var in zip(estimates.items(), variances):
+        if isinstance(var, EstimationError):
             nan = np.full(len(truth), np.nan)
-            cells[spec.name] = EstimatorCell(nan, nan, nan, nan, np.zeros(len(truth), dtype=bool),
-                                             degenerate=True, reason=str(exc))
+            cells[name] = EstimatorCell(nan, nan, nan, nan, np.zeros(len(truth), dtype=bool),
+                                        degenerate=True, reason=str(var))
+        else:
+            low, high, covered = confidence_interval(result.total, var, truth)
+            cells[name] = EstimatorCell(result.total, var, low, high, covered)
     return IterationResult(iteration=iteration, cells=cells)
 
 
@@ -280,7 +285,8 @@ def _worker_init(pop, scenario, truth):
 
 def _worker_chunk(span, args=None):
     pop, scenario, truth = args or _CTX["args"]
-    return [run_iteration(scenario, pop, truth, i) for i in span]
+    workspace: dict = {}  # the chunk's variance buffers
+    return [run_iteration(scenario, pop, truth, i, workspace) for i in span]
 
 
 def run_scenario(pop: Population, scenario: ScenarioSpec, jobs: int = 1,

@@ -22,7 +22,7 @@ from math import gcd
 import numpy as np
 
 from .errors import EstimationError, ValidationError
-from .estimators import EstimatorResult, ScoreBlock
+from .estimators import EstimatorResult
 from .sampling import DrawnSample
 
 Z_95 = 1.96  # normal quantile for the default 95 percent interval
@@ -78,46 +78,81 @@ def build_variance_units(sample: DrawnSample, rng: np.random.Generator) -> Varia
     return VarianceUnitPlan(groups=tuple(groups))
 
 
-def first_stage_units(sample: DrawnSample, plan: VarianceUnitPlan | None,
-                      n_variables: int) -> tuple[np.ndarray | None, int]:
-    """The ``_wr_variance`` bins of a sample's scores and its number of
-    first-stage units, computed once per sample: variable j of a household
-    in unit g goes to bin g * n_variables + j.  No bins (None) when every
-    household is its own unit."""
+def first_stage_units(sample: DrawnSample,
+                      plan: VarianceUnitPlan | None) -> tuple[np.ndarray | None, int]:
+    """Each household's first-stage unit code and the number of units,
+    computed once per sample.  No codes (None) when every household is
+    its own unit."""
     psus = sample.psus
     if psus is None:
         return None, sample.n_units
     codes = np.searchsorted(psus, sample.psu_ids)
-    n_groups = len(psus)
-    if plan is not None:
-        lookup = {psu: g for g, members in enumerate(plan.groups) for psu in members}
-        codes = np.array([lookup[p] for p in psus.tolist()])[codes]
-        n_groups = len(plan.groups)
-    return (codes[:, None] * n_variables + np.arange(n_variables)).ravel(), n_groups
+    if plan is None:
+        return codes, len(psus)
+    lookup = {psu: g for g, members in enumerate(plan.groups) for psu in members}
+    return np.array([lookup[p] for p in psus.tolist()])[codes], len(plan.groups)
 
 
-def _wr_variance(e: np.ndarray, bins: np.ndarray | None, n_groups: int) -> np.ndarray:
-    """With-replacement between-unit variance of a total: for group sums
-    U_g, v = G/(G-1) * sum_g (U_g - mean U)^2, per variable.  One bincount
-    adds every U_g up row by row, as a bincount per variable would."""
+def _scratch(buffers: dict, name: str, shape: tuple[int, int]) -> np.ndarray:
+    """A float64 array kept in ``buffers``, so replicates reuse its pages
+    (arrays this size, allocated anew, are faulted in again every time)."""
+    if buffers.get(name, np.empty(0)).size < shape[0] * shape[1]:
+        buffers[name] = np.empty(shape[0] * shape[1])
+    return buffers[name][:shape[0] * shape[1]].reshape(shape)
+
+
+def sample_variances(scores: list[np.ndarray], units: tuple[np.ndarray | None, int],
+                     buffers: dict) -> list[np.ndarray]:
+    """With-replacement between-unit variance of a total, per variable, of
+    each [K, n] score block on one sample with ``first_stage_units`` units:
+    for unit sums U_g, v = G/(G-1) * sum_g (U_g - mean U)^2.  A unit's rows
+    are added in order by a bincount per block; the unit sums of all blocks
+    (or, with every household its own unit, the rows) then sit side by side
+    as the W columns of one C-contiguous array, whose axis-0 sums add them
+    in order.  For K >= 2 all blocks share one pass; a one-variable block
+    gets its own, as numpy sums a lone column pairwise.  ``buffers`` keeps
+    the two n * W arrays of a sample whose households are its units."""
+    codes, n_groups = units
     if n_groups < 2:
         raise EstimationError("fewer than 2 variance units")
-    if bins is None:
-        totals = e
-    else:
-        k = e.shape[1]
-        totals = np.bincount(bins, weights=e.ravel(),
-                             minlength=n_groups * k).reshape(n_groups, k)
-    dev = totals - totals.sum(axis=0, keepdims=True) / n_groups  # as np.mean computes it
-    dev *= dev
-    return n_groups / (n_groups - 1.0) * dev.sum(axis=0)
+    k, n = scores[0].shape
+    bins = None if codes is None else (codes + (np.arange(k) * n_groups)[:, None]).ravel()
+    out = []
+    for batch in [scores] if k > 1 else [[e] for e in scores]:
+        w = k * len(batch)
+        if codes is None:
+            totals = _scratch(buffers, "rows", (n, w))
+            np.copyto(totals, np.concatenate(batch, out=_scratch(buffers, "stack", (w, n))).T)
+        else:
+            totals = np.concatenate([np.bincount(bins, weights=e.ravel(), minlength=n_groups * k)
+                                     for e in batch]).reshape(w, n_groups).T.copy()
+        totals -= totals.sum(axis=0, keepdims=True) / n_groups  # as np.mean computes it
+        totals *= totals
+        out.extend((n_groups / (n_groups - 1.0) * totals.sum(axis=0)).reshape(len(batch), k))
+    return out
 
 
-def score_variance(blocks: tuple[ScoreBlock, ...],
-                   units: list[tuple[np.ndarray | None, int]]) -> np.ndarray:
-    """Linearization variance from score blocks, given each block's
-    ``first_stage_units``; independent samples contribute additively."""
-    return sum((_wr_variance(b.e, *u) for b, u in zip(blocks, units)), 0.0)
+def score_variances(results: list, units: dict, workspace: dict | None = None) -> list:
+    """Each estimator result's variance, given each sample tag's units: one
+    ``sample_variances`` pass per sample over its distinct score blocks, then
+    a result's samples added in block order.  An ``EstimationError`` in
+    ``results``, or raised by a sample's pass, takes the variance's place."""
+    workspace = {} if workspace is None else workspace
+    on_sample: dict[str, dict[int, np.ndarray]] = {}
+    for r in results:
+        for b in () if isinstance(r, EstimationError) else r.score_blocks:
+            on_sample.setdefault(b.sample.tag, {})[id(b.e)] = b.e
+    var: dict = {}
+    for tag, scores in on_sample.items():
+        try:
+            var.update(zip(scores, sample_variances(list(scores.values()), units[tag],
+                                                    workspace.setdefault(tag, {}))))
+        except EstimationError as exc:
+            var.update(dict.fromkeys(scores, exc))
+    parts = [[r] if isinstance(r, EstimationError) else [var[id(b.e)] for b in r.score_blocks]
+             for r in results]
+    return [next((v for v in p if isinstance(v, EstimationError)), None) or sum(p, 0.0)
+            for p in parts]
 
 
 def taylor_variance(result: EstimatorResult,
@@ -129,9 +164,10 @@ def taylor_variance(result: EstimatorResult,
     by PSU-subsampling designs).  Independent samples contribute
     additively.
     """
-    units = [first_stage_units(b.sample, (plans or {}).get(b.sample.tag), b.e.shape[1])
+    units = [first_stage_units(b.sample, (plans or {}).get(b.sample.tag))
              for b in result.score_blocks]
-    variance = score_variance(result.score_blocks, units)
+    variance = sum((sample_variances([b.e], u, {})[0]
+                    for b, u in zip(result.score_blocks, units)), 0.0)
     low, high = confidence_interval(result.total, variance, z=z)
     return VarEstimate(variance=variance, df_proxy=sum(n - 1 for _, n in units),
                        ci_low=low, ci_high=high)

@@ -297,7 +297,7 @@ def _check_dual(result, outcomes):
     np.testing.assert_allclose(bracket_total(result), result.total,
                                rtol=1e-10, atol=1e-12)
     # scores of degree-one estimators reproduce the estimate
-    recon = sum(b.e.sum(axis=0) for b in result.score_blocks)
+    recon = sum(b.e.sum(axis=1) for b in result.score_blocks)
     np.testing.assert_allclose(recon, result.total, rtol=1e-9, atol=1e-9)
 
 

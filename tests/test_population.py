@@ -172,6 +172,22 @@ def test_psu_frame_allocates_little_beyond_members():
     assert peak <= 1.5 * pop.n_households * 8
 
 
+def test_psu_frame_of_sorted_ids_keeps_no_member_rows():
+    # Non-decreasing PSU ids, as every generated population has: each PSU's
+    # rows are one range, so the frame keeps no household-length array.
+    pop = generate_synthetic(LARGE_SPEC)
+    (psus, sizes), peak = _traced_peak(pop.psu_frame)
+    assert peak < 0.1 * pop.n_households * 8
+    want_psus, want_codes = np.unique(pop.psu_ids, return_inverse=True)
+    np.testing.assert_array_equal(psus, want_psus)
+    np.testing.assert_array_equal(sizes, np.bincount(want_codes))
+    np.testing.assert_array_equal(pop.psu_codes(), want_codes)
+    picked = np.array([5, 0, 999, 17])
+    np.testing.assert_array_equal(
+        pop.psu_members(picked),
+        np.concatenate([np.flatnonzero(want_codes == c) for c in picked]))
+
+
 def test_constructing_with_ascending_ids_copies_no_id_column():
     pop = generate_synthetic(LARGE_SPEC)
     _, peak = _traced_peak(lambda: Population(

@@ -113,17 +113,21 @@ EDGE_PROPENSITIES = ((0.0, 1.0), (1.0, 0.0), (0.3, 0.7), (0.0, 0.4), (0.55, 0.0)
 
 @st.composite
 def replicates(draw, stochastic=False):
-    """A small population, a design on it with every estimator it allows,
-    and an iteration; samples are small enough to come out degenerate.
+    """A small population with one to three variables, a design on it with
+    every estimator it allows, and an iteration; samples are small enough
+    to come out degenerate, and large enough for at least 8 variance units
+    of at least 8 rows (where pairwise and sequential sums part).  The
+    frame of 60 PSUs keeps the largest PPS draws below certainty.
     ``stochastic`` gives every household a propensity vector, an edge one
     or a random one, and the scenario the stochastic rule."""
-    n_psus_frame = 20
-    sizes = draw(st.lists(st.integers(8, 12), min_size=n_psus_frame, max_size=n_psus_frame))
+    n_psus_frame = 60
+    sizes = draw(st.lists(st.integers(10, 14), min_size=n_psus_frame, max_size=n_psus_frame))
     web_share = draw(st.sampled_from([0.02, 0.3, 0.6]))
+    n_variables = draw(st.sampled_from([1, 2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = sum(sizes)
     modes = np.where(rng.random(n) < web_share, 0, rng.integers(1, 3, n))
-    pop = make_population(rng.normal(2.0, 1.0, size=(n, 2)),
+    pop = make_population(rng.normal(2.0, 1.0, size=(n, n_variables)),
                           np.repeat(np.arange(n_psus_frame) * 7 + 3, sizes), modes=modes)
     if stochastic:
         edges = np.array(EDGE_PROPENSITIES)
@@ -134,19 +138,19 @@ def replicates(draw, stochastic=False):
         phi[at_edge] = edges[rng.integers(0, len(edges), at_edge.sum())]
         pop = pop.with_propensities(phi)
     kind = draw(st.sampled_from(["hybrid", "two_phase_unit", "two_phase_psu"]))
-    m_per_psu = draw(st.integers(1, 8))
+    m_per_psu = draw(st.integers(1, 10))
     if kind == "hybrid":
         design = DesignSpec(kind, n_unclustered=draw(st.integers(1, 40)),
-                            n_psus=draw(st.integers(1, 6)), m_per_psu=m_per_psu)
+                            n_psus=draw(st.integers(1, 12)), m_per_psu=m_per_psu)
         specs = HYBRID_SPECS
     elif kind == "two_phase_unit":
-        design = DesignSpec(kind, n_psus=draw(st.integers(1, 6)), m_per_psu=m_per_psu,
+        design = DesignSpec(kind, n_psus=draw(st.integers(1, 12)), m_per_psu=m_per_psu,
                             omega=draw(st.sampled_from([1.0, 0.5, 0.3])))
         specs = TWO_PHASE_SPECS[kind]
     else:
         # a/b of g*b PSUs followed up: g >= 2 balanced variance units
         a, b = draw(st.sampled_from([(1, 2), (1, 3), (2, 3), (1, 1)]))
-        g = draw(st.integers(2, 3))
+        g = draw(st.integers(2, 8))
         design = DesignSpec(kind, n_psus=g * b, m_per_psu=m_per_psu, n_sub_psus=g * a)
         specs = TWO_PHASE_SPECS[kind]
     scenario = ScenarioSpec(

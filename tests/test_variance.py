@@ -15,6 +15,7 @@ from mmsim.estimators import (
 from mmsim.variance import (
     build_variance_units,
     confidence_interval,
+    sample_variances,
     taylor_variance,
 )
 
@@ -122,6 +123,68 @@ def test_too_few_variance_units_error():
     res = uniform_adjustment(sample_stats(sample, np.ones((2, 1))))
     with pytest.raises(EstimationError, match="variance units"):
         taylor_variance(res)
+
+
+# ---------------------------------------------------------------------------
+# One variance pass per sample
+# ---------------------------------------------------------------------------
+
+def _one_block_reference(e, codes, n_groups):
+    """The with-replacement variance of one [K, n] score block as an
+    n-major (n, K) array: unit sums by one bincount that adds each unit's
+    rows in order, then axis-0 sums of the (G, K) totals."""
+    k = e.shape[0]
+    totals = e.T.copy()
+    if codes is not None:
+        bins = (codes[:, None] * k + np.arange(k)).ravel()
+        totals = np.bincount(bins, weights=totals.ravel(),
+                             minlength=n_groups * k).reshape(n_groups, k)
+    dev = totals - totals.sum(axis=0, keepdims=True) / n_groups
+    dev *= dev
+    return n_groups / (n_groups - 1.0) * dev.sum(axis=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3, 6]),
+       n_blocks=st.integers(1, 5), units=st.sampled_from(["households", "equal", "unequal"]),
+       shuffled=st.booleans())
+def test_one_pass_per_sample_equals_one_block_at_a_time_bit_for_bit(
+        seed, k, n_blocks, units, shuffled):
+    """Blocks side by side in one pass (K >= 2) or one at a time (K = 1, whose
+    single column sums pairwise) give each block's own variance, bits and
+    all, with at least 8 units of at least 8 rows."""
+    rng = np.random.default_rng(seed)
+    n_groups = int(rng.integers(8, 30))
+    if units == "households":
+        codes, n = None, n_groups
+    elif units == "equal":
+        codes = np.repeat(np.arange(n_groups), int(rng.integers(8, 20)))
+        n = len(codes)
+    else:
+        codes = np.repeat(np.arange(n_groups), rng.integers(8, 20, n_groups))
+        n = len(codes)
+    if codes is not None and shuffled:
+        codes = rng.permutation(codes)
+    blocks = [rng.normal(size=(k, n)) * rng.uniform(0.5, 50.0, n) for _ in range(n_blocks)]
+    got = sample_variances(blocks, (codes, n_groups), {})
+    alone = [sample_variances([e], (codes, n_groups), {})[0] for e in blocks]
+    want = [_one_block_reference(e, codes, n_groups) for e in blocks]
+    assert len(got) == n_blocks
+    for g, a, w in zip(got, alone, want):
+        assert g.tobytes() == a.tobytes() == w.tobytes()
+
+
+def test_one_pass_reuses_its_buffers_and_rejects_one_unit():
+    rng = np.random.default_rng(3)
+    blocks = [rng.normal(size=(2, 40)) for _ in range(3)]
+    buffers = {}
+    first = sample_variances(blocks, (None, 40), buffers)
+    kept = {name: a for name, a in buffers.items()}
+    again = sample_variances(blocks, (None, 40), buffers)
+    assert all(buffers[name] is a for name, a in kept.items()) and kept
+    assert [a.tobytes() for a in first] == [a.tobytes() for a in again]
+    with pytest.raises(EstimationError, match="fewer than 2 variance units"):
+        sample_variances(blocks, (np.zeros(40, dtype=int), 1), {})
 
 
 # ---------------------------------------------------------------------------

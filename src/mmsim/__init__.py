@@ -43,6 +43,6 @@ from .sampling import (
     subsample_psus,
     two_stage_select,
 )
-from .variance import build_variance_units, confidence_interval, taylor_variance
+from .variance import build_variance_units, confidence_interval
 
 __all__ = [name for name in dir() if not name.startswith("_")]

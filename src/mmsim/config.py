@@ -169,15 +169,10 @@ def _parse_estimators(items, path: str) -> tuple[EstimatorSpec, ...]:
         p = f"{path}[{i}]"
         node = _require_mapping(item, p)
         _check_keys(node, {"id", "label", "compositing"}, p)
-        comp = node.get("compositing")
-        if comp is not None and not isinstance(comp, (int, float, str)):
-            raise ConfigError(f"{p}.compositing: expected a number or 'effective'")
-        if isinstance(comp, (int, float)) and not isinstance(comp, bool):
-            comp = float(comp)
         out.append(EstimatorSpec(
             id=_get(node, "id", str, p, required=True),
             label=_get(node, "label", str, p),
-            compositing=comp,
+            compositing=node.get("compositing"),
         ))
     return tuple(out)
 
@@ -198,17 +193,12 @@ def _parse_scenario(node: dict) -> ScenarioSpec:
         omega=_get(d, "omega", float, dp, default=1.0),
         n_sub_psus=_get(d, "n_sub_psus", int, dp, default=0),
     )
-    comp = node.get("compositing", "effective")
-    if isinstance(comp, (int, float)) and not isinstance(comp, bool):
-        comp = float(comp)
-    elif not isinstance(comp, str):
-        raise ConfigError(f"{path}.compositing: expected a number or 'effective'")
     scenario = ScenarioSpec(
         id=_get(node, "id", str, path, required=True),
         rule=_get(node, "rule", str, path, required=True),
         iterations=_get(node, "iterations", int, path, required=True),
         seed=_seed(node, path, required=True),
-        compositing=comp,
+        compositing=node.get("compositing", "effective"),
         icc_planning=_get(node, "icc_planning", float, path, default=0.0),
         n_hat_mode=_get(node, "n_hat", str, path, default="composite"),
         design=design,

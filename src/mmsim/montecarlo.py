@@ -72,6 +72,13 @@ class DesignSpec:
                               f"PSUs form gcd = {units} balanced variance unit(s); need at least 2")
 
 
+def _check_compositing(value, where: str) -> None:
+    """A compositing setting is 'effective' or a number in [0, 1]."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (value == "effective" or number and 0.0 <= value <= 1.0):
+        raise ConfigError(f"{where} must be 'effective' or a number in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
     id: str
@@ -104,7 +111,7 @@ class ScenarioSpec:
             raise ConfigError(f"unknown pseudopopulation rule {self.rule!r}")
         self.design.validate()
         names = set()
-        for spec in self.estimators:
+        for i, spec in enumerate(self.estimators):
             if spec.id not in est.ALL_ESTIMATORS:
                 raise ConfigError(f"unknown estimator id {spec.id!r}")
             if (self.design.kind, spec.id) not in ESTIMATORS:
@@ -113,12 +120,9 @@ class ScenarioSpec:
             if spec.name in names:
                 raise ConfigError(f"duplicate estimator label {spec.name!r}")
             names.add(spec.name)
-            if isinstance(spec.compositing, float) and not 0.0 <= spec.compositing <= 1.0:
-                raise ConfigError("compositing override must be in [0, 1]")
-        if self.compositing != "effective" and (isinstance(self.compositing, str)
-                                                or not 0.0 <= self.compositing <= 1.0):
-            raise ConfigError("scenario.compositing must be 'effective' or in [0, 1], "
-                              f"got {self.compositing!r}")
+            if spec.compositing is not None:
+                _check_compositing(spec.compositing, f"scenario.estimators[{i}].compositing")
+        _check_compositing(self.compositing, "scenario.compositing")
         if not 0.0 <= self.icc_planning < 1.0:
             raise ConfigError(f"scenario.icc_planning must be in [0, 1), got {self.icc_planning}")
         if self.n_hat_mode not in ("composite", "frame"):

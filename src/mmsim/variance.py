@@ -22,10 +22,9 @@ from math import gcd
 import numpy as np
 
 from .errors import EstimationError, ValidationError
-from .estimators import EstimatorResult
 from .sampling import DrawnSample
 
-Z_95 = 1.96  # normal quantile for the default 95 percent interval
+Z_95 = 1.96  # normal quantile for the 95 percent interval
 
 
 @dataclass(frozen=True)
@@ -37,16 +36,6 @@ class VarianceUnitPlan:
     """
 
     groups: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class VarEstimate:
-    """Per-variable variance and confidence interval."""
-
-    variance: np.ndarray
-    df_proxy: int
-    ci_low: np.ndarray
-    ci_high: np.ndarray
 
 
 def build_variance_units(sample: DrawnSample, rng: np.random.Generator) -> VarianceUnitPlan:
@@ -155,26 +144,8 @@ def score_variances(results: list, units: dict, workspace: dict | None = None) -
             for p in parts]
 
 
-def taylor_variance(result: EstimatorResult,
-                    plans: dict[str, VarianceUnitPlan] | None = None,
-                    z: float = Z_95) -> VarEstimate:
-    """Linearization variance of an estimator result.
-
-    ``plans`` optionally maps sample tags to variance-unit plans (used
-    by PSU-subsampling designs).  Independent samples contribute
-    additively.
-    """
-    units = [first_stage_units(b.sample, (plans or {}).get(b.sample.tag))
-             for b in result.score_blocks]
-    variance = sum((sample_variances([b.e], u, {})[0]
-                    for b, u in zip(result.score_blocks, units)), 0.0)
-    low, high = confidence_interval(result.total, variance, z=z)
-    return VarEstimate(variance=variance, df_proxy=sum(n - 1 for _, n in units),
-                       ci_low=low, ci_high=high)
-
-
-def confidence_interval(point, variance, truth=None, z: float = Z_95):
-    """Normal interval point +- z*sqrt(variance); closed at the ends.
+def confidence_interval(point, variance, truth=None):
+    """Normal 95 percent interval point +- Z_95*sqrt(variance); closed at the ends.
 
     With ``truth`` given, also returns the per-variable coverage flags.
     """
@@ -182,7 +153,7 @@ def confidence_interval(point, variance, truth=None, z: float = Z_95):
     variance = np.asarray(variance, dtype=float)
     if (variance < 0).any():
         raise ValidationError("variance must be nonnegative")
-    half = z * np.sqrt(variance)
+    half = Z_95 * np.sqrt(variance)
     low, high = point - half, point + half
     if truth is None:
         return low, high

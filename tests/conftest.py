@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from mmsim.population import Population, SyntheticPopSpec, VariableSpec
 from mmsim.sampling import DrawnSample
+from mmsim.variance import first_stage_units, sample_variances
 
 
 def make_population(y, psu_ids, modes=None, labels=None, variable_names=None):
@@ -125,3 +128,72 @@ def random_case(rng):
                         ftf_rate=omega, psu_subsample=psu_subsample)
     return sample, y
 
+
+
+# ---------------------------------------------------------------------------
+# The estimators' weight form, an independent reference
+# ---------------------------------------------------------------------------
+
+def _masses(sample):
+    """One sample's design weights d, response masks, follow-up rate omega and
+    weighted masses: size n, web respondents w, nonrespondents m (me of them
+    flagged for follow-up) and ftf respondents f."""
+    d, web, ftf = np.asarray(sample.d, dtype=float), sample.delta_w == 1, sample.delta_f == 1
+    return SimpleNamespace(
+        d=d, web=web, ftf=ftf, omega=1.0 if sample.ftf_rate is None else sample.ftf_rate,
+        n=d.sum(), w=d[web].sum(), m=d[~web].sum(), me=d[~web & sample.flags()].sum(),
+        f=d[ftf].sum())
+
+
+def _spread(s, mask, amount):
+    """Weights adding up to ``amount`` over ``mask``, in proportion to d."""
+    w = np.zeros_like(s.d)
+    if amount:
+        w[mask] = s.d[mask] * (amount / s.d[mask].sum())
+    return w
+
+
+def _one_sample(estimator, s):
+    if estimator == "T1":  # the respondents, ftf ones expanded by 1/omega, carry n
+        inv_r = s.n / (s.w + s.f / s.omega)
+        return _spread(s, s.web, inv_r * s.w) + _spread(s, s.ftf, inv_r * s.f / s.omega)
+    if estimator == "TA":
+        return _spread(s, s.web, s.n)
+    # web respondents keep d; ftf respondents carry the flagged nonrespondents
+    # expanded by 1/omega (T2) or all the nonrespondents (T2_AltOmega)
+    return _spread(s, s.web, s.w) + _spread(s, s.ftf, {"T2": s.me / s.omega,
+                                                       "T2_AltOmega": s.m}[estimator])
+
+
+def reference_weights(estimator, *samples, factor=None):
+    """Respondent weights of ``estimator`` by sample tag, one vector over each
+    sample's units, from the samples' ``d``, ``delta_w``, ``delta_f``,
+    ``flags()`` and ``ftf_rate`` alone.  T1, T2, T2_AltOmega and TA take one
+    sample; TDF1 and TDF2 (composite size) take samples A and B, and
+    ``factor`` is their lam or kappa."""
+    if len(samples) == 1:
+        return {samples[0].tag: _one_sample(estimator, _masses(samples[0]))}
+    a, b = samples
+    sa, sb = _masses(a), _masses(b)
+    if estimator == "TDF1":
+        return {a.tag: factor * _one_sample("TA", sa), b.tag: (1 - factor) * _one_sample("T1", sb)}
+    assert estimator == "TDF2", estimator
+    gam = (sa.w + sb.w) / (sa.n + sb.n)  # pooled web response rate
+    n_c = factor * sa.n + (1.0 - factor) * sb.n
+    return {a.tag: _spread(sa, sa.web, factor * n_c * gam),
+            b.tag: _spread(sb, sb.web, (1.0 - factor) * n_c * gam)
+            + _spread(sb, sb.ftf, n_c * (1.0 - gam))}
+
+
+def reference_total(weights, outcomes):
+    """Sum of respondent weights times outcomes over the samples."""
+    return sum(w @ outcomes[tag] for tag, w in weights.items())
+
+
+def variance_of(result, plans=None):
+    """A result's linearization variance, one score block at a time over its
+    sample's first-stage units (``plans``: variance-unit plans by sample tag),
+    added over the independent samples."""
+    plans = plans or {}
+    return sum((sample_variances([b.e], first_stage_units(b.sample, plans.get(b.sample.tag)),
+                                 {})[0] for b in result.score_blocks), 0.0)

@@ -26,18 +26,16 @@ from mmsim.cli import _build_population, main
 from mmsim.config import load_config, preset_path
 from mmsim.designtools import PlanParams, plan_three_designs
 from mmsim.estimators import (
-    EST_TB1,
     composite_total,
     followup_adjustment,
     sample_stats,
     uniform_adjustment,
     web_composite,
     web_only,
-    weighted_total,
 )
 from mmsim.montecarlo import AGGREGATE, DesignSpec, EstimatorSpec, ScenarioSpec
 
-from conftest import make_population, random_case, toy_sample
+from conftest import make_population, random_case, reference_total, reference_weights, toy_sample
 from test_enumeration import LAB6, Y6, expected_t2, srswor_outcomes, two_stage_outcomes
 
 JOBS = max(1, min(4, os.cpu_count() or 1))
@@ -146,9 +144,9 @@ def test_acceptance_3_weight_formula_duality(capsys):
     worst = 0.0
     n_checked = 0
 
-    def check(result, outcomes):
+    def check(result, outcomes, estimator, *samples, factor=None):
         nonlocal worst, n_checked
-        dual = weighted_total(result, outcomes)
+        dual = reference_total(reference_weights(estimator, *samples, factor=factor), outcomes)
         rel = np.max(np.abs(dual - result.total) /
                      np.maximum(np.abs(result.total), 1e-30))
         worst = max(worst, float(rel))
@@ -158,10 +156,11 @@ def test_acceptance_3_weight_formula_duality(capsys):
         rng = np.random.default_rng(90_000 + seed)
         sample, y = random_case(rng)
         outcomes = {"S": y}
-        check(uniform_adjustment(sample_stats(sample, y)), outcomes)
-        check(followup_adjustment(sample_stats(sample, y)), outcomes)
+        check(uniform_adjustment(sample_stats(sample, y)), outcomes, "T1", sample)
+        check(followup_adjustment(sample_stats(sample, y)), outcomes, "T2", sample)
         if sample.psu_subsample is not None:
-            check(followup_adjustment(sample_stats(sample, y), expansion="realized"), outcomes)
+            check(followup_adjustment(sample_stats(sample, y), expansion="realized"),
+                  outcomes, "T2_AltOmega", sample)
     for seed in range(500):
         rng = np.random.default_rng(70_000 + seed)
         sample_b, y_b = random_case(rng)
@@ -177,11 +176,12 @@ def test_acceptance_3_weight_formula_duality(capsys):
         outcomes = {"A": y_a, "B": y_b}
         st_a, st_b = sample_stats(sample_a, y_a), sample_stats(sample_b, y_b)
         ta = web_only(st_a)
-        tb = uniform_adjustment(st_b, omega=1.0, estimator=EST_TB1)
-        check(ta, outcomes)
-        check(tb, outcomes)
-        check(composite_total(ta, tb, float(rng.uniform(0, 1))), outcomes)
-        check(web_composite(st_a, st_b, float(rng.uniform(0, 1))), outcomes)
+        tb = uniform_adjustment(st_b)  # TB1: sample_b's omega is 1
+        check(ta, outcomes, "TA", sample_a)
+        check(tb, outcomes, "T1", sample_b)
+        lam, kappa = (float(rng.uniform(0, 1)) for _ in range(2))
+        check(composite_total(ta, tb, lam), outcomes, "TDF1", sample_a, sample_b, factor=lam)
+        check(web_composite(st_a, st_b, kappa), outcomes, "TDF2", sample_a, sample_b, factor=kappa)
     announce(capsys, 3, worst <= 1e-10,
              f"{n_checked} randomized weight-vs-equation checks over 1000 inputs, "
              f"worst relative gap {worst:.2e}")

@@ -167,11 +167,13 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("scenario.compositing", TWO_PHASE_DESIGN[0], TWO_PHASE_DESIGN[1] + "  compositing: 7.0\n"),
     ("scenario.icc_planning", TWO_PHASE_DESIGN[0], TWO_PHASE_DESIGN[1] + "  icc_planning: -0.5\n"),
     ("population.synthetic.variables[1].name", "- {name: v2,", "- {name: v1,"),
+    ("scenario.estimators[0].compositing", "    - {id: T2}\n", "    - {id: TDF1, compositing: foo}\n"),
+    ("scenario.estimators[0].compositing", "    - {id: T2}\n", "    - {id: TDF1, compositing: true}\n"),
 ], ids=["scenario-seed", "synthetic-seed", "iterations", "n_psus", "icc_planning",
         "scenario-seed-2**64", "synthetic-seed-2**64", "icc_planning-negative",
         "icc_planning-5", "icc_planning-1", "icc_planning-nan", "compositing-1.5",
         "compositing-nan", "compositing-two-phase", "icc_planning-two-phase",
-        "duplicate-variable"])
+        "duplicate-variable", "estimator-compositing-foo", "estimator-compositing-true"])
 def test_run_bad_yaml_number_is_config_error(tmp_path, capsys, field, old, new):
     text = POP_BLOCK + SCENARIO_BLOCK + f"output:\n  dir: {tmp_path}/out\n"
     assert old in text
@@ -473,6 +475,20 @@ def test_deff_zero_icc_clustering_deffs_are_one(capsys):
     for design in ("unit_subsampling", "psu_subsampling", "hybrid"):
         line = next(l for l in out.splitlines() if l.startswith(design))
         assert " 1.0000" in line  # clustering deff column
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--unit-take", "0"], "unit_ftf_take"),
+    (["--psu-sub", "0"], "psu_sub_psus"),
+    (["--hybrid-psus", "0"], "hybrid_n_psus"),
+    (["--unit-hh", "0"], "unit_hh_per_psu"),
+    (["--web-rate", "1"], "web_rate"),
+    (["--unit-psus", "-5"], "unit_n_psus"),
+])
+def test_deff_out_of_range_plan_is_config_error(capsys, args, field):
+    assert main(["deff", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"configuration error: {field} " in captured.err
 
 
 def test_deff_invalid_args_is_usage_error():

@@ -10,10 +10,12 @@ from mmsim.designtools import (
     expected_completes,
     holt_m_prime,
     kish_weighting_deff,
-    optimal_composite_lambda,
     plan_three_designs,
 )
 from mmsim.errors import ValidationError
+from mmsim.estimators import compute_factors
+
+from test_estimators import _respondent_samples
 
 
 def test_kish_subsampling_weights():
@@ -71,11 +73,13 @@ def test_composite_effective_n_values():
 
 
 def test_optimal_lambda_maximizes_effective_n():
-    n_a, deff_a, n_b, deff_b = 7000, 1.0, 3000, 1.48
-    best = optimal_composite_lambda(n_a, deff_a, n_b, deff_b)
-    best_eff = composite_effective_n(best, n_a, deff_a, n_b, deff_b)
+    # 3000 clustered respondents in 125 PSUs: 24 per PSU, deff 1 + 0.02 * 23
+    resp_a, resp_b, icc = 7000, 3000, 0.02
+    deff = 1.0 + icc * (resp_b / 125 - 1.0)
+    best = compute_factors(*_respondent_samples(resp_a, resp_b, 125), icc=icc).lam
+    best_eff = composite_effective_n(best, resp_a, 1.0, resp_b, deff)
     for lam in np.linspace(0.01, 0.99, 99):
-        assert best_eff + 1e-9 >= composite_effective_n(lam, n_a, deff_a, n_b, deff_b)
+        assert best_eff + 1e-9 >= composite_effective_n(lam, resp_a, 1.0, resp_b, deff)
 
 
 def test_expected_completes_worked_example():

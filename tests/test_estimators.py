@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmsim.estimators import (
-    EST_TB1,
     DegenerateEstimate,
-    bracket_total,
     composite_total,
     compute_factors,
     followup_adjustment,
@@ -14,9 +12,8 @@ from mmsim.estimators import (
     uniform_adjustment,
     web_composite,
     web_only,
-    weighted_total,
 )
-from conftest import random_case, toy_sample
+from conftest import random_case, reference_total, reference_weights, toy_sample
 
 
 def four_unit_sample():
@@ -27,6 +24,13 @@ def four_unit_sample():
     return sample, y
 
 
+def assert_weights(estimator, estimate, sample, want):
+    """Unit k's weight is want[k] in the reference and in ``estimate`` of y = e_k."""
+    np.testing.assert_allclose(reference_weights(estimator, sample)[sample.tag], want, rtol=1e-12)
+    np.testing.assert_allclose(estimate(sample_stats(sample, np.eye(sample.n_units))).total,
+                               want, rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # T1
 # ---------------------------------------------------------------------------
@@ -34,8 +38,9 @@ def four_unit_sample():
 def test_t1_hand_case():
     sample, y = four_unit_sample()
     res = uniform_adjustment(sample_stats(sample, y))
-    assert res.components["r_hat"] == pytest.approx(0.5)
     assert res.total[0] == pytest.approx(8.0)
+    # R = 2/4: the web respondent 0 and the ftf respondent 2 each carry d/R = 2
+    assert_weights("T1", uniform_adjustment, sample, [2.0, 0.0, 2.0, 0.0])
 
 
 def test_t1_full_response_is_plain_ht_exactly():
@@ -45,8 +50,7 @@ def test_t1_full_response_is_plain_ht_exactly():
     res = uniform_adjustment(sample_stats(sample, y))
     ht = sample.d @ y
     assert res.total[0] == ht[0]  # bitwise: the adjustment collapses to 1
-    np.testing.assert_array_equal(np.concatenate([b.weights for b in res.weight_blocks]),
-                                  np.full(6, 2.5))  # all weights are d
+    assert_weights("T1", uniform_adjustment, sample, np.full(6, 2.5))  # all weights are d
 
 
 def test_t1_unit_outcome_returns_n_hat():
@@ -70,12 +74,9 @@ def test_t2_hand_case():
     sample, y = four_unit_sample()
     res = followup_adjustment(sample_stats(sample, y))
     assert res.total[0] == pytest.approx(10.0)
-    # weight rows: web keeps d=1; the ftf respondent carries
+    # weights: web keeps d=1; the ftf respondent carries
     # d * (1/omega) * (1/Rf) = 1 * 1 * 3
-    web, ftf = res.weight_blocks
-    np.testing.assert_allclose(web.weights, [1.0])
-    np.testing.assert_allclose(ftf.weights, [3.0])
-    assert weighted_total(res, {"S": y})[0] == pytest.approx(10.0)
+    assert_weights("T2", followup_adjustment, sample, [1.0, 0.0, 3.0, 0.0])
 
 
 def test_t2_full_followup_response_reduces_to_two_term_ht():
@@ -126,8 +127,11 @@ def test_t2_alt_realized_expansion_value():
     sample = toy_sample(d=d, delta_w=delta_w, delta_f=delta_f,
                         psu_ids=[0] * 10 + [1] * 10, psu_subsample={0})
     res = followup_adjustment(sample_stats(sample, np.ones((20, 1))), expansion="realized")
-    assert res.components["carry"] == pytest.approx(100.0)
-    assert res.components["carry"] / 40.0 == pytest.approx(2.5)  # omega_s^-1
+    # no web respondents: the carry of all 100 nonrespondents is the size
+    assert res.n_hat == pytest.approx(100.0)
+    # omega_s^-1 = M/ME = 100/40: each ftf respondent carries 2.5 * d = 10
+    assert_weights("T2_AltOmega", lambda st: followup_adjustment(st, expansion="realized"),
+                   sample, np.concatenate([np.full(10, 10.0), np.zeros(10)]))
 
 
 def test_t2_alt_with_all_psus_subsampled_uses_unit_expansion():
@@ -139,7 +143,8 @@ def test_t2_alt_with_all_psus_subsampled_uses_unit_expansion():
     design = followup_adjustment(sample_stats(sample, y), expansion="design")
     realized = followup_adjustment(sample_stats(sample, y), expansion="realized")
     assert realized.total[0] == pytest.approx(design.total[0])
-    assert realized.components["carry"] == pytest.approx(2.0)  # omega_s^-1 = 1
+    # the 2 web respondents plus a carry of 2 nonrespondents: omega_s^-1 = 1
+    assert realized.n_hat == pytest.approx(2.0 + 2.0)
 
 
 def test_t2_degenerate_without_eligible_nonrespondents():
@@ -174,14 +179,16 @@ def test_ta_hand_case():
     res = web_only(sample_stats(sample, y))
     assert res.total[0] == pytest.approx(25.0)  # 10 * (5/2)
     assert web_only(sample_stats(sample, np.ones((5, 1)))).total[0] == pytest.approx(10.0)
+    # N/W = 10/4: each web respondent carries 2 * 2.5 = 5
+    assert_weights("TA", web_only, sample, [5.0, 0.0, 0.0, 0.0, 5.0])
 
 
 def test_tb1_matches_t1_with_full_followup():
+    # TB1 is T1 on a clustered sample whose nonrespondents are all followed up
     sample, y = four_unit_sample()
-    a = uniform_adjustment(sample_stats(sample, y), omega=1.0, estimator=EST_TB1)
-    b = uniform_adjustment(sample_stats(sample, y), omega=1.0)
-    assert a.total[0] == b.total[0]
-    assert a.total[0] == pytest.approx(8.0)
+    assert sample.ftf_rate == 1.0 and sample.flags().tolist() == [False, True, True, True]
+    assert uniform_adjustment(sample_stats(sample, y)).total[0] == pytest.approx(
+        reference_total(reference_weights("T1", sample), {"S": y})[0])
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +207,13 @@ def _hybrid_pair():
 def test_tdf1_endpoints_and_hand_value():
     sample_a, y_a, sample_b, y_b = _hybrid_pair()
     ta = web_only(sample_stats(sample_a, y_a))
-    tb = uniform_adjustment(sample_stats(sample_b, y_b), omega=1.0, estimator=EST_TB1)
+    tb = uniform_adjustment(sample_stats(sample_b, y_b))  # TB1: sample_b's omega is 1
     assert composite_total(ta, tb, 1.0).total[0] == ta.total[0]
     assert composite_total(ta, tb, 0.0).total[0] == tb.total[0]
     mixed = composite_total(ta, tb, 0.7)
     assert mixed.total[0] == pytest.approx(0.7 * 25 + 0.3 * 8)  # 19.9
-    # the lam=1 composite carries no clustered-sample weights at all
-    assert {b.sample.tag for b in composite_total(ta, tb, 1.0).weight_blocks} == {"A"}
+    # the lam=1 composite carries no clustered-sample scores at all
+    assert {b.sample.tag for b in composite_total(ta, tb, 1.0).score_blocks} == {"A"}
 
 
 def test_tdf2_reduces_to_t2_when_samples_coincide_and_kappa_zero():
@@ -288,13 +295,15 @@ def test_factor_effective_size_deflates_clustered_sample():
 
 
 # ---------------------------------------------------------------------------
-# Dual representations (weights vs equations vs brackets)
+# Dual representations (reference weights vs equations vs scores)
 # ---------------------------------------------------------------------------
 
-def _check_dual(result, outcomes):
-    np.testing.assert_allclose(weighted_total(result, outcomes), result.total,
+def _check_dual(result, outcomes, estimator, *samples, factor=None):
+    weights = reference_weights(estimator, *samples, factor=factor)
+    np.testing.assert_allclose(reference_total(weights, outcomes), result.total,
                                rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(bracket_total(result), result.total,
+    # the weights add up to the estimated population size
+    np.testing.assert_allclose(sum(w.sum() for w in weights.values()), result.n_hat,
                                rtol=1e-10, atol=1e-12)
     # scores of degree-one estimators reproduce the estimate
     recon = sum(b.e.sum(axis=1) for b in result.score_blocks)
@@ -307,10 +316,11 @@ def test_weight_equation_bracket_duality(seed):
     rng = np.random.default_rng(seed)
     sample, y = random_case(rng)
     outcomes = {"S": y}
-    _check_dual(uniform_adjustment(sample_stats(sample, y)), outcomes)
-    _check_dual(followup_adjustment(sample_stats(sample, y)), outcomes)
+    _check_dual(uniform_adjustment(sample_stats(sample, y)), outcomes, "T1", sample)
+    _check_dual(followup_adjustment(sample_stats(sample, y)), outcomes, "T2", sample)
     if sample.psu_subsample is not None:
-        _check_dual(followup_adjustment(sample_stats(sample, y), expansion="realized"), outcomes)
+        _check_dual(followup_adjustment(sample_stats(sample, y), expansion="realized"),
+                    outcomes, "T2_AltOmega", sample)
     ones = np.ones((sample.n_units, 1))
     for res in (uniform_adjustment(sample_stats(sample, ones)),
                 followup_adjustment(sample_stats(sample, ones))):
@@ -334,12 +344,13 @@ def test_hybrid_duality(seed, kappa):
     y_a = rng.normal(2.0, 1.0, size=(n_a, 2))
     outcomes = {"A": y_a, "B": y_b}
     ta = web_only(sample_stats(sample_a, y_a))
-    tb = uniform_adjustment(sample_stats(sample_b, y_b), omega=1.0, estimator=EST_TB1)
-    _check_dual(ta, outcomes)
-    _check_dual(tb, outcomes)
+    tb = uniform_adjustment(sample_stats(sample_b, y_b))  # TB1: sample_b's omega is 1
+    _check_dual(ta, outcomes, "TA", sample_a)
+    _check_dual(tb, outcomes, "T1", sample_b)
     lam = float(rng.uniform(0, 1))
-    _check_dual(composite_total(ta, tb, lam), outcomes)
-    _check_dual(web_composite(sample_stats(sample_a, y_a), sample_stats(sample_b, y_b), kappa), outcomes)
+    _check_dual(composite_total(ta, tb, lam), outcomes, "TDF1", sample_a, sample_b, factor=lam)
+    _check_dual(web_composite(sample_stats(sample_a, y_a), sample_stats(sample_b, y_b), kappa),
+                outcomes, "TDF2", sample_a, sample_b, factor=kappa)
     res1 = web_composite(sample_stats(sample_a, np.ones((n_a, 1))), sample_stats(sample_b, np.ones((sample_b.n_units, 1))), kappa)
     assert res1.total[0] == pytest.approx(res1.n_hat, rel=1e-12)
 
@@ -349,5 +360,5 @@ def test_reduction_identity_t1_equals_t2_under_full_response():
     y = np.array([[1.0], [4.0], [2.0], [5.0]])
     t1 = uniform_adjustment(sample_stats(sample, y))
     t2 = followup_adjustment(sample_stats(sample, y))
-    assert t1.components["r_hat"] == 1.0
+    assert_weights("T1", uniform_adjustment, sample, sample.d)  # R = 1: the weights are d
     assert t1.total[0] == pytest.approx(t2.total[0], rel=1e-12)

@@ -12,9 +12,9 @@ from mmsim import response, sampling
 from mmsim.errors import DataError, EstimationError
 from mmsim.montecarlo import DesignSpec, EstimatorSpec, ScenarioSpec
 from mmsim.population import draw_stochastic_labels
-from mmsim.variance import build_variance_units, confidence_interval, taylor_variance
+from mmsim.variance import build_variance_units, confidence_interval
 
-from conftest import make_population, random_case
+from conftest import make_population, variance_of
 
 HYBRID_SPECS = (
     EstimatorSpec("T1"), EstimatorSpec("TB1"), EstimatorSpec("T2"), EstimatorSpec("TA"),
@@ -41,10 +41,9 @@ def _reference_result(scenario, pop, samples, outcomes, spec):
         if spec.id == est.EST_T2:
             return est.followup_adjustment(stats("S"))
         return est.followup_adjustment(stats("S"), expansion="realized")
-    if spec.id == est.EST_T1:
+    assert samples["B"].ftf_rate == 1.0  # B follows up every nonrespondent: T1 is TB1
+    if spec.id in (est.EST_T1, est.EST_TB1):
         return est.uniform_adjustment(stats("B"))
-    if spec.id == est.EST_TB1:
-        return est.uniform_adjustment(stats("B"), omega=1.0, estimator=est.EST_TB1)
     if spec.id == est.EST_T2:
         return est.followup_adjustment(stats("B"))
     if spec.id == est.EST_TA:
@@ -56,9 +55,8 @@ def _reference_result(scenario, pop, samples, outcomes, spec):
     else:
         fac = est.compute_factors(sa, sb, 0.0, fixed=float(setting))
     if spec.id == est.EST_TDF1:
-        return est.composite_total(
-            est.web_only(stats("A")),
-            est.uniform_adjustment(stats("B"), omega=1.0, estimator=est.EST_TB1), fac.lam)
+        return est.composite_total(est.web_only(stats("A")), est.uniform_adjustment(stats("B")),
+                                   fac.lam)
     return est.web_composite(stats("A"), stats("B"), fac.kappa, n_hat_mode=scenario.n_hat_mode,
                              frame_n=pop.n_households)
 
@@ -66,7 +64,7 @@ def _reference_result(scenario, pop, samples, outcomes, spec):
 def _reference_cells(scenario, pop, truth, iteration, labels):
     """One replicate drawn with the public sampling functions, collected with
     ``response.collect`` from population-length ``labels`` and estimated label
-    by label with ``taylor_variance`` and ``confidence_interval``."""
+    by label with ``variance_of`` and ``confidence_interval``."""
     key = mc.scenario_key(scenario.id)
 
     def rng(stage):
@@ -96,9 +94,9 @@ def _reference_cells(scenario, pop, truth, iteration, labels):
     for spec in scenario.estimators:
         try:
             result = _reference_result(scenario, pop, samples, outcomes, spec)
-            var = taylor_variance(result, plans=plans or None)
-            low, high, covered = confidence_interval(result.total, var.variance, truth)
-            cells[spec.name] = (result.total, var.variance, low, high, covered, False, None)
+            var = variance_of(result, plans)
+            low, high, covered = confidence_interval(result.total, var, truth)
+            cells[spec.name] = (result.total, var, low, high, covered, False, None)
         except EstimationError as exc:
             nan = np.full(len(truth), np.nan)
             cells[spec.name] = (nan, nan, nan, nan, np.zeros(len(truth), dtype=bool),
@@ -248,37 +246,10 @@ def test_hybrid_replicate_skips_rates_and_builds_each_sample_once(small_syntheti
     assert len(res.cells) == len(HYBRID_SPECS)
     assert rates_calls == []
     assert sorted(stats_tags) == ["A", "B"]
-    # Positive control: the patches see the public path and its audit view.
+    # Positive control: the patch sees the public path.
     samples, _ = mc.draw_samples(scenario, pop, 0)
-    t1 = est.uniform_adjustment(est.sample_stats(samples["B"], pop.y[samples["B"].unit_idx]))
+    est.uniform_adjustment(est.sample_stats(samples["B"], pop.y[samples["B"].unit_idx]))
     assert stats_tags == ["A", "B", "B"] and rates_calls == []
-    assert t1.rates is not None and rates_calls == ["B"]
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_on_demand_rates_equal_response_rates(seed):
-    sample, y = random_case(np.random.default_rng(seed))
-    want = response.response_rates(sample)
-    stats = est.sample_stats(sample, y)
-    results = [est.uniform_adjustment(stats), est.followup_adjustment(stats),
-               est.web_only(stats)]
-    if sample.psu_subsample is not None:
-        results.append(est.followup_adjustment(stats, expansion="realized"))
-    for res in results:
-        assert res.rates == want, res.estimator
-    ta, t1 = results[2], results[0]
-    assert est.composite_total(ta, t1, 0.5).rates is None
-    assert est.web_composite(stats, stats, 0.5).rates is None
-
-
-def test_audit_views_are_built_once_on_first_read():
-    sample, y = random_case(np.random.default_rng(11))
-    res = est.followup_adjustment(est.sample_stats(sample, y))
-    assert "_views" not in vars(res)
-    blocks = res.weight_blocks
-    assert res.weight_blocks is blocks and res.components is res.components
-    assert "_views" in vars(res)
 
 
 def test_zero_total_variable_is_rejected_before_any_replicate(monkeypatch):

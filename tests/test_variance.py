@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from mmsim.errors import EstimationError, ValidationError
 from mmsim.estimators import (
-    EST_TB1,
     composite_total,
     followup_adjustment,
     sample_stats,
@@ -15,11 +14,11 @@ from mmsim.estimators import (
 from mmsim.variance import (
     build_variance_units,
     confidence_interval,
+    first_stage_units,
     sample_variances,
-    taylor_variance,
 )
 
-from conftest import random_case, toy_sample
+from conftest import random_case, toy_sample, variance_of
 
 
 def test_constant_outcome_full_response_has_zero_variance():
@@ -27,10 +26,10 @@ def test_constant_outcome_full_response_has_zero_variance():
                         delta_f=[0, 1, 0, 1, 0, 1], psu_ids=[0, 0, 1, 1, 2, 2])
     y = np.full((6, 1), 3.7)
     res = uniform_adjustment(sample_stats(sample, y))
-    var = taylor_variance(res)
-    assert var.variance[0] == pytest.approx(0.0, abs=1e-18)
-    assert var.df_proxy == 2
-    np.testing.assert_allclose(var.ci_low, var.ci_high)
+    var = variance_of(res)
+    assert var[0] == pytest.approx(0.0, abs=1e-18)
+    assert first_stage_units(sample, None)[1] - 1 == 2  # degrees of freedom
+    np.testing.assert_allclose(*confidence_interval(res.total, var))
 
 
 def test_hybrid_variance_is_weighted_sum_of_components():
@@ -43,12 +42,10 @@ def test_hybrid_variance_is_weighted_sum_of_components():
                           elig=np.zeros(n_a, dtype=bool), tag="A")
     y_a = rng.normal(size=(n_a, 2))
     ta = web_only(sample_stats(sample_a, y_a))
-    tb = uniform_adjustment(sample_stats(sample_b, y_b), omega=1.0, estimator=EST_TB1)
+    tb = uniform_adjustment(sample_stats(sample_b, y_b))
     lam = 0.35
-    combined = taylor_variance(composite_total(ta, tb, lam))
-    va = taylor_variance(ta).variance
-    vb = taylor_variance(tb).variance
-    np.testing.assert_allclose(combined.variance, lam**2 * va + (1 - lam) ** 2 * vb,
+    np.testing.assert_allclose(variance_of(composite_total(ta, tb, lam)),
+                               lam**2 * variance_of(ta) + (1 - lam) ** 2 * variance_of(tb),
                                rtol=1e-12)
 
 
@@ -60,7 +57,7 @@ def test_variance_is_nonnegative(seed):
     sample, y = random_case(rng)
     for res in (uniform_adjustment(sample_stats(sample, y)),
                 followup_adjustment(sample_stats(sample, y))):
-        assert (taylor_variance(res).variance >= 0).all()
+        assert (variance_of(res) >= 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +109,17 @@ def test_grouped_variance_runs_and_reduces_df():
     y = np.random.default_rng(5).normal(2.0, 1.0, size=(sample.n_units, 1))
     res = followup_adjustment(sample_stats(sample, y))
     plan = build_variance_units(sample, np.random.default_rng(6))
-    grouped = taylor_variance(res, plans={"S": plan})
-    plain = taylor_variance(res)
-    assert grouped.df_proxy == 3 and plain.df_proxy == 7
-    assert grouped.variance[0] >= 0
+    grouped = variance_of(res, plans={"S": plan})
+    # degrees of freedom, one fewer than the first-stage units: 3 grouped, 7 plain
+    assert first_stage_units(sample, plan)[1] == 4 and first_stage_units(sample, None)[1] == 8
+    assert grouped[0] >= 0
 
 
 def test_too_few_variance_units_error():
     sample = toy_sample(d=[1.0, 1.0], delta_w=[1, 1], psu_ids=[0, 0])
     res = uniform_adjustment(sample_stats(sample, np.ones((2, 1))))
     with pytest.raises(EstimationError, match="variance units"):
-        taylor_variance(res)
+        variance_of(res)
 
 
 # ---------------------------------------------------------------------------

@@ -123,8 +123,7 @@ def cmd_run(cfg: RunConfig, jobs: int = 1, quiet: bool = False) -> int:
     cil_reference = _load_cil_reference(cfg.output.cil_reference, _variable_names(cfg))
     pop = _build_population(cfg)
     results = mc.run_scenario(pop, scenario, jobs=jobs, progress=not quiet)
-    truth = pop.y.sum(axis=0)
-    summary = mc.summarize(results, truth, pop.variable_names,
+    summary = mc.summarize(results, results.truth, pop.variable_names,
                            scenario_id=scenario.id, cil_reference=cil_reference)
     meta = _metadata(cfg, scenario)
     out = Path(cfg.output.dir)

@@ -105,6 +105,7 @@ class PlanParams:
         rules = [(name, ">= 1", getattr(self, name) >= 1) for name in counts] + [
             ("web_rate", "in [0, 1)", 0.0 <= self.web_rate < 1.0),  # 1 - web_rate divides
             ("ftf_rate", "in [0, 1]", 0.0 <= self.ftf_rate <= 1.0),
+            ("ftf_rate", "> 0 when web_rate is 0", self.web_rate > 0.0 or self.ftf_rate > 0.0),
             ("psu_sub_psus", "<= psu_n_psus", self.psu_sub_psus <= self.psu_n_psus),
             ("unit_ftf_take", "<= the expected nonrespondents per PSU",
              self.unit_ftf_take <= self.unit_hh_per_psu * (1.0 - self.web_rate))]

@@ -133,17 +133,31 @@ class ScenarioSpec:
 class EstimatorCell:
     point: np.ndarray
     variance: np.ndarray
-    ci_low: np.ndarray
-    ci_high: np.ndarray
     covered: np.ndarray
-    degenerate: bool = False
-    reason: str | None = None
+    reason: str = ""  # why the estimate is degenerate; "" when it is not
+
+    @property
+    def degenerate(self) -> bool:
+        return self.reason != ""
 
 
 @dataclass(frozen=True)
 class IterationResult:
-    iteration: int
     cells: dict[str, EstimatorCell]
+
+
+@dataclass(frozen=True)
+class Replicates:
+    """A run's estimates, row i being iteration i.  ``point``, ``variance``
+    and ``covered`` are [iterations, labels, variables], NaN and False where
+    the estimate is degenerate; ``reason`` is [iterations, labels], "" where
+    it is not."""
+    labels: tuple[str, ...]
+    truth: np.ndarray
+    point: np.ndarray
+    variance: np.ndarray
+    covered: np.ndarray
+    reason: np.ndarray
 
 
 def scenario_key(scenario_id: str) -> int:
@@ -255,7 +269,7 @@ def draw_samples(scenario: ScenarioSpec, pop: Population, iteration: int
 def run_iteration(scenario: ScenarioSpec, pop: Population, truth: np.ndarray,
                   iteration: int, workspace: dict | None = None) -> IterationResult:
     """Draw, collect and estimate one replicate: all totals and scores, one
-    variance pass per sample (buffers kept in ``workspace``), intervals."""
+    variance pass per sample (buffers kept in ``workspace``), coverage."""
     rep = _Replicate(scenario, pop, *draw_samples(scenario, pop, iteration))
     estimates: dict[str, est.EstimatorResult | EstimationError] = {}
     for spec in scenario.estimators:
@@ -268,12 +282,11 @@ def run_iteration(scenario: ScenarioSpec, pop: Population, truth: np.ndarray,
     for (name, result), var in zip(estimates.items(), variances):
         if isinstance(var, EstimationError):
             nan = np.full(len(truth), np.nan)
-            cells[name] = EstimatorCell(nan, nan, nan, nan, np.zeros(len(truth), dtype=bool),
-                                        degenerate=True, reason=str(var))
+            cells[name] = EstimatorCell(nan, nan, np.zeros(len(truth), dtype=bool), str(var))
         else:
-            low, high, covered = confidence_interval(result.total, var, truth)
-            cells[name] = EstimatorCell(result.total, var, low, high, covered)
-    return IterationResult(iteration=iteration, cells=cells)
+            _, _, covered = confidence_interval(result.total, var, truth)
+            cells[name] = EstimatorCell(result.total, var, covered)
+    return IterationResult(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +300,27 @@ def _worker_init(pop, scenario, truth):
     _CTX["args"] = (pop, scenario, truth)
 
 
+def _allocate(iterations: int, labels: int, k: int) -> tuple[np.ndarray, ...]:
+    """Empty point, variance, covered and reason arrays for ``iterations`` rows."""
+    shape = (iterations, labels, k)
+    return (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
+            np.empty(shape[:2], dtype=object))
+
+
 def _worker_chunk(span, args=None):
+    """The rows of ``span``, one ``run_iteration`` each, as one block of arrays."""
     pop, scenario, truth = args or _CTX["args"]
+    block = _allocate(len(span), len(scenario.estimators), len(truth))
     workspace: dict = {}  # the chunk's variance buffers
-    return [run_iteration(scenario, pop, truth, i, workspace) for i in span]
+    for row, i in enumerate(span):
+        cells = run_iteration(scenario, pop, truth, i, workspace).cells.values()
+        for array, field in zip(block, ("point", "variance", "covered", "reason")):
+            array[row] = [getattr(cell, field) for cell in cells]
+    return block
 
 
 def run_scenario(pop: Population, scenario: ScenarioSpec, jobs: int = 1,
-                 progress: bool = False) -> list[IterationResult]:
+                 progress: bool = False) -> Replicates:
     """Run all iterations, in chunks run in-process for one job or by a pool
     of ``jobs`` worker processes; output is independent of ``jobs``."""
     scenario.validate()
@@ -307,18 +333,19 @@ def run_scenario(pop: Population, scenario: ScenarioSpec, jobs: int = 1,
     n = scenario.iterations
     chunk = max(1, math.ceil(n / (max(jobs, 1) * 8)))
     spans = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    results: list[IterationResult] = []
+    arrays = _allocate(n, len(scenario.estimators), len(truth))
     # under fork, workers inherit initargs (the population) without pickling
     with (ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
                               initargs=(pop, scenario, truth))
           if jobs > 1 else nullcontext()) as pool:
         chunks = (pool.map(_worker_chunk, spans) if pool is not None
                   else map(partial(_worker_chunk, args=(pop, scenario, truth)), spans))
-        for block in chunks:
-            results.extend(block)
+        for span, block in zip(spans, chunks):
+            for array, part in zip(arrays, block):
+                array[span.start:span.stop] = part
             if progress:
-                print(f"{scenario.id}: {len(results)}/{n} iterations", file=sys.stderr)
-    return results
+                print(f"{scenario.id}: {span.stop}/{n} iterations", file=sys.stderr)
+    return Replicates(tuple(spec.name for spec in scenario.estimators), truth, *arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -360,25 +387,28 @@ class ScenarioSummary:
         raise KeyError((estimator, variable))
 
 
-def _collect(results: list[IterationResult], label: str):
-    points, variances, covered, cils = [], [], [], []
-    degenerate = 0
-    for res in results:
-        cell = res.cells[label]
-        if cell.degenerate:
-            degenerate += 1
-            continue
-        points.append(cell.point)
-        variances.append(cell.variance)
-        covered.append(cell.covered)
-        cils.append(cell.ci_high - cell.ci_low)
-    if not points:
-        return None, degenerate
-    return (np.array(points), np.array(variances),
-            np.array(covered, dtype=float), np.array(cils)), degenerate
+def _used_rows(results: Replicates, col: int):
+    """Label ``col``'s non-degenerate rows (point, variance, coverage as float,
+    interval length) and its count of degenerate rows."""
+    keep = results.reason[:, col] == ""
+    if not keep.any():
+        raise DegenerateResultsError(
+            f"estimator {results.labels[col]}: all {len(keep)} iterations degenerate")
+    points, variances = results.point[keep, col], results.variance[keep, col]
+    low, high = confidence_interval(points, variances)
+    return (points, variances, results.covered[keep, col].astype(float), high - low,
+            len(keep) - int(keep.sum()))
 
 
-def summarize(results: list[IterationResult], truth: np.ndarray,
+def _mc_se(values: np.ndarray):
+    """Monte Carlo standard error of the mean over rows; NaN from a single row."""
+    n = len(values)
+    if n < 2:
+        return np.full(values.shape[1:], np.nan)
+    return values.std(axis=0, ddof=1) / math.sqrt(n)
+
+
+def summarize(results: Replicates, truth: np.ndarray,
               variable_names: tuple[str, ...], scenario_id: str = "",
               cil_reference: dict[str, float] | None = None) -> ScenarioSummary:
     """Per-variable and variable-averaged metrics for every estimator.
@@ -389,43 +419,24 @@ def summarize(results: list[IterationResult], truth: np.ndarray,
     estimators.
     """
     truth = np.asarray(truth, dtype=float)
-    labels = list(results[0].cells)
-    collected = {}
-    for label in labels:
-        data, degenerate = _collect(results, label)
-        if data is None:
-            raise DegenerateResultsError(
-                f"estimator {label}: all {len(results)} iterations degenerate"
-            )
-        collected[label] = (data, degenerate)
-
     k = len(variable_names)
     if cil_reference is None:
-        per_var_cils = {
-            v: [collected[lab][0][3][:, j].mean() for lab in labels]
-            for j, v in enumerate(variable_names)
-        }
-        cil_reference = {v: float(np.mean(vals)) for v, vals in per_var_cils.items()}
+        lengths = [_used_rows(results, i)[3] for i in range(len(results.labels))]
+        cil_reference = {v: float(np.mean([c[:, j].mean() for c in lengths]))
+                         for j, v in enumerate(variable_names)}
 
     rows = []
-    for label in labels:
-        (points, variances, covered, cils), degenerate = collected[label]
+    for i, label in enumerate(results.labels):
+        points, variances, covered, cils, degenerate = _used_rows(results, i)
         n = len(points)
         rel = (points - truth[None, :]) / truth[None, :]
         sq = rel**2
         cv_i = np.sqrt(variances) / points
-        rb = rel.mean(axis=0)
-        se_rb = rel.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.full(k, np.nan)
-        cv = cv_i.mean(axis=0)
-        se_cv = cv_i.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.full(k, np.nan)
-        m_sq = sq.mean(axis=0)
+        rb, cv, m_sq = rel.mean(axis=0), cv_i.mean(axis=0), sq.mean(axis=0)
+        se_rb, se_cv = _mc_se(rel), _mc_se(cv_i)
         rrmse = np.sqrt(m_sq)
         with np.errstate(divide="ignore", invalid="ignore"):
-            se_rrmse = np.where(
-                rrmse > 0,
-                sq.std(axis=0, ddof=1) / math.sqrt(n) / (2.0 * rrmse),
-                0.0,
-            ) if n > 1 else np.full(k, np.nan)
+            se_rrmse = np.where(rrmse > 0, _mc_se(sq) / (2.0 * rrmse), 0.0 if n > 1 else np.nan)
         cover = covered.mean(axis=0)
         se_cover = np.sqrt(cover * (1.0 - cover) / n)
         mean_cil = cils.mean(axis=0)
@@ -445,27 +456,21 @@ def summarize(results: list[IterationResult], truth: np.ndarray,
 
         # Variable-averaged row with MC errors that respect the
         # within-iteration correlation across variables.
-        rel_agg = rel.mean(axis=1)
-        cv_agg = cv_i.mean(axis=1)
-        cover_agg = covered.mean(axis=1)
+        rel_agg, cv_agg, cover_agg = rel.mean(axis=1), cv_i.mean(axis=1), covered.mean(axis=1)
+        se_rrmse_agg = float("nan")
         if n > 1:
             with np.errstate(divide="ignore"):
                 grad = np.where(m_sq > 0, 1.0 / (2.0 * k * np.sqrt(m_sq)), 0.0)
             cov_sq = np.cov(sq, rowvar=False).reshape(k, k)
             se_rrmse_agg = float(np.sqrt(max(grad @ cov_sq @ grad, 0.0) / n))
-            se_rb_agg = float(rel_agg.std(ddof=1) / math.sqrt(n))
-            se_cv_agg = float(cv_agg.std(ddof=1) / math.sqrt(n))
-            se_cover_agg = float(cover_agg.std(ddof=1) / math.sqrt(n))
-        else:
-            se_rrmse_agg = se_rb_agg = se_cv_agg = se_cover_agg = float("nan")
         norm_vals = [mean_cil[j] / cil_reference[v]
                      for j, v in enumerate(variable_names) if cil_reference.get(v)]
         rows.append(SummaryRow(
             estimator=label, variable=AGGREGATE, n_used=n, degenerate=degenerate,
-            rb=float(rel_agg.mean()), se_rb=se_rb_agg,
-            cv=float(cv_agg.mean()), se_cv=se_cv_agg,
+            rb=float(rel_agg.mean()), se_rb=float(_mc_se(rel_agg)),
+            cv=float(cv_agg.mean()), se_cv=float(_mc_se(cv_agg)),
             rrmse=float(rrmse.mean()), se_rrmse=se_rrmse_agg,
-            coverage=float(cover_agg.mean()), se_coverage=se_cover_agg,
+            coverage=float(cover_agg.mean()), se_coverage=float(_mc_se(cover_agg)),
             abs_rb=float(np.abs(rb).mean()),
             mean_cil=float(mean_cil.mean()),
             norm_cil=float(np.mean(norm_vals)) if norm_vals else float("nan"),
@@ -483,22 +488,20 @@ def _write_metadata(fh, metadata: dict) -> None:
         fh.write(f"# {key}: {value}\n")
 
 
-def write_iterations_csv(path, scenario_id: str, results: list[IterationResult],
+def write_iterations_csv(path, scenario_id: str, results: Replicates,
                          variable_names, metadata: dict) -> None:
     with open(path, "w", newline="") as fh:
         _write_metadata(fh, metadata)
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["scenario", "iteration", "variable", "estimator",
                     "point", "variance", "covered", "degenerate"])
-        for res in results:
-            for label, cell in res.cells.items():
-                for j, v in enumerate(variable_names):
-                    w.writerow([
-                        scenario_id, res.iteration, v, label,
-                        repr(float(cell.point[j])), repr(float(cell.variance[j])),
-                        "" if cell.degenerate else int(cell.covered[j]),
-                        int(cell.degenerate),
-                    ])
+        for i in range(len(results.reason)):
+            for label, points, variances, covered, reason in zip(
+                    results.labels, results.point[i].tolist(), results.variance[i].tolist(),
+                    results.covered[i].tolist(), results.reason[i]):
+                for v, point, var, cover in zip(variable_names, points, variances, covered):
+                    w.writerow([scenario_id, i, v, label, repr(point), repr(var),
+                                "" if reason else int(cover), int(bool(reason))])
 
 
 _SUMMARY_FIELDS = ("n_used", "degenerate", "rb", "se_rb", "cv", "se_cv",

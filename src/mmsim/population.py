@@ -91,10 +91,6 @@ class Population:
     def n_households(self) -> int:
         return len(self.ids)
 
-    @property
-    def n_variables(self) -> int:
-        return len(self.variable_names)
-
     def psu_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct PSU ids, ascending, and their household counts.
 

@@ -73,9 +73,8 @@ def preset_runs():
 
 
 def _cell_arrays(results, label):
-    points = np.array([r.cells[label].point for r in results])
-    variances = np.array([r.cells[label].variance for r in results])
-    return points, variances
+    j = results.labels.index(label)
+    return results.point[:, j], results.variance[:, j]
 
 
 # ---------------------------------------------------------------------------

@@ -484,6 +484,7 @@ def test_deff_zero_icc_clustering_deffs_are_one(capsys):
     (["--unit-hh", "0"], "unit_hh_per_psu"),
     (["--web-rate", "1"], "web_rate"),
     (["--unit-psus", "-5"], "unit_n_psus"),
+    (["--web-rate", "0", "--ftf-rate", "0"], "ftf_rate"),
 ])
 def test_deff_out_of_range_plan_is_config_error(capsys, args, field):
     assert main(["deff", *args]) == 2

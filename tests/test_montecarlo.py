@@ -8,15 +8,15 @@ from mmsim.errors import ConfigError, DegenerateResultsError
 from mmsim.montecarlo import (
     AGGREGATE,
     DesignSpec,
-    EstimatorCell,
     EstimatorSpec,
-    IterationResult,
+    Replicates,
     ScenarioSpec,
     run_iteration,
     run_scenario,
     summarize,
 )
 from mmsim.population import MODE_WEB
+from mmsim.variance import confidence_interval
 from conftest import make_population
 
 
@@ -67,15 +67,32 @@ def test_parallel_and_serial_runs_agree(small_synthetic):
                        design=design)
         serial = run_scenario(small_synthetic, scen, jobs=1)
         parallel = run_scenario(small_synthetic, scen, jobs=3)
-        assert [r.iteration for r in serial] == [r.iteration for r in parallel] == list(range(16))
-        for a, b in zip(serial, parallel):
-            assert list(a.cells) == list(b.cells) == list(estimators)
-            for label in a.cells:
-                x, y = a.cells[label], b.cells[label]
-                for field in ("point", "variance", "covered"):
-                    np.testing.assert_array_equal(getattr(x, field), getattr(y, field),
-                                                  err_msg=f"{design.kind} {label} {field}")
-                assert (x.degenerate, x.reason) == (y.degenerate, y.reason)
+        assert serial.labels == parallel.labels == estimators
+        assert serial.reason.shape == (16, len(estimators))
+        for field in ("truth", "point", "variance", "covered", "reason"):
+            np.testing.assert_array_equal(getattr(serial, field), getattr(parallel, field),
+                                          err_msg=f"{design.kind} {field}")
+
+
+def test_run_scenario_rows_are_run_iteration_bit_for_bit():
+    """Row i of a run, degenerate estimates included, is ``run_iteration`` for i."""
+    rng = np.random.default_rng(3)
+    n = 200
+    pop = make_population(rng.normal(2.0, 1.0, (n, 2)), np.repeat(np.arange(20), 10),
+                          modes=np.where(rng.random(n) < 0.1, MODE_WEB, rng.integers(1, 3, n)))
+    scen = replace(mini_hybrid(iterations=12, seed=5),
+                   design=DesignSpec(kind="hybrid", n_unclustered=8, n_psus=4, m_per_psu=3))
+    results = run_scenario(pop, scen)
+    assert (results.reason != "").any() and (results.reason == "").any()
+    labelled = mc.prepare_population(pop, scen)
+    for i in range(scen.iterations):
+        cells = run_iteration(scen, labelled, results.truth, i).cells
+        assert tuple(cells) == results.labels
+        for j, cell in enumerate(cells.values()):
+            for field in ("point", "variance", "covered"):
+                row, want = getattr(results, field)[i, j], getattr(cell, field)
+                assert row.dtype == want.dtype and row.tobytes() == want.tobytes(), (i, j, field)
+            assert results.reason[i, j] == cell.reason
 
 
 def test_adding_estimators_does_not_perturb_draws(small_synthetic):
@@ -96,7 +113,7 @@ def test_stochastic_rule_redraws_labels_per_iteration(small_synthetic):
                               {"WEB": (0.6, 0.3), "MAIL": (0.3, 0.4), "FTF": (0.2, 0.4)})
     scen = mini_hybrid(rule="stochastic", iterations=4)
     results = run_scenario(pop, scen, jobs=1)
-    points = [r.cells["T2"].point[0] for r in results]
+    points = results.point[:, results.labels.index("T2"), 0].tolist()
     assert len(set(points)) == len(points)  # different labels, different draws
 
 
@@ -150,7 +167,7 @@ def test_stochastic_replicate_labels_only_sampled_rows(small_synthetic, monkeypa
                         lambda *args: calls.append("with_labels"))
     monkeypatch.setattr(mc, "stage_rng", recording_stage_rng)
     results = run_scenario(pop, scen, jobs=1)
-    assert len(results) == 3
+    assert len(results.reason) == 3
     assert calls == []
     assert [i for i, stage in stages if stage == mc.STAGE_LABELS] == [0, 1, 2]
 
@@ -173,14 +190,14 @@ def test_census_web_population_recovers_truth_exactly():
     truth = pop.y.sum(axis=0)
     summary = summarize(results, truth, pop.variable_names, "CENSUS")
     row = summary.row("TA", AGGREGATE)
-    assert results[0].cells["TA"].point[0] == pytest.approx(truth[0], rel=1e-12)
+    assert results.point[0, 0, 0] == pytest.approx(truth[0], rel=1e-12)
     assert row.rb == pytest.approx(0.0, abs=1e-12)
 
 
 def test_single_iteration_emits_all_estimators(small_synthetic):
     scen = mini_hybrid(iterations=1)
     results = run_scenario(small_synthetic, scen)
-    assert set(results[0].cells) == {"T1", "T2", "TA", "TDF1", "TDF2"}
+    assert results.labels == ("T1", "T2", "TA", "TDF1", "TDF2")
 
 
 def test_empty_estimator_list_rejected():
@@ -213,19 +230,19 @@ def test_duplicate_labels_rejected():
 # Summaries
 # ---------------------------------------------------------------------------
 
-def _cell(point, variance, truth):
-    point = np.asarray(point, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    half = 1.96 * np.sqrt(variance)
-    low, high = point - half, point + half
-    return EstimatorCell(point=point, variance=variance, ci_low=low, ci_high=high,
-                         covered=(low <= truth) & (truth <= high))
+def _replicates(points, variances, truth, reasons=None):
+    """A run of one estimator "E", a row of ``points`` and ``variances`` per
+    iteration; ``reasons`` marks the degenerate rows."""
+    point = np.asarray(points, dtype=float)[:, None, :]
+    variance = np.asarray(variances, dtype=float)[:, None, :]
+    _, _, covered = confidence_interval(point, variance, truth)
+    reason = np.array(reasons or [""] * len(point), dtype=object)[:, None]
+    return Replicates(("E",), truth, point, variance, covered, reason)
 
 
 def test_summary_of_exact_estimator():
     truth = np.array([100.0])
-    results = [IterationResult(i, {"E": _cell([100.0], [25.0], truth)})
-               for i in range(10)]
+    results = _replicates([[100.0]] * 10, [[25.0]] * 10, truth)
     row = summarize(results, truth, ("v1",), "S").row("E", "v1")
     assert row.rb == 0.0 and row.coverage == 1.0
     assert row.mean_cil == pytest.approx(2 * 1.96 * 5)
@@ -233,8 +250,7 @@ def test_summary_of_exact_estimator():
 
 def test_summary_two_point_spread():
     truth = np.array([100.0])
-    results = [IterationResult(0, {"E": _cell([90.0], [1.0], truth)}),
-               IterationResult(1, {"E": _cell([110.0], [1.0], truth)})]
+    results = _replicates([[90.0], [110.0]], [[1.0], [1.0]], truth)
     row = summarize(results, truth, ("v1",), "S").row("E", "v1")
     assert row.rb == pytest.approx(0.0, abs=1e-12)
     assert row.rrmse == pytest.approx(0.1)
@@ -243,11 +259,9 @@ def test_summary_two_point_spread():
 def test_rrmse_dominates_absolute_bias():
     rng = np.random.default_rng(0)
     truth = np.array([50.0, 80.0])
-    results = [
-        IterationResult(i, {"E": _cell(truth * (1 + rng.normal(0.02, 0.1, 2)),
-                                       rng.uniform(1, 30, 2), truth)})
-        for i in range(60)
-    ]
+    draws = [(truth * (1 + rng.normal(0.02, 0.1, 2)), rng.uniform(1, 30, 2))
+             for _ in range(60)]
+    results = _replicates(*zip(*draws), truth)
     summary = summarize(results, truth, ("v1", "v2"), "S")
     for row in summary.rows:
         assert row.rrmse >= abs(row.rb) - 1e-12
@@ -256,12 +270,8 @@ def test_rrmse_dominates_absolute_bias():
 
 def test_degenerate_iterations_are_excluded_and_counted():
     truth = np.array([10.0])
-    good = _cell([10.0], [1.0], truth)
-    bad = EstimatorCell(point=np.array([np.nan]), variance=np.array([np.nan]),
-                        ci_low=np.array([np.nan]), ci_high=np.array([np.nan]),
-                        covered=np.array([False]), degenerate=True, reason="x")
-    results = [IterationResult(0, {"E": good}), IterationResult(1, {"E": bad}),
-               IterationResult(2, {"E": good})]
+    results = _replicates([[10.0], [np.nan], [10.0]], [[1.0], [np.nan], [1.0]], truth,
+                          reasons=["", "x", ""])
     row = summarize(results, truth, ("v1",), "S").row("E", "v1")
     assert row.n_used == 2 and row.degenerate == 1
     assert row.rb == pytest.approx(0.0)
@@ -269,11 +279,9 @@ def test_degenerate_iterations_are_excluded_and_counted():
 
 def test_all_degenerate_raises():
     truth = np.array([10.0])
-    bad = EstimatorCell(point=np.array([np.nan]), variance=np.array([np.nan]),
-                        ci_low=np.array([np.nan]), ci_high=np.array([np.nan]),
-                        covered=np.array([False]), degenerate=True, reason="x")
-    with pytest.raises(DegenerateResultsError):
-        summarize([IterationResult(0, {"E": bad})], truth, ("v1",), "S")
+    with pytest.raises(DegenerateResultsError, match="E: all 1 iterations"):
+        summarize(_replicates([[np.nan]], [[np.nan]], truth, reasons=["x"]),
+                  truth, ("v1",), "S")
 
 
 def test_coverage_standard_error_shrinks_with_iterations():
@@ -281,8 +289,8 @@ def test_coverage_standard_error_shrinks_with_iterations():
     rng = np.random.default_rng(1)
 
     def run(n):
-        results = [IterationResult(i, {"E": _cell([100 + rng.normal(0, 5)], [25.0], truth)})
-                   for i in range(n)]
+        results = _replicates([[100 + rng.normal(0, 5)] for _ in range(n)], [[25.0]] * n,
+                              truth)
         return summarize(results, truth, ("v1",), "S").row("E", "v1")
 
     a, b = run(400), run(1600)
@@ -295,8 +303,7 @@ def test_coverage_standard_error_shrinks_with_iterations():
 
 def test_norm_cil_reference():
     truth = np.array([100.0])
-    results = [IterationResult(i, {"E": _cell([100.0], [25.0], truth)})
-               for i in range(4)]
+    results = _replicates([[100.0]] * 4, [[25.0]] * 4, truth)
     summary = summarize(results, truth, ("v1",), "S", cil_reference={"v1": 9.8})
     assert summary.row("E", "v1").norm_cil == pytest.approx(2.0)
     # default reference: within-run mean across estimators, so 1.0 here

@@ -635,7 +635,7 @@ def test_icc_calibration_at_scale():
     )
     pop = generate_synthetic(spec)
     assert pop.n_households >= 100_000
-    for j in range(pop.n_variables):
+    for j in range(len(pop.variable_names)):
         assert abs(estimate_icc(pop.y[:, j], pop.psu_ids) - 0.02) <= 0.01
 
 

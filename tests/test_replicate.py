@@ -95,12 +95,11 @@ def _reference_cells(scenario, pop, truth, iteration, labels):
         try:
             result = _reference_result(scenario, pop, samples, outcomes, spec)
             var = variance_of(result, plans)
-            low, high, covered = confidence_interval(result.total, var, truth)
-            cells[spec.name] = (result.total, var, low, high, covered, False, None)
+            _, _, covered = confidence_interval(result.total, var, truth)
+            cells[spec.name] = (result.total, var, covered, "")
         except EstimationError as exc:
             nan = np.full(len(truth), np.nan)
-            cells[spec.name] = (nan, nan, nan, nan, np.zeros(len(truth), dtype=bool),
-                                True, str(exc))
+            cells[spec.name] = (nan, nan, np.zeros(len(truth), dtype=bool), str(exc))
     return cells
 
 
@@ -165,13 +164,12 @@ def replicates(draw, stochastic=False):
 def _assert_cells_equal(scenario, got, want):
     assert list(got) == list(want)
     event(f"{scenario.design.kind}: {sum(c.degenerate for c in got.values())} degenerate")
-    for label, (point, var, low, high, covered, degenerate, reason) in want.items():
+    for label, (point, var, covered, reason) in want.items():
         cell = got[label]
         for name, a, b in (("point", cell.point, point), ("variance", cell.variance, var),
-                           ("ci_low", cell.ci_low, low), ("ci_high", cell.ci_high, high),
                            ("covered", cell.covered, covered)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, name)
-        assert (cell.degenerate, cell.reason) == (degenerate, reason), label
+        assert cell.reason == reason, label
 
 
 @settings(max_examples=150, deadline=None)

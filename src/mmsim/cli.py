@@ -128,9 +128,8 @@ def cmd_run(cfg: RunConfig, jobs: int = 1, quiet: bool = False) -> int:
     meta = _metadata(cfg, scenario)
     out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.output.write_iterations:
-        mc.write_iterations_csv(out / "iterations.csv", scenario.id, results,
-                                pop.variable_names, meta)
+    mc.write_iterations_csv(out / "iterations.csv", scenario.id, results,
+                            pop.variable_names, meta)
     mc.write_summary_csv(out / "summary.csv", summary, meta)
     mc.write_summary_json(out / "summary.json", summary, meta)
     mc.write_plotdata_csv(out / "plotdata.csv", summary, meta)
@@ -159,6 +158,13 @@ def cmd_deff(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmsim",
@@ -172,17 +178,19 @@ def build_parser() -> argparse.ArgumentParser:
         src.add_argument("--config", type=str, help="path to a YAML run configuration")
         src.add_argument("--preset", type=str,
                          help="bundled scenario preset, e.g. b1a-synthetic")
-        p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--iterations", type=int, default=None,
-                       help="override the iteration count")
         p.add_argument("--out", type=str, default=None, help="override the output directory")
 
     gen = sub.add_parser("generate", help="write a synthetic population CSV + sidecar")
     add_config_args(gen)
+    gen.set_defaults(seed=None, iterations=None)  # a population has no run to override
 
     run = sub.add_parser("run", help="run a simulation scenario")
     add_config_args(run)
-    run.add_argument("--jobs", type=int, default=1, help="worker processes")
+    run.add_argument("--seed", type=int, default=None, help="override the master seed")
+    run.add_argument("--iterations", type=int, default=None,
+                     help="override the iteration count")
+    run.add_argument("--jobs", type=_positive_int, default=1,
+                     help="worker processes, at most one per CPU and per chunk")
     run.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     deff = sub.add_parser("deff", help="closed-form design-effect planning table")

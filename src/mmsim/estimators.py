@@ -45,17 +45,6 @@ from .errors import EstimationError, ValidationError
 from .response import response_rates  # noqa: F401
 from .sampling import DrawnSample
 
-EST_T1 = "T1"
-EST_T2 = "T2"
-EST_T2_ALT = "T2_AltOmega"
-EST_TA = "TA"
-EST_TB1 = "TB1"
-EST_TDF1 = "TDF1"
-EST_TDF2 = "TDF2"
-
-ALL_ESTIMATORS = (EST_T1, EST_T2, EST_T2_ALT, EST_TA, EST_TB1, EST_TDF1, EST_TDF2)
-
-
 class DegenerateEstimate(EstimationError):
     """The sample realization does not support this estimator."""
 

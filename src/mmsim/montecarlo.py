@@ -19,10 +19,11 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -100,7 +101,7 @@ class ScenarioSpec:
     seed: int
     compositing: float | str = "effective"
     icc_planning: float = 0.0
-    n_hat_mode: str = "composite"
+    n_hat: str = "composite"
 
     def validate(self) -> None:
         if self.iterations < 1:
@@ -112,7 +113,7 @@ class ScenarioSpec:
         self.design.validate()
         names = set()
         for i, spec in enumerate(self.estimators):
-            if spec.id not in est.ALL_ESTIMATORS:
+            if spec.id not in {id_ for _, id_ in ESTIMATORS}:
                 raise ConfigError(f"unknown estimator id {spec.id!r}")
             if (self.design.kind, spec.id) not in ESTIMATORS:
                 raise ConfigError(f"estimator {spec.id} is not defined for the "
@@ -125,8 +126,8 @@ class ScenarioSpec:
         _check_compositing(self.compositing, "scenario.compositing")
         if not 0.0 <= self.icc_planning < 1.0:
             raise ConfigError(f"scenario.icc_planning must be in [0, 1), got {self.icc_planning}")
-        if self.n_hat_mode not in ("composite", "frame"):
-            raise ConfigError(f"unknown n_hat mode {self.n_hat_mode!r}")
+        if self.n_hat not in ("composite", "frame"):
+            raise ConfigError(f"unknown n_hat mode {self.n_hat!r}")
 
 
 @dataclass(frozen=True)
@@ -224,19 +225,19 @@ def _tdf1(rep: _Replicate, spec: EstimatorSpec) -> est.EstimatorResult:
 # here is undefined for that design.  Every clustered-sample nonrespondent of
 # the hybrid design is followed up, so T1's expansion omega is 1: T1 is TB1.
 ESTIMATORS = {
-    ("hybrid", est.EST_T1): lambda rep, spec: rep.tb1,
-    ("hybrid", est.EST_TB1): lambda rep, spec: rep.tb1,
-    ("hybrid", est.EST_T2): lambda rep, spec: est.followup_adjustment(rep.stats["B"]),
-    ("hybrid", est.EST_TA): lambda rep, spec: rep.ta,
-    ("hybrid", est.EST_TDF1): _tdf1,
-    ("hybrid", est.EST_TDF2): lambda rep, spec: est.web_composite(
+    ("hybrid", "T1"): lambda rep, spec: rep.tb1,
+    ("hybrid", "TB1"): lambda rep, spec: rep.tb1,
+    ("hybrid", "T2"): lambda rep, spec: est.followup_adjustment(rep.stats["B"]),
+    ("hybrid", "TA"): lambda rep, spec: rep.ta,
+    ("hybrid", "TDF1"): _tdf1,
+    ("hybrid", "TDF2"): lambda rep, spec: est.web_composite(
         rep.stats["A"], rep.stats["B"], rep.factors(spec).kappa,
-        rep.scenario.n_hat_mode, rep.pop.n_households),
-    ("two_phase_unit", est.EST_T1): lambda rep, spec: est.uniform_adjustment(rep.stats["S"]),
-    ("two_phase_unit", est.EST_T2): lambda rep, spec: est.followup_adjustment(rep.stats["S"]),
-    ("two_phase_psu", est.EST_T1): lambda rep, spec: est.uniform_adjustment(rep.stats["S"]),
-    ("two_phase_psu", est.EST_T2): lambda rep, spec: est.followup_adjustment(rep.stats["S"]),
-    ("two_phase_psu", est.EST_T2_ALT):
+        rep.scenario.n_hat, rep.pop.n_households),
+    ("two_phase_unit", "T1"): lambda rep, spec: est.uniform_adjustment(rep.stats["S"]),
+    ("two_phase_unit", "T2"): lambda rep, spec: est.followup_adjustment(rep.stats["S"]),
+    ("two_phase_psu", "T1"): lambda rep, spec: est.uniform_adjustment(rep.stats["S"]),
+    ("two_phase_psu", "T2"): lambda rep, spec: est.followup_adjustment(rep.stats["S"]),
+    ("two_phase_psu", "T2_AltOmega"):
         lambda rep, spec: est.followup_adjustment(rep.stats["S"], expansion="realized"),
 }
 
@@ -303,8 +304,12 @@ def _worker_init(pop, scenario, truth):
 def _allocate(iterations: int, labels: int, k: int) -> tuple[np.ndarray, ...]:
     """Empty point, variance, covered and reason arrays for ``iterations`` rows."""
     shape = (iterations, labels, k)
-    return (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
-            np.empty(shape[:2], dtype=object))
+    try:
+        return (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
+                np.empty(shape[:2], dtype=object))
+    except (ValueError, OverflowError, MemoryError) as exc:  # too many elements or bytes
+        raise ConfigError(f"scenario.iterations: cannot allocate the results of "
+                          f"{iterations} iterations ({exc})") from None
 
 
 def _worker_chunk(span, args=None):
@@ -322,22 +327,26 @@ def _worker_chunk(span, args=None):
 def run_scenario(pop: Population, scenario: ScenarioSpec, jobs: int = 1,
                  progress: bool = False) -> Replicates:
     """Run all iterations, in chunks run in-process for one job or by a pool
-    of ``jobs`` worker processes; output is independent of ``jobs``."""
+    of at most ``jobs`` worker processes; output is independent of ``jobs``."""
     scenario.validate()
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     truth = pop.y.sum(axis=0)
     for name, total in zip(pop.variable_names, truth):
         if total == 0:
             raise DataError(f"variable {name!r} has a population total of 0, so its "
                             "relative bias, CV and RRMSE are undefined")
-    pop = prepare_population(pop, scenario)
     n = scenario.iterations
-    chunk = max(1, math.ceil(n / (max(jobs, 1) * 8)))
-    spans = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     arrays = _allocate(n, len(scenario.estimators), len(truth))
+    pop = prepare_population(pop, scenario)
+    workers = min(jobs, os.cpu_count() or 1)
+    chunk = max(1, math.ceil(n / (workers * 8)))
+    spans = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    workers = min(workers, len(spans))
     # under fork, workers inherit initargs (the population) without pickling
-    with (ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
+    with (ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                               initargs=(pop, scenario, truth))
-          if jobs > 1 else nullcontext()) as pool:
+          if workers > 1 else nullcontext()) as pool:
         chunks = (pool.map(_worker_chunk, spans) if pool is not None
                   else map(partial(_worker_chunk, args=(pop, scenario, truth)), spans))
         for span, block in zip(spans, chunks):
@@ -504,9 +513,7 @@ def write_iterations_csv(path, scenario_id: str, results: Replicates,
                                 "" if reason else int(cover), int(bool(reason))])
 
 
-_SUMMARY_FIELDS = ("n_used", "degenerate", "rb", "se_rb", "cv", "se_cv",
-                   "rrmse", "se_rrmse", "coverage", "se_coverage",
-                   "abs_rb", "mean_cil", "norm_cil")
+_SUMMARY_FIELDS = tuple(f.name for f in fields(SummaryRow)[2:])  # after estimator, variable
 
 
 def write_summary_csv(path, summary: ScenarioSummary, metadata: dict) -> None:

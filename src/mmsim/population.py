@@ -200,10 +200,10 @@ def _first_duplicate(ids: np.ndarray) -> int | None:
 class MicrodataSchema:
     """Column mapping for household microdata CSV files."""
 
+    variables: tuple[str, ...]
     id: str = "id"
     psu: str = "psu"
     mode: str = "mode"
-    variables: tuple[str, ...] = ()
     label: str | None = None
 
 

@@ -144,6 +144,17 @@ def test_failed_generate_creates_no_output_directory(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--iterations", "5"]])
+def test_generate_rejects_run_only_options(tmp_path, capsys, flag):
+    # the population's seed is population.synthetic.seed; generate runs no iterations
+    cfg = write_config(tmp_path, POP_BLOCK + f"output:\n  dir: {tmp_path}/out\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--config", str(cfg), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, POP_BLOCK + "grid_search: true\n")
     assert main(["generate", "--config", str(cfg)]) == 2
@@ -220,6 +231,37 @@ def test_run_same_seed_identical_any_jobs(tmp_path):
                      "--out", str(tmp_path / sub)]) == 0
         files[sub] = (tmp_path / sub / "summary.csv").read_bytes()
     assert files["j1"] == files["j2"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path, POP_BLOCK + SCENARIO_BLOCK + f"output:\n  dir: {tmp_path}/out\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), "--quiet", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("via", ["option", "config"])
+def test_run_unallocatable_iteration_count_is_config_error(tmp_path, capsys, monkeypatch, via):
+    # 10**21 rows exceed numpy's largest dimension, so nothing is allocated
+    from mmsim import montecarlo as mc
+
+    text = POP_BLOCK + SCENARIO_BLOCK + f"output:\n  dir: {tmp_path}/out\n"
+    extra = []
+    if via == "option":
+        extra = ["--iterations", str(10**21)]
+    else:
+        text = text.replace("  iterations: 6\n", f"  iterations: {10**21}\n")
+    cfg = write_config(tmp_path, text)
+    ran = []
+    monkeypatch.setattr(mc, "run_iteration", lambda *args: ran.append(args))
+    assert main(["run", "--config", str(cfg), "--quiet", *extra]) == 2
+    assert f"scenario.iterations: cannot allocate the results of {10**21} iterations" in \
+        capsys.readouterr().err
+    assert ran == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_preset_b1a_lists_all_estimators(tmp_path):

@@ -15,9 +15,9 @@ from mmsim.montecarlo import (
     run_scenario,
     summarize,
 )
-from mmsim.population import MODE_WEB
+from mmsim.population import MODE_WEB, generate_synthetic
 from mmsim.variance import confidence_interval
-from conftest import make_population
+from conftest import SMALL_SPEC, make_population
 
 
 def mini_hybrid(iterations=5, seed=99, rule="B", estimators=None):
@@ -72,6 +72,39 @@ def test_parallel_and_serial_runs_agree(small_synthetic):
         for field in ("truth", "point", "variance", "covered", "reason"):
             np.testing.assert_array_equal(getattr(serial, field), getattr(parallel, field),
                                           err_msg=f"{design.kind} {field}")
+
+
+def test_pool_is_capped_by_cpus_and_chunks(small_synthetic, monkeypatch):
+    """No more workers start than there are CPUs or chunks; the recording pool
+    runs the chunks in this process."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, spans):
+            return map(fn, spans)
+
+    serial = run_scenario(small_synthetic, mini_hybrid(iterations=40), jobs=1)
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mc, "_CTX", {})
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    for iterations, jobs in ((40, 10**6), (3, 10**6), (40, 3), (40, 1)):
+        run = run_scenario(small_synthetic, mini_hybrid(iterations=iterations), jobs=jobs)
+        for field in ("point", "variance", "covered", "reason"):
+            np.testing.assert_array_equal(getattr(run, field),
+                                          getattr(serial, field)[:iterations], err_msg=field)
+    assert started == [4, 3, 3]  # 4 CPUs; 3 chunks of one iteration; 3 jobs; none
+    with pytest.raises(ConfigError, match="jobs must be at least 1, got 0"):
+        run_scenario(small_synthetic, mini_hybrid(), jobs=0)
 
 
 def test_run_scenario_rows_are_run_iteration_bit_for_bit():
@@ -198,6 +231,25 @@ def test_single_iteration_emits_all_estimators(small_synthetic):
     scen = mini_hybrid(iterations=1)
     results = run_scenario(small_synthetic, scen)
     assert results.labels == ("T1", "T2", "TA", "TDF1", "TDF2")
+
+
+@pytest.mark.parametrize("compositing, reason", [
+    ("effective", "zero respondents leave an effective size of zero"),
+    (0.3, "no web respondents"),
+])
+def test_tdf1_without_web_respondents_records_the_first_failure(compositing, reason):
+    """With no web respondents, effective compositing fails in
+    ``compute_factors``, which TDF1 evaluates before TA; a fixed factor
+    computes nothing, so TA's ``web_only`` fails."""
+    pop = generate_synthetic(replace(SMALL_SPEC, share_web=0.0, icc_response=0.0))
+    scen = mini_hybrid(estimators=[EstimatorSpec("TDF1", compositing=compositing)])
+    pop = mc.prepare_population(pop, scen)
+    assert run_iteration(scen, pop, pop.y.sum(axis=0), 0).cells["TDF1"].reason == reason
+
+
+def test_unknown_estimator_id_rejected():
+    with pytest.raises(ConfigError, match="unknown estimator id 'T9'"):
+        mini_hybrid(estimators=[EstimatorSpec("T9")]).validate()
 
 
 def test_empty_estimator_list_rejected():

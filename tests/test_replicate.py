@@ -36,17 +36,17 @@ def _reference_result(scenario, pop, samples, outcomes, spec):
 
     design = scenario.design
     if design.kind != "hybrid":
-        if spec.id == est.EST_T1:
+        if spec.id == "T1":
             return est.uniform_adjustment(stats("S"))
-        if spec.id == est.EST_T2:
+        if spec.id == "T2":
             return est.followup_adjustment(stats("S"))
         return est.followup_adjustment(stats("S"), expansion="realized")
     assert samples["B"].ftf_rate == 1.0  # B follows up every nonrespondent: T1 is TB1
-    if spec.id in (est.EST_T1, est.EST_TB1):
+    if spec.id in ("T1", "TB1"):
         return est.uniform_adjustment(stats("B"))
-    if spec.id == est.EST_T2:
+    if spec.id == "T2":
         return est.followup_adjustment(stats("B"))
-    if spec.id == est.EST_TA:
+    if spec.id == "TA":
         return est.web_only(stats("A"))
     sa, sb = samples["A"], samples["B"]
     setting = spec.compositing if spec.compositing is not None else scenario.compositing
@@ -54,10 +54,10 @@ def _reference_result(scenario, pop, samples, outcomes, spec):
         fac = est.compute_factors(sa, sb, scenario.icc_planning)
     else:
         fac = est.compute_factors(sa, sb, 0.0, fixed=float(setting))
-    if spec.id == est.EST_TDF1:
+    if spec.id == "TDF1":
         return est.composite_total(est.web_only(stats("A")), est.uniform_adjustment(stats("B")),
                                    fac.lam)
-    return est.web_composite(stats("A"), stats("B"), fac.kappa, n_hat_mode=scenario.n_hat_mode,
+    return est.web_composite(stats("A"), stats("B"), fac.kappa, n_hat_mode=scenario.n_hat,
                              frame_n=pop.n_households)
 
 
@@ -155,7 +155,7 @@ def replicates(draw, stochastic=False):
         rule="stochastic" if stochastic else draw(st.sampled_from(["A", "B", "C", "D"])),
         estimators=specs, iterations=1, seed=draw(st.integers(0, 2**64 - 1)),
         compositing=draw(st.sampled_from(["effective", 0.0, 1.0])),
-        icc_planning=0.02, n_hat_mode=draw(st.sampled_from(["composite", "frame"])),
+        icc_planning=0.02, n_hat=draw(st.sampled_from(["composite", "frame"])),
     )
     scenario.validate()
     return scenario, mc.prepare_population(pop, scenario), draw(st.integers(0, 50))

@@ -97,7 +97,6 @@ class PlanParams:
     hybrid_n_psus: int = 200
     hybrid_hh_per_psu: int = 40
     hybrid_unclustered_n: int = 20000
-    hybrid_lambda: float | None = None  # None: proportional to completes
 
     def __post_init__(self):
         counts = ("unit_n_psus", "unit_hh_per_psu", "unit_ftf_take", "psu_n_psus", "psu_sub_psus",
@@ -179,7 +178,7 @@ def plan_three_designs(p: PlanParams = PlanParams()) -> tuple[DesignPlan, Design
     deff_b = clustering_deff(m_b, p.icc)
     n_web_all = web_a + web_b
     total = n_web_all + ftf_b
-    lam = p.hybrid_lambda if p.hybrid_lambda is not None else n_web_all / total
+    lam = n_web_all / total  # proportional to completes
     eff = composite_effective_n(lam, n_web_all, 1.0, ftf_b, deff_b)
     hybrid = DesignPlan(
         design="hybrid",

@@ -26,10 +26,10 @@ weights times outcomes:
 Every estimator but ``composite_total``, which combines two results,
 reads the ``sample_stats`` of its samples: weighted masses and mode
 means, built once per sample and shared by every estimator on it.
-A result carries the closed-form total, the estimated population size
-and the linearization scores, all a replicate reads.  The same totals
-are sums of respondent weights times outcomes; that weight form lives
-in the test suite as an independent reference.
+A result carries the closed-form total and the linearization scores,
+all a replicate reads.  The same totals are sums of respondent weights
+times outcomes; that weight form lives in the test suite as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -59,10 +59,9 @@ class ScoreBlock:
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """A total, its estimated population size and its scores."""
+    """A total and its scores."""
 
     total: np.ndarray  # [n_variables]
-    n_hat: float
     score_blocks: tuple[ScoreBlock, ...]
 
 
@@ -150,7 +149,7 @@ def uniform_adjustment(st: SampleStats) -> EstimatorResult:
     e *= g / r_hat
     e += ybar_t[:, None]
     e *= st.d
-    return EstimatorResult(total, st.n_hat, (ScoreBlock(st.sample, e),))
+    return EstimatorResult(total, (ScoreBlock(st.sample, e),))
 
 
 def followup_adjustment(st: SampleStats, expansion: str = "design") -> EstimatorResult:
@@ -173,7 +172,7 @@ def followup_adjustment(st: SampleStats, expansion: str = "design") -> Estimator
         # Full web response: plain design-weighted total.
         e = st.dw * st.yt
         e *= st.d
-        return EstimatorResult(st.a_w.copy(), st.w_hat, (ScoreBlock(st.sample, e),))
+        return EstimatorResult(st.a_w.copy(), (ScoreBlock(st.sample, e),))
     if st.me_hat == 0.0:
         raise DegenerateEstimate("nonrespondents exist but none were eligible for follow-up")
     if st.f_hat == 0.0:
@@ -182,7 +181,6 @@ def followup_adjustment(st: SampleStats, expansion: str = "design") -> Estimator
     # carry = total weight placed on the ftf respondents.
     carry = st.me_hat / om if expansion == "design" else st.m_hat
     total = st.a_w + (carry / st.f_hat) * st.a_f
-    n_tilde = st.w_hat + carry
 
     # weight factor of the ftf respondents over their design weight; ME/F is
     # the reciprocal conditional ftf response rate
@@ -194,7 +192,7 @@ def followup_adjustment(st: SampleStats, expansion: str = "design") -> Estimator
     else:
         e += (1.0 - st.dw) * st.ybar_f[:, None]
     e *= st.d
-    return EstimatorResult(total, n_tilde, (ScoreBlock(st.sample, e),))
+    return EstimatorResult(total, (ScoreBlock(st.sample, e),))
 
 
 def web_only(st: SampleStats) -> EstimatorResult:
@@ -206,7 +204,7 @@ def web_only(st: SampleStats) -> EstimatorResult:
     e = (rw_inv * st.dw) * st.yc_w
     e += st.ybar_w[:, None]
     e *= st.d
-    return EstimatorResult(total, st.n_hat, (ScoreBlock(st.sample, e),))
+    return EstimatorResult(total, (ScoreBlock(st.sample, e),))
 
 
 def composite_total(res_a: EstimatorResult, res_b: EstimatorResult,
@@ -220,8 +218,7 @@ def composite_total(res_a: EstimatorResult, res_b: EstimatorResult,
     if lam < 1.0:
         parts.append((1.0 - lam, res_b))
     total = sum(f * r.total for f, r in parts)
-    n_hat = sum(f * r.n_hat for f, r in parts)
-    return EstimatorResult(total, float(n_hat), tuple(
+    return EstimatorResult(total, tuple(
         ScoreBlock(b.sample, f * b.e) for f, r in parts for b in r.score_blocks))
 
 
@@ -282,7 +279,7 @@ def web_composite(sa: SampleStats, sb: SampleStats, kappa: float,
             e += ((n_c * (1.0 - gam) / st.f_hat) * st.df) * st.yc_f
         e *= st.d
         blocks.append(ScoreBlock(st.sample, e))
-    return EstimatorResult(total, n_c, tuple(blocks))
+    return EstimatorResult(total, tuple(blocks))
 
 
 def compute_factors(sample_a: DrawnSample, sample_b: DrawnSample,

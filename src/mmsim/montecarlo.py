@@ -35,7 +35,7 @@ from .population import Population, RULES, StochasticLabels, build_pseudopopulat
 # Unused here; perfbench/test_perfbench.py expects its tracer to wrap this
 # name in this module.
 from .population import draw_stochastic_labels  # noqa: F401
-from .variance import VarianceUnitPlan, build_variance_units, confidence_interval
+from .variance import build_variance_units, confidence_interval
 
 # RNG stages within one iteration.
 STAGE_LABELS = 0
@@ -243,9 +243,9 @@ ESTIMATORS = {
 
 
 def draw_samples(scenario: ScenarioSpec, pop: Population, iteration: int
-                 ) -> tuple[dict[str, sampling.DrawnSample], dict[str, VarianceUnitPlan]]:
+                 ) -> tuple[dict[str, sampling.DrawnSample], dict[str, np.ndarray]]:
     """One replicate's collected samples by tag, and the variance-unit plans
-    of the samples that need them (PSU subsampling)."""
+    (``build_variance_units``) of the samples that need them (PSU subsampling)."""
     rng = partial(stage_rng, scenario.seed, scenario_key(scenario.id), iteration)
     labels = (StochasticLabels(pop, rng(STAGE_LABELS))
               if scenario.rule == "stochastic" else pop.labels)

@@ -279,6 +279,10 @@ class SyntheticPopSpec:
             else:
                 if v.sd is None or v.sd <= 0:
                     raise ValidationError(f"{v.name}: continuous variables need sd > 0")
+                for key in ("mean_web", "mean_mail", "mean_ftf", "sd"):
+                    if not np.isfinite(getattr(v, key)):
+                        raise ValidationError(f"{v.name}: {key} must be finite, "
+                                              f"got {getattr(v, key)}")
         b = _response_loading(self)
         if self.share_web - b * _SQRT3 < 0 or self.share_web + b * _SQRT3 > 1:
             raise ValidationError(

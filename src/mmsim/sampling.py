@@ -15,8 +15,8 @@ A sample records its design as two facts: which PSUs it drew (none for
 an unclustered sample), and the rate at which its web nonrespondents go
 to face-to-face follow-up (all of them for the hybrid design's clustered
 sample, omega under unit subsampling, the subsampled share of PSUs under
-PSU subsampling).  Estimators and variances read the design from these
-two facts and, under PSU subsampling, from the PSUs followed up.
+PSU subsampling).  Each household's PSU is coded once, at the draw, by
+its position among the sampled PSUs; the PSUs followed up are a mask.
 
 The two-stage take and the unit follow-up work on all selected PSUs at
 once, but they draw exactly what the per-PSU definitions draw: the same
@@ -48,7 +48,9 @@ class DrawnSample:
     are parallel to it.  Two facts tell the designs apart:
 
     * ``psus``: the sampled PSU ids, ascending int64, for a two-stage
-      (clustered) sample; None for an unclustered one.
+      (clustered) sample; None for an unclustered one.  ``psu_code`` is
+      each household's position in ``psus``, and ``psu_subsample`` masks
+      the PSUs followed up under PSU subsampling.
     * ``ftf_rate``: the design probability that a web nonrespondent is
       followed up face to face, set by the follow-up step: 1 when all
       are, the within-PSU fraction omega under unit subsampling, and the
@@ -56,19 +58,18 @@ class DrawnSample:
       when the sample has no follow-up phase.
 
     Construction checks the design: positive weights, ``psus`` strictly
-    ascending and covering every sampled unit's PSU, and ``ftf_rate`` in
-    (0, 1].  ``response.collect`` and the follow-up steps derive copies
-    that set only response and follow-up fields and check just those
-    inputs, never re-running these checks.
+    ascending, and ``ftf_rate`` in (0, 1].  ``response.collect`` and the
+    follow-up steps derive copies that set only response and follow-up
+    fields and check just those inputs, never re-running these checks.
     """
 
     tag: str
     unit_idx: np.ndarray
     d: np.ndarray
-    psu_ids: np.ndarray
     psus: np.ndarray | None = None
+    psu_code: np.ndarray | None = None
     ftf_rate: float | None = None
-    psu_subsample: frozenset | None = None
+    psu_subsample: np.ndarray | None = None
     in_ftf_subsample: np.ndarray | None = None
     delta_w: np.ndarray | None = None
     delta_f: np.ndarray | None = None
@@ -76,15 +77,8 @@ class DrawnSample:
     def __post_init__(self):
         if (self.d <= 0).any():
             raise ValidationError("design weights must be positive")
-        known = self.psus
-        if known is not None:
-            if (known[1:] <= known[:-1]).any():
-                raise ValidationError("sampled PSU ids must be strictly ascending")
-            at = np.searchsorted(known, self.psu_ids).clip(max=len(known) - 1)
-            outside = self.psu_ids[known[at] != self.psu_ids] if len(known) else self.psu_ids
-            if len(outside):
-                missing = sorted(set(outside.tolist()))
-                raise ValidationError(f"units from PSUs outside the PSU sample: {missing[:5]}")
+        if self.psus is not None and (self.psus[1:] <= self.psus[:-1]).any():
+            raise ValidationError("sampled PSU ids must be strictly ascending")
         if self.ftf_rate is not None and not 0.0 < self.ftf_rate <= 1.0:
             raise ValidationError(f"follow-up rate {self.ftf_rate} outside (0, 1]")
 
@@ -109,7 +103,6 @@ def srswor(pop: Population, n: int, rng: np.random.Generator, tag: str = "S") ->
         tag=tag,
         unit_idx=idx,
         d=np.full(n, big_n / n),
-        psu_ids=pop.psu_ids[idx],
     )
 
 
@@ -208,13 +201,14 @@ def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
     rank = np.arange(len(members)) - np.repeat(starts, sel_sizes)
     chosen = members[order[rank < m_per_psu]]
     chosen.sort()
+    psus = psus[np.sort(sel)]
 
     return DrawnSample(
         tag=tag,
         unit_idx=chosen,
         d=np.full(len(chosen), 1.0 / f),
-        psu_ids=pop.psu_ids[chosen],
-        psus=psus[np.sort(sel)],
+        psus=psus,
+        psu_code=np.searchsorted(psus, pop.psu_ids[chosen]),
     )
 
 
@@ -255,15 +249,17 @@ def subsample_nonrespondents_units(sample: DrawnSample, omega: float,
     Systematic selection from a randomly ordered list per PSU: the take
     is floor or ceil of omega * count and each nonrespondent is flagged
     with probability exactly omega.  Web respondents are never flagged.
-    PSUs are visited in ascending id order; each draws a permutation of
-    its nonrespondents, then (for omega < 1) one uniform start.
+    PSUs are visited in ascending id order (an unclustered sample is one
+    list); each draws a permutation of its nonrespondents, then (for
+    omega < 1) one uniform start.
     """
     if sample.delta_w is None:
         raise EstimationError("web response indicators must be set before subsampling")
     if not 0.0 < omega <= 1.0:
         raise ValidationError("omega must be in (0, 1]")
     nonresp = np.flatnonzero(sample.delta_w == 0)
-    by_psu, starts = _group(sample.psu_ids[nonresp])
+    codes = np.zeros(sample.n_units, dtype=np.intp) if sample.psus is None else sample.psu_code
+    by_psu, starts = _group(codes[nonresp])
     pool = nonresp[by_psu]  # grouped by ascending PSU id, rows ascending within
     first, sizes = starts[:-1], np.diff(starts)
     perm = np.empty(len(pool), dtype=np.int64)
@@ -289,9 +285,9 @@ def subsample_psus(sample: DrawnSample, count: int,
         raise ValidationError("PSU subsampling needs a clustered sample")
     if count > len(psus):
         raise ValidationError(f"cannot subsample {count} of {len(psus)} PSUs")
-    chosen = frozenset(int(p) for p in rng.permutation(psus)[:count])
-    in_chosen = np.isin(sample.psu_ids, sorted(chosen))
-    flags = in_chosen & (sample.delta_w == 0)
+    chosen = np.zeros(len(psus), dtype=bool)
+    chosen[rng.permutation(len(psus))[:count]] = True
+    flags = chosen[sample.psu_code] & (sample.delta_w == 0)
     return _derive(sample, in_ftf_subsample=flags, psu_subsample=chosen,
                    ftf_rate=count / len(psus))
 

@@ -16,7 +16,6 @@ to make that assumption questionable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -27,59 +26,43 @@ from .sampling import DrawnSample
 Z_95 = 1.96  # normal quantile for the 95 percent interval
 
 
-@dataclass(frozen=True)
-class VarianceUnitPlan:
-    """Groups of PSU ids treated as single first-stage units.
-
-    Every group holds the same number of subsampled PSUs, so contrasts
-    between groups are balanced with respect to the follow-up phase.
-    """
-
-    groups: tuple[tuple[int, ...], ...]
-
-
-def build_variance_units(sample: DrawnSample, rng: np.random.Generator) -> VarianceUnitPlan:
+def build_variance_units(sample: DrawnSample, rng: np.random.Generator) -> np.ndarray:
     """Randomly group sampled PSUs so each group mixes subsampled and
-    non-subsampled PSUs in the design proportion.
+    non-subsampled PSUs in the design proportion; returns each sampled
+    PSU's group number.
 
     With a of every b sampled PSUs subsampled (a/b in lowest terms), the
     gcd of the two counts gives the number of groups, each of b PSUs with
-    a subsampled.
+    a subsampled: group i takes the i-th run of a subsampled PSUs and of
+    b - a others, each list permuted from ascending id order.
     """
     if sample.psu_subsample is None:
         raise EstimationError("sample has no PSU subsample to balance on")
-    psus = sample.psus.tolist()
-    sub = sorted(sample.psu_subsample)
-    non = sorted(set(psus) - set(sub))
-    n_groups = gcd(len(sub), len(psus))
-    a, b = len(sub) // n_groups, len(psus) // n_groups
+    sub, non = np.flatnonzero(sample.psu_subsample), np.flatnonzero(~sample.psu_subsample)
+    n_psus = len(sample.psus)
+    n_groups = gcd(len(sub), n_psus)
+    a, b = len(sub) // n_groups, n_psus // n_groups
     if n_groups < 2:
         raise ValidationError(
-            f"{len(sub)} of {len(psus)} PSUs followed up form gcd = {n_groups} balanced "
+            f"{len(sub)} of {n_psus} PSUs followed up form gcd = {n_groups} balanced "
             f"variance unit(s); need at least 2"
         )
-    sub_perm = [sub[i] for i in rng.permutation(len(sub))]
-    non_perm = [non[i] for i in rng.permutation(len(non))]
-    groups = []
-    for i in range(n_groups):
-        members = sub_perm[i * a:(i + 1) * a] + non_perm[i * (b - a):(i + 1) * (b - a)]
-        groups.append(tuple(sorted(members)))
-    return VarianceUnitPlan(groups=tuple(groups))
+    group = np.empty(n_psus, dtype=np.int64)
+    group[sub[rng.permutation(len(sub))]] = np.arange(len(sub)) // a
+    group[non[rng.permutation(len(non))]] = np.arange(len(non)) // max(b - a, 1)
+    return group
 
 
 def first_stage_units(sample: DrawnSample,
-                      plan: VarianceUnitPlan | None) -> tuple[np.ndarray | None, int]:
-    """Each household's first-stage unit code and the number of units,
-    computed once per sample.  No codes (None) when every household is
-    its own unit."""
-    psus = sample.psus
-    if psus is None:
+                      plan: np.ndarray | None) -> tuple[np.ndarray | None, int]:
+    """Each household's first-stage unit code and the number of units: its
+    PSU, or under a ``build_variance_units`` plan its PSU's group.  No codes
+    (None) when every household is its own unit."""
+    if sample.psus is None:
         return None, sample.n_units
-    codes = np.searchsorted(psus, sample.psu_ids)
     if plan is None:
-        return codes, len(psus)
-    lookup = {psu: g for g, members in enumerate(plan.groups) for psu in members}
-    return np.array([lookup[p] for p in psus.tolist()])[codes], len(plan.groups)
+        return sample.psu_code, len(sample.psus)
+    return plan[sample.psu_code], int(plan.max()) + 1
 
 
 def _scratch(buffers: dict, name: str, shape: tuple[int, int]) -> np.ndarray:

@@ -53,8 +53,9 @@ def toy_sample(d, delta_w, delta_f=None, elig=None, psu_ids=None,
                clustered=True, ftf_rate=1.0, psu_subsample=None, tag="S"):
     """Directly assemble a DrawnSample in a fixed response state.
 
-    A clustered sample draws every PSU in ``psu_ids``.  With a
-    ``psu_subsample`` its ftf_rate is the subsampled share of those PSUs.
+    A clustered sample draws every PSU in ``psu_ids``, each household's PSU
+    id.  With a ``psu_subsample``, a set of those ids, its ftf_rate is the
+    subsampled share of those PSUs.
     """
     d = np.asarray(d, dtype=float)
     n = len(d)
@@ -63,21 +64,21 @@ def toy_sample(d, delta_w, delta_f=None, elig=None, psu_ids=None,
                else np.asarray(delta_f, dtype=np.uint8))
     psu_ids = (np.zeros(n, dtype=np.int64) if psu_ids is None
                else np.asarray(psu_ids, dtype=np.int64))
-    psus = np.unique(psu_ids) if clustered else None
+    psus, psu_code = np.unique(psu_ids, return_inverse=True) if clustered else (None, None)
     if psu_subsample is not None:
         ftf_rate = len(psu_subsample) / len(psus)
+        psu_subsample = np.isin(psus, sorted(psu_subsample))
     if elig is None:
         if psu_subsample is not None:
-            inside = np.isin(psu_ids, sorted(psu_subsample))
-            elig = inside & (delta_w == 0)
+            elig = psu_subsample[psu_code] & (delta_w == 0)
         elif ftf_rate == 1.0:
             elig = delta_w == 0
         else:
             raise ValueError("explicit eligibility needed for this follow-up rate")
     return DrawnSample(
-        tag=tag, unit_idx=np.arange(n), d=d, psu_ids=psu_ids, psus=psus, ftf_rate=ftf_rate,
-        psu_subsample=None if psu_subsample is None else frozenset(psu_subsample),
-        in_ftf_subsample=np.asarray(elig, dtype=bool), delta_w=delta_w, delta_f=delta_f,
+        tag=tag, unit_idx=np.arange(n), d=d, psus=psus, psu_code=psu_code, ftf_rate=ftf_rate,
+        psu_subsample=psu_subsample, in_ftf_subsample=np.asarray(elig, dtype=bool),
+        delta_w=delta_w, delta_f=delta_f,
     )
 
 

@@ -498,6 +498,22 @@ def test_malformed_propensity_pair_is_config_error(tmp_path, capsys, pair):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [("sd", ".nan"), ("sd", ".inf"), ("mean_web", ".inf"),
+                                        ("mean_ftf", ".nan")])
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_non_finite_continuous_setting_is_config_error(tmp_path, capsys, command, key, value):
+    settings = {"mean_web": 0.75, "mean_mail": 0.62, "mean_ftf": 0.52, "sd": 0.55, key: value}
+    variable = ("      - {name: inc, kind: continuous, "
+                + ", ".join(f"{k}: {v}" for k, v in settings.items()) + "}\n")
+    scenario = SCENARIO_BLOCK if command == "run" else ""
+    cfg = write_config(tmp_path, POP_BLOCK + variable + scenario +
+                       f"output:\n  dir: {tmp_path}/out\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: inc: {key} must be finite")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # deff
 # ---------------------------------------------------------------------------

@@ -114,12 +114,15 @@ def assemble(unit_ids, d, psu_ids, labels, flags, ftf_rate, psus=None,
     delta_w = np.array([1 if labels[u] == W else 0 for u in unit_ids], dtype=np.uint8)
     elig = np.array([u in flags for u in unit_ids], dtype=bool)
     delta_f = ((delta_w == 0) & elig).astype(np.uint8)  # full ftf response
+    clustered = psus is not None
     return DrawnSample(
         tag="S",
         unit_idx=np.asarray(unit_ids),
         d=np.full(len(unit_ids), float(d)),
-        psu_ids=np.array([psu_ids[u] for u in unit_ids]),
-        psus=psus, ftf_rate=ftf_rate, psu_subsample=psu_subsample,
+        psus=psus,
+        psu_code=np.searchsorted(psus, [psu_ids[u] for u in unit_ids]) if clustered else None,
+        ftf_rate=ftf_rate,
+        psu_subsample=None if psu_subsample is None else np.isin(psus, sorted(psu_subsample)),
         in_ftf_subsample=elig, delta_w=delta_w, delta_f=delta_f,
     )
 

@@ -55,9 +55,10 @@ def test_t1_full_response_is_plain_ht_exactly():
 
 def test_t1_unit_outcome_returns_n_hat():
     sample, _ = four_unit_sample()
-    res = uniform_adjustment(sample_stats(sample, np.ones((4, 1))))
-    assert res.total[0] == pytest.approx(res.n_hat, rel=1e-12)
-    assert res.n_hat == pytest.approx(4.0)
+    st_ones = sample_stats(sample, np.ones((4, 1)))
+    res = uniform_adjustment(st_ones)
+    assert res.total[0] == pytest.approx(st_ones.n_hat, rel=1e-12)
+    assert st_ones.n_hat == pytest.approx(4.0)
 
 
 def test_t1_requires_a_respondent():
@@ -89,7 +90,8 @@ def test_t2_full_followup_response_reduces_to_two_term_ht():
 def test_t2_unit_outcome_returns_own_n_hat():
     sample, _ = four_unit_sample()
     res = followup_adjustment(sample_stats(sample, np.ones((4, 1))))
-    assert res.total[0] == pytest.approx(res.n_hat, rel=1e-12)
+    # the web respondent's d = 1 plus the carry ME/omega = 3
+    assert res.total[0] == pytest.approx(1.0 + 3.0, rel=1e-12)
 
 
 def test_t2_subsampled_hand_case():
@@ -103,7 +105,8 @@ def test_t2_subsampled_hand_case():
     res = followup_adjustment(sample_stats(sample, y))
     # carry = ME/omega = 2/0.4 = 5 nonrespondents, mean of ftf resp = 2
     assert res.total[0] == pytest.approx(5.0 + 5.0 * 2.0)
-    assert res.n_hat == pytest.approx(1.0 + 5.0)
+    ones = followup_adjustment(sample_stats(sample, np.ones((6, 1))))
+    assert ones.total[0] == pytest.approx(1.0 + 5.0)
 
 
 def test_t2_alt_symmetric_psus_matches_design_rate():
@@ -128,7 +131,7 @@ def test_t2_alt_realized_expansion_value():
                         psu_ids=[0] * 10 + [1] * 10, psu_subsample={0})
     res = followup_adjustment(sample_stats(sample, np.ones((20, 1))), expansion="realized")
     # no web respondents: the carry of all 100 nonrespondents is the size
-    assert res.n_hat == pytest.approx(100.0)
+    assert res.total[0] == pytest.approx(100.0)
     # omega_s^-1 = M/ME = 100/40: each ftf respondent carries 2.5 * d = 10
     assert_weights("T2_AltOmega", lambda st: followup_adjustment(st, expansion="realized"),
                    sample, np.concatenate([np.full(10, 10.0), np.zeros(10)]))
@@ -144,7 +147,8 @@ def test_t2_alt_with_all_psus_subsampled_uses_unit_expansion():
     realized = followup_adjustment(sample_stats(sample, y), expansion="realized")
     assert realized.total[0] == pytest.approx(design.total[0])
     # the 2 web respondents plus a carry of 2 nonrespondents: omega_s^-1 = 1
-    assert realized.n_hat == pytest.approx(2.0 + 2.0)
+    ones = followup_adjustment(sample_stats(sample, np.ones((4, 1))), expansion="realized")
+    assert ones.total[0] == pytest.approx(2.0 + 2.0)
 
 
 def test_t2_degenerate_without_eligible_nonrespondents():
@@ -227,7 +231,7 @@ def test_tdf2_unit_outcome_returns_composite_n_hat():
     sample_a, y_a, sample_b, y_b = _hybrid_pair()
     res = web_composite(sample_stats(sample_a, np.ones((5, 1))), sample_stats(sample_b, np.ones((4, 1))), kappa=0.25)
     n_c = 0.25 * 10 + 0.75 * 4
-    assert res.n_hat == pytest.approx(n_c)
+    assert res.total[0] == pytest.approx(n_c)
     assert res.total[0] == pytest.approx(n_c, rel=1e-12)
 
 
@@ -298,12 +302,15 @@ def test_factor_effective_size_deflates_clustered_sample():
 # Dual representations (reference weights vs equations vs scores)
 # ---------------------------------------------------------------------------
 
-def _check_dual(result, outcomes, estimator, *samples, factor=None):
+def _check_dual(estimate, outcomes, estimator, *samples, factor=None):
+    """``estimate`` maps outcome matrices by sample tag to the result."""
+    result = estimate(outcomes)
     weights = reference_weights(estimator, *samples, factor=factor)
     np.testing.assert_allclose(reference_total(weights, outcomes), result.total,
                                rtol=1e-10, atol=1e-12)
-    # the weights add up to the estimated population size
-    np.testing.assert_allclose(sum(w.sum() for w in weights.values()), result.n_hat,
+    # the weights add up to the estimated population size, the all-ones total
+    ones = {tag: np.ones((len(y), 1)) for tag, y in outcomes.items()}
+    np.testing.assert_allclose(reference_total(weights, ones), estimate(ones).total,
                                rtol=1e-10, atol=1e-12)
     # scores of degree-one estimators reproduce the estimate
     recon = sum(b.e.sum(axis=1) for b in result.score_blocks)
@@ -316,15 +323,21 @@ def test_weight_equation_bracket_duality(seed):
     rng = np.random.default_rng(seed)
     sample, y = random_case(rng)
     outcomes = {"S": y}
-    _check_dual(uniform_adjustment(sample_stats(sample, y)), outcomes, "T1", sample)
-    _check_dual(followup_adjustment(sample_stats(sample, y)), outcomes, "T2", sample)
+    _check_dual(lambda o: uniform_adjustment(sample_stats(sample, o["S"])),
+                outcomes, "T1", sample)
+    _check_dual(lambda o: followup_adjustment(sample_stats(sample, o["S"])),
+                outcomes, "T2", sample)
     if sample.psu_subsample is not None:
-        _check_dual(followup_adjustment(sample_stats(sample, y), expansion="realized"),
+        _check_dual(lambda o: followup_adjustment(sample_stats(sample, o["S"]),
+                                                  expansion="realized"),
                     outcomes, "T2_AltOmega", sample)
     ones = np.ones((sample.n_units, 1))
-    for res in (uniform_adjustment(sample_stats(sample, ones)),
-                followup_adjustment(sample_stats(sample, ones))):
-        assert res.total[0] == pytest.approx(res.n_hat, rel=1e-12)
+    d, web = sample.d, sample.delta_w == 1
+    # T1 carries the sample size; T2 the web mass plus the flagged nonrespondents over omega
+    sizes = {uniform_adjustment: d.sum(),
+             followup_adjustment: d[web].sum() + d[~web & sample.flags()].sum() / sample.ftf_rate}
+    for estimate, size in sizes.items():
+        assert estimate(sample_stats(sample, ones)).total[0] == pytest.approx(size, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -343,16 +356,24 @@ def test_hybrid_duality(seed, kappa):
                           elig=np.zeros(n_a, dtype=bool), tag="A")
     y_a = rng.normal(2.0, 1.0, size=(n_a, 2))
     outcomes = {"A": y_a, "B": y_b}
-    ta = web_only(sample_stats(sample_a, y_a))
-    tb = uniform_adjustment(sample_stats(sample_b, y_b))  # TB1: sample_b's omega is 1
+
+    def ta(o):
+        return web_only(sample_stats(sample_a, o["A"]))
+
+    def tb(o):  # TB1: sample_b's omega is 1
+        return uniform_adjustment(sample_stats(sample_b, o["B"]))
+
     _check_dual(ta, outcomes, "TA", sample_a)
     _check_dual(tb, outcomes, "T1", sample_b)
     lam = float(rng.uniform(0, 1))
-    _check_dual(composite_total(ta, tb, lam), outcomes, "TDF1", sample_a, sample_b, factor=lam)
-    _check_dual(web_composite(sample_stats(sample_a, y_a), sample_stats(sample_b, y_b), kappa),
+    _check_dual(lambda o: composite_total(ta(o), tb(o), lam), outcomes, "TDF1",
+                sample_a, sample_b, factor=lam)
+    _check_dual(lambda o: web_composite(sample_stats(sample_a, o["A"]),
+                                        sample_stats(sample_b, o["B"]), kappa),
                 outcomes, "TDF2", sample_a, sample_b, factor=kappa)
     res1 = web_composite(sample_stats(sample_a, np.ones((n_a, 1))), sample_stats(sample_b, np.ones((sample_b.n_units, 1))), kappa)
-    assert res1.total[0] == pytest.approx(res1.n_hat, rel=1e-12)
+    n_c = kappa * sample_a.d.sum() + (1.0 - kappa) * sample_b.d.sum()  # the composite size
+    assert res1.total[0] == pytest.approx(n_c, rel=1e-12)
 
 
 def test_reduction_identity_t1_equals_t2_under_full_response():

@@ -1,8 +1,8 @@
 """Pinned outputs: the sha256 digest of every file ``mmsim run`` and
 ``mmsim generate`` write, for the six bundled presets at 100 iterations
-(b1a also under ``--jobs 2``, against the same digests), a stochastic-rule
-PSU-subsampling run on a generated CSV, a one-variable hybrid run, and
-the generated CSV itself.
+(b1a and b2p also under ``--jobs 2``, against the same digests), a
+stochastic-rule PSU-subsampling run on a generated CSV, a one-variable
+hybrid run, and the generated CSV itself.
 
 Every line is hashed except the ``mmsim_version`` metadata line, so a
 version bump leaves the digests alone while any one-ulp change to a
@@ -157,7 +157,7 @@ def case_digests(case: str, workdir: Path) -> dict[str, str]:
                                  "--jobs", jobs or "1"], out)
 
 
-CASES = (*PRESETS, "b1a-jobs2", "stochastic-psu", "one-variable", "generate")
+CASES = (*PRESETS, "b1a-jobs2", "b2p-jobs2", "stochastic-psu", "one-variable", "generate")
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -23,13 +23,16 @@ from conftest import make_population
 
 
 def make_drawn(n, psu_ids=None, delta_w=None, psus=None, d=None):
+    """A clustered sample of ``n`` households with PSU ids ``psu_ids`` (all
+    0 by default) from the sampled PSUs ``psus`` (those ids by default)."""
     psu_ids = np.zeros(n, dtype=np.int64) if psu_ids is None else np.asarray(psu_ids)
+    psus = np.unique(psu_ids) if psus is None else np.asarray(psus, dtype=np.int64)
     sample = DrawnSample(
         tag="S",
         unit_idx=np.arange(n),
         d=np.ones(n) if d is None else np.asarray(d, dtype=float),
-        psu_ids=psu_ids,
-        psus=None if psus is None else np.asarray(psus, dtype=np.int64),
+        psus=psus,
+        psu_code=np.searchsorted(psus, psu_ids),
     )
     if delta_w is not None:
         object.__setattr__(sample, "delta_w", np.asarray(delta_w, dtype=np.uint8))
@@ -132,7 +135,7 @@ def test_two_stage_equal_takes_and_self_weighting(small_synthetic):
     pop = small_synthetic
     s = two_stage_select(pop, 50, 50, np.random.default_rng(8))
     assert s.n_units == 2500  # 50 PSUs x 50 households
-    counts = np.unique(s.psu_ids, return_counts=True)[1]
+    counts = np.bincount(s.psu_code, minlength=len(s.psus))
     assert (counts == 50).all()
     f = 50 * 50 / pop.n_households
     np.testing.assert_allclose(s.d * f, 1.0, rtol=1e-12)  # zero weight spread
@@ -147,18 +150,7 @@ def test_two_stage_rejects_small_psu():
 
 def test_two_stage_units_belong_to_selected_psus(small_synthetic):
     s = two_stage_select(small_synthetic, 20, 60, np.random.default_rng(10))
-    assert set(np.unique(s.psu_ids)) <= set(s.psus.tolist())
-
-
-@pytest.mark.parametrize("psus, missing", [
-    ([4, 8], [1, 2, 9, 12, 30]),  # six outside, the five smallest named
-    ([], [1, 2, 4, 8, 9]),
-])
-def test_units_from_unsampled_psus_are_rejected(psus, missing):
-    psu_ids = [9, 4, 12, 4, 30, 2, 8, 1, 50, 9]
-    with pytest.raises(ValidationError, match="^" + re.escape(
-            f"units from PSUs outside the PSU sample: {missing}") + "$"):
-        make_drawn(len(psu_ids), psu_ids=psu_ids, psus=psus)
+    np.testing.assert_array_equal(s.psus[s.psu_code], small_synthetic.psu_ids[s.unit_idx])
 
 
 @pytest.mark.parametrize("psus, ftf_rate, message", [
@@ -168,9 +160,8 @@ def test_units_from_unsampled_psus_are_rejected(psus, missing):
     (None, 1.5, "follow-up rate 1.5 outside (0, 1]"),
 ])
 def test_malformed_design_facts_are_rejected(psus, ftf_rate, message):
-    psu_ids = np.array([4, 8, 8, 4])
     with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-        DrawnSample(tag="S", unit_idx=np.arange(4), d=np.ones(4), psu_ids=psu_ids,
+        DrawnSample(tag="S", unit_idx=np.arange(4), d=np.ones(4),
                     psus=None if psus is None else np.asarray(psus), ftf_rate=ftf_rate)
 
 
@@ -193,9 +184,11 @@ def _two_stage_reference(pop, n_psus, m_per_psu, rng):
     rank = np.arange(len(members)) - np.repeat(starts, sel_sizes)
     chosen = members[order[rank < m_per_psu]]
     chosen.sort()
+    drawn = sorted(psus[sel].tolist())
+    position = {psu: i for i, psu in enumerate(drawn)}
     return DrawnSample(
-        tag="S", unit_idx=chosen, d=np.full(len(chosen), 1.0 / f),
-        psu_ids=pop.psu_ids[chosen], psus=np.asarray(sorted(psus[sel].tolist())),
+        tag="S", unit_idx=chosen, d=np.full(len(chosen), 1.0 / f), psus=np.asarray(drawn),
+        psu_code=np.array([position[p] for p in pop.psu_ids[chosen].tolist()], dtype=np.intp),
     )
 
 
@@ -218,8 +211,9 @@ def _unit_followup_reference(sample, omega, rng):
     each a permutation of its nonrespondents, then a systematic take."""
     flags = np.zeros(sample.n_units, dtype=bool)
     nonresp = np.flatnonzero(sample.delta_w == 0)
-    for psu in np.unique(sample.psu_ids[nonresp]):
-        pool = nonresp[sample.psu_ids[nonresp] == psu]
+    psu_ids = sample.psus[sample.psu_code]
+    for psu in np.unique(psu_ids[nonresp]):
+        pool = nonresp[psu_ids[nonresp] == psu]
         perm = rng.permutation(len(pool))
         take = _systematic_take(len(pool), omega, rng)
         flags[pool[perm[take]]] = True
@@ -227,7 +221,7 @@ def _unit_followup_reference(sample, omega, rng):
 
 
 def _assert_same_sample(got, want):
-    for field in ("unit_idx", "d", "psu_ids"):
+    for field in ("unit_idx", "d", "psu_code"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
     assert got.psus.dtype == want.psus.dtype and got.psus.tobytes() == want.psus.tobytes()
@@ -401,9 +395,8 @@ def test_psu_rate_is_count_over_sampled():
 def test_psu_subsample_never_leaks_outside_chosen_psus():
     s = _clustered_sample()
     out = subsample_psus(s, 2, np.random.default_rng(17))
-    flagged_psus = set(out.psu_ids[out.flags()].tolist())
-    assert flagged_psus <= out.psu_subsample
-    inside = np.isin(out.psu_ids, sorted(out.psu_subsample))
+    assert out.psu_subsample[out.psu_code[out.flags()]].all()
+    inside = out.psu_subsample[out.psu_code]
     np.testing.assert_array_equal(out.flags(), inside & (np.asarray(out.delta_w) == 0))
 
 
@@ -414,9 +407,35 @@ def test_psu_subsample_uniform_selection():
     hits = np.zeros(10)
     for _ in range(reps):
         out = subsample_psus(s, 5, rng)
-        hits[sorted(out.psu_subsample)] += 1
+        hits += out.psu_subsample  # the PSU ids are their positions 0..9
     sd = math.sqrt(0.25 / reps)
     np.testing.assert_array_less(np.abs(hits / reps - 0.5), 4 * sd)
+
+
+def _psu_followup_reference(sample, count, rng):
+    """``subsample_psus`` by its definition on PSU ids: the first ``count``
+    of a permutation of the sampled ids, and the web nonrespondents in them."""
+    chosen = frozenset(int(p) for p in rng.permutation(sample.psus)[:count])
+    in_chosen = np.isin(sample.psus[sample.psu_code], sorted(chosen))
+    return chosen, in_chosen & (sample.delta_w == 0)
+
+
+@pytest.mark.parametrize("n_psus", [1, 2, 3, 10, 64, 97, 1000])
+@pytest.mark.parametrize("seed", range(3))
+def test_psu_followup_matches_the_id_definition(n_psus, seed):
+    rng = np.random.default_rng(seed)
+    psus = np.sort(rng.choice(10**6, n_psus, replace=False)) - 5 * 10**5  # some negative
+    psu_ids = rng.permutation(np.repeat(psus, 3))
+    s = make_drawn(len(psu_ids), psu_ids=psu_ids, delta_w=rng.integers(0, 2, len(psu_ids)),
+                   psus=psus)
+    for count in sorted({1, (n_psus + 1) // 2, n_psus}):
+        got_rng, ref_rng = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+        out = subsample_psus(s, count, got_rng)
+        chosen, flags = _psu_followup_reference(s, count, ref_rng)
+        assert out.psu_subsample.sum() == count
+        assert frozenset(s.psus[out.psu_subsample].tolist()) == chosen
+        assert out.flags().tobytes() == flags.tobytes()
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_psu_subsample_rejects_overdraw():

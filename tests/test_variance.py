@@ -1,3 +1,5 @@
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -80,21 +82,55 @@ def _psu_sampled(n_psus, n_sub, seed=0):
 def test_half_subsample_pairs_psus():
     sample = _psu_sampled(100, 50)
     plan = build_variance_units(sample, np.random.default_rng(1))
-    assert len(plan.groups) == 50
-    assert all(len(g) == 2 for g in plan.groups)
-    for group in plan.groups:
-        assert sum(p in sample.psu_subsample for p in group) == 1
-    covered = sorted(p for g in plan.groups for p in g)
-    assert covered == sample.psus.tolist()
+    assert len(plan) == len(sample.psus)  # every sampled PSU in exactly one group
+    sizes = np.bincount(plan)
+    assert len(sizes) == 50
+    assert (sizes == 2).all()
+    assert (np.bincount(plan[sample.psu_subsample], minlength=50) == 1).all()
 
 
 def test_third_subsample_groups_of_three():
     sample = _psu_sampled(6, 2)
     plan = build_variance_units(sample, np.random.default_rng(2))
-    assert len(plan.groups) == 2
-    assert all(len(g) == 3 for g in plan.groups)
-    for group in plan.groups:
-        assert sum(p in sample.psu_subsample for p in group) == 1
+    sizes = np.bincount(plan)
+    assert len(sizes) == 2
+    assert (sizes == 3).all()
+    assert (np.bincount(plan[sample.psu_subsample], minlength=2) == 1).all()
+
+
+def _id_groups_reference(psus, followed, rng):
+    """``build_variance_units`` by its definition on PSU ids: the followed
+    and the other ids, each sorted then permuted, dealt out a and b - a to
+    a group, each group a sorted tuple of ids."""
+    psus = psus.tolist()
+    sub = sorted(followed)
+    non = sorted(set(psus) - set(sub))
+    n_groups = gcd(len(sub), len(psus))
+    a, b = len(sub) // n_groups, len(psus) // n_groups
+    sub_perm = [sub[i] for i in rng.permutation(len(sub))]
+    non_perm = [non[i] for i in rng.permutation(len(non))]
+    return tuple(tuple(sorted(sub_perm[i * a:(i + 1) * a]
+                              + non_perm[i * (b - a):(i + 1) * (b - a)]))
+                 for i in range(n_groups))
+
+
+@pytest.mark.parametrize("n_psus, n_sub", [
+    (2, 2), (4, 2), (6, 2), (6, 4), (6, 6), (12, 8), (12, 9), (40, 20), (100, 50),
+    (100, 100), (1000, 250)])
+@pytest.mark.parametrize("seed", range(3))
+def test_variance_units_match_the_id_definition(n_psus, n_sub, seed):
+    """Each sampled PSU's group number puts the same PSUs in the same numbered
+    groups as the id definition, and draws the same numbers."""
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(10**6, n_psus, replace=False)) - 5 * 10**5  # some negative
+    followed = frozenset(rng.choice(ids, n_sub, replace=False).tolist())
+    sample = toy_sample(d=np.ones(n_psus), delta_w=np.zeros(n_psus, dtype=int),
+                        psu_ids=ids, psu_subsample=followed)
+    got_rng, ref_rng = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+    plan = build_variance_units(sample, got_rng)
+    want = _id_groups_reference(sample.psus, followed, ref_rng)
+    assert tuple(tuple(sample.psus[plan == g].tolist()) for g in range(plan.max() + 1)) == want
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_indivisible_counts_rejected():

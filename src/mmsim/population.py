@@ -35,7 +35,7 @@ RULES = ("A", "B", "C", "D")
 
 _SQRT3 = math.sqrt(3.0)
 
-# Households per chunk when a population is generated or written out.
+# Households per chunk when a population is generated, read or written out.
 _CHUNK_ROWS = 2**16
 
 
@@ -531,44 +531,45 @@ def load_microdata(path: str | Path, schema: MicrodataSchema) -> Population:
     (WEB/MAIL/FTF) and labels (W/F/N) match ignoring case and surrounding
     whitespace.  Any problem raises a ``DataError`` (the CLI exits 3)
     whose message names the file, and the line and column where there is
-    one.
+    one.  Rows are parsed ``_CHUNK_ROWS`` at a time into the population's
+    own arrays, so reading needs the population plus one chunk.
     """
     path = Path(path)
     if not schema.variables:
         raise SchemaError("schema lists no variable columns")
+    ids, psu_ids, y, modes, labels = _read_columns(path, schema)
+    try:
+        return Population(ids=ids, psu_ids=psu_ids, y=y, modes=modes, labels=labels,
+                          variable_names=tuple(schema.variables))
+    except IntegrityError as exc:  # distinct ids: the one check not made while reading
+        row = np.flatnonzero(ids == _first_duplicate(ids))[1]
+        raise IntegrityError(f"{_where(path, row)}: {exc}") from None
+
+
+def _read_columns(path: Path, schema: MicrodataSchema) -> tuple[np.ndarray, ...]:
+    """The ids, PSU ids, outcomes, mode codes and label codes (None without
+    a label column) of every data row.  ``np.loadtxt`` reads one open handle
+    ``_CHUNK_ROWS`` rows per call, and each chunk is checked and stored
+    into arrays sized by the file's line count, then trimmed in place.
+    Raises a DataError naming file:line and column."""
     columns = [schema.id, schema.psu, schema.mode, *schema.variables]
     dtype = [("id", np.int64), ("psu", np.int64), ("mode", object),
              ("y", np.float64, (len(schema.variables),))]
     if schema.label is not None:
         columns.append(schema.label)
         dtype.append(("label", object))
-    table = _read_columns(path, columns, dtype)
-    modes = _codes(table["mode"], MODE_NAMES, path, schema.mode)
-    labels = (None if schema.label is None
-              else _codes(table["label"], LABEL_NAMES, path, schema.label))
-    y = np.ascontiguousarray(table["y"])
-    if not np.isfinite(y).all():
-        row, j = np.argwhere(~np.isfinite(y))[0]
-        raise ParseError(f"{_where(path, row)}: non-finite value {float(y[row, j])} "
-                         f"in column {schema.variables[j]!r}")
-    ids = np.ascontiguousarray(table["id"])
-    try:
-        return Population(ids=ids, psu_ids=np.ascontiguousarray(table["psu"]), y=y,
-                          modes=modes, labels=labels,
-                          variable_names=tuple(schema.variables))
-    except IntegrityError as exc:  # distinct ids: the one check not made above
-        row = np.flatnonzero(ids == _first_duplicate(ids))[1]
-        raise IntegrityError(f"{_where(path, row)}: {exc}") from None
-
-
-def _read_columns(path: Path, columns: list[str], dtype: list) -> np.ndarray:
-    """One record per data row holding the named columns, parsed in one
-    ``np.loadtxt`` call; raises a DataError naming file:line and column."""
     header: list[str] = []
+    n = 0  # data rows stored: the first row of the chunk being read
     try:
+        cap = _line_count(path)
+        ids, psu_ids = np.empty(cap, np.int64), np.empty(cap, np.int64)
+        y, modes = np.empty((cap, len(schema.variables))), np.empty(cap, np.int8)
+        labels = None if schema.label is None else np.empty(cap, np.int8)
         with path.open(encoding="utf-8-sig", newline="") as fh, warnings.catch_warnings():
-            # A header-only file is reported below as "no data rows".
+            # The call that meets the end of the file reads no data, and blank
+            # lines are skipped, with or without max_rows.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
             # Older numpy parses "1.5" into an int64 field with this warning.
             warnings.filterwarnings("error", category=DeprecationWarning)
             header = next(csv.reader(fh), [])
@@ -577,34 +578,65 @@ def _read_columns(path: Path, columns: list[str], dtype: list) -> np.ndarray:
                     raise SchemaError(f"required column {col!r} missing from {path.name}")
                 if header.count(col) > 1:
                     raise SchemaError(f"column {col!r} appears twice in {path.name}")
-            table = np.loadtxt(fh, dtype=dtype, delimiter=",",
-                               usecols=[header.index(c) for c in columns],
-                               comments=None, quotechar='"', ndmin=1)
+            usecols = [header.index(c) for c in columns]
+            # Stop only at an empty chunk: whether max_rows counts blank
+            # lines differs between numpy versions.
+            while len(table := np.loadtxt(fh, dtype=dtype, delimiter=",", usecols=usecols,
+                                          comments=None, quotechar='"', ndmin=1,
+                                          max_rows=_CHUNK_ROWS)):
+                rows = slice(n, n + len(table))
+                modes[rows] = _codes(table["mode"], MODE_NAMES, path, schema.mode, n)
+                if labels is not None:
+                    labels[rows] = _codes(table["label"], LABEL_NAMES, path, schema.label, n)
+                if not np.isfinite(table["y"]).all():
+                    row, j = np.argwhere(~np.isfinite(table["y"]))[0]
+                    raise ParseError(f"{_where(path, n + row)}: non-finite value "
+                                     f"{float(table['y'][row, j])} "
+                                     f"in column {schema.variables[j]!r}")
+                ids[rows], psu_ids[rows], y[rows] = table["id"], table["psu"], table["y"]
+                n = rows.stop
     except OSError as exc:
         raise DataError(f"cannot read microdata {path}: {exc}") from None
     except UnicodeDecodeError:
         raise ParseError(f"{path.name}:{_undecodable_line(path)}: not UTF-8 text") from None
     except (ValueError, DeprecationWarning, csv.Error) as exc:
         message = str(exc)
-        # loadtxt counts data rows from 0 in the first message and from 1
-        # in the second; columns from 1 in the first and from 0 in the second.
+        # loadtxt counts a call's data rows from 0 in the first message and
+        # from 1 in the second; columns from 1 in the first and from 0 in the second.
         if m := re.search(r"could not convert string (.*) to (\w+) at row (\d+), "
                           r"column (\d+)", message):
-            raise ParseError(f"{_where(path, int(m[3]))}: {m[1]} is not a valid {m[2]} "
+            raise ParseError(f"{_where(path, n + int(m[3]))}: {m[1]} is not a valid {m[2]} "
                              f"in column {header[int(m[4]) - 1]!r}") from None
         if m := re.search(r"invalid column index (\d+) at row (\d+)", message):
-            raise ParseError(f"{_where(path, int(m[2]) - 1)}: no value "
+            raise ParseError(f"{_where(path, n + int(m[2]) - 1)}: no value "
                              f"in column {header[int(m[1])]!r}") from None
         raise ParseError(f"{path.name}: {message}") from None
-    if len(table) == 0:
+    if n == 0:
         raise ParseError(f"{path.name}: no data rows")
-    return table
+    arrays = (ids, psu_ids, y, modes, labels)
+    for a in arrays:
+        if a is not None:
+            a.resize((n, *a.shape[1:]), refcheck=False)
+    return arrays
 
 
-def _codes(raw: np.ndarray, names: tuple[str, ...], path: Path, column: str) -> np.ndarray:
-    """Index into ``names`` of each string in ``raw``, ignoring case and
-    surrounding whitespace.  Exact spellings are matched first, so only
-    the other values pay for normalization."""
+def _line_count(path: Path) -> int:
+    """At least the number of lines in ``path``, ended by ``\\n``, ``\\r\\n``
+    or ``\\r``: a bound on its data rows, counted in 64 KiB blocks."""
+    lines = 1  # a last line without its line end
+    with path.open("rb") as fh:
+        for block in iter(lambda: fh.read(2**16), b""):
+            lines += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
+            if b"\r" in block:
+                lines += block.count(b"\r") - block.count(b"\r\n")
+    return lines
+
+
+def _codes(raw: np.ndarray, names: tuple[str, ...], path: Path, column: str,
+           first: int) -> np.ndarray:
+    """Index into ``names`` of each string in ``raw``, data rows ``first``
+    on, ignoring case and surrounding whitespace.  Exact spellings are
+    matched first, so only the other values pay for normalization."""
     codes = np.full(len(raw), -1, dtype=np.int8)
     for code, name in enumerate(names):
         codes[raw == name] = code
@@ -615,7 +647,8 @@ def _codes(raw: np.ndarray, names: tuple[str, ...], path: Path, column: str) -> 
             codes[rest[norm == name]] = code
         if (codes < 0).any():
             row = np.argmax(codes < 0)
-            raise ParseError(f"{_where(path, row)}: unknown value {reprlib.repr(raw[row])} "
+            raise ParseError(f"{_where(path, first + row)}: unknown value "
+                             f"{reprlib.repr(raw[row])} "
                              f"in column {column!r}, expected one of {'/'.join(names)}")
     return codes
 

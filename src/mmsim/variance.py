@@ -34,7 +34,10 @@ def build_variance_units(sample: DrawnSample, rng: np.random.Generator) -> np.nd
     With a of every b sampled PSUs subsampled (a/b in lowest terms), the
     gcd of the two counts gives the number of groups, each of b PSUs with
     a subsampled: group i takes the i-th run of a subsampled PSUs and of
-    b - a others, each list permuted from ascending id order.
+    b - a others, each list permuted from ascending id order.  Counts whose
+    gcd is 1 give one group, which ``sample_variances`` rejects as fewer
+    than 2 variance units; ``DesignSpec.validate`` rejects such designs
+    when the config is read.
     """
     if sample.psu_subsample is None:
         raise EstimationError("sample has no PSU subsample to balance on")
@@ -42,11 +45,6 @@ def build_variance_units(sample: DrawnSample, rng: np.random.Generator) -> np.nd
     n_psus = len(sample.psus)
     n_groups = gcd(len(sub), n_psus)
     a, b = len(sub) // n_groups, n_psus // n_groups
-    if n_groups < 2:
-        raise ValidationError(
-            f"{len(sub)} of {n_psus} PSUs followed up form gcd = {n_groups} balanced "
-            f"variance unit(s); need at least 2"
-        )
     group = np.empty(n_psus, dtype=np.int64)
     group[sub[rng.permutation(len(sub))]] = np.arange(len(sub)) // a
     group[non[rng.permutation(len(non))]] = np.arange(len(non)) // max(b - a, 1)

@@ -10,11 +10,14 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 import yaml
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from mmsim.cli import main
+from mmsim.errors import ConfigError
+from mmsim.montecarlo import DesignSpec
 
 # A small valid document: a synthetic population and a hybrid design.
 BASE = {
@@ -129,3 +132,20 @@ def test_mutated_config_exits_with_a_documented_code(case):
             with open(Path(tmp) / "out" / "summary.csv") as fh:
                 rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
             assert all(math.isfinite(float(r["rb"])) for r in rows), rows
+
+
+def test_indivisible_counts_rejected(tmp_path, capsys):
+    # 1 of 3 and 3 of 10 PSUs followed up form gcd = 1 balanced variance unit
+    for n_psus, n_sub in ((3, 1), (10, 3)):
+        design = {"kind": "two_phase_psu", "n_psus": n_psus, "m_per_psu": 5,
+                  "n_sub_psus": n_sub}
+        with pytest.raises(ConfigError, match=rf"^scenario\.design\.n_sub_psus: {n_sub} of "
+                                              rf"{n_psus} PSUs form gcd = 1 .* need at least 2$"):
+            DesignSpec(**design).validate()
+        doc = copy.deepcopy(BASE)
+        doc["scenario"].update(design=design, estimators=[{"id": "T2"}])
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert main(["run", "--config", str(cfg), "--quiet", "--out", str(tmp_path / "out")]) == 2
+        assert f"scenario.design.n_sub_psus: {n_sub} of {n_psus} PSUs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -52,9 +52,37 @@ def _write(tmp_path, text, name="pop.csv"):
     return path
 
 
+def _read(path, schema):
+    """The population ``load_microdata`` reads, or the DataError it raises,
+    and a fingerprint of it: every array's dtype, shape and bytes, or the
+    error's type and message."""
+    try:
+        pop = load_microdata(path, schema)
+    except DataError as exc:
+        return exc, (type(exc), str(exc))
+    arrays = (pop.ids, pop.psu_ids, pop.y, pop.modes, pop.labels)
+    return pop, (pop.variable_names, *(
+        None if a is None else (a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes())
+        for a in arrays))
+
+
+def _load(path, schema):
+    """``load_microdata`` at the default chunk size, once 1-, 2- and 3-row
+    chunks, which put every row, quoted newline and blank line on a chunk
+    boundary, have given the same population or the same error."""
+    result, want = _read(path, schema)
+    for rows in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(population_mod, "_CHUNK_ROWS", rows)
+            assert _read(path, schema)[1] == want, f"{rows}-row chunks"
+    if isinstance(result, DataError):
+        raise result
+    return result
+
+
 def test_load_three_rows(tmp_path):
     path = _write(tmp_path, "id,psu,mode,v1\n1,10,WEB,1.0\n2,10,MAIL,2.0\n3,20,FTF,3.0\n")
-    pop = load_microdata(path, MicrodataSchema(variables=("v1",)))
+    pop = _load(path, MicrodataSchema(variables=("v1",)))
     assert pop.n_households == 3
     assert pop.labels is None
     assert list(pop.modes) == [MODE_WEB, MODE_MAIL, MODE_FTF]
@@ -65,25 +93,29 @@ def test_load_three_rows(tmp_path):
 def test_missing_column_is_schema_error(tmp_path):
     path = _write(tmp_path, "id,psu,mode\n1,1,WEB\n")
     with pytest.raises(SchemaError, match="v1"):
-        load_microdata(path, MicrodataSchema(variables=("v1",)))
+        _load(path, MicrodataSchema(variables=("v1",)))
 
 
 def test_schema_column_named_twice_is_schema_error(tmp_path):
     path = _write(tmp_path, "id,psu,mode,v1,v1\n1,1,WEB,1.0,2.0\n")
     with pytest.raises(SchemaError, match="'v1' appears twice"):
-        load_microdata(path, MicrodataSchema(variables=("v1",)))
+        _load(path, MicrodataSchema(variables=("v1",)))
 
 
 def test_bad_value_reports_line_number(tmp_path):
     path = _write(tmp_path, "id,psu,mode,v1\n1,1,WEB,1.0\n2,1,MAIL,oops\n")
     with pytest.raises(ParseError, match=":3"):
-        load_microdata(path, MicrodataSchema(variables=("v1",)))
+        _load(path, MicrodataSchema(variables=("v1",)))
 
 
 def test_duplicate_id_is_integrity_error(tmp_path):
     path = _write(tmp_path, "id,psu,mode,v1\n1,1,WEB,1.0\n1,1,MAIL,2.0\n")
     with pytest.raises(IntegrityError, match=r"^pop\.csv:3: duplicate household id 1$"):
-        load_microdata(path, MicrodataSchema(variables=("v1",)))
+        _load(path, MicrodataSchema(variables=("v1",)))
+    # the second copy in a later chunk of 1, 2 or 3 rows than the first
+    rows = "".join(f"{i},1,WEB,1.0\n" for i in (5, 8, 2, 9, 6, 2, 7))
+    with pytest.raises(IntegrityError, match=r"^pop\.csv:7: duplicate household id 2$"):
+        _load(_write(tmp_path, "id,psu,mode,v1\n" + rows), MicrodataSchema(variables=("v1",)))
 
 
 def test_direct_construction_names_duplicate_id():
@@ -166,6 +198,19 @@ def test_generate_peak_is_population_plus_a_few_chunks(monkeypatch):
     assert peak <= _nbytes(pop) + 12 * chunk * 8
 
 
+def test_load_microdata_peak_is_population_plus_a_few_chunks(tmp_path, monkeypatch):
+    chunk = 2**12
+    spec = dataclasses.replace(SMALL_SPEC, n_psus=300)
+    path = tmp_path / "pop.csv"
+    write_population_csv(generate_synthetic(spec), path)
+    monkeypatch.setattr(population_mod, "_CHUNK_ROWS", chunk)
+    schema = MicrodataSchema(variables=tuple(v.name for v in spec.variables))
+    pop, peak = _traced_peak(lambda: load_microdata(path, schema))
+    assert pop.n_households > 6 * chunk
+    # one chunk's records: id, psu, a mode string's reference and the outcomes
+    assert peak <= _nbytes(pop) + 8 * chunk * (3 + len(schema.variables)) * 8
+
+
 def test_psu_frame_allocates_little_beyond_members():
     pop = generate_synthetic(LARGE_SPEC)
     _, peak = _traced_peak(pop.psu_frame)
@@ -246,7 +291,7 @@ def _oracle(path, schema):
 
 
 def _assert_matches_oracle(path, schema):
-    pop = load_microdata(path, schema)
+    pop = _load(path, schema)
     ref = _oracle(path, schema)
     for name in ("ids", "psu_ids", "modes", "labels"):
         got = getattr(pop, name)
@@ -274,7 +319,7 @@ def test_reader_matches_csv_oracle(tmp_path):
     path = _write(tmp_path, TRICKY_CSV)
     schema = MicrodataSchema(id="hh,id", variables=("v1", "v2"), label="lab")
     _assert_matches_oracle(path, schema)
-    assert load_microdata(path, schema).n_households == 6
+    assert _load(path, schema).n_households == 6
 
 
 @settings(max_examples=30, deadline=None)
@@ -296,13 +341,12 @@ def test_reader_matches_oracle_on_random_numbers(tmp_path_factory, ids, values, 
 
 def test_hash_is_data_not_a_comment(tmp_path):
     ok = "id,psu,mode,v1,note\n1,1,WEB,1.0,#keep\n"
-    assert load_microdata(_write(tmp_path, ok), MicrodataSchema(variables=("v1",))
-                          ).n_households == 1
+    assert _load(_write(tmp_path, ok), MicrodataSchema(variables=("v1",))).n_households == 1
     for text in ("id,psu,mode,v1\n1,1,WEB,1.0\n#2,1,WEB,1.0\n",
                  "id,psu,mode,v1\n1,1,WEB,1.0\n2,1,WEB,1.0 # note\n",
                  "id,psu,mode,v1\n1,1,WEB,1.0\n2,1,WEB#,1.0\n"):
         with pytest.raises(ParseError, match=r"^pop\.csv:3: "):
-            load_microdata(_write(tmp_path, text), MicrodataSchema(variables=("v1",)))
+            _load(_write(tmp_path, text), MicrodataSchema(variables=("v1",)))
 
 
 @pytest.mark.parametrize("text", ["id,psu,mode,v1\n", "id,psu,mode,v1\n\n\n"])
@@ -310,7 +354,7 @@ def test_header_only_file_has_no_data_rows_and_no_warning(tmp_path, text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParseError, match="no data rows"):
-            load_microdata(_write(tmp_path, text), MicrodataSchema(variables=("v1",)))
+            _load(_write(tmp_path, text), MicrodataSchema(variables=("v1",)))
 
 
 @pytest.mark.parametrize("column,value", [
@@ -325,7 +369,7 @@ def test_overlong_mode_or_label_is_rejected_not_truncated(tmp_path, column, valu
     text = f"id,psu,mode,v1,label\n1,1,WEB,0.5,W\n2,1,{row['mode']},1.0,{row['label']}\n"
     with pytest.raises(ParseError, match=rf"^pop\.csv(:3| \(data row 2\)): unknown value "
                                          rf".* '{column}'"):
-        load_microdata(_write(tmp_path, text), MicrodataSchema(variables=("v1",), label="label"))
+        _load(_write(tmp_path, text), MicrodataSchema(variables=("v1",), label="label"))
 
 
 @pytest.mark.parametrize("column,bad", [
@@ -344,42 +388,53 @@ def test_bad_value_names_line_and_column(tmp_path, column, bad):
             f"{bad_row},\n"
             "10,3,WEB,1.0,W,\n")
     with pytest.raises(ParseError, match=rf"^pop\.csv:6: .*'{column}'"):
-        load_microdata(_write(tmp_path, text), MicrodataSchema(variables=("v1",), label="label"))
+        _load(_write(tmp_path, text), MicrodataSchema(variables=("v1",), label="label"))
 
 
 def test_short_row_names_line_and_missing_column(tmp_path):
     path = _write(tmp_path, "id,psu,mode,v1\n1,1,WEB,1.0\n2,1,MAIL\n")
     with pytest.raises(ParseError, match=r"^pop\.csv:3: no value in column 'v1'"):
-        load_microdata(path, MicrodataSchema(variables=("v1",)))
+        _load(path, MicrodataSchema(variables=("v1",)))
 
 
 def test_undecodable_bytes_name_the_line(tmp_path):
     path = tmp_path / "pop.csv"
     path.write_bytes(b"id,psu,mode,v1\n1,1,WEB,1.0\n2,1,W\xe9B,1.0\n")
     with pytest.raises(ParseError, match=r"^pop\.csv:3: not UTF-8"):
-        load_microdata(path, MicrodataSchema(variables=("v1",)))
+        _load(path, MicrodataSchema(variables=("v1",)))
 
 
 def test_missing_file_is_data_error_naming_path(tmp_path):
     missing = tmp_path / "absent.csv"
     with pytest.raises(DataError, match="absent.csv"):
-        load_microdata(missing, MicrodataSchema(variables=("v1",)))
+        _load(missing, MicrodataSchema(variables=("v1",)))
 
 
 def test_byte_order_mark_is_skipped(tmp_path):
     text = "id,psu,mode,v1\n1,10,WEB,1.5\n2,10,MAIL,-0.0\n3,20,FTF,3e-7\n"
     schema = MicrodataSchema(variables=("v1",))
-    plain = load_microdata(_write(tmp_path, text), schema)
+    plain = _load(_write(tmp_path, text), schema)
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
-    marked = load_microdata(bom, schema)
+    marked = _load(bom, schema)
     for field in ("ids", "psu_ids", "y", "modes"):
         np.testing.assert_array_equal(getattr(marked, field), getattr(plain, field))
         assert getattr(marked, field).dtype == getattr(plain, field).dtype
     assert marked.labels is None and marked.variable_names == plain.variable_names
     bom.write_bytes(b"\xef\xbb\xbf" + b"id,psu,mode,v1\n1,1,WEB,1.0\n2,1,MAIL,oops\n")
     with pytest.raises(ParseError, match=r"^bom\.csv:3: 'oops' is not a valid float"):
-        load_microdata(bom, schema)
+        _load(bom, schema)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_other_line_ends_read_the_same(tmp_path, newline):
+    # rows are counted from the line ends to size the arrays before reading
+    text = "id,psu,mode,v1\n1,10,WEB,1.5\n\n2,10,MAIL,-0.0\n3,20,FTF,3e-7"
+    schema = MicrodataSchema(variables=("v1",))
+    other = tmp_path / "other.csv"
+    other.write_bytes(text.replace("\n", newline).encode())
+    assert _read(other, schema)[1] == _read(_write(tmp_path, text), schema)[1]
+    assert _load(other, schema).n_households == 3
 
 
 def _write_population_rows(pop, path):

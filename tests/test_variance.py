@@ -18,6 +18,7 @@ from mmsim.variance import (
     confidence_interval,
     first_stage_units,
     sample_variances,
+    score_variances,
 )
 
 from conftest import random_case, toy_sample, variance_of
@@ -133,11 +134,17 @@ def test_variance_units_match_the_id_definition(n_psus, n_sub, seed):
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_indivisible_counts_rejected():
-    with pytest.raises(ValidationError, match="at least 2"):
-        build_variance_units(_psu_sampled(3, 1), np.random.default_rng(3))
-    with pytest.raises(ValidationError, match="^3 of 10 PSUs followed up form gcd = 1 "):
-        build_variance_units(_psu_sampled(10, 3), np.random.default_rng(3))
+def test_one_group_plan_has_too_few_variance_units():
+    # 1 of 3 and 3 of 10 PSUs followed up form gcd = 1 group, which the
+    # config check rejects; a plan built anyway ends as a degenerate variance
+    for n_psus, n_sub in ((3, 1), (10, 3)):
+        sample = _psu_sampled(n_psus, n_sub)
+        plan = build_variance_units(sample, np.random.default_rng(3))
+        assert (plan == 0).all()
+        res = followup_adjustment(sample_stats(sample, np.ones((sample.n_units, 1))))
+        [var] = score_variances([res], {"S": first_stage_units(sample, plan)})
+        assert isinstance(var, EstimationError)
+        assert str(var) == "fewer than 2 variance units"
 
 
 def test_grouped_variance_runs_and_reduces_df():

@@ -2,7 +2,8 @@
 ``mmsim generate`` write, for the six bundled presets at 100 iterations
 (b1a and b2p also under ``--jobs 2``, against the same digests), a
 stochastic-rule PSU-subsampling run on a generated CSV, a one-variable
-hybrid run, and the generated CSV itself.
+hybrid run, and the generated CSV itself; and the arrays of the 959,383
+household population the six presets share, built in 15 generation chunks.
 
 Every line is hashed except the ``mmsim_version`` metadata line, so a
 version bump leaves the digests alone while any one-ulp change to a
@@ -23,6 +24,8 @@ from pathlib import Path
 import pytest
 
 from mmsim.cli import main
+from mmsim.config import load_config, preset_path
+from mmsim.population import generate_synthetic
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 PRESETS = ("a1a", "b1a", "b2u", "b2p", "c1a", "d1a")
@@ -137,6 +140,21 @@ def _run_digests(key: str, argv: list[str], out: Path) -> dict[str, str]:
     return {f"{key}/{f}": file_digest(out / f) for f in RUN_FILES}
 
 
+def array_digest(a) -> str:
+    """sha256 of an array's dtype, shape and C-order bytes, without a copy."""
+    h = hashlib.sha256(f"{a.dtype.str} {a.shape}".encode())
+    h.update(a)
+    return h.hexdigest()
+
+
+def _preset_population() -> dict[str, str]:
+    specs = {load_config(preset_path(f"{p}-synthetic")).population.synthetic for p in PRESETS}
+    assert len(specs) == 1, "the presets no longer share one population"
+    pop = generate_synthetic(specs.pop())
+    return {f"preset-population/{name}": array_digest(getattr(pop, name))
+            for name in ("ids", "psu_ids", "y", "modes")}
+
+
 def case_digests(case: str, workdir: Path) -> dict[str, str]:
     """Digests of the files one case writes, keyed ``<case>/<file>``.  Must
     run with ``workdir`` as the working directory (the stochastic config
@@ -144,6 +162,8 @@ def case_digests(case: str, workdir: Path) -> dict[str, str]:
     out = workdir / "out"
     if case == "generate":
         return _generate(workdir)
+    if case == "preset-population":
+        return _preset_population()
     if case == "stochastic-psu":
         _generate(workdir)
         return _run_digests(case, ["run", "--config",
@@ -157,7 +177,8 @@ def case_digests(case: str, workdir: Path) -> dict[str, str]:
                                  "--jobs", jobs or "1"], out)
 
 
-CASES = (*PRESETS, "b1a-jobs2", "b2p-jobs2", "stochastic-psu", "one-variable", "generate")
+CASES = (*PRESETS, "b1a-jobs2", "b2p-jobs2", "stochastic-psu", "one-variable", "generate",
+         "preset-population")
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -15,13 +15,21 @@ import math
 import re
 import reprlib
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError, IntegrityError, ParseError, SchemaError, ValidationError
+from .errors import (
+    ConfigError,
+    DataError,
+    IntegrityError,
+    ParseError,
+    SchemaError,
+    ValidationError,
+)
 
 # Source modes (from ingested or generated microdata).
 MODE_WEB, MODE_MAIL, MODE_FTF = 0, 1, 2
@@ -37,6 +45,16 @@ _SQRT3 = math.sqrt(3.0)
 
 # Households per chunk when a population is generated, read or written out.
 _CHUNK_ROWS = 2**16
+
+# Where a synthetic population's spec is read from in a run configuration.
+_SPEC_PATH = "population.synthetic"
+
+# Households a synthetic spec may call for at most: they are counted in int64.
+_MAX_HOUSEHOLDS = np.iinfo(np.int64).max
+
+# Largest magnitude of a continuous variable's mean or sd.  Generation
+# squares them, and below this bound every variance and value stays finite.
+_MAX_CONTINUOUS = 1e150
 
 
 @dataclass(frozen=True)
@@ -246,26 +264,42 @@ class SyntheticPopSpec:
         return 1.0 - self.share_web - self.share_mail
 
     def validate(self) -> None:
-        if self.n_psus < 1 or self.households_min < 1:
-            raise ValidationError("PSU and household counts must be positive")
+        """Raise a ValidationError, whose message starts with the config
+        path of the field at fault, unless the spec can be generated."""
+        at = _SPEC_PATH
+        for key in ("n_psus", "households_min"):
+            if getattr(self, key) < 1:
+                raise ValidationError(f"{at}.{key}: PSU and household counts must be positive")
         if self.households_max < self.households_min:
-            raise ValidationError("households_max < households_min")
+            raise ValidationError(f"{at}.households_max: households_max < households_min")
+        if self.n_psus * self.households_max > _MAX_HOUSEHOLDS:
+            raise ValidationError(
+                f"{at}.households_max: {self.n_psus} PSUs of up to {self.households_max} "
+                f"households can exceed {_MAX_HOUSEHOLDS}, the most a 64-bit count holds")
         if not self.variables:
-            raise ValidationError("at least one variable is required")
-        for s in (self.share_web, self.share_mail, self.share_ftf):
+            raise ValidationError(f"{at}.variables: at least one variable is required")
+        for key, s, what in (("share_web", self.share_web, ""),
+                             ("share_mail", self.share_mail, ""),
+                             ("share_mail", self.share_ftf,
+                              " for share_ftf = 1 - share_web - share_mail")):
             if not 0.0 <= s <= 1.0:
-                raise ValidationError(f"mode shares must lie in the simplex, got {s}")
-        for icc in (self.icc_outcome, self.icc_response):
+                raise ValidationError(f"{at}.{key}: mode shares must lie in the simplex, "
+                                      f"got {s}{what}")
+        for key in ("icc_outcome", "icc_response"):
+            icc = getattr(self, key)
             if not 0.0 <= icc < 1.0:
-                raise ValidationError(f"intraclass correlation must be in [0, 1), got {icc}")
-        for v in self.variables:
+                raise ValidationError(f"{at}.{key}: intraclass correlation must be "
+                                      f"in [0, 1), got {icc}")
+        for i, v in enumerate(self.variables):
+            at_v = f"{at}.variables[{i}]"
             if v.kind not in ("binary", "continuous"):
-                raise ValidationError(f"{v.name}: unknown kind {v.kind!r}")
+                raise ValidationError(f"{at_v}.kind: {v.name}: unknown kind {v.kind!r}")
             if v.kind == "binary":
-                for m in v.mode_means():
+                for key in ("mean_web", "mean_mail", "mean_ftf"):
+                    m = getattr(v, key)
                     if not 0.0 < m < 1.0:
                         raise ValidationError(
-                            f"{v.name}: binary mean {m} outside (0, 1)"
+                            f"{at_v}.{key}: {v.name}: binary mean {m} outside (0, 1)"
                         )
                 loads = _binary_loadings(v.mode_means(),
                                          _mode_shares(self), self.icc_outcome)
@@ -273,20 +307,28 @@ class SyntheticPopSpec:
                 hi = v.mode_means() + loads * _SQRT3
                 if lo.min() < 0.0 or hi.max() > 1.0:
                     raise ValidationError(
-                        f"{v.name}: icc_outcome={self.icc_outcome} pushes a PSU-level "
-                        f"probability outside [0, 1]; reduce the icc or move the means"
+                        f"{at}.icc_outcome: {v.name}: icc_outcome={self.icc_outcome} pushes "
+                        f"a PSU-level probability outside [0, 1]; reduce the icc or move "
+                        f"the means"
                     )
             else:
                 if v.sd is None or v.sd <= 0:
-                    raise ValidationError(f"{v.name}: continuous variables need sd > 0")
+                    raise ValidationError(f"{at_v}.sd: {v.name}: continuous variables "
+                                          f"need sd > 0")
                 for key in ("mean_web", "mean_mail", "mean_ftf", "sd"):
-                    if not np.isfinite(getattr(v, key)):
-                        raise ValidationError(f"{v.name}: {key} must be finite, "
-                                              f"got {getattr(v, key)}")
+                    value = getattr(v, key)
+                    if not np.isfinite(value):
+                        raise ValidationError(f"{at_v}.{key}: {v.name}: {key} must be "
+                                              f"finite, got {value}")
+                    if abs(value) > _MAX_CONTINUOUS:
+                        raise ValidationError(
+                            f"{at_v}.{key}: {v.name}: {key} must be at most "
+                            f"{_MAX_CONTINUOUS:g} in magnitude, got {value}")
         b = _response_loading(self)
         if self.share_web - b * _SQRT3 < 0 or self.share_web + b * _SQRT3 > 1:
             raise ValidationError(
-                "icc_response pushes a PSU-level web share outside [0, 1]"
+                f"{at}.icc_response: icc_response pushes a PSU-level web share "
+                f"outside [0, 1]"
             )
 
 
@@ -328,6 +370,17 @@ def _chunks(n: int) -> list[slice]:
     return [slice(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
 
 
+@contextmanager
+def _allocating(key: str, count: int, what: str):
+    """Report arrays numpy refuses to allocate as a config error naming
+    ``population.synthetic.<key>``."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:  # too many elements or bytes
+        raise ConfigError(f"{_SPEC_PATH}.{key}: cannot allocate arrays for {count} "
+                          f"{what} ({exc})") from None
+
+
 def generate_synthetic(spec: SyntheticPopSpec) -> Population:
     """Generate a raw clustered population (modes assigned, labels unset).
 
@@ -337,49 +390,72 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
     generator stream chunk by chunk, which reproduces its unchunked draw
     bit for bit: the population and the generator's final state do not
     depend on the chunk size.
+
+    What is constant within a PSU is computed once per PSU: the mode
+    thresholds, and each variable's outcome probability or mean as a table
+    over (PSU, mode) cells that one gather per chunk reads.  The tables
+    take the same floating-point operations, in the same order, as the
+    per-household expressions ``clip(mean[m] + load[m] * u[p], 0, 1)`` and
+    ``mean[m] + b * u[p]``, so the population is bit for bit the one those
+    expressions give.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    sizes = rng.integers(spec.households_min, spec.households_max + 1, spec.n_psus)
+    with _allocating("n_psus", spec.n_psus, "PSUs"):
+        sizes = rng.integers(spec.households_min, spec.households_max + 1, spec.n_psus)
     n = int(sizes.sum())
-    psu_ids = np.repeat(np.arange(spec.n_psus, dtype=np.int64), sizes)
+    with _allocating("households_max", n, "households"):
+        psu_ids = np.repeat(np.arange(spec.n_psus, dtype=np.int64), sizes)
+        modes = np.empty(n, dtype=np.int8)
+        y = np.empty((n, len(spec.variables)))
     chunks = _chunks(n)
+    # Chunk buffers for the uniforms, the PSU or cell values read per
+    # household and the cell codes: a new chunk-sized temporary per chunk
+    # would cost fresh page faults.
+    draws, values = np.empty(min(n, _CHUNK_ROWS)), np.empty(min(n, _CHUNK_ROWS))
+    cells = np.empty(len(draws), dtype=np.intp)
 
     # Mode assignment: the PSU effect shifts the web share; mail and ftf
-    # split the remainder in their marginal proportions.
+    # split the remainder in their marginal proportions.  A household's
+    # code counts the thresholds its uniform reaches: web (0) below q_web,
+    # mail (1) below q_web + q_mail, else ftf (2).
     u_resp = rng.uniform(-_SQRT3, _SQRT3, spec.n_psus)
     b_resp = _response_loading(spec)
     q_web = np.clip(spec.share_web + b_resp * u_resp, 0.0, 1.0)
     rest = 1.0 - spec.share_web
     q_mail = spec.share_mail * (1.0 - q_web) / rest if rest > 0 else np.zeros_like(q_web)
-    modes = np.empty(n, dtype=np.int8)
+    q_web_mail = q_web + q_mail
     for rows in chunks:
-        u = rng.random(rows.stop - rows.start)
-        qw = q_web[psu_ids[rows]]
-        qm = q_mail[psu_ids[rows]]
-        modes[rows] = np.where(u < qw, MODE_WEB, np.where(u < qw + qm, MODE_MAIL, MODE_FTF))
+        k = rows.stop - rows.start
+        u, psu = rng.random(out=draws[:k]), psu_ids[rows]
+        np.greater_equal(u, q_web.take(psu, out=values[:k]), out=modes[rows])
+        modes[rows] += u >= q_web_mail.take(psu, out=values[:k])
 
-    # Outcomes: one shared standardized PSU effect per variable.
+    # Outcomes: one shared standardized PSU effect per variable.  Its
+    # success probability or mean is a table over (PSU, mode) cells, read
+    # at cell psu * 3 + mode.
     shares = _mode_shares(spec)
-    y = np.empty((n, len(spec.variables)))
     for j, v in enumerate(spec.variables):
-        u_psu = rng.uniform(-_SQRT3, _SQRT3, spec.n_psus)
+        u_psu = rng.uniform(-_SQRT3, _SQRT3, spec.n_psus)[:, None]
         mode_means = v.mode_means()
         if v.kind == "binary":
             loads = _binary_loadings(mode_means, shares, spec.icc_outcome)
+            table = np.clip(mode_means + loads * u_psu, 0.0, 1.0).ravel()
         else:
             v_tot = _total_variance(mode_means, shares, np.full(3, v.sd**2))
             b = math.sqrt(spec.icc_outcome * v_tot)
             sd_within = math.sqrt(max(v.sd**2 - b**2, 0.0))
+            table = (mode_means + b * u_psu).ravel()
         for rows in chunks:
-            m = modes[rows]
-            u_y = u_psu[psu_ids[rows]]
-            means = mode_means[m]
+            k = rows.stop - rows.start
+            cell = np.multiply(psu_ids[rows], 3, out=cells[:k])
+            cell += modes[rows]
             if v.kind == "binary":
-                p = np.clip(means + loads[m] * u_y, 0.0, 1.0)
-                y[rows, j] = rng.random(len(m)) < p
+                np.less(rng.random(out=draws[:k]), table.take(cell, out=values[:k]),
+                        out=y[rows, j])
             else:
-                y[rows, j] = means + b * u_y + rng.normal(0.0, sd_within, len(m))
+                np.add(table.take(cell, out=values[:k]), rng.normal(0.0, sd_within, k),
+                       out=y[rows, j])
 
     return Population(
         ids=np.arange(n, dtype=np.int64),

@@ -63,6 +63,12 @@ TWO_PHASE_DESIGN = ('''\
 ''')
 
 
+# POP_BLOCK's second variable, and a continuous one to put in its place
+V2_BINARY = "      - {name: v2, kind: binary, mean_web: 0.45, mean_mail: 0.35, mean_ftf: 0.28}\n"
+V2_CONTINUOUS = ("      - {{name: v2, kind: continuous, mean_web: {mean_web}, mean_mail: 0.35, "
+                 "mean_ftf: 0.28, sd: {sd}}}\n")
+
+
 def write_config(tmp_path, text, name="run.yaml"):
     path = tmp_path / name
     path.write_text(text)
@@ -180,11 +186,21 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("population.synthetic.variables[1].name", "- {name: v2,", "- {name: v1,"),
     ("scenario.estimators[0].compositing", "    - {id: T2}\n", "    - {id: TDF1, compositing: foo}\n"),
     ("scenario.estimators[0].compositing", "    - {id: T2}\n", "    - {id: TDF1, compositing: true}\n"),
+    # 60 PSUs of up to 1e17 households: int64 PSU ids over 2**63 bytes, which numpy refuses
+    ("population.synthetic.households_max", "    households_max: 90\n",
+     "    households_max: 100000000000000000\n"),
+    ("population.synthetic.households_max", "    households_max: 90\n",
+     "    households_max: 9223372036854775808\n"),
+    ("population.synthetic.variables[1].sd", V2_BINARY, V2_CONTINUOUS.format(mean_web="0.45",
+                                                                          sd="1.0e+300")),
+    ("population.synthetic.variables[1].mean_web", V2_BINARY,
+     V2_CONTINUOUS.format(mean_web="1.0e+308", sd="0.5")),
 ], ids=["scenario-seed", "synthetic-seed", "iterations", "n_psus", "icc_planning",
         "scenario-seed-2**64", "synthetic-seed-2**64", "icc_planning-negative",
         "icc_planning-5", "icc_planning-1", "icc_planning-nan", "compositing-1.5",
         "compositing-nan", "compositing-two-phase", "icc_planning-two-phase",
-        "duplicate-variable", "estimator-compositing-foo", "estimator-compositing-true"])
+        "duplicate-variable", "estimator-compositing-foo", "estimator-compositing-true",
+        "households_max-1e17", "households_max-2**63", "sd-1e300", "mean_web-1e308"])
 def test_run_bad_yaml_number_is_config_error(tmp_path, capsys, field, old, new):
     text = POP_BLOCK + SCENARIO_BLOCK + f"output:\n  dir: {tmp_path}/out\n"
     assert old in text
@@ -510,7 +526,8 @@ def test_non_finite_continuous_setting_is_config_error(tmp_path, capsys, command
                        f"output:\n  dir: {tmp_path}/out\n")
     assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: inc: {key} must be finite")
+    assert err.startswith(f"configuration error: population.synthetic.variables[2].{key}: "
+                          f"inc: {key} must be finite")
     assert not (tmp_path / "out").exists()
 
 

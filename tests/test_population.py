@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from mmsim import population as population_mod
 from mmsim.errors import (
+    ConfigError,
     DataError,
     IntegrityError,
     ParseError,
@@ -747,6 +749,60 @@ def test_infeasible_specs_rejected():
     )
     with pytest.raises(ValidationError):
         bad_shares.validate()
+
+
+def _with_variable(i, **changes):
+    variables = list(SMALL_SPEC.variables)
+    variables[i] = dataclasses.replace(variables[i], **changes)
+    return {"variables": tuple(variables)}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"n_psus": 0}, "n_psus: PSU and household counts must be positive"),
+    ({"households_min": 0}, "households_min: PSU and household counts must be positive"),
+    ({"households_max": 79}, "households_max: households_max < households_min"),
+    ({"households_max": 2**63 // 150 + 1},
+     f"households_max: 150 PSUs of up to {2**63 // 150 + 1} households can exceed "
+     f"{2**63 - 1}, the most a 64-bit count holds"),
+    ({"variables": ()}, "variables: at least one variable is required"),
+    ({"share_web": 1.5}, "share_web: mode shares must lie in the simplex, got 1.5"),
+    ({"share_mail": -0.25}, "share_mail: mode shares must lie in the simplex, got -0.25"),
+    ({"share_mail": 0.6}, "share_mail: mode shares must lie in the simplex, got "
+                          f"{1.0 - 0.48 - 0.6} for share_ftf = 1 - share_web - share_mail"),
+    ({"icc_outcome": math.nan},
+     "icc_outcome: intraclass correlation must be in [0, 1), got nan"),
+    ({"icc_response": 1.0}, "icc_response: intraclass correlation must be in [0, 1), got 1.0"),
+    (_with_variable(0, kind="ordinal"), "variables[0].kind: v1: unknown kind 'ordinal'"),
+    (_with_variable(1, mean_mail=1.0), "variables[1].mean_mail: v3: binary mean 1.0 outside (0, 1)"),
+    ({"icc_outcome": 0.5}, "icc_outcome: v1: icc_outcome=0.5 pushes a PSU-level probability "
+                           "outside [0, 1]; reduce the icc or move the means"),
+    (_with_variable(2, sd=0.0), "variables[2].sd: inc: continuous variables need sd > 0"),
+    (_with_variable(2, mean_ftf=math.inf), "variables[2].mean_ftf: inc: mean_ftf must be finite, "
+                                           "got inf"),
+    (_with_variable(2, sd=1e300), "variables[2].sd: inc: sd must be at most 1e+150 in "
+                                  "magnitude, got 1e+300"),
+    (_with_variable(2, mean_web=-1e308), "variables[2].mean_web: inc: mean_web must be at most "
+                                         "1e+150 in magnitude, got -1e+308"),
+    ({"share_web": 0.9, "share_mail": 0.05, "icc_response": 0.5},
+     "icc_response: icc_response pushes a PSU-level web share outside [0, 1]"),
+])
+def test_spec_errors_name_the_field(changes, message):
+    spec = dataclasses.replace(SMALL_SPEC, **changes)
+    with pytest.raises(ValidationError) as exc:
+        spec.validate()
+    assert str(exc.value) == f"population.synthetic.{message}"
+
+
+@pytest.mark.parametrize("changes, message", [
+    # 2**60 int64 PSU sizes are 2**63 bytes, one more than numpy's limit
+    ({"n_psus": 2**60, "households_min": 1, "households_max": 1},
+     f"n_psus: cannot allocate arrays for {2**60} PSUs"),
+    # about 150 * 3e16 int64 PSU ids, over 2**63 bytes
+    ({"households_max": 6 * 10**16}, "households_max: cannot allocate arrays for "),
+])
+def test_population_numpy_refuses_is_config_error(changes, message):
+    with pytest.raises(ConfigError, match=re.escape(f"population.synthetic.{message}")):
+        generate_synthetic(dataclasses.replace(SMALL_SPEC, **changes))
 
 
 # ---------------------------------------------------------------------------

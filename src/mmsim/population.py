@@ -15,10 +15,10 @@ import math
 import re
 import reprlib
 import warnings
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -45,6 +45,17 @@ _SQRT3 = math.sqrt(3.0)
 
 # Households per chunk when a population is generated, read or written out.
 _CHUNK_ROWS = 2**16
+
+# Characters of a mode or label field np.loadtxt keeps: it cuts a longer
+# field to this width, so a field that fills it is read again in full.
+_NAME_WIDTH = 8
+
+# Mode or label code of a field whose stored text may have been cut.
+_CUT = -2
+
+# Stands for NUL, which Python 3.10's csv module refuses, in rescans: no
+# decoded UTF-8 text holds a lone surrogate.
+_NUL_STANDIN = "\ud800"
 
 # Where a synthetic population's spec is read from in a run configuration.
 _SPEC_PATH = "population.synthetic"
@@ -608,7 +619,9 @@ def load_microdata(path: str | Path, schema: MicrodataSchema) -> Population:
     whitespace.  Any problem raises a ``DataError`` (the CLI exits 3)
     whose message names the file, and the line and column where there is
     one.  Rows are parsed ``_CHUNK_ROWS`` at a time into the population's
-    own arrays, so reading needs the population plus one chunk.
+    own arrays, so reading needs the population plus one chunk.  Modes
+    and labels are read as ``_NAME_WIDTH``-character text, with no Python
+    object per row; only fields that fill that width are read again.
     """
     path = Path(path)
     if not schema.variables:
@@ -627,20 +640,29 @@ def _read_columns(path: Path, schema: MicrodataSchema) -> tuple[np.ndarray, ...]
     a label column) of every data row.  ``np.loadtxt`` reads one open handle
     ``_CHUNK_ROWS`` rows per call, and each chunk is checked and stored
     into arrays sized by the file's line count, then trimmed in place.
+    Modes and labels are read as ``_NAME_WIDTH``-character text, with no
+    Python object per row.  The fields that fill that width, and every
+    field of a file holding a NUL byte (numpy text drops NULs from its
+    end, so there the width cannot tell a cut field), are classified from
+    their full text in one more pass after the last chunk.
     Raises a DataError naming file:line and column."""
+    text = f"U{_NAME_WIDTH}"
     columns = [schema.id, schema.psu, schema.mode, *schema.variables]
-    dtype = [("id", np.int64), ("psu", np.int64), ("mode", object),
+    dtype = [("id", np.int64), ("psu", np.int64), ("mode", text),
              ("y", np.float64, (len(schema.variables),))]
     if schema.label is not None:
         columns.append(schema.label)
-        dtype.append(("label", object))
+        dtype.append(("label", text))
     header: list[str] = []
     n = 0  # data rows stored: the first row of the chunk being read
     try:
-        cap = _line_count(path)
+        cap, nul = _prescan(path)
         ids, psu_ids = np.empty(cap, np.int64), np.empty(cap, np.int64)
         y, modes = np.empty((cap, len(schema.variables))), np.empty(cap, np.int8)
         labels = None if schema.label is None else np.empty(cap, np.int8)
+        named = [("mode", modes, schema.mode, MODE_NAMES)]
+        if labels is not None:
+            named.append(("label", labels, schema.label, LABEL_NAMES))
         with path.open(encoding="utf-8-sig", newline="") as fh, warnings.catch_warnings():
             # The call that meets the end of the file reads no data, and blank
             # lines are skipped, with or without max_rows.
@@ -661,9 +683,8 @@ def _read_columns(path: Path, schema: MicrodataSchema) -> tuple[np.ndarray, ...]
                                           comments=None, quotechar='"', ndmin=1,
                                           max_rows=_CHUNK_ROWS)):
                 rows = slice(n, n + len(table))
-                modes[rows] = _codes(table["mode"], MODE_NAMES, path, schema.mode, n)
-                if labels is not None:
-                    labels[rows] = _codes(table["label"], LABEL_NAMES, path, schema.label, n)
+                for key, codes, column, names in named:
+                    codes[rows] = _CUT if nul else _codes(table[key], names, path, column, n)
                 if not np.isfinite(table["y"]).all():
                     row, j = np.argwhere(~np.isfinite(table["y"]))[0]
                     raise ParseError(f"{_where(path, n + row)}: non-finite value "
@@ -671,6 +692,7 @@ def _read_columns(path: Path, schema: MicrodataSchema) -> tuple[np.ndarray, ...]
                                      f"in column {schema.variables[j]!r}")
                 ids[rows], psu_ids[rows], y[rows] = table["id"], table["psu"], table["y"]
                 n = rows.stop
+        _read_cut_fields(path, [(codes[:n], column, names) for _, codes, column, names in named])
     except OSError as exc:
         raise DataError(f"cannot read microdata {path}: {exc}") from None
     except UnicodeDecodeError:
@@ -696,37 +718,99 @@ def _read_columns(path: Path, schema: MicrodataSchema) -> tuple[np.ndarray, ...]
     return arrays
 
 
-def _line_count(path: Path) -> int:
+def _prescan(path: Path) -> tuple[int, bool]:
     """At least the number of lines in ``path``, ended by ``\\n``, ``\\r\\n``
-    or ``\\r``: a bound on its data rows, counted in 64 KiB blocks."""
-    lines = 1  # a last line without its line end
+    or ``\\r`` (a bound on its data rows), and whether it holds a NUL
+    byte, read in 64 KiB blocks."""
+    lines, nul = 1, False  # a last line without its line end
     with path.open("rb") as fh:
         for block in iter(lambda: fh.read(2**16), b""):
             lines += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
             if b"\r" in block:
                 lines += block.count(b"\r") - block.count(b"\r\n")
-    return lines
+            nul = nul or b"\0" in block
+    return lines, nul
 
 
 def _codes(raw: np.ndarray, names: tuple[str, ...], path: Path, column: str,
            first: int) -> np.ndarray:
-    """Index into ``names`` of each string in ``raw``, data rows ``first``
-    on, ignoring case and surrounding whitespace.  Exact spellings are
-    matched first, so only the other values pay for normalization."""
+    """Index into ``names`` of each fixed-width text in ``raw``, data rows
+    ``first`` on, ignoring case and surrounding whitespace, or ``_CUT``
+    where the text fills the width and may be the start of a longer field.
+    Whole arrays are compared, exact spellings first, so only the other
+    values pay for normalization."""
     codes = np.full(len(raw), -1, dtype=np.int8)
     for code, name in enumerate(names):
         codes[raw == name] = code
     rest = np.flatnonzero(codes < 0)
     if len(rest):
-        norm = np.char.upper(np.char.strip(raw[rest].astype(str)))
+        text = raw[rest]
+        norm = np.char.upper(np.char.strip(text))
         for code, name in enumerate(names):
             codes[rest[norm == name]] = code
-        if (codes < 0).any():
-            row = np.argmax(codes < 0)
-            raise ParseError(f"{_where(path, first + row)}: unknown value "
-                             f"{reprlib.repr(raw[row])} "
-                             f"in column {column!r}, expected one of {'/'.join(names)}")
+        codes[rest[np.char.str_len(text) == _NAME_WIDTH]] = _CUT
+        if (codes == -1).any():
+            row = np.argmax(codes == -1)
+            raise ParseError(_unknown(_where(path, first + row), str(raw[row]), column, names))
     return codes
+
+
+def _read_cut_fields(path: Path, fields: list[tuple[np.ndarray, str, tuple[str, ...]]]) -> None:
+    """Replace each ``_CUT`` code in the (codes, column, names) ``fields``
+    with the code of the field's full text, read by one pass of the csv
+    module that ends at the last such row, like ``_where``.  A file
+    without such codes is not read again."""
+    todo = np.flatnonzero(np.logical_or.reduce([codes == _CUT for codes, _, _ in fields]))
+    if not len(todo):
+        return
+    with closing(_csv_rows(path)) as rows:
+        header = [name.replace(_NUL_STANDIN, "\0") for name in next(rows)[1]]
+        index = [header.index(column) for _, column, _ in fields]
+        data = enumerate(rows)
+        for want in todo.tolist():
+            for row, (line, values) in data:
+                if row == want:
+                    break
+            else:
+                raise ParseError(f"{path.name}: the csv module reads fewer data rows "
+                                 "than np.loadtxt")
+            for (codes, column, names), i in zip(fields, index):
+                if codes[row] == _CUT:
+                    codes[row] = _code(values[i].replace(_NUL_STANDIN, "\0"), names,
+                                       f"{path.name}:{line}", column)
+
+
+def _code(text: str, names: tuple[str, ...], where: str, column: str) -> int:
+    """Index into ``names`` of a field's full text, matched as ``_codes``
+    matches stored text (numpy text drops NULs from its end)."""
+    key = text.rstrip("\0").strip().rstrip("\0").upper()
+    if key not in names:
+        raise ParseError(_unknown(where, text, column, names))
+    return names.index(key)
+
+
+def _unknown(where: str, value: str, column: str, names: tuple[str, ...]) -> str:
+    return (f"{where}: unknown value {reprlib.repr(value)} "
+            f"in column {column!r}, expected one of {'/'.join(names)}")
+
+
+def _csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(line on which the row starts, fields) of each row of ``path`` as the
+    csv module reads it, blank lines skipped: the header, then the data
+    rows.  Fields may be of any length below 2**31 and hold NULs, given as
+    ``_NUL_STANDIN``.  Closing the generator restores the csv module's
+    field size limit."""
+    limit = csv.field_size_limit(2**31 - 1)
+    try:
+        with path.open(encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(line.replace("\0", _NUL_STANDIN) for line in fh)
+            start = 1
+            for fields in reader:
+                if fields:
+                    yield start, fields
+                start = reader.line_num + 1
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _where(path: Path, row: int) -> str:
@@ -734,21 +818,14 @@ def _where(path: Path, row: int) -> str:
     lines not counted) starts, or ``file (data row n)`` where the csv
     module cannot rescan that far.  The file is rescanned only to report
     an error, so valid input never pays for line numbers."""
-    seen, where = -1, f"{path.name} (data row {row + 1})"
-    with path.open(encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            next(reader, None)
-            start = reader.line_num + 1
-            for fields in reader:
-                seen += bool(fields)
+    try:
+        with closing(_csv_rows(path)) as rows:
+            for seen, (line, _) in enumerate(rows, start=-1):
                 if seen == row:
-                    where = f"{path.name}:{start}"
-                    break
-                start = reader.line_num + 1
-        except csv.Error:  # a field longer than the csv module's limit
-            pass
-    return where
+                    return f"{path.name}:{line}"
+    except csv.Error:  # a field of 2**31 characters or more
+        pass
+    return f"{path.name} (data row {row + 1})"
 
 
 def _undecodable_line(path: Path) -> int:

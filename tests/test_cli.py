@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from mmsim.cli import main
 
@@ -360,6 +365,75 @@ def test_run_missing_microdata_file_is_data_error(tmp_path, capsys):
     missing = tmp_path / "nowhere" / "pop.csv"
     assert _run_on_microdata(tmp_path, missing) == 3
     assert f"cannot read microdata {missing}" in capsys.readouterr().err
+
+
+def _microdata_pieces():
+    """A small microdata file, 48 households in 4 PSUs, as the pieces edits
+    insert, replace, delete or duplicate: each field, comma and line end."""
+    rows = [["id", "psu", "mode", "v1", "label"]] + [
+        [str(i), str(i % 4), ("WEB", "MAIL", "FTF")[i % 3], str(i * 7 % 5 / 4), "WFN"[i % 3]]
+        for i in range(48)]
+    pieces = []
+    for row in rows:
+        for value in row:
+            pieces += [value, ","]
+        pieces[-1] = "\n"
+    return pieces
+
+
+# Quotes, line ends, a byte-order mark, names padded past the width the
+# reader keeps, and long values (one beyond the csv module's default limit).
+_MICRODATA_INSERTS = [
+    ",", "\n", "\r", "\r\n", '"', '""', "\ufeff", "\0", "", " ", "#", "WEB", " mail ", "ftf",
+    "w", "N", "        web", "MAIL" + " " * 10, "WEB      X", '"  F      "', "x" * 300,
+    " " * 140_000 + "FTF", "-0", "1e999", "nan", "99999999999999999999",
+]
+
+_MICRODATA_RUN = """\
+population:
+  path: {path}
+  schema:
+    variables: [v1]
+    label: label
+scenario:
+  id: FUZZ
+  rule: B
+  iterations: 3
+  seed: 1
+  design:
+    kind: hybrid
+    n_unclustered: 12
+    n_psus: 2
+    m_per_psu: 6
+  estimators:
+    - {{id: T2}}
+"""
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(edits=st.lists(st.tuples(st.sampled_from(["insert", "replace", "delete", "duplicate"]),
+                                st.integers(0, 2**16), st.sampled_from(_MICRODATA_INSERTS)),
+                      min_size=1, max_size=6))
+def test_mutated_microdata_exits_with_a_documented_code(edits):
+    pieces = _microdata_pieces()
+    for op, at, piece in edits:
+        if op == "insert":
+            pieces.insert(at % (len(pieces) + 1), piece)
+        elif pieces:
+            i = at % len(pieces)
+            pieces[i:i + 1] = {"replace": [piece], "delete": [], "duplicate": [pieces[i]] * 2}[op]
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, cfg = Path(tmp) / "pop.csv", Path(tmp) / "run.yaml"
+        csv_path.write_bytes("".join(pieces).encode())
+        cfg.write_text(_MICRODATA_RUN.format(path=csv_path))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", str(cfg), "--jobs", "1", "--quiet",
+                         "--out", f"{tmp}/out"])
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if code == 3:
+        assert "pop.csv" in err.getvalue(), err.getvalue()
 
 
 def test_run_degenerate_results_exit_code(tmp_path):

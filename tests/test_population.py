@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import itertools
 import math
 import re
+import reprlib
 import tracemalloc
 import warnings
 
@@ -330,12 +332,17 @@ def test_reader_matches_csv_oracle(tmp_path):
     values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=20,
                     max_size=20),
     fmt=st.sampled_from(["{!r}", "{:.17e}", "{:.17g}", "{:.3f}", " {!r} "]),
+    # whitespace around the names, some of it past the width the reader keeps
+    pads=st.lists(st.tuples(st.text(" \t", max_size=10), st.text(" \t", max_size=10)),
+                  min_size=20, max_size=20),
 )
-def test_reader_matches_oracle_on_random_numbers(tmp_path_factory, ids, values, fmt):
+def test_reader_matches_oracle_on_random_numbers(tmp_path_factory, ids, values, fmt, pads):
     lines = ["psu,id,v1,mode,label"]
     for i, hh in enumerate(ids):
+        before, after = pads[i]
         lines.append(f"{i % 3},{hh},{fmt.format(values[i])},"
-                     f"{MODE_NAMES[i % 3].lower()},{LABEL_NAMES[i % 3]}")
+                     f"{before}{MODE_NAMES[i % 3].lower()}{after},"
+                     f"{after}{LABEL_NAMES[i % 3]}{before}")
     path = tmp_path_factory.mktemp("oracle") / "pop.csv"
     path.write_text("\n".join(lines) + "\n")
     _assert_matches_oracle(path, MicrodataSchema(variables=("v1",), label="label"))
@@ -362,16 +369,85 @@ def test_header_only_file_has_no_data_rows_and_no_warning(tmp_path, text):
 @pytest.mark.parametrize("column,value", [
     ("mode", "WEBSITE"), ("mode", "MAILX"),
     pytest.param("mode", "FTF" + "F" * 300, id="mode-FTF+300F"),
-    # beyond the csv module's field limit the line is given as a data row
+    # beyond the csv module's default field limit
     pytest.param("mode", "FTF" + "F" * 200_000, id="mode-FTF+200000F"),
     ("label", "WEB"), ("label", "NN"),
+    # a valid name, then more text past the width np.loadtxt keeps
+    pytest.param("mode", "WEB      X", id="mode-WEB+6sp+X"),
+    pytest.param("label", "W       X", id="label-W+7sp+X"),
+    pytest.param("mode", "  MAIL  WEB", id="mode-MAIL-WEB"),
 ])
 def test_overlong_mode_or_label_is_rejected_not_truncated(tmp_path, column, value):
     row = {"mode": "FTF", "label": "N", column: value}
     text = f"id,psu,mode,v1,label\n1,1,WEB,0.5,W\n2,1,{row['mode']},1.0,{row['label']}\n"
-    with pytest.raises(ParseError, match=rf"^pop\.csv(:3| \(data row 2\)): unknown value "
-                                         rf".* '{column}'"):
+    names = {"mode": "WEB/MAIL/FTF", "label": "W/F/N"}[column]
+    # the full value, as a plain str repr
+    with pytest.raises(ParseError, match=rf"^pop\.csv:3: unknown value "
+                                         rf"{re.escape(reprlib.repr(value))} in column "
+                                         rf"'{column}', expected one of {names}$"):
         _load(_write(tmp_path, text), MicrodataSchema(variables=("v1",), label="label"))
+
+
+@pytest.mark.parametrize("column", ["mode", "label"])
+@pytest.mark.parametrize("padded", [
+    pytest.param("        {}", id="8-spaces-before"),
+    pytest.param("{}" + " " * 10, id="10-spaces-after"),
+    pytest.param('"  {}      "', id="quoted"),
+    pytest.param("\t{}\t \t \t \t ", id="tabs"),
+    pytest.param(" " * 200_000 + "{}", id="200000-spaces-before"),
+    pytest.param("{:^8}", id="fills-the-width-exactly"),
+])
+def test_padded_names_longer_than_the_width_are_accepted(tmp_path, column, padded):
+    # Every field that fills the width np.loadtxt keeps is read again in
+    # full, so any amount of surrounding whitespace is ignored.
+    name = {"mode": "mail", "label": "F"}[column]
+    fields = {"mode": "FTF", "label": "N", column: padded.format(name)}
+    text = (f"id,psu,mode,v1,label\n1,1,WEB,0.5,W\n"
+            f"2,1,{fields['mode']},1.0,{fields['label']}\n3,2,WEB,0.5,W\n")
+    pop = _load(_write(tmp_path, text), MicrodataSchema(variables=("v1",), label="label"))
+    assert pop.modes.tolist() == [MODE_WEB, MODE_MAIL if column == "mode" else MODE_FTF,
+                                  MODE_WEB]
+    assert pop.labels.tolist() == [LABEL_WEB, LABEL_FTF if column == "label" else LABEL_NONE,
+                                   LABEL_WEB]
+
+
+def test_nul_byte_cannot_hide_a_cut_field(tmp_path):
+    # np.loadtxt keeps "WEB" and five NULs of this field, and numpy text
+    # drops NULs from its end, so the stored text does not fill the width.
+    schema = MicrodataSchema(variables=("v1",), label="label")
+    value = "WEB" + "\0" * 5 + "X"
+    with pytest.raises(ParseError, match=rf"^pop\.csv:4: unknown value "
+                                         rf"{re.escape(reprlib.repr(value))} in column 'mode'"):
+        _load(_write(tmp_path, f"id,psu,mode,v1,label\n1,1,WEB,0.5,W\n\n"
+                               f"2,1,{value},1.0,N\n"), schema)
+    # a NUL elsewhere changes nothing
+    text = "id,psu,mode,v1,label,note\n1,1,WEB,0.5,W,\n2,1, Mail ,1.0,n,\n3,2,ftf,2.0,F,{}\n"
+    plain = _read(_write(tmp_path, text.format("x")), schema)[1]
+    assert _read(_write(tmp_path, text.format("a\0b"), "nul.csv"), schema)[1] == plain
+    assert _load(tmp_path / "nul.csv", schema).modes.tolist() == [MODE_WEB, MODE_MAIL, MODE_FTF]
+
+
+def test_rescan_reads_past_long_fields_and_keeps_the_csv_limit(tmp_path):
+    # A field beyond the csv module's default limit before a cut one.
+    limit = csv.field_size_limit()
+    text = ("id,psu,mode,v1,note\n"
+            f"1,1,WEB,0.5,{'x' * 2 * limit}\n"
+            "2,1,        FTF,1.0,\n")
+    pop = _load(_write(tmp_path, text), MicrodataSchema(variables=("v1",)))
+    assert pop.modes.tolist() == [MODE_WEB, MODE_FTF]
+    assert csv.field_size_limit() == limit
+
+
+def test_rescan_that_ends_early_leaves_no_cut_code(tmp_path, monkeypatch):
+    rescan = population_mod._csv_rows
+
+    def header_and_first_row(path):
+        yield from itertools.islice(rescan(path), 2)
+
+    monkeypatch.setattr(population_mod, "_csv_rows", header_and_first_row)
+    path = _write(tmp_path, "id,psu,mode,v1\n1,1,WEB,0.5\n2,1,        FTF,1.0\n")
+    with pytest.raises(ParseError, match=r"^pop\.csv: the csv module reads fewer data rows "):
+        load_microdata(path, MicrodataSchema(variables=("v1",)))
 
 
 @pytest.mark.parametrize("column,bad", [

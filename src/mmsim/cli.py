@@ -120,9 +120,19 @@ def cmd_run(cfg: RunConfig, jobs: int = 1, quiet: bool = False) -> int:
         raise ConfigError("run requires a scenario section")
     scenario = cfg.scenario
     scenario.validate()
+    pc = cfg.population  # what the rule needs of it, checked before it is built
+    if scenario.rule == "stochastic" and pc.propensities is None:
+        raise ConfigError("scenario.rule: stochastic requires population.propensities")
+    if scenario.rule == "as_is" and (pc.synthetic is not None or pc.schema.label is None):
+        raise ConfigError("scenario.rule: as_is requires a label column, population.schema.label")
     cil_reference = _load_cil_reference(cfg.output.cil_reference, _variable_names(cfg))
     pop = _build_population(cfg)
-    results = mc.run_scenario(pop, scenario, jobs=jobs, progress=not quiet)
+    try:
+        results = mc.run_scenario(pop, scenario, jobs=jobs, progress=not quiet)
+    except DataError as exc:  # a fault of the population, such as a zero total
+        if pc.synthetic is not None:
+            raise
+        raise DataError(f"{Path(pc.path).name}: {exc}") from None
     summary = mc.summarize(results, results.truth, pop.variable_names,
                            scenario_id=scenario.id, cil_reference=cil_reference)
     meta = _metadata(cfg, scenario)

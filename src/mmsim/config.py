@@ -17,7 +17,8 @@ import yaml
 
 from .errors import ConfigError
 from .montecarlo import DesignSpec, EstimatorSpec, ScenarioSpec, _check_compositing
-from .population import MODE_NAMES, MicrodataSchema, SyntheticPopSpec, VariableSpec
+from .population import (MODE_NAMES, MicrodataSchema, SyntheticPopSpec, VariableSpec,
+                          _propensity_fault)
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,8 @@ def _propensities(node, where: str) -> dict[str, tuple[float, float]]:
         if len(pair) != 2:
             raise ConfigError(f"{where}.{mode}: expected [phi_w, phi_f]")
         phi = tuple(_typed(x, float, f"{where}.{mode}[{i}]") for i, x in enumerate(pair))
-        if not all(0.0 <= x <= 1.0 for x in phi):  # NaN fails both comparisons
-            raise ConfigError(f"{where}.{mode}: propensities must lie in [0, 1], got {list(phi)}")
+        if fault := _propensity_fault(*phi):
+            raise ConfigError(f"{where}.{mode}: {fault}, got {list(phi)}")
         propensities[mode] = phi
     return propensities
 

@@ -174,13 +174,11 @@ def stage_rng(master_seed: int, scen_key: int, iteration: int, stage: int) -> np
 
 def prepare_population(pop: Population, scenario: ScenarioSpec) -> Population:
     """Apply a deterministic response rule once, ahead of the iterations."""
-    if scenario.rule == "stochastic":
-        if pop.propensities is None:
-            raise ConfigError("stochastic rule requires household propensity vectors")
-        return pop
-    if scenario.rule == "as_is":
-        if pop.labels is None:
-            raise ConfigError("rule 'as_is' requires a population with labels")
+    if scenario.rule == "stochastic" and pop.propensities is None:
+        raise ConfigError("stochastic rule requires a propensity table")
+    if scenario.rule == "as_is" and pop.labels is None:
+        raise ConfigError("rule 'as_is' requires a population with labels")
+    if scenario.rule not in RULES:
         return pop
     rng = stage_rng(scenario.seed, scenario_key(scenario.id), 0, STAGE_RULE)
     return build_pseudopopulation(pop, scenario.rule, rng)

@@ -39,7 +39,11 @@ MODE_NAMES = ("WEB", "MAIL", "FTF")
 LABEL_WEB, LABEL_FTF, LABEL_NONE = 0, 1, 2
 LABEL_NAMES = ("W", "F", "N")
 
-RULES = ("A", "B", "C", "D")
+# Label of each source mode (WEB, MAIL, FTF) under rules A-D; _SPLIT
+# halves a mode's households at random into ftf and none.
+_SPLIT = -1
+RULES = {"A": (LABEL_WEB, LABEL_FTF, LABEL_NONE), "B": (LABEL_WEB, _SPLIT, _SPLIT),
+         "C": (LABEL_WEB, LABEL_FTF, LABEL_FTF), "D": (_SPLIT, LABEL_WEB, _SPLIT)}
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -73,14 +77,15 @@ class Population:
     """Immutable roster of households.
 
     ``labels`` is None for a raw (mode-only) population and becomes a
-    per-household response label once a rule or propensity draw is applied.
-    ``y`` has one column per analysis variable.
+    per-household response label once a rule is applied.  ``y`` has one
+    column per analysis variable.  ``propensities`` is the stochastic
+    rule's (3, 2) table of ``(phi_w, phi_f)``, read at a household's mode.
 
     Construction checks the whole object: it is nonempty, ``y`` is a
     finite (N, variables) array, ``psu_ids`` and ``labels`` have length N,
-    ids are distinct, and propensities are a valid (N, 2) array.  Copies derived
-    with ``with_labels`` or ``with_propensities`` check only the field
-    they change, since the rest was checked when the source was built.
+    ids are distinct, and a propensity table is valid, with modes set.
+    Copies derived with ``with_labels`` or ``attach_propensities`` check
+    only the field they change, since the rest was checked before.
     The checks copy nothing population-sized: finiteness is read off
     ``y.min()`` and ``y.max()``, and ids already in ascending order are
     distinct without a sort.
@@ -114,7 +119,7 @@ class Population:
         if self.labels is not None and len(self.labels) != n:
             raise IntegrityError("labels length mismatch")
         if self.propensities is not None:
-            _validate_propensities(self.propensities, n)
+            _check_propensities(self.propensities, self.modes)
 
     @property
     def n_households(self) -> int:
@@ -171,10 +176,6 @@ class Population:
         if len(labels) != self.n_households:
             raise IntegrityError("labels length mismatch")
         return _derive(self, labels=labels)
-
-    def with_propensities(self, phi: np.ndarray) -> "Population":
-        _validate_propensities(phi, self.n_households)
-        return _derive(self, propensities=phi)
 
 
 def _derive(obj, **changes):
@@ -481,30 +482,19 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
 def build_pseudopopulation(raw: Population, rule: str, rng: np.random.Generator) -> Population:
     """Assign response labels from source modes under rule A, B, C or D.
 
-    Half-splits are exact per mode group: shuffle, first half becomes ftf
-    respondents, remainder (plus the odd one) nonrespondents.
+    Each household reads its mode's label in ``RULES[rule]``; then the
+    modes marked as splits are split, in mode order.  A split is exact:
+    shuffle the mode's households, first half becomes ftf respondents,
+    remainder (plus the odd one) nonrespondents.
     """
     if rule not in RULES:
         raise ValidationError(f"unknown pseudopopulation rule {rule!r}")
     if raw.modes is None:
         raise IntegrityError("source mode is unset; cannot apply a response rule")
-    modes = raw.modes
-    labels = np.empty(raw.n_households, dtype=np.int8)
-    if rule == "A":
-        labels[modes == MODE_WEB] = LABEL_WEB
-        labels[modes == MODE_MAIL] = LABEL_FTF
-        labels[modes == MODE_FTF] = LABEL_NONE
-    elif rule == "B":
-        labels[modes == MODE_WEB] = LABEL_WEB
-        for m in (MODE_MAIL, MODE_FTF):
-            _half_split(labels, np.flatnonzero(modes == m), rng)
-    elif rule == "C":
-        labels[modes == MODE_WEB] = LABEL_WEB
-        labels[(modes == MODE_MAIL) | (modes == MODE_FTF)] = LABEL_FTF
-    else:  # D
-        labels[modes == MODE_MAIL] = LABEL_WEB
-        for m in (MODE_WEB, MODE_FTF):
-            _half_split(labels, np.flatnonzero(modes == m), rng)
+    table = np.array(RULES[rule], dtype=np.int8)
+    labels = table[raw.modes]
+    for mode in np.flatnonzero(table == _SPLIT):
+        _half_split(labels, np.flatnonzero(raw.modes == mode), rng)
     return raw.with_labels(labels)
 
 
@@ -515,65 +505,70 @@ def _half_split(labels: np.ndarray, idx: np.ndarray, rng: np.random.Generator) -
     labels[idx[perm[half:]]] = LABEL_NONE
 
 
-def _validate_propensities(phi: np.ndarray, n: int) -> None:
-    if phi.shape != (n, 2):
-        raise IntegrityError(f"propensity array must be ({n}, 2), got {phi.shape}")
-    if not ((phi >= 0) & (phi <= 1)).all():  # NaN fails both comparisons
-        raise ValidationError("propensities must lie in [0, 1]")
-    s = phi[:, 0] + phi[:, 1]
-    if (s <= 0).any() or (s > 1 + 1e-12).any():
-        raise ValidationError("phi_w + phi_f must lie in (0, 1]")
+def _propensity_fault(phi_w: float, phi_f: float) -> str | None:
+    """Why ``(phi_w, phi_f)`` cannot be a mode's propensities, or None."""
+    if not (0.0 <= phi_w <= 1.0 and 0.0 <= phi_f <= 1.0):  # NaN fails both comparisons
+        return "propensities must lie in [0, 1]"
+    if not 0.0 < phi_w + phi_f <= 1.0 + 1e-12:
+        return "phi_w + phi_f must lie in (0, 1]"
+    return None
+
+
+def _check_propensities(table: np.ndarray, modes: np.ndarray | None) -> None:
+    if modes is None:
+        raise IntegrityError("source mode is unset; propensities are read by mode")
+    if table.shape != (3, 2):
+        raise IntegrityError(f"propensity table must be (3, 2), one row per mode, "
+                             f"got {table.shape}")
+    for name, phi in zip(MODE_NAMES, table.tolist()):
+        if fault := _propensity_fault(*phi):
+            raise ValidationError(f"{name}: {fault}, got {phi}")
 
 
 def attach_propensities(pop: Population, by_mode: Mapping[str, tuple[float, float]]) -> Population:
-    """Give every household the propensity vector of its source mode."""
-    if pop.modes is None:
-        raise IntegrityError("source mode is unset; cannot map propensities")
-    table = np.zeros((3, 2))
-    for name, code in zip(MODE_NAMES, range(3)):
-        if name not in by_mode:
-            raise ValidationError(f"missing propensity entry for mode {name}")
-        table[code] = by_mode[name]
-    return pop.with_propensities(table[pop.modes])
+    """The population with the (3, 2) propensity table of ``by_mode``, the
+    ``(phi_w, phi_f)`` pair of each mode name, checked once."""
+    if missing := [name for name in MODE_NAMES if name not in by_mode]:
+        raise ValidationError(f"missing propensity entry for mode {missing[0]}")
+    table = np.array([by_mode[name] for name in MODE_NAMES], dtype=float)
+    _check_propensities(table, pop.modes)
+    return _derive(pop, propensities=table)
 
 
-def _classify(u: np.ndarray, pw: np.ndarray, pf: np.ndarray) -> np.ndarray:
-    """Labels of uniforms ``u`` against propensities: web below phi_w, ftf
-    below phi_w + phi_f, else none.  Each row is classified on its own."""
-    return np.where(u < pw, LABEL_WEB,
-                    np.where(u < pw + pf, LABEL_FTF, LABEL_NONE)).astype(np.int8)
+def _classify(u: np.ndarray, modes: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Labels of uniforms ``u`` of households in source ``modes`` against
+    the propensity ``table``: web below phi_w, ftf below phi_w + phi_f, else
+    none.  A label counts the thresholds of its mode that ``u`` reaches."""
+    cuts = np.cumsum(table, axis=1)  # by mode: phi_w, phi_w + phi_f
+    return (u >= cuts[modes, 0]).astype(np.int8) + (u >= cuts[modes, 1])
 
 
 def draw_stochastic_labels(pop: Population, rng: np.random.Generator) -> Population:
-    """Draw labels from per-household propensity vectors.
+    """Draw labels from the per-mode propensity table.
 
     A household responds by web with probability phi_w, otherwise by ftf
     with the conditional probability phi_f / (1 - phi_w).  This labels
-    every household; it is the reference that ``StochasticLabels`` must
-    match at each row it is asked for.
+    every household: ``StochasticLabels`` read at every row.
     """
-    if pop.propensities is None:
-        raise IntegrityError("population has no propensity vectors")
-    u = rng.random(pop.n_households)
-    return pop.with_labels(_classify(u, pop.propensities[:, 0], pop.propensities[:, 1]))
+    return pop.with_labels(StochasticLabels(pop, rng)[:])
 
 
 class StochasticLabels:
     """One propensity draw, classified only at the rows looked up.
 
-    It takes the same ``rng.random(N)`` draw as ``draw_stochastic_labels``,
-    so ``lookup[idx]`` equals ``draw_stochastic_labels(pop, rng).labels[idx]``
+    It takes one ``rng.random(N)`` draw, a uniform per household, so
+    ``lookup[idx]`` equals ``draw_stochastic_labels(pop, rng).labels[idx]``
     bit for bit, without labelling the rows no sample reads.
     """
 
     def __init__(self, pop: Population, rng: np.random.Generator):
         if pop.propensities is None:
-            raise IntegrityError("population has no propensity vectors")
+            raise IntegrityError("population has no propensity table")
         self._u = rng.random(pop.n_households)
-        self._pw, self._pf = pop.propensities[:, 0], pop.propensities[:, 1]
+        self._modes, self._table = pop.modes, pop.propensities
 
     def __getitem__(self, idx) -> np.ndarray:
-        return _classify(self._u[idx], self._pw[idx], self._pf[idx])
+        return _classify(self._u[idx], self._modes[idx], self._table)
 
 
 def estimate_icc(values: np.ndarray, codes: np.ndarray) -> float:

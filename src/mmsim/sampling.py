@@ -128,6 +128,8 @@ def _pps_frame(sizes: np.ndarray, n_psus: int) -> tuple:
 
 
 def _pps_draw(frame: tuple, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Randomized-order systematic PPS selection from a ``_pps_frame``: the
+    selected frame indices and their inclusion probabilities."""
     sizes, step, pi, offsets = frame
     order = rng.permutation(len(sizes))
     cum = np.cumsum(sizes[order])
@@ -146,16 +148,6 @@ def _pps_draw(frame: tuple, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
             stacklevel=2,
         )
     return selected, pi[selected]
-
-
-def pps_select_psus(sizes: np.ndarray, n_psus: int,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Randomized-order systematic PPS selection of ``n_psus`` clusters.
-
-    Returns (selected frame indices, their inclusion probabilities
-    n_psus * size / total).  Certainty clusters are rejected.
-    """
-    return _pps_draw(_pps_frame(sizes, n_psus), rng)
 
 
 def _two_stage_frame(sizes: np.ndarray, psus: np.ndarray, n_psus: int,

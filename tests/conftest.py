@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmsim.population import Population, SyntheticPopSpec, VariableSpec
-from mmsim.sampling import DrawnSample
+from mmsim.sampling import DrawnSample, _pps_draw, _pps_frame
 from mmsim.variance import first_stage_units, sample_variances
 
 
@@ -23,6 +23,13 @@ def make_population(y, psu_ids, modes=None, labels=None, variable_names=None):
         labels=None if labels is None else np.asarray(labels, dtype=np.int8),
         variable_names=tuple(names),
     )
+
+
+def pps_draw(sizes, n_psus, rng):
+    """Randomized-order systematic PPS selection of ``n_psus`` of the PSUs
+    of ``sizes``: (selected indices, their inclusion probabilities), from
+    the frame and draw ``two_stage_select`` uses."""
+    return _pps_draw(_pps_frame(sizes, n_psus), rng)
 
 
 SMALL_SPEC = SyntheticPopSpec(

@@ -331,7 +331,7 @@ population:
 """ + SCENARIO_BLOCK + f"output:\n  dir: {tmp_path}/out\n")
     assert main(["run", "--config", str(cfg), "--quiet"]) == 3
     err = capsys.readouterr().err
-    assert "variable 'v2' has a population total of 0" in err
+    assert "pop.csv: variable 'v2' has a population total of 0" in err
     assert not (tmp_path / "out" / "iterations.csv").exists()
 
 
@@ -570,8 +570,9 @@ def test_stochastic_scenario_via_config(tmp_path):
     assert any(r["estimator"] == "T2" for r in rows)
 
 
-@pytest.mark.parametrize("pair", ['["x", 0.5]', "[.nan, 0.0]", "[0.5, .nan]", "[true, 0.0]"],
-                         ids=["string", "nan_web", "nan_ftf", "bool"])
+@pytest.mark.parametrize("pair", ['["x", 0.5]', "[.nan, 0.0]", "[0.5, .nan]", "[true, 0.0]",
+                                  "[0.6, 0.6]", "[0.0, 0.0]"],
+                         ids=["string", "nan_web", "nan_ftf", "bool", "sum_over_1", "sum_0"])
 def test_malformed_propensity_pair_is_config_error(tmp_path, capsys, pair):
     propensities = f"""\
   propensities:
@@ -585,6 +586,34 @@ def test_malformed_propensity_pair_is_config_error(tmp_path, capsys, pair):
     assert main(["run", "--config", str(cfg), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: population.propensities.WEB")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rule, source, field", [
+    ("stochastic", "csv", "population.propensities"),
+    ("as_is", "csv", "population.schema.label"),
+    ("as_is", "synthetic", "population.schema.label"),
+])
+def test_rule_prerequisite_is_config_error_before_the_population_is_built(
+        tmp_path, capsys, monkeypatch, rule, source, field):
+    # The csv does not exist: reading it would exit 3.
+    from mmsim import cli
+
+    population = POP_BLOCK if source == "synthetic" else f"""\
+population:
+  path: {tmp_path / "missing.csv"}
+  schema:
+    variables: [v1]
+"""
+    cfg = write_config(tmp_path, population + SCENARIO_BLOCK.replace("rule: B", f"rule: {rule}")
+                       + f"output:\n  dir: {tmp_path}/out\n")
+    built = []
+    monkeypatch.setattr(cli, "_build_population", lambda cfg: built.append(cfg))
+    assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: scenario.rule: {rule} requires")
+    assert field in err
+    assert built == []
     assert not (tmp_path / "out").exists()
 
 

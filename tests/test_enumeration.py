@@ -28,7 +28,9 @@ import numpy as np
 import pytest
 
 from mmsim.estimators import followup_adjustment, sample_stats
-from mmsim.sampling import DrawnSample, pps_select_psus
+from mmsim.sampling import DrawnSample
+
+from conftest import pps_draw
 
 W, F = 0, 1  # full-response labels: web respondent / ftf respondent
 
@@ -243,7 +245,7 @@ def test_pps_implementation_matches_enumerated_distribution():
     reps = 20_000
     counts = {k: 0 for k in expected}
     for _ in range(reps):
-        sel, _ = pps_select_psus(np.array(sizes, dtype=float), 2, rng)
+        sel, _ = pps_draw(np.array(sizes, dtype=float), 2, rng)
         counts[frozenset(int(s) for s in sel)] += 1
     for key, prob in expected.items():
         p = float(prob)

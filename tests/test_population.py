@@ -245,18 +245,32 @@ def test_constructing_with_ascending_ids_copies_no_id_column():
     assert peak < pop.n_households * 8 / 2
 
 
+def test_attaching_propensities_allocates_nothing_population_sized():
+    pop = generate_synthetic(LARGE_SPEC)
+    out, peak = _traced_peak(lambda: attach_propensities(
+        pop, {"WEB": (0.6, 0.3), "MAIL": (0.3, 0.4), "FTF": (0.15, 0.45)}))
+    assert peak < pop.n_households
+    np.testing.assert_array_equal(out.propensities, [[0.6, 0.3], [0.3, 0.4], [0.15, 0.45]])
+    assert out.modes is pop.modes
+
+
 def test_with_labels_checks_length():
     pop = make_population(np.ones(4), [0, 0, 1, 1])
     with pytest.raises(IntegrityError, match="labels length"):
         pop.with_labels(np.zeros(3, dtype=np.int8))
 
 
-def test_with_propensities_checks_range_and_shape():
-    pop = make_population(np.ones(3), [0, 0, 1])
-    with pytest.raises(ValidationError):
-        pop.with_propensities(np.array([[0.5, 0.2], [1.2, 0.0], [0.1, 0.1]]))
+def test_propensity_table_checks_shape_and_range():
+    pop = make_population(np.ones(4), [0, 0, 1, 1], modes=[0, 1, 2, 0])
     with pytest.raises(IntegrityError, match=r"\(3, 2\)"):
-        pop.with_propensities(np.full((2, 2), 0.25))
+        dataclasses.replace(pop, propensities=np.full((4, 2), 0.25))  # one row per household
+    bad = {"WEB": (0.5, 0.2), "MAIL": (1.2, 0.0), "FTF": (0.1, 0.1)}
+    with pytest.raises(ValidationError, match=r"^MAIL: propensities must lie in \[0, 1\]"):
+        attach_propensities(pop, bad)
+    with pytest.raises(ValidationError, match=r"^MAIL: propensities must lie in \[0, 1\]"):
+        dataclasses.replace(pop, propensities=np.array(list(bad.values())))
+    with pytest.raises(IntegrityError, match="source mode is unset"):
+        dataclasses.replace(pop, modes=None, propensities=np.full((3, 2), 0.25))
 
 
 def test_roundtrip_is_lossless(tmp_path):

@@ -11,7 +11,7 @@ from mmsim import montecarlo as mc
 from mmsim import response, sampling
 from mmsim.errors import DataError, EstimationError
 from mmsim.montecarlo import DesignSpec, EstimatorSpec, ScenarioSpec
-from mmsim.population import draw_stochastic_labels
+from mmsim.population import LABEL_FTF, LABEL_NONE, LABEL_WEB, MODE_NAMES, attach_propensities
 from mmsim.variance import build_variance_units, confidence_interval
 
 from conftest import make_population, variance_of
@@ -103,7 +103,7 @@ def _reference_cells(scenario, pop, truth, iteration, labels):
     return cells
 
 
-# Propensity vectors (phi_w, phi_f) at the edges of the stochastic rule:
+# Propensities (phi_w, phi_f) of a mode at the edges of the stochastic rule:
 # sums of 1, no web and no ftf response.
 EDGE_PROPENSITIES = ((0.0, 1.0), (1.0, 0.0), (0.3, 0.7), (0.0, 0.4), (0.55, 0.0))
 
@@ -115,7 +115,7 @@ def replicates(draw, stochastic=False):
     to come out degenerate, and large enough for at least 8 variance units
     of at least 8 rows (where pairwise and sequential sums part).  The
     frame of 60 PSUs keeps the largest PPS draws below certainty.
-    ``stochastic`` gives every household a propensity vector, an edge one
+    ``stochastic`` gives each source mode a propensity pair, an edge one
     or a random one, and the scenario the stochastic rule."""
     n_psus_frame = 60
     sizes = draw(st.lists(st.integers(10, 14), min_size=n_psus_frame, max_size=n_psus_frame))
@@ -128,12 +128,12 @@ def replicates(draw, stochastic=False):
                           np.repeat(np.arange(n_psus_frame) * 7 + 3, sizes), modes=modes)
     if stochastic:
         edges = np.array(EDGE_PROPENSITIES)
-        pw = rng.uniform(0.0, 1.0, n)
-        phi = np.column_stack([pw, rng.uniform(0.0, 1.0, n) * (1.0 - pw)])
+        pw = rng.uniform(0.0, 1.0, len(MODE_NAMES))
+        table = np.column_stack([pw, rng.uniform(0.0, 1.0, len(MODE_NAMES)) * (1.0 - pw)])
         edge_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
-        at_edge = rng.random(n) < edge_share
-        phi[at_edge] = edges[rng.integers(0, len(edges), at_edge.sum())]
-        pop = pop.with_propensities(phi)
+        at_edge = rng.random(len(MODE_NAMES)) < edge_share
+        table[at_edge] = edges[rng.integers(0, len(edges), at_edge.sum())]
+        pop = attach_propensities(pop, dict(zip(MODE_NAMES, table.tolist())))
     kind = draw(st.sampled_from(["hybrid", "two_phase_unit", "two_phase_psu"]))
     m_per_psu = draw(st.integers(1, 10))
     if kind == "hybrid":
@@ -185,13 +185,17 @@ def test_run_iteration_matches_public_functions_bit_for_bit(case):
 @settings(max_examples=150, deadline=None)
 @given(case=replicates(stochastic=True))
 def test_stochastic_replicate_matches_whole_population_labels_bit_for_bit(case):
-    """Labels classified at sampled rows against ``draw_stochastic_labels``:
-    the labels every sample reads, the cells, and the label stream's end state."""
+    """Labels classified at sampled rows against every household's label,
+    classified here row by row from its own propensities: the labels every
+    sample reads, the cells, and the label stream's end state."""
     scenario, pop, iteration = case
     truth = pop.y.sum(axis=0)
     label_rng = mc.stage_rng(scenario.seed, mc.scenario_key(scenario.id), iteration,
                              mc.STAGE_LABELS)
-    labels = draw_stochastic_labels(pop, label_rng).labels
+    u = label_rng.random(pop.n_households)
+    phi = pop.propensities[pop.modes]
+    labels = np.where(u < phi[:, 0], LABEL_WEB,
+                      np.where(u < phi[:, 0] + phi[:, 1], LABEL_FTF, LABEL_NONE)).astype(np.int8)
     read, streams = [], []
     real_collect, real_stage_rng = response.collect, mc.stage_rng
 

@@ -12,14 +12,13 @@ from mmsim.population import _derive
 from mmsim.sampling import (
     DrawnSample,
     followup_all_units,
-    pps_select_psus,
     srswor,
     subsample_nonrespondents_units,
     subsample_psus,
     two_stage_select,
 )
 
-from conftest import make_population
+from conftest import make_population, pps_draw
 
 
 def make_drawn(n, psu_ids=None, delta_w=None, psus=None, d=None):
@@ -89,7 +88,7 @@ def test_ht_population_size_is_exact():
 # ---------------------------------------------------------------------------
 
 def test_pps_inclusion_probabilities_formula():
-    sel, pi = pps_select_psus(np.array([10, 20, 30, 40]), 2, np.random.default_rng(4))
+    sel, pi = pps_draw(np.array([10, 20, 30, 40]), 2, np.random.default_rng(4))
     assert len(sel) == 2
     expected = {0: 0.2, 1: 0.4, 2: 0.6, 3: 0.8}
     for s, p in zip(sel, pi):
@@ -98,7 +97,7 @@ def test_pps_inclusion_probabilities_formula():
 
 
 def test_pps_equal_sizes_symmetry():
-    sel, pi = pps_select_psus(np.full(10, 7.0), 3, np.random.default_rng(5))
+    sel, pi = pps_draw(np.full(10, 7.0), 3, np.random.default_rng(5))
     np.testing.assert_allclose(pi, 0.3)
     assert len(set(sel.tolist())) == 3
 
@@ -109,7 +108,7 @@ def test_pps_empirical_frequency():
     reps = 20_000
     counts = np.zeros(4)
     for _ in range(reps):
-        sel, _ = pps_select_psus(sizes, 2, rng)
+        sel, _ = pps_draw(sizes, 2, rng)
         counts[sel] += 1
     pi = 2 * sizes / sizes.sum()
     for j in range(4):
@@ -119,12 +118,12 @@ def test_pps_empirical_frequency():
 
 def test_pps_rejects_certainty_psu():
     with pytest.raises(ValidationError, match="certainty"):
-        pps_select_psus(np.array([1.0, 1, 1, 10]), 2, np.random.default_rng(7))
+        pps_draw(np.array([1.0, 1, 1, 10]), 2, np.random.default_rng(7))
 
 
 def test_pps_warns_on_large_first_stage_fractions():
     with pytest.warns(UserWarning, match="with-replacement variances"):
-        pps_select_psus(np.full(4, 5.0), 2, np.random.default_rng(20))
+        pps_draw(np.full(4, 5.0), 2, np.random.default_rng(20))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +172,7 @@ def _two_stage_reference(pop, n_psus, m_per_psu, rng):
     """Per-PSU definition of the two-stage take: PSU members gathered one
     PSU at a time, uniform keys ordered within PSUs by ``np.lexsort``."""
     psus, sizes = pop.psu_frame()
-    sel, _ = pps_select_psus(sizes, n_psus, rng)
+    sel, _ = pps_draw(sizes, n_psus, rng)
     f = n_psus * m_per_psu / pop.n_households
     sel_sizes = sizes[sel]
     members = np.concatenate([np.flatnonzero(pop.psu_ids == psus[c]) for c in sel])

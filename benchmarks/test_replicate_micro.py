@@ -134,7 +134,7 @@ def test_psu_frame(benchmark, b1a):
     pop = b1a[1]
 
     def fresh():
-        return (Population(ids=pop.ids, psu_ids=pop.psu_ids, y=pop.y, modes=pop.modes,
+        return (Population(psu_ids=pop.psu_ids, y=pop.y, modes=pop.modes,
                            labels=None, variable_names=pop.variable_names),), {}
 
     psus, sizes = benchmark.pedantic(Population.psu_frame, setup=fresh, rounds=10)
@@ -144,8 +144,7 @@ def test_psu_frame(benchmark, b1a):
 @pytest.fixture(scope="module")
 def stochastic_240k():
     n, rng = 240_000, np.random.default_rng(5)
-    pop = Population(ids=np.arange(n, dtype=np.int64),
-                     psu_ids=np.repeat(np.arange(2000, dtype=np.int64), n // 2000),
+    pop = Population(psu_ids=np.repeat(np.arange(2000, dtype=np.int64), n // 2000),
                      y=np.ones((n, 1)), modes=rng.integers(0, 3, n).astype(np.int8),
                      labels=None, variable_names=("v1",))
     pop = attach_propensities(pop, {"WEB": (1.0, 0.0), "MAIL": (0.0, 0.5), "FTF": (0.0, 0.5)})

@@ -120,7 +120,7 @@ def _variables(items, where: str) -> tuple[VariableSpec, ...]:
 
 
 def _variable_names(items, where: str) -> tuple[str, ...]:
-    names = [str(v) for v in _typed(items, list, where)]
+    names = [str(v) for v in _nonempty(items, where, "variable columns")]
     return tuple(_unique(v, names[:i], where) for i, v in enumerate(names))
 
 

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError
 # Unused here; perfbench/test_perfbench.py expects its tracer to wrap this
 # name in this module.
 from .response import response_rates  # noqa: F401
@@ -69,10 +69,6 @@ class EstimatorResult:
 class CompositeFactors:
     lam: float
     kappa: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lam <= 1.0 and 0.0 <= self.kappa <= 1.0):
-            raise ValidationError("compositing factors must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -109,10 +105,6 @@ class SampleStats:
 
 def sample_stats(sample: DrawnSample, y: np.ndarray) -> SampleStats:
     """The statistics every estimator reads of ``sample`` with outcomes ``y``."""
-    if sample.delta_w is None or sample.delta_f is None:
-        raise EstimationError("response indicators are unset")
-    if y.shape[0] != sample.n_units:
-        raise ValidationError("outcome matrix does not match the sample")
     d = sample.d
     dw = sample.delta_w.astype(float)
     df = sample.delta_f.astype(float)
@@ -161,12 +153,7 @@ def followup_adjustment(st: SampleStats, expansion: str = "design") -> Estimator
     ftf response rate.  ``expansion="realized"`` replaces (1/omega) * ME
     by M, the weighted nonrespondent mass of the whole sample.
     """
-    if expansion not in ("design", "realized"):
-        raise ValidationError(f"unknown expansion {expansion!r}")
-    sample = st.sample
-    if expansion == "realized" and sample.psu_subsample is None:
-        raise ValidationError("the realized expansion applies to PSU-subsampling designs")
-    om = 1.0 if sample.ftf_rate is None else sample.ftf_rate
+    om = 1.0 if st.sample.ftf_rate is None else st.sample.ftf_rate
 
     if st.m_hat == 0.0:
         # Full web response: plain design-weighted total.
@@ -210,8 +197,6 @@ def web_only(st: SampleStats) -> EstimatorResult:
 def composite_total(res_a: EstimatorResult, res_b: EstimatorResult,
                     lam: float) -> EstimatorResult:
     """TDF1: lam * TA + (1 - lam) * TB1 over two independent samples."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError("lambda must be in [0, 1]")
     parts = []
     if lam > 0.0:
         parts.append((lam, res_a))
@@ -233,12 +218,6 @@ def web_composite(sa: SampleStats, sb: SampleStats, kappa: float,
     either the kappa-composite of the two estimated totals (default) or a
     known frame size.
     """
-    if not 0.0 <= kappa <= 1.0:
-        raise ValidationError("kappa must be in [0, 1]")
-    if n_hat_mode not in ("composite", "frame"):
-        raise ValidationError(f"unknown n_hat mode {n_hat_mode!r}")
-    if n_hat_mode == "frame" and not frame_n:
-        raise ValidationError("frame n_hat mode requires the frame size")
     if kappa > 0.0 and sa.w_hat == 0.0:
         raise DegenerateEstimate("no web respondents in the unclustered sample")
     if kappa < 1.0 and sb.w_hat == 0.0:
@@ -291,12 +270,8 @@ def compute_factors(sample_a: DrawnSample, sample_b: DrawnSample,
     design effect 1.  ``kappa`` uses web respondents only.  A ``fixed``
     value short-circuits the computation.
     """
-    if sample_b.psus is None:
-        raise ValidationError("compositing factors need a clustered sample B")
     if fixed is not None:
         return CompositeFactors(lam=fixed, kappa=fixed)
-    if sample_a.delta_w is None or sample_b.delta_w is None:
-        raise EstimationError("response indicators are unset")
     n_psus = len(sample_b.psus)
 
     def eff(count: int, clustered: bool) -> float:

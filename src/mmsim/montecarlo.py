@@ -55,21 +55,21 @@ class DesignSpec:
     n_sub_psus: int = 0         # PSU subsampling count
 
     def validate(self) -> None:
+        at = "scenario.design"
         if self.kind not in {kind for kind, _ in ESTIMATORS}:
-            raise ConfigError(f"unknown design kind {self.kind!r}")
-        if self.kind == "hybrid":
-            if self.n_unclustered < 1 or self.n_psus < 1 or self.m_per_psu < 1:
-                raise ConfigError("hybrid design needs n_unclustered, n_psus, m_per_psu")
-        else:
-            if self.n_psus < 1 or self.m_per_psu < 1:
-                raise ConfigError(f"{self.kind} design needs n_psus and m_per_psu")
+            raise ConfigError(f"{at}.kind: unknown design kind {self.kind!r}")
+        needs = ("n_unclustered",) * (self.kind == "hybrid") + ("n_psus", "m_per_psu")
+        for key in needs:
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{at}.{key}: the {self.kind} design needs "
+                                  f"{', '.join(needs)} of at least 1")
         if self.kind == "two_phase_unit" and not 0.0 < self.omega <= 1.0:
-            raise ConfigError("unit subsampling fraction must be in (0, 1]")
+            raise ConfigError(f"{at}.omega: unit subsampling fraction must be in (0, 1]")
         if self.kind == "two_phase_psu" and not 0 < self.n_sub_psus <= self.n_psus:
-            raise ConfigError("n_sub_psus must be in 1..n_psus")
+            raise ConfigError(f"{at}.n_sub_psus: n_sub_psus must be in 1..n_psus")
         units = math.gcd(self.n_sub_psus, self.n_psus)  # what build_variance_units forms
         if self.kind == "two_phase_psu" and units < 2:
-            raise ConfigError(f"scenario.design.n_sub_psus: {self.n_sub_psus} of {self.n_psus} "
+            raise ConfigError(f"{at}.n_sub_psus: {self.n_sub_psus} of {self.n_psus} "
                               f"PSUs form gcd = {units} balanced variance unit(s); need at least 2")
 
 
@@ -105,11 +105,11 @@ class ScenarioSpec:
 
     def validate(self) -> None:
         if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
+            raise ConfigError(f"scenario.iterations: must be at least 1, got {self.iterations}")
         if not self.estimators:
             raise ConfigError("estimator list is empty")
         if self.rule not in (*RULES, "stochastic", "as_is"):
-            raise ConfigError(f"unknown pseudopopulation rule {self.rule!r}")
+            raise ConfigError(f"scenario.rule: unknown pseudopopulation rule {self.rule!r}")
         self.design.validate()
         names = set()
         for i, spec in enumerate(self.estimators):
@@ -127,7 +127,7 @@ class ScenarioSpec:
         if not 0.0 <= self.icc_planning < 1.0:
             raise ConfigError(f"scenario.icc_planning must be in [0, 1), got {self.icc_planning}")
         if self.n_hat not in ("composite", "frame"):
-            raise ConfigError(f"unknown n_hat mode {self.n_hat!r}")
+            raise ConfigError(f"scenario.n_hat: unknown n_hat mode {self.n_hat!r}")
 
 
 @dataclass(frozen=True)

@@ -81,17 +81,18 @@ class Population:
     column per analysis variable.  ``propensities`` is the stochastic
     rule's (3, 2) table of ``(phi_w, phi_f)``, read at a household's mode.
 
+    A household is its row, and no household id is kept: the microdata
+    reader checks the file's ids are distinct and drops them.
+
     Construction checks the whole object: it is nonempty, ``y`` is a
-    finite (N, variables) array, ``psu_ids`` and ``labels`` have length N,
-    ids are distinct, and a propensity table is valid, with modes set.
-    Copies derived with ``with_labels`` or ``attach_propensities`` check
-    only the field they change, since the rest was checked before.
-    The checks copy nothing population-sized: finiteness is read off
-    ``y.min()`` and ``y.max()``, and ids already in ascending order are
-    distinct without a sort.
+    finite (N, variables) array with N = ``len(psu_ids)``, ``labels`` has
+    length N, and a propensity table is valid, with modes set.  Copies
+    derived with ``with_labels`` or ``attach_propensities`` check only
+    the field they change, since the rest was checked before.  The checks
+    copy nothing population-sized: finiteness is read off ``y.min()`` and
+    ``y.max()``.
     """
 
-    ids: np.ndarray
     psu_ids: np.ndarray
     y: np.ndarray
     modes: np.ndarray | None
@@ -101,7 +102,7 @@ class Population:
     _psu_index: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.ids)
+        n = len(self.psu_ids)
         if n == 0:
             raise IntegrityError("population is empty")
         if self.y.shape != (n, len(self.variable_names)):
@@ -111,11 +112,6 @@ class Population:
             )
         if self.y.size and not np.isfinite([self.y.min(), self.y.max()]).all():
             raise IntegrityError("outcome matrix has non-finite values")
-        if len(self.psu_ids) != n:
-            raise IntegrityError("psu_ids length mismatch")
-        dup = _first_duplicate(self.ids)
-        if dup is not None:
-            raise IntegrityError(f"duplicate household id {dup}")
         if self.labels is not None and len(self.labels) != n:
             raise IntegrityError("labels length mismatch")
         if self.propensities is not None:
@@ -123,7 +119,7 @@ class Population:
 
     @property
     def n_households(self) -> int:
-        return len(self.ids)
+        return len(self.psu_ids)
 
     def psu_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct PSU ids, ascending, and their household counts.
@@ -470,7 +466,6 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
                        out=y[rows, j])
 
     return Population(
-        ids=np.arange(n, dtype=np.int64),
         psu_ids=psu_ids,
         y=y,
         modes=modes,
@@ -487,8 +482,6 @@ def build_pseudopopulation(raw: Population, rule: str, rng: np.random.Generator)
     shuffle the mode's households, first half becomes ftf respondents,
     remainder (plus the odd one) nonrespondents.
     """
-    if rule not in RULES:
-        raise ValidationError(f"unknown pseudopopulation rule {rule!r}")
     if raw.modes is None:
         raise IntegrityError("source mode is unset; cannot apply a response rule")
     table = np.array(RULES[rule], dtype=np.int8)
@@ -528,8 +521,6 @@ def _check_propensities(table: np.ndarray, modes: np.ndarray | None) -> None:
 def attach_propensities(pop: Population, by_mode: Mapping[str, tuple[float, float]]) -> Population:
     """The population with the (3, 2) propensity table of ``by_mode``, the
     ``(phi_w, phi_f)`` pair of each mode name, checked once."""
-    if missing := [name for name in MODE_NAMES if name not in by_mode]:
-        raise ValidationError(f"missing propensity entry for mode {missing[0]}")
     table = np.array([by_mode[name] for name in MODE_NAMES], dtype=float)
     _check_propensities(table, pop.modes)
     return _derive(pop, propensities=table)
@@ -607,9 +598,10 @@ def load_microdata(path: str | Path, schema: MicrodataSchema) -> Population:
     newline.  There are no comment lines (``#`` is data) and blank lines
     are skipped.  Each schema column is named once in the header, in any
     order; other columns are ignored.
-    Ids and PSUs are decimal int64 values.  Outcomes are finite decimal
-    numbers, parsed with correct rounding to the double ``float()`` gives,
-    without the ``_`` digit separators ``float()`` accepts.  Modes
+    Ids and PSUs are decimal int64 values; ids must be distinct and are
+    not kept.  Outcomes are finite decimal numbers, parsed with correct
+    rounding to the double ``float()`` gives, without the ``_`` digit
+    separators ``float()`` accepts.  Modes
     (WEB/MAIL/FTF) and labels (W/F/N) match ignoring case and surrounding
     whitespace.  Any problem raises a ``DataError`` (the CLI exits 3)
     whose message names the file, and the line and column where there is
@@ -622,12 +614,11 @@ def load_microdata(path: str | Path, schema: MicrodataSchema) -> Population:
     if not schema.variables:
         raise SchemaError("schema lists no variable columns")
     ids, psu_ids, y, modes, labels = _read_columns(path, schema)
-    try:
-        return Population(ids=ids, psu_ids=psu_ids, y=y, modes=modes, labels=labels,
-                          variable_names=tuple(schema.variables))
-    except IntegrityError as exc:  # distinct ids: the one check not made while reading
-        row = np.flatnonzero(ids == _first_duplicate(ids))[1]
-        raise IntegrityError(f"{_where(path, row)}: {exc}") from None
+    if (dup := _first_duplicate(ids)) is not None:  # the one check not made while reading
+        row = np.flatnonzero(ids == dup)[1]
+        raise IntegrityError(f"{_where(path, row)}: duplicate household id {dup}")
+    return Population(psu_ids=psu_ids, y=y, modes=modes, labels=labels,
+                      variable_names=tuple(schema.variables))
 
 
 def _read_columns(path: Path, schema: MicrodataSchema) -> tuple[np.ndarray, ...]:
@@ -836,7 +827,7 @@ def _undecodable_line(path: Path) -> int:
 
 def write_population_csv(pop: Population, path: str | Path) -> None:
     """Write a population back out in the interchange layout, one row
-    chunk at a time."""
+    chunk at a time; a household's id is its row number."""
     header = ["id", "psu", "mode", *pop.variable_names]
     if pop.labels is not None:
         header.append("label")
@@ -844,7 +835,8 @@ def write_population_csv(pop: Population, path: str | Path) -> None:
         # Only the header can hold a comma or quote, so only it goes through csv.
         csv.writer(fh, lineterminator="\n").writerow(header)
         for rows in _chunks(pop.n_households):
-            columns = [map(str, pop.ids[rows].tolist()), map(str, pop.psu_ids[rows].tolist()),
+            columns = [map(str, range(rows.start, rows.stop)),
+                       map(str, pop.psu_ids[rows].tolist()),
                        ([MODE_NAMES[m] for m in pop.modes[rows].tolist()]
                         if pop.modes is not None else ["WEB"] * (rows.stop - rows.start)),
                        *(map(repr, col) for col in pop.y[rows].T.tolist())]

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, ValidationError
-from .population import Population, _derive, _first_duplicate, _group
+from .errors import ValidationError
+from .population import Population, _derive, _group
 
 PI_FPC_WARNING = 0.2  # first-stage fractions above this make the
                       # with-replacement variance noticeably conservative
@@ -60,7 +60,7 @@ class DrawnSample:
     Construction checks the design: positive weights, ``psus`` strictly
     ascending, and ``ftf_rate`` in (0, 1].  ``response.collect`` and the
     follow-up steps derive copies that set only response and follow-up
-    fields and check just those inputs, never re-running these checks.
+    fields, never re-running these checks.
     """
 
     tag: str
@@ -106,13 +106,20 @@ def srswor(pop: Population, n: int, rng: np.random.Generator, tag: str = "S") ->
     )
 
 
-def _pps_frame(sizes: np.ndarray, n_psus: int) -> tuple:
-    """What a PPS draw needs of the frame alone, checked once: float
-    sizes, their total, every PSU's inclusion probability, and the
-    systematic points before the random start."""
+def _pps_frame(psus: np.ndarray, sizes: np.ndarray, n_psus: int, m_per_psu: int) -> tuple:
+    """The design checks of ``two_stage_select`` and what a PPS draw needs
+    of the frame of PSU ids ``psus`` and household counts ``sizes`` alone,
+    checked once: float sizes, their total, every PSU's inclusion
+    probability, and the systematic points before the random start.
+    Warns, once per frame and design, when a probability is large."""
+    too_small = np.flatnonzero(sizes < m_per_psu)
+    if len(too_small):
+        bad = int(too_small[0])
+        raise ValidationError(
+            f"PSU {psus[bad]} has {sizes[bad]} households, fewer than the "
+            f"within-PSU take {m_per_psu} (conditional rate would exceed 1)"
+        )
     sizes = np.asarray(sizes, dtype=float)
-    if (sizes <= 0).any():
-        raise ValidationError("all PSU sizes must be positive")
     if not 0 < n_psus <= len(sizes):
         raise ValidationError(f"cannot select {n_psus} of {len(sizes)} PSUs")
     total = sizes.sum()
@@ -120,9 +127,14 @@ def _pps_frame(sizes: np.ndarray, n_psus: int) -> tuple:
     if (pi >= 1.0 + 1e-12).any() or (n_psus * sizes.max() / total) > 1.0 + 1e-12:
         worst = int(np.argmax(sizes))
         raise ValidationError(
-            f"PSU {worst} would be a certainty selection (pi={pi[worst]:.3f}); "
-            f"reduce n_psus or split the PSU before sampling"
+            f"scenario.design.n_psus: PSU {psus[worst]} would be a certainty selection "
+            f"(pi={pi[worst]:.3f}); reduce n_psus or split the PSU before sampling"
         )
+    if pi.max() > PI_FPC_WARNING:
+        warnings.warn(
+            f"max PSU inclusion probability {pi.max():.2f} exceeds {PI_FPC_WARNING} "
+            f"drawing n_psus={n_psus} of {len(sizes)} PSUs; with-replacement variances "
+            f"will be conservative")
     step = total / n_psus
     return sizes, step, pi, step * np.arange(n_psus)
 
@@ -139,30 +151,7 @@ def _pps_draw(frame: tuple, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     # the clip guards the last interval against float rounding of the cumsum
     pos = np.minimum(np.searchsorted(cum, points, side="left"), len(cum) - 1)
     selected = order[pos]
-    if _first_duplicate(selected) is not None:
-        raise EstimationError("systematic PPS produced duplicate PSUs")  # pragma: no cover
-    if pi[selected].max() > PI_FPC_WARNING:
-        warnings.warn(
-            f"max PSU inclusion probability {pi[selected].max():.2f} exceeds "
-            f"{PI_FPC_WARNING}; with-replacement variances will be conservative",
-            stacklevel=2,
-        )
     return selected, pi[selected]
-
-
-def _two_stage_frame(sizes: np.ndarray, psus: np.ndarray, n_psus: int,
-                     m_per_psu: int) -> tuple:
-    """The design checks and PPS frame of ``two_stage_select``."""
-    if m_per_psu < 1:
-        raise ValidationError("m_per_psu must be positive")
-    too_small = np.flatnonzero(sizes < m_per_psu)
-    if len(too_small):
-        bad = int(too_small[0])
-        raise ValidationError(
-            f"PSU {psus[bad]} has {sizes[bad]} households, fewer than the "
-            f"within-PSU take {m_per_psu} (conditional rate would exceed 1)"
-        )
-    return _pps_frame(sizes, n_psus)
 
 
 def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
@@ -178,7 +167,7 @@ def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
     """
     psus, sizes = pop.psu_frame()
     frame = pop.frame_cache(("pps", n_psus, m_per_psu),
-                            lambda: _two_stage_frame(sizes, psus, n_psus, m_per_psu))
+                            lambda: _pps_frame(psus, sizes, n_psus, m_per_psu))
     sel, _ = _pps_draw(frame, rng)
     f = n_psus * m_per_psu / pop.n_households
 
@@ -245,10 +234,6 @@ def subsample_nonrespondents_units(sample: DrawnSample, omega: float,
     list); each draws a permutation of its nonrespondents, then (for
     omega < 1) one uniform start.
     """
-    if sample.delta_w is None:
-        raise EstimationError("web response indicators must be set before subsampling")
-    if not 0.0 < omega <= 1.0:
-        raise ValidationError("omega must be in (0, 1]")
     nonresp = np.flatnonzero(sample.delta_w == 0)
     codes = np.zeros(sample.n_units, dtype=np.intp) if sample.psus is None else sample.psu_code
     by_psu, starts = _group(codes[nonresp])
@@ -270,11 +255,7 @@ def subsample_psus(sample: DrawnSample, count: int,
                    rng: np.random.Generator) -> DrawnSample:
     """Follow up all web nonrespondents in an equal-probability subset of
     ``count`` sampled PSUs.  The PSU choice ignores first-phase outcomes."""
-    if sample.delta_w is None:
-        raise EstimationError("web response indicators must be set before subsampling")
     psus = sample.psus
-    if psus is None:
-        raise ValidationError("PSU subsampling needs a clustered sample")
     if count > len(psus):
         raise ValidationError(f"cannot subsample {count} of {len(psus)} PSUs")
     chosen = np.zeros(len(psus), dtype=bool)
@@ -286,7 +267,5 @@ def subsample_psus(sample: DrawnSample, count: int,
 
 def followup_all_units(sample: DrawnSample) -> DrawnSample:
     """Flag every web nonrespondent for follow-up (no subsampling)."""
-    if sample.delta_w is None:
-        raise EstimationError("web response indicators must be set before follow-up")
     return _derive(sample, in_ftf_subsample=sample.delta_w == 0, ftf_rate=1.0)
 

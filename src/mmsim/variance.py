@@ -39,8 +39,6 @@ def build_variance_units(sample: DrawnSample, rng: np.random.Generator) -> np.nd
     than 2 variance units; ``DesignSpec.validate`` rejects such designs
     when the config is read.
     """
-    if sample.psu_subsample is None:
-        raise EstimationError("sample has no PSU subsample to balance on")
     sub, non = np.flatnonzero(sample.psu_subsample), np.flatnonzero(~sample.psu_subsample)
     n_psus = len(sample.psus)
     n_groups = gcd(len(sub), n_psus)

@@ -13,10 +13,8 @@ def make_population(y, psu_ids, modes=None, labels=None, variable_names=None):
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if y.shape[0] == 1 and len(psu_ids) > 1:
         y = y.T
-    n = y.shape[0]
     names = variable_names or tuple(f"v{j + 1}" for j in range(y.shape[1]))
     return Population(
-        ids=np.arange(n, dtype=np.int64),
         psu_ids=np.asarray(psu_ids, dtype=np.int64),
         y=y,
         modes=None if modes is None else np.asarray(modes, dtype=np.int8),
@@ -29,7 +27,7 @@ def pps_draw(sizes, n_psus, rng):
     """Randomized-order systematic PPS selection of ``n_psus`` of the PSUs
     of ``sizes``: (selected indices, their inclusion probabilities), from
     the frame and draw ``two_stage_select`` uses."""
-    return _pps_draw(_pps_frame(sizes, n_psus), rng)
+    return _pps_draw(_pps_frame(np.arange(len(sizes)), sizes, n_psus, 1), rng)
 
 
 SMALL_SPEC = SyntheticPopSpec(

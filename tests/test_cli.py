@@ -200,18 +200,32 @@ def test_unknown_key_rejected(tmp_path, capsys):
                                                                           sd="1.0e+300")),
     ("population.synthetic.variables[1].mean_web", V2_BINARY,
      V2_CONTINUOUS.format(mean_web="1.0e+308", sd="0.5")),
+    ("population.schema.variables", POP_BLOCK,
+     "population:\n  path: pop.csv\n  schema:\n    variables: []\n"),
+    ("scenario.design.kind", "    kind: hybrid\n", "    kind: cluster\n"),
+    ("scenario.design.m_per_psu", TWO_PHASE_DESIGN[0],
+     TWO_PHASE_DESIGN[1].replace("m_per_psu: 25", "m_per_psu: 0")),
+    ("scenario.design.omega", TWO_PHASE_DESIGN[0],
+     TWO_PHASE_DESIGN[1].replace("omega: 0.5", "omega: 1.5")),
+    ("scenario.design.n_sub_psus", TWO_PHASE_DESIGN[0], TWO_PHASE_DESIGN[1].replace(
+        "two_phase_unit", "two_phase_psu").replace("omega: 0.5", "n_sub_psus: 9")),
+    ("scenario.iterations", "  iterations: 6\n", "  iterations: 0\n"),
+    ("scenario.rule", "  rule: B\n", "  rule: E\n"),
+    ("scenario.n_hat", "  seed: 77\n", "  seed: 77\n  n_hat: known\n"),
 ], ids=["scenario-seed", "synthetic-seed", "iterations", "n_psus", "icc_planning",
         "scenario-seed-2**64", "synthetic-seed-2**64", "icc_planning-negative",
         "icc_planning-5", "icc_planning-1", "icc_planning-nan", "compositing-1.5",
         "compositing-nan", "compositing-two-phase", "icc_planning-two-phase",
         "duplicate-variable", "estimator-compositing-foo", "estimator-compositing-true",
-        "households_max-1e17", "households_max-2**63", "sd-1e300", "mean_web-1e308"])
+        "households_max-1e17", "households_max-2**63", "sd-1e300", "mean_web-1e308",
+        "no-schema-variables", "design-kind", "m_per_psu-0", "omega-1.5", "n_sub_psus-9",
+        "iterations-0", "rule", "n_hat"])
 def test_run_bad_yaml_number_is_config_error(tmp_path, capsys, field, old, new):
     text = POP_BLOCK + SCENARIO_BLOCK + f"output:\n  dir: {tmp_path}/out\n"
     assert old in text
     cfg = write_config(tmp_path, text.replace(old, new))
     assert main(["run", "--config", str(cfg), "--quiet"]) == 2
-    assert field in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"configuration error: {field}")
     assert not (tmp_path / "out").exists()
 
 
@@ -359,6 +373,23 @@ def test_run_bad_microdata_is_data_error(tmp_path, capsys, data, message):
     err = capsys.readouterr().err
     assert err.startswith("data error: ")
     assert re.search(message, err)
+
+
+def test_certainty_psu_is_config_error_naming_the_psu_and_field(tmp_path, capsys):
+    # PSU 102 holds 200 of 240 households: drawing 2 PSUs gives it pi = 5/3
+    psus = [100] * 10 + [101] * 10 + [102] * 200 + [103] * 10 + [104] * 10
+    csv_path = tmp_path / "pop.csv"
+    csv_path.write_text("id,psu,mode,v1\n" +
+                        "".join(f"{i},{psu},WEB,{i % 2}\n" for i, psu in enumerate(psus)))
+    scen = SCENARIO_BLOCK.replace(TWO_PHASE_DESIGN[0], TWO_PHASE_DESIGN[1]).replace(
+        "n_psus: 8", "n_psus: 2").replace("m_per_psu: 25", "m_per_psu: 5")
+    cfg = write_config(tmp_path, f"population:\n  path: {csv_path}\n  schema:\n"
+                       f"    variables: [v1]\n" + scen + f"output:\n  dir: {tmp_path}/out\n")
+    assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: scenario.design.n_psus: PSU 102 would be a certainty "
+        "selection (pi=1.667)")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_microdata_file_is_data_error(tmp_path, capsys):

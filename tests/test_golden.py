@@ -152,7 +152,7 @@ def _preset_population() -> dict[str, str]:
     assert len(specs) == 1, "the presets no longer share one population"
     pop = generate_synthetic(specs.pop())
     return {f"preset-population/{name}": array_digest(getattr(pop, name))
-            for name in ("ids", "psu_ids", "y", "modes")}
+            for name in ("psu_ids", "y", "modes")}
 
 
 def case_digests(case: str, workdir: Path) -> dict[str, str]:

@@ -151,8 +151,6 @@ def test_stochastic_rule_redraws_labels_per_iteration(small_synthetic):
 
 
 def test_stochastic_iteration_skips_population_wide_id_checks(small_synthetic, monkeypatch):
-    import dataclasses
-
     from mmsim import population as population_mod
     from mmsim.population import attach_propensities
 
@@ -175,7 +173,7 @@ def test_stochastic_iteration_skips_population_wide_id_checks(small_synthetic, m
     assert sizes == []
     # Positive control: both patches still see population-wide calls.
     np.unique(pop.psu_ids)
-    dataclasses.replace(pop)
+    population_mod._first_duplicate(pop.psu_ids)
     assert sizes == [pop.n_households, pop.n_households]
 
 

@@ -64,7 +64,7 @@ def _read(path, schema):
         pop = load_microdata(path, schema)
     except DataError as exc:
         return exc, (type(exc), str(exc))
-    arrays = (pop.ids, pop.psu_ids, pop.y, pop.modes, pop.labels)
+    arrays = (pop.psu_ids, pop.y, pop.modes, pop.labels)
     return pop, (pop.variable_names, *(
         None if a is None else (a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes())
         for a in arrays))
@@ -122,15 +122,6 @@ def test_duplicate_id_is_integrity_error(tmp_path):
         _load(_write(tmp_path, "id,psu,mode,v1\n" + rows), MicrodataSchema(variables=("v1",)))
 
 
-def test_direct_construction_names_duplicate_id():
-    with pytest.raises(IntegrityError, match="duplicate household id 7"):
-        Population(
-            ids=np.array([3, 7, 1, 7], dtype=np.int64),
-            psu_ids=np.array([0, 0, 1, 1], dtype=np.int64),
-            y=np.ones((4, 1)), modes=None, labels=None, variable_names=("v1",),
-        )
-
-
 @settings(max_examples=60, deadline=None)
 @given(psu_ids=st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(0, 5), min_size=1,
                         max_size=80))
@@ -185,7 +176,7 @@ def _traced_peak(fn):
 
 
 def _nbytes(pop):
-    return sum(a.nbytes for a in (pop.ids, pop.psu_ids, pop.y, pop.modes))
+    return sum(a.nbytes for a in (pop.psu_ids, pop.y, pop.modes))
 
 
 LARGE_SPEC = SyntheticPopSpec(
@@ -211,8 +202,10 @@ def test_load_microdata_peak_is_population_plus_a_few_chunks(tmp_path, monkeypat
     schema = MicrodataSchema(variables=tuple(v.name for v in spec.variables))
     pop, peak = _traced_peak(lambda: load_microdata(path, schema))
     assert pop.n_households > 6 * chunk
-    # one chunk's records: id, psu, a mode string's reference and the outcomes
-    assert peak <= _nbytes(pop) + 8 * chunk * (3 + len(schema.variables)) * 8
+    # the id column, checked for duplicates and dropped, and one chunk's
+    # records: id, psu, a mode string's reference and the outcomes
+    assert peak <= _nbytes(pop) + pop.n_households * 8 + \
+        8 * chunk * (3 + len(schema.variables)) * 8
 
 
 def test_psu_frame_allocates_little_beyond_members():
@@ -240,7 +233,7 @@ def test_psu_frame_of_sorted_ids_keeps_no_member_rows():
 def test_constructing_with_ascending_ids_copies_no_id_column():
     pop = generate_synthetic(LARGE_SPEC)
     _, peak = _traced_peak(lambda: Population(
-        ids=pop.ids, psu_ids=pop.psu_ids, y=pop.y, modes=pop.modes, labels=None,
+        psu_ids=pop.psu_ids, y=pop.y, modes=pop.modes, labels=None,
         variable_names=pop.variable_names))
     assert peak < pop.n_households * 8 / 2
 
@@ -284,8 +277,10 @@ def test_roundtrip_is_lossless(tmp_path):
     )
     path = tmp_path / "roundtrip.csv"
     write_population_csv(pop, path)
-    back = load_microdata(path, MicrodataSchema(variables=pop.variable_names, label="label"))
-    np.testing.assert_array_equal(back.ids, pop.ids)
+    schema = MicrodataSchema(variables=pop.variable_names, label="label")
+    back = load_microdata(path, schema)
+    # the writer numbers the rows as ids
+    np.testing.assert_array_equal(population_mod._read_columns(path, schema)[0], np.arange(n))
     np.testing.assert_array_equal(back.psu_ids, pop.psu_ids)
     np.testing.assert_array_equal(back.modes, pop.modes)
     np.testing.assert_array_equal(back.labels, pop.labels)
@@ -311,8 +306,9 @@ def _oracle(path, schema):
 def _assert_matches_oracle(path, schema):
     pop = _load(path, schema)
     ref = _oracle(path, schema)
+    got_ids = population_mod._read_columns(path, schema)[0]  # checked, then not kept
     for name in ("ids", "psu_ids", "modes", "labels"):
-        got = getattr(pop, name)
+        got = got_ids if name == "ids" else getattr(pop, name)
         assert got.dtype == ref[name].dtype
         np.testing.assert_array_equal(got, ref[name])
     assert pop.y.shape == ref["y"].shape
@@ -509,9 +505,11 @@ def test_byte_order_mark_is_skipped(tmp_path):
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
     marked = _load(bom, schema)
-    for field in ("ids", "psu_ids", "y", "modes"):
+    for field in ("psu_ids", "y", "modes"):
         np.testing.assert_array_equal(getattr(marked, field), getattr(plain, field))
         assert getattr(marked, field).dtype == getattr(plain, field).dtype
+    # the first column, whose name follows the mark
+    np.testing.assert_array_equal(population_mod._read_columns(bom, schema)[0], [1, 2, 3])
     assert marked.labels is None and marked.variable_names == plain.variable_names
     bom.write_bytes(b"\xef\xbb\xbf" + b"id,psu,mode,v1\n1,1,WEB,1.0\n2,1,MAIL,oops\n")
     with pytest.raises(ParseError, match=r"^bom\.csv:3: 'oops' is not a valid float"):
@@ -538,7 +536,7 @@ def _write_population_rows(pop, path):
             header.append("label")
         writer.writerow(header)
         for i in range(pop.n_households):
-            row = [int(pop.ids[i]), int(pop.psu_ids[i]),
+            row = [i, int(pop.psu_ids[i]),
                    MODE_NAMES[pop.modes[i]] if pop.modes is not None else "WEB",
                    *(repr(float(v)) for v in pop.y[i])]
             if pop.labels is not None:
@@ -553,9 +551,7 @@ def test_population_writer_matches_row_by_row_writer(tmp_path, with_labels, with
     n = 300
     y = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
     y[:4, 0] = [-0.0, 0.0, 5e-324, 1.7976931348623157e308]
-    ids = rng.permutation(n).astype(np.int64)
-    ids[:2] = [np.iinfo(np.int64).max, np.iinfo(np.int64).min]
-    pop = Population(ids=ids, psu_ids=rng.integers(-2**62, 2**62, n), y=y,
+    pop = Population(psu_ids=rng.integers(-2**62, 2**62, n), y=y,
                      modes=rng.integers(0, 3, n).astype(np.int8) if with_modes else None,
                      labels=rng.integers(0, 3, n).astype(np.int8) if with_labels else None,
                      variable_names=("v1", "odd, \"name\"", "v3"))
@@ -569,7 +565,7 @@ def test_population_rejects_non_finite_outcomes(value):
     y = np.ones((3, 2))
     y[1, 1] = value
     with pytest.raises(IntegrityError, match="non-finite"):
-        Population(ids=np.arange(3), psu_ids=np.zeros(3, dtype=np.int64), y=y,
+        Population(psu_ids=np.zeros(3, dtype=np.int64), y=y,
                    modes=None, labels=None, variable_names=("a", "b"))
 
 
@@ -620,7 +616,7 @@ def test_rules_preserve_households_and_outcomes():
         out = build_pseudopopulation(pop, rule, np.random.default_rng(5))
         assert out.n_households == pop.n_households
         np.testing.assert_array_equal(out.y, pop.y)
-        np.testing.assert_array_equal(out.ids, pop.ids)
+        np.testing.assert_array_equal(out.psu_ids, pop.psu_ids)
 
 
 def test_rule_requires_modes():
@@ -692,7 +688,7 @@ def _generate_synthetic_reference(spec):
             b = math.sqrt(spec.icc_outcome * v_tot)
             sd_within = math.sqrt(max(v.sd**2 - b**2, 0.0))
             y[:, j] = means + b * u_y + rng.normal(0.0, sd_within, n)
-    return np.arange(n, dtype=np.int64), psu_of_hh.astype(np.int64), y, modes
+    return psu_of_hh.astype(np.int64), y, modes
 
 
 _means = st.floats(0.05, 0.95)
@@ -755,7 +751,7 @@ def test_chunked_generation_matches_unchunked_reference(regime, spec, data):
         mp.setattr(population_mod, "_CHUNK_ROWS", chunk)
         pop = generate_synthetic(spec)
     ref_rng, rng = made
-    for got, exp in zip((pop.ids, pop.psu_ids, pop.y, pop.modes), want):
+    for got, exp in zip((pop.psu_ids, pop.y, pop.modes), want):
         assert got.dtype == exp.dtype
         assert got.tobytes() == exp.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -126,6 +126,17 @@ def test_pps_warns_on_large_first_stage_fractions():
         pps_draw(np.full(4, 5.0), 2, np.random.default_rng(20))
 
 
+def test_pps_warning_fires_once_per_design_and_names_it():
+    pop = make_population(np.zeros(40), np.repeat(np.arange(4), 10))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for seed in range(5):
+            two_stage_select(pop, 2, 3, np.random.default_rng(seed))
+    assert [str(w.message) for w in caught] == [
+        "max PSU inclusion probability 0.50 exceeds 0.2 drawing n_psus=2 of 4 PSUs; "
+        "with-replacement variances will be conservative"]
+
+
 # ---------------------------------------------------------------------------
 # Two-stage selection
 # ---------------------------------------------------------------------------

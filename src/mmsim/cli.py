@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -71,16 +73,35 @@ def _population_report(pop: Population) -> dict:
             "mode_shares": shares, "mode_means": means, "icc_estimates": icc}
 
 
+def _output_dir(cfg: RunConfig) -> Path:
+    """``output.dir``, whose nearest existing ancestor must be a directory; creates nothing."""
+    out = Path(cfg.output.dir)
+    base = next((p for p in (out, *out.parents) if os.path.exists(p)), out)
+    if os.path.exists(base) and not os.path.isdir(base):
+        raise ConfigError(f"output.dir: {base} exists and is not a directory")
+    return out
+
+
+@contextmanager
+def _writing(out: Path):
+    """Create ``out`` to write into; an OSError is a config error naming ``output.dir``."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ConfigError(f"output.dir: cannot write {out} ({exc})") from None
+
+
 def cmd_generate(cfg: RunConfig) -> int:
     if cfg.population.synthetic is None:
         raise ConfigError("generate requires a population.synthetic section")
+    out = _output_dir(cfg)
     pop = _build_population(cfg)
     report = {"metadata": _metadata(cfg), **_population_report(pop)}
     sidecar = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    out = Path(cfg.output.dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_population_csv(pop, out / "population.csv")
-    (out / "population.meta.json").write_text(sidecar)
+    with _writing(out):
+        write_population_csv(pop, out / "population.csv")
+        (out / "population.meta.json").write_text(sidecar)
     print(f"wrote {out / 'population.csv'} ({pop.n_households} households)")
     return 0
 
@@ -119,12 +140,12 @@ def cmd_run(cfg: RunConfig, jobs: int = 1, quiet: bool = False) -> int:
     if cfg.scenario is None:
         raise ConfigError("run requires a scenario section")
     scenario = cfg.scenario
-    scenario.validate()
     pc = cfg.population  # what the rule needs of it, checked before it is built
     if scenario.rule == "stochastic" and pc.propensities is None:
         raise ConfigError("scenario.rule: stochastic requires population.propensities")
     if scenario.rule == "as_is" and (pc.synthetic is not None or pc.schema.label is None):
         raise ConfigError("scenario.rule: as_is requires a label column, population.schema.label")
+    out = _output_dir(cfg)
     cil_reference = _load_cil_reference(cfg.output.cil_reference, _variable_names(cfg))
     pop = _build_population(cfg)
     try:
@@ -136,13 +157,12 @@ def cmd_run(cfg: RunConfig, jobs: int = 1, quiet: bool = False) -> int:
     summary = mc.summarize(results, results.truth, pop.variable_names,
                            scenario_id=scenario.id, cil_reference=cil_reference)
     meta = _metadata(cfg, scenario)
-    out = Path(cfg.output.dir)
-    out.mkdir(parents=True, exist_ok=True)
-    mc.write_iterations_csv(out / "iterations.csv", scenario.id, results,
-                            pop.variable_names, meta)
-    mc.write_summary_csv(out / "summary.csv", summary, meta)
-    mc.write_summary_json(out / "summary.json", summary, meta)
-    mc.write_plotdata_csv(out / "plotdata.csv", summary, meta)
+    with _writing(out):
+        mc.write_iterations_csv(out / "iterations.csv", scenario.id, results,
+                                pop.variable_names, meta)
+        mc.write_summary_csv(out / "summary.csv", summary, meta)
+        mc.write_summary_json(out / "summary.json", summary, meta)
+        mc.write_plotdata_csv(out / "plotdata.csv", summary, meta)
     if not quiet:
         for row in summary.rows:
             if row.variable == mc.AGGREGATE:
@@ -222,12 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunConfig:
-    path = preset_path(args.preset) if args.preset else Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    cfg = load_config(path)
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        raise ConfigError("--seed must fit in an unsigned 64-bit integer")
+    cfg = load_config(preset_path(args.preset) if args.preset else Path(args.config))
     return with_overrides(cfg, seed=args.seed, iterations=args.iterations,
                           out_dir=args.out)
 

@@ -4,6 +4,7 @@
 Parsing is strict: unknown keys anywhere are rejected with the field
 path, before any computation starts.  Each section is read into its spec
 dataclass, whose fields give the section's keys, types and defaults.
+A spec checks itself when made or replaced: a spec that exists is valid.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
-from .montecarlo import DesignSpec, EstimatorSpec, ScenarioSpec, _check_compositing
+from .montecarlo import DesignSpec, EstimatorSpec, ScenarioSpec
 from .population import (MODE_NAMES, MicrodataSchema, SyntheticPopSpec, VariableSpec,
                           _propensity_fault)
 
@@ -64,8 +65,8 @@ def _typed(value, types, where: str):
     return value
 
 
-# The YAML type of a field by its annotation, for the fields read without a rule.
-_TYPES = {"int": int, "float": float, "str": str, "str | None": str, "float | None": float}
+# The YAML type of a field by its annotation less " | None", for the fields read without a rule.
+_TYPES = {"int": int, "float": float, "str": str, "float | str": (int, float, str)}
 
 
 def _read(cls, node, path: str, **rules):
@@ -83,20 +84,8 @@ def _read(cls, node, path: str, **rules):
             continue
         where = f"{path}.{f.name}"
         values[f.name] = (rules[f.name](node[f.name], where) if f.name in rules
-                          else _typed(node[f.name], _TYPES[f.type], where))
+                          else _typed(node[f.name], _TYPES[f.type.removesuffix(" | None")], where))
     return cls(**values)
-
-
-def _seed(value, where: str) -> int:
-    seed = _typed(value, int, where)
-    if not 0 <= seed < 2**64:  # the bound of --seed
-        raise ConfigError(f"{where}: must fit in an unsigned 64-bit integer, got {seed}")
-    return seed
-
-
-def _compositing(value, where: str):
-    _check_compositing(value, where)
-    return value
 
 
 def _unique(name: str, earlier, path: str) -> str:
@@ -125,7 +114,7 @@ def _variable_names(items, where: str) -> tuple[str, ...]:
 
 
 def _estimators(items, where: str) -> tuple[EstimatorSpec, ...]:
-    return tuple(_read(EstimatorSpec, item, f"{where}[{i}]", compositing=_compositing)
+    return tuple(_read(EstimatorSpec, item, f"{where}[{i}]")
                  for i, item in enumerate(_nonempty(items, where, "estimators")))
 
 
@@ -149,20 +138,13 @@ def _parse_population(node) -> PopulationConfig:
     population = _read(
         PopulationConfig, node, "population",
         schema=partial(_read, MicrodataSchema, variables=_variable_names),
-        synthetic=partial(_read, SyntheticPopSpec, seed=_seed, variables=_variables),
+        synthetic=partial(_read, SyntheticPopSpec, variables=_variables),
         propensities=_propensities)
     if population.path is None and population.synthetic is None:
         raise ConfigError("population: needs either 'path' (with 'schema') or 'synthetic'")
     if population.path is not None and population.schema is None:
         raise ConfigError("population: a csv path requires a 'schema' mapping")
     return population
-
-
-def _parse_scenario(node) -> ScenarioSpec:
-    scenario = _read(ScenarioSpec, node, "scenario", design=partial(_read, DesignSpec),
-                     estimators=_estimators, seed=_seed, compositing=_compositing)
-    scenario.validate()
-    return scenario
 
 
 def parse_config(doc: dict, sha256: str = "") -> RunConfig:
@@ -172,13 +154,17 @@ def parse_config(doc: dict, sha256: str = "") -> RunConfig:
         raise ConfigError("config: missing required section 'population'")
     scenario, output = doc.get("scenario"), doc.get("output")
     return RunConfig(population=_parse_population(doc["population"]),
-                     scenario=None if scenario is None else _parse_scenario(scenario),
+                     scenario=None if scenario is None else _read(
+                         ScenarioSpec, scenario, "scenario",
+                         design=partial(_read, DesignSpec), estimators=_estimators),
                      output=_read(OutputConfig, {} if output is None else output, "output"),
                      sha256=sha256)
 def load_config(path: str | Path) -> RunConfig:
-    raw = Path(path).read_bytes()
     try:
+        raw = Path(path).read_bytes()
         doc = yaml.safe_load(raw)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the configuration ({exc.strerror})") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML ({exc})") from None
     return parse_config(doc, sha256=hashlib.sha256(raw).hexdigest())

@@ -54,7 +54,7 @@ class DesignSpec:
     omega: float = 1.0          # unit subsampling fraction
     n_sub_psus: int = 0         # PSU subsampling count
 
-    def validate(self) -> None:
+    def __post_init__(self):
         at = "scenario.design"
         if self.kind not in {kind for kind, _ in ESTIMATORS}:
             raise ConfigError(f"{at}.kind: unknown design kind {self.kind!r}")
@@ -103,26 +103,28 @@ class ScenarioSpec:
     icc_planning: float = 0.0
     n_hat: str = "composite"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.iterations < 1:
             raise ConfigError(f"scenario.iterations: must be at least 1, got {self.iterations}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"scenario.seed: must be in [0, 2**64), got {self.seed}")
         if not self.estimators:
-            raise ConfigError("estimator list is empty")
+            raise ConfigError("scenario.estimators: estimator list is empty")
         if self.rule not in (*RULES, "stochastic", "as_is"):
             raise ConfigError(f"scenario.rule: unknown pseudopopulation rule {self.rule!r}")
-        self.design.validate()
         names = set()
         for i, spec in enumerate(self.estimators):
+            at = f"scenario.estimators[{i}]"
             if spec.id not in {id_ for _, id_ in ESTIMATORS}:
-                raise ConfigError(f"unknown estimator id {spec.id!r}")
+                raise ConfigError(f"{at}.id: unknown estimator id {spec.id!r}")
             if (self.design.kind, spec.id) not in ESTIMATORS:
-                raise ConfigError(f"estimator {spec.id} is not defined for the "
+                raise ConfigError(f"{at}.id: estimator {spec.id} is not defined for the "
                                   f"{self.design.kind} design")
             if spec.name in names:
-                raise ConfigError(f"duplicate estimator label {spec.name!r}")
+                raise ConfigError(f"{at}.label: duplicate estimator label {spec.name!r}")
             names.add(spec.name)
             if spec.compositing is not None:
-                _check_compositing(spec.compositing, f"scenario.estimators[{i}].compositing")
+                _check_compositing(spec.compositing, f"{at}.compositing")
         _check_compositing(self.compositing, "scenario.compositing")
         if not 0.0 <= self.icc_planning < 1.0:
             raise ConfigError(f"scenario.icc_planning must be in [0, 1), got {self.icc_planning}")
@@ -173,11 +175,13 @@ def stage_rng(master_seed: int, scen_key: int, iteration: int, stage: int) -> np
 
 
 def prepare_population(pop: Population, scenario: ScenarioSpec) -> Population:
-    """Apply a deterministic response rule once, ahead of the iterations."""
-    if scenario.rule == "stochastic" and pop.propensities is None:
-        raise ConfigError("stochastic rule requires a propensity table")
-    if scenario.rule == "as_is" and pop.labels is None:
-        raise ConfigError("rule 'as_is' requires a population with labels")
+    """Check the design against the population and apply a deterministic rule,
+    once, before any replicate; pool workers inherit the ``pps_frame`` built here."""
+    design = scenario.design
+    if design.n_unclustered > pop.n_households:
+        raise ConfigError(f"scenario.design.n_unclustered: {design.n_unclustered} exceeds "
+                          f"the population's {pop.n_households} households")
+    sampling.pps_frame(pop, design.n_psus, design.m_per_psu)
     if scenario.rule not in RULES:
         return pop
     rng = stage_rng(scenario.seed, scenario_key(scenario.id), 0, STAGE_RULE)
@@ -325,8 +329,8 @@ def _worker_chunk(span, args=None):
 def run_scenario(pop: Population, scenario: ScenarioSpec, jobs: int = 1,
                  progress: bool = False) -> Replicates:
     """Run all iterations, in chunks run in-process for one job or by a pool
-    of at most ``jobs`` worker processes; output is independent of ``jobs``."""
-    scenario.validate()
+    of at most ``jobs`` worker processes; output is independent of ``jobs``.
+    A replicate only draws and estimates: ``prepare_population`` checked the rest."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     truth = pop.y.sum(axis=0)

@@ -76,26 +76,26 @@ _MAX_CONTINUOUS = 1e150
 class Population:
     """Immutable roster of households.
 
-    ``labels`` is None for a raw (mode-only) population and becomes a
-    per-household response label once a rule is applied.  ``y`` has one
-    column per analysis variable.  ``propensities`` is the stochastic
-    rule's (3, 2) table of ``(phi_w, phi_f)``, read at a household's mode.
+    ``modes`` is each household's source mode; ``labels`` is None for a raw
+    population and a per-household response label once a rule is applied.
+    ``y`` has one column per analysis variable.  ``propensities`` is the
+    stochastic rule's (3, 2) table of ``(phi_w, phi_f)``, read by mode.
 
     A household is its row, and no household id is kept: the microdata
     reader checks the file's ids are distinct and drops them.
 
-    Construction checks the whole object: it is nonempty, ``y`` is a
-    finite (N, variables) array with N = ``len(psu_ids)``, ``labels`` has
-    length N, and a propensity table is valid, with modes set.  Copies
-    derived with ``with_labels`` or ``attach_propensities`` check only
-    the field they change, since the rest was checked before.  The checks
-    copy nothing population-sized: finiteness is read off ``y.min()`` and
-    ``y.max()``.
+    Construction checks the whole object, once per population: it is
+    nonempty, ``y`` is a finite (N, variables) array with N =
+    ``len(psu_ids)``, ``labels`` has length N, and a propensity table is
+    valid.  Copies made by ``with_labels`` (a rule's labels, one per row)
+    and ``attach_propensities`` (which checks its table) skip these checks,
+    which copy nothing population-sized: finiteness is read off ``y.min()``
+    and ``y.max()``.
     """
 
     psu_ids: np.ndarray
     y: np.ndarray
-    modes: np.ndarray | None
+    modes: np.ndarray
     labels: np.ndarray | None
     variable_names: tuple[str, ...]
     propensities: np.ndarray | None = None
@@ -115,7 +115,7 @@ class Population:
         if self.labels is not None and len(self.labels) != n:
             raise IntegrityError("labels length mismatch")
         if self.propensities is not None:
-            _check_propensities(self.propensities, self.modes)
+            _check_propensities(self.propensities)
 
     @property
     def n_households(self) -> int:
@@ -169,8 +169,6 @@ class Population:
         return rows if ix["members"] is None else ix["members"][rows]
 
     def with_labels(self, labels: np.ndarray) -> "Population":
-        if len(labels) != self.n_households:
-            raise IntegrityError("labels length mismatch")
         return _derive(self, labels=labels)
 
 
@@ -271,10 +269,12 @@ class SyntheticPopSpec:
     def share_ftf(self) -> float:
         return 1.0 - self.share_web - self.share_mail
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Raise a ValidationError, whose message starts with the config
         path of the field at fault, unless the spec can be generated."""
         at = _SPEC_PATH
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError(f"{at}.seed: must be in [0, 2**64), got {self.seed}")
         for key in ("n_psus", "households_min"):
             if getattr(self, key) < 1:
                 raise ValidationError(f"{at}.{key}: PSU and household counts must be positive")
@@ -407,7 +407,6 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
     ``mean[m] + b * u[p]``, so the population is bit for bit the one those
     expressions give.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     with _allocating("n_psus", spec.n_psus, "PSUs"):
         sizes = rng.integers(spec.households_min, spec.households_max + 1, spec.n_psus)
@@ -482,8 +481,6 @@ def build_pseudopopulation(raw: Population, rule: str, rng: np.random.Generator)
     shuffle the mode's households, first half becomes ftf respondents,
     remainder (plus the odd one) nonrespondents.
     """
-    if raw.modes is None:
-        raise IntegrityError("source mode is unset; cannot apply a response rule")
     table = np.array(RULES[rule], dtype=np.int8)
     labels = table[raw.modes]
     for mode in np.flatnonzero(table == _SPLIT):
@@ -507,9 +504,7 @@ def _propensity_fault(phi_w: float, phi_f: float) -> str | None:
     return None
 
 
-def _check_propensities(table: np.ndarray, modes: np.ndarray | None) -> None:
-    if modes is None:
-        raise IntegrityError("source mode is unset; propensities are read by mode")
+def _check_propensities(table: np.ndarray) -> None:
     if table.shape != (3, 2):
         raise IntegrityError(f"propensity table must be (3, 2), one row per mode, "
                              f"got {table.shape}")
@@ -522,7 +517,7 @@ def attach_propensities(pop: Population, by_mode: Mapping[str, tuple[float, floa
     """The population with the (3, 2) propensity table of ``by_mode``, the
     ``(phi_w, phi_f)`` pair of each mode name, checked once."""
     table = np.array([by_mode[name] for name in MODE_NAMES], dtype=float)
-    _check_propensities(table, pop.modes)
+    _check_propensities(table)
     return _derive(pop, propensities=table)
 
 
@@ -553,8 +548,6 @@ class StochasticLabels:
     """
 
     def __init__(self, pop: Population, rng: np.random.Generator):
-        if pop.propensities is None:
-            raise IntegrityError("population has no propensity table")
         self._u = rng.random(pop.n_households)
         self._modes, self._table = pop.modes, pop.propensities
 
@@ -837,8 +830,7 @@ def write_population_csv(pop: Population, path: str | Path) -> None:
         for rows in _chunks(pop.n_households):
             columns = [map(str, range(rows.start, rows.stop)),
                        map(str, pop.psu_ids[rows].tolist()),
-                       ([MODE_NAMES[m] for m in pop.modes[rows].tolist()]
-                        if pop.modes is not None else ["WEB"] * (rows.stop - rows.start)),
+                       [MODE_NAMES[m] for m in pop.modes[rows].tolist()],
                        *(map(repr, col) for col in pop.y[rows].T.tolist())]
             if pop.labels is not None:
                 columns.append([LABEL_NAMES[c] for c in pop.labels[rows].tolist()])

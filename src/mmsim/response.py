@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EstimationError
 from .population import LABEL_FTF, LABEL_WEB, StochasticLabels, _derive
 from .sampling import DrawnSample
 
@@ -65,9 +64,8 @@ def collect(sample: DrawnSample, labels: np.ndarray | StochasticLabels,
 
 
 def response_rates(sample: DrawnSample) -> ResponseRates:
-    """Design-weighted web, conditional ftf, and overall response rates."""
-    if sample.delta_w is None or sample.delta_f is None:
-        raise EstimationError("response indicators are unset")
+    """Design-weighted web, conditional ftf, and overall response rates of a
+    sample ``collect`` has set the response indicators of."""
     d = sample.d
     dw = sample.delta_w.astype(float)
     df = sample.delta_f.astype(float)

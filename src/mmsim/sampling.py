@@ -57,10 +57,7 @@ class DrawnSample:
       subsampled share of the sampled PSUs under PSU subsampling.  None
       when the sample has no follow-up phase.
 
-    Construction checks the design: positive weights, ``psus`` strictly
-    ascending, and ``ftf_rate`` in (0, 1].  ``response.collect`` and the
-    follow-up steps derive copies that set only response and follow-up
-    fields, never re-running these checks.
+    The draws here build a sample from a design checked before any replicate.
     """
 
     tag: str
@@ -73,14 +70,6 @@ class DrawnSample:
     in_ftf_subsample: np.ndarray | None = None
     delta_w: np.ndarray | None = None
     delta_f: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.d <= 0).any():
-            raise ValidationError("design weights must be positive")
-        if self.psus is not None and (self.psus[1:] <= self.psus[:-1]).any():
-            raise ValidationError("sampled PSU ids must be strictly ascending")
-        if self.ftf_rate is not None and not 0.0 < self.ftf_rate <= 1.0:
-            raise ValidationError(f"follow-up rate {self.ftf_rate} outside (0, 1]")
 
     @property
     def n_units(self) -> int:
@@ -95,8 +84,6 @@ class DrawnSample:
 def srswor(pop: Population, n: int, rng: np.random.Generator, tag: str = "S") -> DrawnSample:
     """Simple random sample without replacement; d = N/n for all units."""
     big_n = pop.n_households
-    if not 0 < n <= big_n:
-        raise ValidationError(f"sample size {n} outside 1..{big_n}")
     idx = rng.choice(big_n, n, replace=False, shuffle=False)
     idx.sort()
     return DrawnSample(
@@ -106,22 +93,25 @@ def srswor(pop: Population, n: int, rng: np.random.Generator, tag: str = "S") ->
     )
 
 
+def pps_frame(pop: Population, n_psus: int, m_per_psu: int) -> tuple:
+    """The checked design's float sizes, their total, PSU inclusion probabilities and
+    systematic points, kept with the PSU frame once per design; a large pi warns."""
+    return pop.frame_cache(("pps", n_psus, m_per_psu),
+                           lambda: _pps_frame(*pop.psu_frame(), n_psus, m_per_psu))
+
+
 def _pps_frame(psus: np.ndarray, sizes: np.ndarray, n_psus: int, m_per_psu: int) -> tuple:
-    """The design checks of ``two_stage_select`` and what a PPS draw needs
-    of the frame of PSU ids ``psus`` and household counts ``sizes`` alone,
-    checked once: float sizes, their total, every PSU's inclusion
-    probability, and the systematic points before the random start.
-    Warns, once per frame and design, when a probability is large."""
     too_small = np.flatnonzero(sizes < m_per_psu)
     if len(too_small):
         bad = int(too_small[0])
         raise ValidationError(
-            f"PSU {psus[bad]} has {sizes[bad]} households, fewer than the "
-            f"within-PSU take {m_per_psu} (conditional rate would exceed 1)"
+            f"scenario.design.m_per_psu: PSU {psus[bad]} has {sizes[bad]} households, "
+            f"fewer than the within-PSU take {m_per_psu} (conditional rate would exceed 1)"
         )
     sizes = np.asarray(sizes, dtype=float)
     if not 0 < n_psus <= len(sizes):
-        raise ValidationError(f"cannot select {n_psus} of {len(sizes)} PSUs")
+        raise ValidationError(f"scenario.design.n_psus: cannot select {n_psus} "
+                              f"of {len(sizes)} PSUs")
     total = sizes.sum()
     pi = n_psus * sizes / total
     if (pi >= 1.0 + 1e-12).any() or (n_psus * sizes.max() / total) > 1.0 + 1e-12:
@@ -140,7 +130,7 @@ def _pps_frame(psus: np.ndarray, sizes: np.ndarray, n_psus: int, m_per_psu: int)
 
 
 def _pps_draw(frame: tuple, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Randomized-order systematic PPS selection from a ``_pps_frame``: the
+    """Randomized-order systematic PPS selection from a ``pps_frame``: the
     selected frame indices and their inclusion probabilities."""
     sizes, step, pi, offsets = frame
     order = rng.permutation(len(sizes))
@@ -161,14 +151,11 @@ def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
     The within-PSU rate is m_per_psu/size, i.e. proportional to the
     reciprocal of the PSU probability, so the overall inclusion
     probability is f = n_psus*m_per_psu/N for every household and the
-    design is self-weighting with d = 1/f.  The checks and the PPS frame
-    depend only on the population and the design, so they are computed
-    once per population and kept with its PSU frame.
+    design is self-weighting with d = 1/f.  The PPS frame is ``pps_frame``'s,
+    computed once per population and design.
     """
     psus, sizes = pop.psu_frame()
-    frame = pop.frame_cache(("pps", n_psus, m_per_psu),
-                            lambda: _pps_frame(psus, sizes, n_psus, m_per_psu))
-    sel, _ = _pps_draw(frame, rng)
+    sel, _ = _pps_draw(pps_frame(pop, n_psus, m_per_psu), rng)
     f = n_psus * m_per_psu / pop.n_households
 
     sel_sizes = sizes[sel]
@@ -256,8 +243,6 @@ def subsample_psus(sample: DrawnSample, count: int,
     """Follow up all web nonrespondents in an equal-probability subset of
     ``count`` sampled PSUs.  The PSU choice ignores first-phase outcomes."""
     psus = sample.psus
-    if count > len(psus):
-        raise ValidationError(f"cannot subsample {count} of {len(psus)} PSUs")
     chosen = np.zeros(len(psus), dtype=bool)
     chosen[rng.permutation(len(psus))[:count]] = True
     flags = chosen[sample.psu_code] & (sample.delta_w == 0)

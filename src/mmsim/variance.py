@@ -10,7 +10,7 @@ follow-up subsampling, which keeps the estimator unbiased for the
 two-phase variance.
 
 No first-stage finite population correction is applied; a warning is
-emitted at sampling time when inclusion probabilities are large enough
+emitted, once per run, when inclusion probabilities are large enough
 to make that assumption questionable.
 """
 
@@ -20,7 +20,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError
 from .sampling import DrawnSample
 
 Z_95 = 1.96  # normal quantile for the 95 percent interval
@@ -36,8 +36,8 @@ def build_variance_units(sample: DrawnSample, rng: np.random.Generator) -> np.nd
     a subsampled: group i takes the i-th run of a subsampled PSUs and of
     b - a others, each list permuted from ascending id order.  Counts whose
     gcd is 1 give one group, which ``sample_variances`` rejects as fewer
-    than 2 variance units; ``DesignSpec.validate`` rejects such designs
-    when the config is read.
+    than 2 variance units; a ``DesignSpec`` rejects such designs when it is
+    made.
     """
     sub, non = np.flatnonzero(sample.psu_subsample), np.flatnonzero(~sample.psu_subsample)
     n_psus = len(sample.psus)
@@ -130,8 +130,6 @@ def confidence_interval(point, variance, truth=None):
     """
     point = np.asarray(point, dtype=float)
     variance = np.asarray(variance, dtype=float)
-    if (variance < 0).any():
-        raise ValidationError("variance must be nonnegative")
     half = Z_95 * np.sqrt(variance)
     low, high = point - half, point + half
     if truth is None:

@@ -9,7 +9,8 @@ from mmsim.variance import first_stage_units, sample_variances
 
 
 def make_population(y, psu_ids, modes=None, labels=None, variable_names=None):
-    """Hand-built population from per-household rows."""
+    """Hand-built population from per-household rows, all in the web mode
+    unless ``modes`` is given."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if y.shape[0] == 1 and len(psu_ids) > 1:
         y = y.T
@@ -17,7 +18,7 @@ def make_population(y, psu_ids, modes=None, labels=None, variable_names=None):
     return Population(
         psu_ids=np.asarray(psu_ids, dtype=np.int64),
         y=y,
-        modes=None if modes is None else np.asarray(modes, dtype=np.int8),
+        modes=np.zeros(len(psu_ids), np.int8) if modes is None else np.asarray(modes, np.int8),
         labels=None if labels is None else np.asarray(labels, dtype=np.int8),
         variable_names=tuple(names),
     )

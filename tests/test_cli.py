@@ -2,7 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -212,6 +215,10 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("scenario.iterations", "  iterations: 6\n", "  iterations: 0\n"),
     ("scenario.rule", "  rule: B\n", "  rule: E\n"),
     ("scenario.n_hat", "  seed: 77\n", "  seed: 77\n  n_hat: known\n"),
+    ("scenario.estimators[0].id", "    - {id: T2}\n", "    - {id: T9}\n"),
+    ("scenario.estimators[0].id", TWO_PHASE_DESIGN[0],
+     TWO_PHASE_DESIGN[1].replace("{id: T2}", "{id: TA}")),
+    ("scenario.estimators[1].label", "    - {id: TDF2}\n", "    - {id: TDF2, label: T2}\n"),
 ], ids=["scenario-seed", "synthetic-seed", "iterations", "n_psus", "icc_planning",
         "scenario-seed-2**64", "synthetic-seed-2**64", "icc_planning-negative",
         "icc_planning-5", "icc_planning-1", "icc_planning-nan", "compositing-1.5",
@@ -219,7 +226,8 @@ def test_unknown_key_rejected(tmp_path, capsys):
         "duplicate-variable", "estimator-compositing-foo", "estimator-compositing-true",
         "households_max-1e17", "households_max-2**63", "sd-1e300", "mean_web-1e308",
         "no-schema-variables", "design-kind", "m_per_psu-0", "omega-1.5", "n_sub_psus-9",
-        "iterations-0", "rule", "n_hat"])
+        "iterations-0", "rule", "n_hat", "estimator-id", "estimator-design",
+        "estimator-label"])
 def test_run_bad_yaml_number_is_config_error(tmp_path, capsys, field, old, new):
     text = POP_BLOCK + SCENARIO_BLOCK + f"output:\n  dir: {tmp_path}/out\n"
     assert old in text
@@ -479,6 +487,14 @@ def test_run_degenerate_results_exit_code(tmp_path):
 
 def test_missing_config_file(capsys):
     assert main(["run", "--config", "/nonexistent.yaml"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: /nonexistent.yaml: cannot read the configuration")
+
+
+def test_config_directory_is_config_error_naming_the_path(tmp_path, capsys):
+    # An unreadable file takes the same path; as root no file is unreadable.
+    assert main(["run", "--config", str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {tmp_path}: cannot read")
 
 
 def test_unknown_preset(capsys):
@@ -568,6 +584,86 @@ def test_failed_run_creates_no_output_directory(tmp_path, case, code):
     cfg = write_config(tmp_path, pop + scen + f"output:\n  dir: {tmp_path}/out\n" + extra)
     assert main(["run", "--config", str(cfg), "--quiet"]) == code
     assert not (tmp_path / "out").exists()
+
+
+def test_bad_synthetic_spec_is_config_error_before_the_cil_reference_is_read(tmp_path, capsys):
+    pop = POP_BLOCK.replace("households_max: 90", "households_max: 10")
+    cfg = write_config(tmp_path, pop + SCENARIO_BLOCK + f"""\
+output:
+  dir: {tmp_path}/out
+  cil_reference: {tmp_path / "missing.json"}
+""")
+    assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: population.synthetic.households_max: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, old, new", [
+    ("scenario.design.n_unclustered: 1000000000 exceeds the population's",
+     "n_unclustered: 200", "n_unclustered: 1000000000"),
+    ("scenario.design.n_psus: cannot select 61 of 60 PSUs", "n_psus: 8", "n_psus: 61"),
+    # POP_BLOCK's PSUs hold 70 to 90 households
+    ("scenario.design.m_per_psu: PSU 0 has ", "m_per_psu: 25", "m_per_psu: 91"),
+], ids=["n_unclustered", "n_psus", "m_per_psu"])
+def test_design_beyond_the_population_is_config_error_before_any_replicate(
+        tmp_path, capsys, monkeypatch, field, old, new):
+    from mmsim import montecarlo as mc
+
+    cfg = write_config(tmp_path, POP_BLOCK + SCENARIO_BLOCK.replace(old, new) +
+                       f"output:\n  dir: {tmp_path}/out\n")
+    ran = []
+    monkeypatch.setattr(mc, "run_iteration", lambda *args: ran.append(args))
+    assert main(["run", "--config", str(cfg), "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {field}")
+    assert "iterations" not in err  # no progress line: no chunk ran
+    assert ran == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_pps_warning_prints_once_per_run(tmp_path, jobs):
+    # 20 of 60 PSUs of 70 to 90 households: the largest pi is above 0.2
+    import mmsim
+
+    scen = SCENARIO_BLOCK.replace(TWO_PHASE_DESIGN[0], TWO_PHASE_DESIGN[1]).replace(
+        "n_psus: 8", "n_psus: 20")
+    cfg = write_config(tmp_path, POP_BLOCK + scen)
+    env = dict(os.environ, PYTHONPATH=str(Path(mmsim.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mmsim.cli", "run", "--config", str(cfg),
+                           "--quiet", "--jobs", jobs, "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("max PSU inclusion probability") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/x"])
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_output_dir_under_a_file_is_config_error_before_the_build(
+        tmp_path, capsys, monkeypatch, command, out):
+    from mmsim import cli
+
+    (tmp_path / "taken").write_text("")
+    cfg = write_config(tmp_path, POP_BLOCK + SCENARIO_BLOCK)
+    built = []
+    monkeypatch.setattr(cli, "_build_population", lambda cfg: built.append(cfg))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: output.dir: {tmp_path / 'taken'} exists and is not a directory")
+    assert built == []
+
+
+@pytest.mark.parametrize("command, blocked", [("run", "summary.csv"),
+                                              ("generate", "population.csv")])
+def test_unwritable_output_is_config_error_naming_output_dir(tmp_path, capsys, command, blocked):
+    # a directory where an output file goes
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    cfg = write_config(tmp_path, POP_BLOCK + SCENARIO_BLOCK)
+    quiet = ["--quiet"] if command == "run" else []
+    assert main([command, "--config", str(cfg), *quiet, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: output.dir: cannot write {tmp_path / 'out'}")
 
 
 def test_unbalanceable_psu_subsample_is_config_error_before_population(

@@ -141,7 +141,7 @@ def test_indivisible_counts_rejected(tmp_path, capsys):
                   "n_sub_psus": n_sub}
         with pytest.raises(ConfigError, match=rf"^scenario\.design\.n_sub_psus: {n_sub} of "
                                               rf"{n_psus} PSUs form gcd = 1 .* need at least 2$"):
-            DesignSpec(**design).validate()
+            DesignSpec(**design)
         doc = copy.deepcopy(BASE)
         doc["scenario"].update(design=design, estimators=[{"id": "T2"}])
         cfg = tmp_path / "run.yaml"

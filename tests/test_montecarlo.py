@@ -20,11 +20,11 @@ from mmsim.variance import confidence_interval
 from conftest import SMALL_SPEC, make_population
 
 
-def mini_hybrid(iterations=5, seed=99, rule="B", estimators=None):
+def mini_hybrid(iterations=5, seed=99, rule="B", estimators=None, design=None):
     return ScenarioSpec(
         id="MINI",
         rule=rule,
-        design=DesignSpec(kind="hybrid", n_unclustered=300, n_psus=12, m_per_psu=30),
+        design=design or DesignSpec(kind="hybrid", n_unclustered=300, n_psus=12, m_per_psu=30),
         estimators=tuple(estimators) if estimators is not None else (
             EstimatorSpec("T1"), EstimatorSpec("T2"), EstimatorSpec("TA"),
             EstimatorSpec("TDF1"), EstimatorSpec("TDF2"),
@@ -63,8 +63,8 @@ PARALLEL_CASES = (
 
 def test_parallel_and_serial_runs_agree(small_synthetic):
     for design, estimators in PARALLEL_CASES:
-        scen = replace(mini_hybrid(iterations=16, estimators=map(EstimatorSpec, estimators)),
-                       design=design)
+        scen = mini_hybrid(iterations=16, estimators=map(EstimatorSpec, estimators),
+                           design=design)
         serial = run_scenario(small_synthetic, scen, jobs=1)
         parallel = run_scenario(small_synthetic, scen, jobs=3)
         assert serial.labels == parallel.labels == estimators
@@ -246,34 +246,36 @@ def test_tdf1_without_web_respondents_records_the_first_failure(compositing, rea
 
 
 def test_unknown_estimator_id_rejected():
-    with pytest.raises(ConfigError, match="unknown estimator id 'T9'"):
-        mini_hybrid(estimators=[EstimatorSpec("T9")]).validate()
+    with pytest.raises(ConfigError, match=r"^scenario\.estimators\[0\]\.id: unknown estimator "
+                                          r"id 'T9'"):
+        mini_hybrid(estimators=[EstimatorSpec("T9")])
 
 
 def test_empty_estimator_list_rejected():
-    with pytest.raises(ConfigError, match="empty"):
-        mini_hybrid(estimators=[]).validate()
+    with pytest.raises(ConfigError, match=r"^scenario\.estimators: estimator list is empty"):
+        mini_hybrid(estimators=[])
 
 
 def test_design_estimator_mismatch_rejected():
-    scen = ScenarioSpec(
-        id="X", rule="B",
-        design=DesignSpec(kind="two_phase_unit", n_psus=10, m_per_psu=20, omega=0.5),
-        estimators=(EstimatorSpec("TA"),), iterations=1, seed=0,
-    )
-    with pytest.raises(ConfigError, match="TA"):
-        scen.validate()
+    with pytest.raises(ConfigError, match=r"^scenario\.estimators\[0\]\.id: estimator TA is not "
+                                          r"defined for the two_phase_unit design"):
+        ScenarioSpec(
+            id="X", rule="B",
+            design=DesignSpec(kind="two_phase_unit", n_psus=10, m_per_psu=20, omega=0.5),
+            estimators=(EstimatorSpec("TA"),), iterations=1, seed=0,
+        )
     with pytest.raises(ConfigError, match="T2_AltOmega"):
         ScenarioSpec(
             id="X", rule="B",
             design=DesignSpec(kind="two_phase_unit", n_psus=10, m_per_psu=20, omega=0.5),
             estimators=(EstimatorSpec("T2_AltOmega"),), iterations=1, seed=0,
-        ).validate()
+        )
 
 
 def test_duplicate_labels_rejected():
-    with pytest.raises(ConfigError, match="duplicate"):
-        mini_hybrid(estimators=[EstimatorSpec("TDF2"), EstimatorSpec("TDF2")]).validate()
+    with pytest.raises(ConfigError, match=r"^scenario\.estimators\[1\]\.label: duplicate "
+                                          r"estimator label 'TDF2'"):
+        mini_hybrid(estimators=[EstimatorSpec("TDF2"), EstimatorSpec("TDF2")])
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,6 @@ def replicates(draw, stochastic=False):
         compositing=draw(st.sampled_from(["effective", 0.0, 1.0])),
         icc_planning=0.02, n_hat=draw(st.sampled_from(["composite", "frame"])),
     )
-    scenario.validate()
     return scenario, mc.prepare_population(pop, scenario), draw(st.integers(0, 50))
 
 

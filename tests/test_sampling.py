@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import numpy as np
@@ -65,12 +64,6 @@ def test_srswor_inclusion_frequency():
     hits = sum(0 in srswor(pop, 10, rng).unit_idx for _ in range(reps))
     p = 10 / 40
     assert abs(hits / reps - p) <= 4 * math.sqrt(p * (1 - p) / reps)
-
-
-def test_srswor_rejects_oversize():
-    pop = make_population(np.zeros(5), np.zeros(5))
-    with pytest.raises(ValidationError):
-        srswor(pop, 6, np.random.default_rng(0))
 
 
 def test_ht_population_size_is_exact():
@@ -161,18 +154,6 @@ def test_two_stage_rejects_small_psu():
 def test_two_stage_units_belong_to_selected_psus(small_synthetic):
     s = two_stage_select(small_synthetic, 20, 60, np.random.default_rng(10))
     np.testing.assert_array_equal(s.psus[s.psu_code], small_synthetic.psu_ids[s.unit_idx])
-
-
-@pytest.mark.parametrize("psus, ftf_rate, message", [
-    ([8, 4], None, "sampled PSU ids must be strictly ascending"),
-    ([4, 4, 8], None, "sampled PSU ids must be strictly ascending"),
-    ([4, 8], 0.0, "follow-up rate 0.0 outside (0, 1]"),
-    (None, 1.5, "follow-up rate 1.5 outside (0, 1]"),
-])
-def test_malformed_design_facts_are_rejected(psus, ftf_rate, message):
-    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-        DrawnSample(tag="S", unit_idx=np.arange(4), d=np.ones(4),
-                    psus=None if psus is None else np.asarray(psus), ftf_rate=ftf_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +428,3 @@ def test_psu_followup_matches_the_id_definition(n_psus, seed):
         assert out.flags().tobytes() == flags.tobytes()
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
-
-def test_psu_subsample_rejects_overdraw():
-    s = _clustered_sample(n_psus=3)
-    with pytest.raises(ValidationError):
-        subsample_psus(s, 4, np.random.default_rng(19))

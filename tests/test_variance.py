@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmsim.errors import EstimationError, ValidationError
+from mmsim.errors import EstimationError
 from mmsim.estimators import (
     composite_total,
     followup_adjustment,
@@ -248,7 +248,3 @@ def test_boundary_truth_is_covered():
     _, _, covered = confidence_interval(100.0, 25.0, truth=np.nextafter(90.2, 0.0))
     assert not covered
 
-
-def test_negative_variance_rejected():
-    with pytest.raises(ValidationError):
-        confidence_interval(1.0, -1e-9)

@@ -46,7 +46,7 @@ def b1a():
     scenario = B1A.scenario
     pop = mc.prepare_population(generate_synthetic(B1A.population.synthetic), scenario)
     samples, _ = mc.draw_samples(scenario, pop, 0)
-    stats = {tag: est.sample_stats(s, np.take(pop.y, s.unit_idx, axis=0))
+    stats = {tag: est.sample_stats(s, pop.outcomes(s.unit_idx))
              for tag, s in samples.items()}
     return scenario, pop, samples, stats
 
@@ -54,7 +54,7 @@ def b1a():
 @pytest.mark.parametrize("tag", ["A", "B"])
 def test_sample_stats(benchmark, b1a, tag):
     _, pop, samples, _ = b1a
-    y = np.take(pop.y, samples[tag].unit_idx, axis=0)
+    y = pop.outcomes(samples[tag].unit_idx)
     st = benchmark(est.sample_stats, samples[tag], y)
     assert st.n_hat == pytest.approx(pop.n_households)
 
@@ -111,7 +111,7 @@ def test_first_stage_units(benchmark, b1a):
 def test_run_iteration(benchmark, b1a):
     """One whole warm b1a replicate: draws, estimates, variances, intervals."""
     scenario, pop, _, _ = b1a
-    truth, workspace = pop.y.sum(axis=0), {}
+    truth, workspace = pop.totals(), {}
     mc.run_iteration(scenario, pop, truth, 0, workspace)
     res = benchmark(mc.run_iteration, scenario, pop, truth, 1, workspace)
     assert len(res.cells) == len(scenario.estimators)
@@ -134,7 +134,7 @@ def test_psu_frame(benchmark, b1a):
     pop = b1a[1]
 
     def fresh():
-        return (Population(psu_ids=pop.psu_ids, y=pop.y, modes=pop.modes,
+        return (Population(psu_ids=pop.psu_ids, columns=pop.columns, modes=pop.modes,
                            labels=None, variable_names=pop.variable_names),), {}
 
     psus, sizes = benchmark.pedantic(Population.psu_frame, setup=fresh, rounds=10)
@@ -145,7 +145,7 @@ def test_psu_frame(benchmark, b1a):
 def stochastic_240k():
     n, rng = 240_000, np.random.default_rng(5)
     pop = Population(psu_ids=np.repeat(np.arange(2000, dtype=np.int64), n // 2000),
-                     y=np.ones((n, 1)), modes=rng.integers(0, 3, n).astype(np.int8),
+                     columns=(np.ones(n),), modes=rng.integers(0, 3, n).astype(np.int8),
                      labels=None, variable_names=("v1",))
     pop = attach_propensities(pop, {"WEB": (1.0, 0.0), "MAIL": (0.0, 0.5), "FTF": (0.0, 0.5)})
     return pop, np.sort(rng.choice(n, 5000, replace=False))

@@ -61,8 +61,7 @@ def main(argv=None) -> int:
     cil_cells: dict[str, list[float]] = {}
     raw = {}
     for sid, (scenario, pop, results) in collected.items():
-        truth = pop.y.sum(axis=0)
-        summary = mc.summarize(results, truth, pop.variable_names, sid)
+        summary = mc.summarize(results, results.truth, pop.variable_names, sid)
         raw[sid] = summary
         for row in summary.rows:
             if row.variable != mc.AGGREGATE:
@@ -77,8 +76,7 @@ def main(argv=None) -> int:
         writer.writerow(["scenario", "estimator", "variable", "rb", "cv", "rrmse",
                          "coverage", "abs_rb", "norm_cil", "degenerate"])
         for sid, (scenario, pop, results) in collected.items():
-            truth = pop.y.sum(axis=0)
-            summary = mc.summarize(results, truth, pop.variable_names, sid,
+            summary = mc.summarize(results, results.truth, pop.variable_names, sid,
                                    cil_reference=reference)
             sub = out / sid.lower()
             sub.mkdir(exist_ok=True)

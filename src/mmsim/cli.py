@@ -62,12 +62,12 @@ def _population_report(pop: Population) -> dict:
     in_mode = [pop.modes == code for code in range(len(MODE_NAMES))]
     shares = {name: float(mask.mean()) for name, mask in zip(MODE_NAMES, in_mode)}
     means = {
-        name: {v: float(pop.y[mask, j].mean()) if mask.any() else None
-               for j, v in enumerate(pop.variable_names)}
+        name: {v: float(col[mask].mean()) if mask.any() else None
+               for col, v in zip(pop.columns, pop.variable_names)}
         for name, mask in zip(MODE_NAMES, in_mode)
     }
     codes = pop.psu_codes()
-    icc = {v: _icc_or_none(pop.y[:, j], codes) for j, v in enumerate(pop.variable_names)}
+    icc = {v: _icc_or_none(col, codes) for col, v in zip(pop.columns, pop.variable_names)}
     return {"n_households": pop.n_households,
             "n_psus": len(pop.psu_frame()[0]),
             "mode_shares": shares, "mode_means": means, "icc_estimates": icc}

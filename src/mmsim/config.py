@@ -61,7 +61,9 @@ def _typed(value, types, where: str):
         value = float(value)
     # bool is a subclass of int, but YAML's true/false is never a number
     if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigError(f"{where}: expected {types}, got {type(value).__name__}")
+        *others, last = [t.__name__ for t in (types if isinstance(types, tuple) else (types,))]
+        expected = f"{', '.join(others)} or {last}" if others else last
+        raise ConfigError(f"{where}: expected {expected}, got {type(value).__name__}")
     return value
 
 

@@ -195,7 +195,7 @@ class _Replicate:
 
     def __init__(self, scenario: ScenarioSpec, pop: Population, samples: dict, plans: dict):
         self.scenario, self.pop, self._factors = scenario, pop, {}
-        self.stats = {tag: est.sample_stats(s, np.take(pop.y, s.unit_idx, axis=0))
+        self.stats = {tag: est.sample_stats(s, pop.outcomes(s.unit_idx))
                       for tag, s in samples.items()}
         self.units = {tag: variance.first_stage_units(s, plans.get(tag))
                       for tag, s in samples.items()}
@@ -333,7 +333,7 @@ def run_scenario(pop: Population, scenario: ScenarioSpec, jobs: int = 1,
     A replicate only draws and estimates: ``prepare_population`` checked the rest."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    truth = pop.y.sum(axis=0)
+    truth = pop.totals()
     for name, total in zip(pop.variable_names, truth):
         if total == 0:
             raise DataError(f"variable {name!r} has a population total of 0, so its "

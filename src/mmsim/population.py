@@ -78,23 +78,26 @@ class Population:
 
     ``modes`` is each household's source mode; ``labels`` is None for a raw
     population and a per-household response label once a rule is applied.
-    ``y`` has one column per analysis variable.  ``propensities`` is the
-    stochastic rule's (3, 2) table of ``(phi_w, phi_f)``, read by mode.
+    ``columns`` has one array per analysis variable, ``uint8`` for a
+    synthetic binary one and float64 otherwise; ``outcomes(rows)`` gathers
+    rows as float64.  ``y``, every row's outcomes, is a copy built on each
+    read that no run reads.  ``propensities`` is the stochastic rule's
+    (3, 2) table of ``(phi_w, phi_f)``, read by mode.
 
     A household is its row, and no household id is kept: the microdata
     reader checks the file's ids are distinct and drops them.
 
     Construction checks the whole object, once per population: it is
-    nonempty, ``y`` is a finite (N, variables) array with N =
+    nonempty, there is one finite length-N column per variable with N =
     ``len(psu_ids)``, ``labels`` has length N, and a propensity table is
     valid.  Copies made by ``with_labels`` (a rule's labels, one per row)
     and ``attach_propensities`` (which checks its table) skip these checks,
-    which copy nothing population-sized: finiteness is read off ``y.min()``
-    and ``y.max()``.
+    which copy nothing population-sized: finiteness is read off each
+    column's minimum and maximum.
     """
 
     psu_ids: np.ndarray
-    y: np.ndarray
+    columns: tuple[np.ndarray, ...]
     modes: np.ndarray
     labels: np.ndarray | None
     variable_names: tuple[str, ...]
@@ -105,12 +108,11 @@ class Population:
         n = len(self.psu_ids)
         if n == 0:
             raise IntegrityError("population is empty")
-        if self.y.shape != (n, len(self.variable_names)):
-            raise IntegrityError(
-                f"outcome matrix shape {self.y.shape} does not match "
-                f"{n} households x {len(self.variable_names)} variables"
-            )
-        if self.y.size and not np.isfinite([self.y.min(), self.y.max()]).all():
+        shapes = [c.shape for c in self.columns]
+        if shapes != [(n,)] * len(self.variable_names):
+            raise IntegrityError(f"outcome column shapes {shapes} do not match "
+                                 f"{n} households x {len(self.variable_names)} variables")
+        if not np.isfinite([[c.min(), c.max()] for c in self.columns]).all():
             raise IntegrityError("outcome matrix has non-finite values")
         if self.labels is not None and len(self.labels) != n:
             raise IntegrityError("labels length mismatch")
@@ -120,6 +122,19 @@ class Population:
     @property
     def n_households(self) -> int:
         return len(self.psu_ids)
+
+    y = property(lambda self: self.outcomes(slice(None)))
+
+    def outcomes(self, rows) -> np.ndarray:
+        """C-contiguous float64 [rows, variables] outcomes at an index array or slice."""
+        return np.stack([c[rows] for c in self.columns], axis=1).astype(float, copy=False)
+
+    def totals(self) -> np.ndarray:
+        """Each variable's population total, bit for bit ``y.sum(axis=0)``
+        without building ``y``.  That sum adds a lone column pairwise and
+        each of several in row order; a 0/1 column's count is exact in any."""
+        return np.array([c.sum(dtype=float) if len(self.columns) == 1 or c.dtype == np.uint8
+                         else _row_order_sum(c) for c in self.columns])
 
     def psu_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct PSU ids, ascending, and their household counts.
@@ -179,6 +194,14 @@ def _derive(obj, **changes):
     new = object.__new__(type(obj))
     vars(new).update(vars(obj), **changes)
     return new
+
+
+def _row_order_sum(col: np.ndarray) -> float:
+    """``col``'s sum, added in row order one chunk at a time."""
+    total = 0.0
+    for rows in _chunks(len(col)):
+        total = np.add.accumulate(np.concatenate([[total], col[rows]]))[-1]
+    return total
 
 
 def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -393,11 +416,11 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
     """Generate a raw clustered population (modes assigned, labels unset).
 
     Households are drawn in row chunks written straight into the
-    preallocated ``modes`` and ``y``, so the build needs the population's
-    own arrays plus one chunk of temporaries.  Each step continues the
-    generator stream chunk by chunk, which reproduces its unchunked draw
-    bit for bit: the population and the generator's final state do not
-    depend on the chunk size.
+    preallocated ``modes`` and ``columns``, so the build needs the
+    population's own arrays plus one chunk of temporaries.  Each step
+    continues the generator stream chunk by chunk, which reproduces its
+    unchunked draw bit for bit: the population and the generator's final
+    state do not depend on the chunk size.
 
     What is constant within a PSU is computed once per PSU: the mode
     thresholds, and each variable's outcome probability or mean as a table
@@ -414,7 +437,7 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
     with _allocating("households_max", n, "households"):
         psu_ids = np.repeat(np.arange(spec.n_psus, dtype=np.int64), sizes)
         modes = np.empty(n, dtype=np.int8)
-        y = np.empty((n, len(spec.variables)))
+        columns = tuple(np.empty(n, "u1" if v.kind == "binary" else "f8") for v in spec.variables)
     chunks = _chunks(n)
     # Chunk buffers for the uniforms, the PSU or cell values read per
     # household and the cell codes: a new chunk-sized temporary per chunk
@@ -442,7 +465,7 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
     # success probability or mean is a table over (PSU, mode) cells, read
     # at cell psu * 3 + mode.
     shares = _mode_shares(spec)
-    for j, v in enumerate(spec.variables):
+    for col, v in zip(columns, spec.variables):
         u_psu = rng.uniform(-_SQRT3, _SQRT3, spec.n_psus)[:, None]
         mode_means = v.mode_means()
         if v.kind == "binary":
@@ -459,14 +482,14 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
             cell += modes[rows]
             if v.kind == "binary":
                 np.less(rng.random(out=draws[:k]), table.take(cell, out=values[:k]),
-                        out=y[rows, j])
+                        out=col[rows])
             else:
                 np.add(table.take(cell, out=values[:k]), rng.normal(0.0, sd_within, k),
-                       out=y[rows, j])
+                       out=col[rows])
 
     return Population(
         psu_ids=psu_ids,
-        y=y,
+        columns=columns,
         modes=modes,
         labels=None,
         variable_names=tuple(v.name for v in spec.variables),
@@ -610,7 +633,7 @@ def load_microdata(path: str | Path, schema: MicrodataSchema) -> Population:
     if (dup := _first_duplicate(ids)) is not None:  # the one check not made while reading
         row = np.flatnonzero(ids == dup)[1]
         raise IntegrityError(f"{_where(path, row)}: duplicate household id {dup}")
-    return Population(psu_ids=psu_ids, y=y, modes=modes, labels=labels,
+    return Population(psu_ids=psu_ids, columns=tuple(y.T), modes=modes, labels=labels,
                       variable_names=tuple(schema.variables))
 
 
@@ -831,7 +854,7 @@ def write_population_csv(pop: Population, path: str | Path) -> None:
             columns = [map(str, range(rows.start, rows.stop)),
                        map(str, pop.psu_ids[rows].tolist()),
                        [MODE_NAMES[m] for m in pop.modes[rows].tolist()],
-                       *(map(repr, col) for col in pop.y[rows].T.tolist())]
+                       *(map(repr, col) for col in pop.outcomes(rows).T.tolist())]
             if pop.labels is not None:
                 columns.append([LABEL_NAMES[c] for c in pop.labels[rows].tolist()])
             fh.writelines(",".join(row) + "\n" for row in zip(*columns))

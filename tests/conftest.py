@@ -17,7 +17,7 @@ def make_population(y, psu_ids, modes=None, labels=None, variable_names=None):
     names = variable_names or tuple(f"v{j + 1}" for j in range(y.shape[1]))
     return Population(
         psu_ids=np.asarray(psu_ids, dtype=np.int64),
-        y=y,
+        columns=tuple(y.T.copy()),
         modes=np.zeros(len(psu_ids), np.int8) if modes is None else np.asarray(modes, np.int8),
         labels=None if labels is None else np.asarray(labels, dtype=np.int8),
         variable_names=tuple(names),

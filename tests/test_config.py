@@ -149,3 +149,16 @@ def test_indivisible_counts_rejected(tmp_path, capsys):
         assert main(["run", "--config", str(cfg), "--quiet", "--out", str(tmp_path / "out")]) == 2
         assert f"scenario.design.n_sub_psus: {n_sub} of {n_psus} PSUs" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("scenario", "compositing"), [1], "scenario.compositing: expected int, float or str, got list"),
+    (("scenario", "iterations"), True, "scenario.iterations: expected int, got bool"),
+])
+def test_wrong_type_names_the_expected_types(tmp_path, capsys, path, value, message):
+    doc = copy.deepcopy(BASE)
+    _at(doc, path[:-1])[path[-1]] = value
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["run", "--config", str(cfg), "--quiet", "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err

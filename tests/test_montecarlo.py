@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmsim import montecarlo as mc
+from mmsim.cli import main
 from mmsim.errors import ConfigError, DegenerateResultsError
 from mmsim.montecarlo import (
     AGGREGATE,
@@ -15,7 +16,7 @@ from mmsim.montecarlo import (
     run_scenario,
     summarize,
 )
-from mmsim.population import MODE_WEB, generate_synthetic
+from mmsim.population import MODE_WEB, Population, generate_synthetic
 from mmsim.variance import confidence_interval
 from conftest import SMALL_SPEC, make_population
 
@@ -393,3 +394,55 @@ def test_runtime_benchmark(small_synthetic):
     t0 = time.time()
     run_scenario(small_synthetic, scen)
     assert time.time() - t0 < 60  # generous CI bound; ~1s in practice
+
+
+# A synthetic population block, or a microdata file of the same population
+# under the stochastic rule, and a hybrid run on it.
+GUARD_SYNTHETIC = """\
+population:
+  synthetic:
+    n_psus: 40
+    households_min: 20
+    households_max: 30
+    share_web: 0.48
+    share_mail: 0.26
+    icc_outcome: 0.02
+    seed: 3
+    variables:
+      - {name: v1, kind: binary, mean_web: 0.88, mean_mail: 0.82, mean_ftf: 0.77}
+      - {name: inc, kind: continuous, mean_web: 0.75, mean_mail: 0.62, mean_ftf: 0.52, sd: 0.55}
+"""
+GUARD_MICRODATA = """\
+population:
+  path: {path}
+  schema:
+    variables: [v1, inc]
+  propensities: {{WEB: [0.6, 0.3], MAIL: [0.3, 0.4], FTF: [0.15, 0.45]}}
+"""
+GUARD_RUN = """\
+scenario:
+  id: GUARD
+  rule: {rule}
+  iterations: 3
+  seed: 5
+  design: {{kind: hybrid, n_unclustered: 100, n_psus: 8, m_per_psu: 10}}
+  estimators: [{{id: T1}}, {{id: T2}}, {{id: TA}}, {{id: TDF1}}, {{id: TDF2}}]
+"""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_generate_and_run_never_build_the_outcome_matrix(tmp_path, monkeypatch, jobs):
+    def refuse(self):
+        raise AssertionError("Population.y read outside the tests")
+
+    monkeypatch.setattr(Population, "y", property(refuse))
+    synthetic, microdata = tmp_path / "synthetic.yaml", tmp_path / "microdata.yaml"
+    synthetic.write_text(GUARD_SYNTHETIC + GUARD_RUN.format(rule="B"))
+    microdata.write_text(GUARD_MICRODATA.format(path=tmp_path / "pop" / "population.csv")
+                         + GUARD_RUN.format(rule="stochastic"))
+    assert main(["generate", "--config", str(synthetic), "--out", str(tmp_path / "pop")]) == 0
+    for cfg in (synthetic, microdata):
+        out = tmp_path / cfg.stem
+        assert main(["run", "--config", str(cfg), "--jobs", jobs, "--quiet",
+                     "--out", str(out)]) == 0
+        assert (out / "summary.csv").exists()

@@ -176,7 +176,7 @@ def _traced_peak(fn):
 
 
 def _nbytes(pop):
-    return sum(a.nbytes for a in (pop.psu_ids, pop.y, pop.modes))
+    return sum(a.nbytes for a in (pop.psu_ids, *pop.columns, pop.modes))
 
 
 LARGE_SPEC = SyntheticPopSpec(
@@ -208,6 +208,43 @@ def test_load_microdata_peak_is_population_plus_a_few_chunks(tmp_path, monkeypat
         8 * chunk * (3 + len(schema.variables)) * 8
 
 
+def test_generate_peak_is_below_a_float64_outcome_matrix(monkeypatch):
+    # 2 of LARGE_SPEC's 3 variables are binary: one byte per household each
+    monkeypatch.setattr(population_mod, "_CHUNK_ROWS", 2**12)
+    pop, peak = _traced_peak(lambda: generate_synthetic(LARGE_SPEC))
+    matrix = pop.n_households * len(pop.variable_names) * 8
+    assert [c.dtype for c in pop.columns] == [np.uint8, np.uint8, np.float64]
+    assert peak < pop.psu_ids.nbytes + pop.modes.nbytes + matrix
+
+
+BINARY, CONTINUOUS = SMALL_SPEC.variables[0], SMALL_SPEC.variables[2]
+
+
+@pytest.mark.parametrize("kinds", ["b", "c", "bc", "cc", "bb", "bbbbbc", "cccccc", "bcbcbc"])
+@pytest.mark.parametrize("from_file", [False, True])
+def test_totals_are_the_outcome_matrix_sum_bit_for_bit(monkeypatch, kinds, from_file):
+    monkeypatch.setattr(population_mod, "_CHUNK_ROWS", 2**11)
+    variables = tuple(dataclasses.replace(BINARY if k == "b" else CONTINUOUS, name=f"v{j}")
+                      for j, k in enumerate(kinds))
+    pop = generate_synthetic(dataclasses.replace(SMALL_SPEC, variables=variables))
+    if from_file:  # float64 columns that are views of one row-major block
+        pop = dataclasses.replace(pop, columns=tuple(pop.y.T))
+    assert pop.n_households > 5 * 2**11
+    y = pop.y
+    assert y.dtype == np.float64 and y.flags.c_contiguous
+    assert y.shape == (pop.n_households, len(kinds))
+    assert pop.totals().tobytes() == y.sum(axis=0).tobytes()
+
+
+def test_outcomes_are_rows_of_the_outcome_matrix(small_synthetic):
+    pop = small_synthetic
+    idx = np.random.default_rng(0).choice(pop.n_households, 500)
+    for rows in (idx, slice(7, 700)):
+        got = pop.outcomes(rows)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == pop.y[rows].tobytes()
+
+
 def test_psu_frame_allocates_little_beyond_members():
     pop = generate_synthetic(LARGE_SPEC)
     _, peak = _traced_peak(pop.psu_frame)
@@ -233,7 +270,7 @@ def test_psu_frame_of_sorted_ids_keeps_no_member_rows():
 def test_constructing_with_ascending_ids_copies_no_id_column():
     pop = generate_synthetic(LARGE_SPEC)
     _, peak = _traced_peak(lambda: Population(
-        psu_ids=pop.psu_ids, y=pop.y, modes=pop.modes, labels=None,
+        psu_ids=pop.psu_ids, columns=pop.columns, modes=pop.modes, labels=None,
         variable_names=pop.variable_names))
     assert peak < pop.n_households * 8 / 2
 
@@ -542,7 +579,7 @@ def test_population_writer_matches_row_by_row_writer(tmp_path, with_labels):
     n = 300
     y = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
     y[:4, 0] = [-0.0, 0.0, 5e-324, 1.7976931348623157e308]
-    pop = Population(psu_ids=rng.integers(-2**62, 2**62, n), y=y,
+    pop = Population(psu_ids=rng.integers(-2**62, 2**62, n), columns=tuple(y.T),
                      modes=rng.integers(0, 3, n).astype(np.int8),
                      labels=rng.integers(0, 3, n).astype(np.int8) if with_labels else None,
                      variable_names=("v1", "odd, \"name\"", "v3"))
@@ -551,12 +588,20 @@ def test_population_writer_matches_row_by_row_writer(tmp_path, with_labels):
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
+@pytest.mark.parametrize("columns", [(np.ones(3),), (np.ones(3), np.ones(2)),
+                                     (np.ones(3), np.ones((3, 1)))])
+def test_population_needs_one_column_per_variable_and_household(columns):
+    with pytest.raises(IntegrityError, match="do not match 3 households x 2 variables"):
+        Population(psu_ids=np.zeros(3, dtype=np.int64), columns=columns,
+                   modes=np.zeros(3, np.int8), labels=None, variable_names=("a", "b"))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_population_rejects_non_finite_outcomes(value):
     y = np.ones((3, 2))
     y[1, 1] = value
     with pytest.raises(IntegrityError, match="non-finite"):
-        Population(psu_ids=np.zeros(3, dtype=np.int64), y=y,
+        Population(psu_ids=np.zeros(3, dtype=np.int64), columns=tuple(y.T),
                    modes=np.zeros(3, np.int8), labels=None, variable_names=("a", "b"))
 
 

@@ -76,8 +76,7 @@ class SampleStats:
     """Design-weighted masses, mode sums and means of one sample."""
 
     sample: DrawnSample
-    y: np.ndarray
-    yt: np.ndarray  # y variables-major, [K, n], the layout of the scores
+    yt: np.ndarray  # outcomes variables-major, [K, n], the layout of the scores
     d: np.ndarray
     dw: np.ndarray
     df: np.ndarray
@@ -103,21 +102,22 @@ class SampleStats:
         return self.yt - self.ybar_f[:, None]
 
 
-def sample_stats(sample: DrawnSample, y: np.ndarray) -> SampleStats:
-    """The statistics every estimator reads of ``sample`` with outcomes ``y``."""
+def sample_stats(sample: DrawnSample, yt: np.ndarray) -> SampleStats:
+    """The statistics every estimator reads of ``sample`` with [K, n] outcomes
+    ``yt``; its sums are numpy reductions along rows of ``yt``, not BLAS."""
     d = sample.d
     dw = sample.delta_w.astype(float)
     df = sample.delta_f.astype(float)
     elig = sample.flags().astype(float)
     d_w, d_f, d_m = d * dw, d * df, d * (1.0 - dw)
     w_hat, f_hat = float(d_w.sum()), float(d_f.sum())
-    a_w, a_f = d_w @ y, d_f @ y
+    a_w, a_f = (yt * d_w).sum(axis=1), (yt * d_f).sum(axis=1)
     return SampleStats(
-        sample=sample, y=y, yt=np.ascontiguousarray(y.T), d=d, dw=dw, df=df, elig=elig,
+        sample=sample, yt=yt, d=d, dw=dw, df=df, elig=elig,
         n_hat=float(d.sum()), w_hat=w_hat, m_hat=float(d_m.sum()),
         me_hat=float((d_m * elig).sum()), f_hat=f_hat, a_w=a_w, a_f=a_f,
-        ybar_w=a_w / w_hat if w_hat > 0 else np.full(y.shape[1], np.nan),
-        ybar_f=a_f / f_hat if f_hat > 0 else np.full(y.shape[1], np.nan),
+        ybar_w=a_w / w_hat if w_hat > 0 else np.full(len(yt), np.nan),
+        ybar_f=a_f / f_hat if f_hat > 0 else np.full(len(yt), np.nan),
     )
 
 
@@ -134,7 +134,7 @@ def uniform_adjustment(st: SampleStats) -> EstimatorResult:
     if num <= 0.0:
         raise DegenerateEstimate("no respondents; overall response rate is zero")
     r_hat = num / st.n_hat
-    total = (dg @ st.y) / r_hat
+    total = (st.yt * dg).sum(axis=1) / r_hat
     ybar_t = total / st.n_hat
     # d * (ybar_t + (g / R) * (y - ybar_t))
     e = st.yt - ybar_t[:, None]
@@ -234,7 +234,7 @@ def web_composite(sa: SampleStats, sb: SampleStats, kappa: float,
     # respondents carry the nonrespondents
     shares = ((sa, kappa, False), (sb, 1.0 - kappa, carried))
 
-    k = sa.y.shape[1]
+    k = len(sa.yt)
     pooled_web = np.zeros(k)
     for st, part, _ in shares:
         if part > 0.0:

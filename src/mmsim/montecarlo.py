@@ -466,21 +466,18 @@ def summarize(results: Replicates, truth: np.ndarray,
             ))
 
         # Variable-averaged row with MC errors that respect the
-        # within-iteration correlation across variables.
+        # within-iteration correlation across variables; RRMSE's by the delta
+        # method, as the MC error of each row's gradient-weighted sq.
         rel_agg, cv_agg, cover_agg = rel.mean(axis=1), cv_i.mean(axis=1), covered.mean(axis=1)
-        se_rrmse_agg = float("nan")
-        if n > 1:
-            with np.errstate(divide="ignore"):
-                grad = np.where(m_sq > 0, 1.0 / (2.0 * k * np.sqrt(m_sq)), 0.0)
-            cov_sq = np.cov(sq, rowvar=False).reshape(k, k)
-            se_rrmse_agg = float(np.sqrt(max(grad @ cov_sq @ grad, 0.0) / n))
+        with np.errstate(divide="ignore"):
+            grad = np.where(m_sq > 0, 1.0 / (2.0 * k * np.sqrt(m_sq)), 0.0)
         norm_vals = [mean_cil[j] / cil_reference[v]
                      for j, v in enumerate(variable_names) if cil_reference.get(v)]
         rows.append(SummaryRow(
             estimator=label, variable=AGGREGATE, n_used=n, degenerate=degenerate,
             rb=float(rel_agg.mean()), se_rb=float(_mc_se(rel_agg)),
             cv=float(cv_agg.mean()), se_cv=float(_mc_se(cv_agg)),
-            rrmse=float(rrmse.mean()), se_rrmse=se_rrmse_agg,
+            rrmse=float(rrmse.mean()), se_rrmse=float(_mc_se((sq * grad).sum(axis=1))),
             coverage=float(cover_agg.mean()), se_coverage=float(_mc_se(cover_agg)),
             abs_rb=float(np.abs(rb).mean()),
             mean_cil=float(mean_cil.mean()),

@@ -47,8 +47,10 @@ RULES = {"A": (LABEL_WEB, LABEL_FTF, LABEL_NONE), "B": (LABEL_WEB, _SPLIT, _SPLI
 
 _SQRT3 = math.sqrt(3.0)
 
-# Households per chunk when a population is generated, read or written out.
+# Households per chunk when a population is generated or read, and when it
+# is written out as Python strings.
 _CHUNK_ROWS = 2**16
+_WRITE_ROWS = 2**13
 
 # Characters of a mode or label field np.loadtxt keeps: it cuts a longer
 # field to this width, so a field that fills it is read again in full.
@@ -80,9 +82,9 @@ class Population:
     population and a per-household response label once a rule is applied.
     ``columns`` has one array per analysis variable, ``uint8`` for a
     synthetic binary one and float64 otherwise; ``outcomes(rows)`` gathers
-    rows as float64.  ``y``, every row's outcomes, is a copy built on each
-    read that no run reads.  ``propensities`` is the stochastic rule's
-    (3, 2) table of ``(phi_w, phi_f)``, read by mode.
+    rows as float64, variables-major.  ``y``, every row's outcomes row-major,
+    is a copy built on each read that no run reads.  ``propensities`` is the
+    stochastic rule's (3, 2) table of ``(phi_w, phi_f)``, read by mode.
 
     A household is its row, and no household id is kept: the microdata
     reader checks the file's ids are distinct and drops them.
@@ -123,11 +125,11 @@ class Population:
     def n_households(self) -> int:
         return len(self.psu_ids)
 
-    y = property(lambda self: self.outcomes(slice(None)))
+    y = property(lambda self: np.stack(self.columns, axis=1).astype(float, copy=False))
 
     def outcomes(self, rows) -> np.ndarray:
-        """C-contiguous float64 [rows, variables] outcomes at an index array or slice."""
-        return np.stack([c[rows] for c in self.columns], axis=1).astype(float, copy=False)
+        """C-contiguous float64 [variables, rows] outcomes at an index array or slice."""
+        return np.stack([c[rows] for c in self.columns]).astype(float, copy=False)
 
     def totals(self) -> np.ndarray:
         """Each variable's population total, bit for bit ``y.sum(axis=0)``
@@ -199,7 +201,7 @@ def _derive(obj, **changes):
 def _row_order_sum(col: np.ndarray) -> float:
     """``col``'s sum, added in row order one chunk at a time."""
     total = 0.0
-    for rows in _chunks(len(col)):
+    for rows in _chunks(len(col), _CHUNK_ROWS):
         total = np.add.accumulate(np.concatenate([[total], col[rows]]))[-1]
     return total
 
@@ -396,9 +398,9 @@ def _response_loading(spec: SyntheticPopSpec) -> float:
     return math.sqrt(spec.icc_response * spec.share_web * (1.0 - spec.share_web))
 
 
-def _chunks(n: int) -> list[slice]:
-    """Consecutive row slices of at most ``_CHUNK_ROWS`` rows covering ``n`` rows."""
-    return [slice(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
+def _chunks(n: int, size: int) -> list[slice]:
+    """Consecutive row slices of at most ``size`` rows covering ``n`` rows."""
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 @contextmanager
@@ -438,7 +440,7 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
         psu_ids = np.repeat(np.arange(spec.n_psus, dtype=np.int64), sizes)
         modes = np.empty(n, dtype=np.int8)
         columns = tuple(np.empty(n, "u1" if v.kind == "binary" else "f8") for v in spec.variables)
-    chunks = _chunks(n)
+    chunks = _chunks(n, _CHUNK_ROWS)
     # Chunk buffers for the uniforms, the PSU or cell values read per
     # household and the cell codes: a new chunk-sized temporary per chunk
     # would cost fresh page faults.
@@ -850,11 +852,11 @@ def write_population_csv(pop: Population, path: str | Path) -> None:
     with Path(path).open("w", newline="") as fh:
         # Only the header can hold a comma or quote, so only it goes through csv.
         csv.writer(fh, lineterminator="\n").writerow(header)
-        for rows in _chunks(pop.n_households):
+        for rows in _chunks(pop.n_households, _WRITE_ROWS):
             columns = [map(str, range(rows.start, rows.stop)),
                        map(str, pop.psu_ids[rows].tolist()),
                        [MODE_NAMES[m] for m in pop.modes[rows].tolist()],
-                       *(map(repr, col) for col in pop.outcomes(rows).T.tolist())]
+                       *(map(repr, col) for col in pop.outcomes(rows).tolist())]
             if pop.labels is not None:
                 columns.append([LABEL_NAMES[c] for c in pop.labels[rows].tolist()])
             fh.writelines(",".join(row) + "\n" for row in zip(*columns))

@@ -114,7 +114,7 @@ def _pps_frame(psus: np.ndarray, sizes: np.ndarray, n_psus: int, m_per_psu: int)
                               f"of {len(sizes)} PSUs")
     total = sizes.sum()
     pi = n_psus * sizes / total
-    if (pi >= 1.0 + 1e-12).any() or (n_psus * sizes.max() / total) > 1.0 + 1e-12:
+    if (pi >= 1.0 + 1e-12).any():
         worst = int(np.argmax(sizes))
         raise ValidationError(
             f"scenario.design.n_psus: PSU {psus[worst]} would be a certainty selection "

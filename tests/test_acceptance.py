@@ -155,10 +155,10 @@ def test_acceptance_3_weight_formula_duality(capsys):
         rng = np.random.default_rng(90_000 + seed)
         sample, y = random_case(rng)
         outcomes = {"S": y}
-        check(uniform_adjustment(sample_stats(sample, y)), outcomes, "T1", sample)
-        check(followup_adjustment(sample_stats(sample, y)), outcomes, "T2", sample)
+        check(uniform_adjustment(sample_stats(sample, y.T)), outcomes, "T1", sample)
+        check(followup_adjustment(sample_stats(sample, y.T)), outcomes, "T2", sample)
         if sample.psu_subsample is not None:
-            check(followup_adjustment(sample_stats(sample, y), expansion="realized"),
+            check(followup_adjustment(sample_stats(sample, y.T), expansion="realized"),
                   outcomes, "T2_AltOmega", sample)
     for seed in range(500):
         rng = np.random.default_rng(70_000 + seed)
@@ -173,7 +173,7 @@ def test_acceptance_3_weight_formula_duality(capsys):
                               elig=np.zeros(n_a, dtype=bool), tag="A")
         y_a = rng.normal(2.0, 1.0, size=(n_a, 2))
         outcomes = {"A": y_a, "B": y_b}
-        st_a, st_b = sample_stats(sample_a, y_a), sample_stats(sample_b, y_b)
+        st_a, st_b = sample_stats(sample_a, y_a.T), sample_stats(sample_b, y_b.T)
         ta = web_only(st_a)
         tb = uniform_adjustment(st_b)  # TB1: sample_b's omega is 1
         check(ta, outcomes, "TA", sample_a)
@@ -280,9 +280,9 @@ def test_acceptance_8_full_response_collapse(capsys):
     for i in range(100):
         res = mc.run_iteration(scenario, labeled, truth, i)
         samples, _ = mc.draw_samples(scenario, labeled, i)
-        # reference: design-weighted total as a weighted dot product (the
-        # same accumulation the estimator uses)
-        ht = samples["B"].d @ pop.y[samples["B"].unit_idx]
+        # reference: design-weighted total as a weighted sum along each
+        # variable's row of outcomes (the same reduction the estimator uses)
+        ht = (pop.outcomes(samples["B"].unit_idx) * samples["B"].d).sum(axis=1)
         t2_ok = np.allclose(res.cells["T2"].point, ht, rtol=1e-12)
         if np.array_equal(res.cells["T1"].point, ht) and t2_ok:
             exact += 1

@@ -133,7 +133,7 @@ def expected_t2(outcomes, y):
     total = 0.0
     weight = Fraction(0)
     for sample, prob in outcomes:
-        res = followup_adjustment(sample_stats(sample, y[sample.unit_idx]))
+        res = followup_adjustment(sample_stats(sample, y[sample.unit_idx].T))
         total += float(prob) * res.total[0]
         weight += prob
     assert weight == 1  # the enumeration covers the full outcome space

@@ -321,6 +321,20 @@ def test_rrmse_dominates_absolute_bias():
         assert row.rrmse >= row.abs_rb - 1e-12 or row.variable != AGGREGATE
 
 
+def test_aggregate_rrmse_error_is_the_delta_method_value():
+    rng = np.random.default_rng(3)
+    truth = np.array([50.0, 80.0, 20.0])
+    draws = [(truth * (1 + rng.normal(0.02, 0.1, 3)), rng.uniform(1, 30, 3))
+             for _ in range(60)]
+    row = summarize(_replicates(*zip(*draws), truth), truth, ("v1", "v2", "v3"), "S").row("E")
+    sq = ((np.array([p for p, _ in draws]) - truth) / truth) ** 2
+    grad = 1.0 / (2.0 * 3 * np.sqrt(sq.mean(axis=0)))  # d mean_j sqrt(m_j) / d m_j
+    want = np.sqrt(grad @ np.cov(sq, rowvar=False) @ grad / len(sq))
+    assert row.se_rrmse == pytest.approx(want, rel=1e-12)
+    one = summarize(_replicates(*zip(*draws[:1]), truth), truth, ("v1", "v2", "v3"), "S")
+    assert np.isnan(one.row("E").se_rrmse)
+
+
 def test_degenerate_iterations_are_excluded_and_counted():
     truth = np.array([10.0])
     results = _replicates([[10.0], [np.nan], [10.0]], [[1.0], [np.nan], [1.0]], truth,

@@ -208,6 +208,15 @@ def test_load_microdata_peak_is_population_plus_a_few_chunks(tmp_path, monkeypat
         8 * chunk * (3 + len(schema.variables)) * 8
 
 
+def test_write_peak_is_one_small_chunk_of_python_objects(tmp_path):
+    # the writer turns 2**13 rows at a time into Python objects, under 80
+    # bytes per field, so its peak does not grow with the population
+    pop = generate_synthetic(LARGE_SPEC)
+    _, peak = _traced_peak(lambda: write_population_csv(pop, tmp_path / "pop.csv"))
+    assert pop.n_households > 2**16
+    assert peak <= 80 * (3 + len(pop.variable_names)) * 2**13
+
+
 def test_generate_peak_is_below_a_float64_outcome_matrix(monkeypatch):
     # 2 of LARGE_SPEC's 3 variables are binary: one byte per household each
     monkeypatch.setattr(population_mod, "_CHUNK_ROWS", 2**12)
@@ -242,7 +251,7 @@ def test_outcomes_are_rows_of_the_outcome_matrix(small_synthetic):
     for rows in (idx, slice(7, 700)):
         got = pop.outcomes(rows)
         assert got.dtype == np.float64 and got.flags.c_contiguous
-        assert got.tobytes() == pop.y[rows].tobytes()
+        assert got.tobytes() == np.ascontiguousarray(pop.y[rows].T).tobytes()
 
 
 def test_psu_frame_allocates_little_beyond_members():

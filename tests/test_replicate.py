@@ -88,7 +88,7 @@ def _reference_cells(scenario, pop, truth, iteration, labels):
                 web, design.n_sub_psus, rng(mc.STAGE_FOLLOWUP)))
             plans["S"] = build_variance_units(s, rng(mc.STAGE_VARUNITS))
         samples = {"S": s}
-    outcomes = {tag: pop.y[s.unit_idx] for tag, s in samples.items()}
+    outcomes = {tag: np.ascontiguousarray(pop.y[s.unit_idx].T) for tag, s in samples.items()}
 
     cells = {}
     for spec in scenario.estimators:
@@ -249,7 +249,7 @@ def test_hybrid_replicate_skips_rates_and_builds_each_sample_once(small_syntheti
     assert sorted(stats_tags) == ["A", "B"]
     # Positive control: the patch sees the public path.
     samples, _ = mc.draw_samples(scenario, pop, 0)
-    est.uniform_adjustment(est.sample_stats(samples["B"], pop.y[samples["B"].unit_idx]))
+    est.uniform_adjustment(est.sample_stats(samples["B"], pop.outcomes(samples["B"].unit_idx)))
     assert stats_tags == ["A", "B", "B"] and rates_calls == []
 
 

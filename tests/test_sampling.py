@@ -114,6 +114,13 @@ def test_pps_rejects_certainty_psu():
         pps_draw(np.array([1.0, 1, 1, 10]), 2, np.random.default_rng(7))
 
 
+def test_pps_accepts_a_psu_of_probability_exactly_one():
+    # a census of that PSU: only a probability above 1 is a certainty error
+    for seed in range(20):
+        selected, pi = pps_draw(np.array([50.0, 25, 25]), 2, np.random.default_rng(seed))
+        assert 0 in selected and sorted(pi.tolist()) == [0.5, 1.0]
+
+
 def test_pps_warns_on_large_first_stage_fractions():
     with pytest.warns(UserWarning, match="with-replacement variances"):
         pps_draw(np.full(4, 5.0), 2, np.random.default_rng(20))

@@ -28,7 +28,7 @@ def test_constant_outcome_full_response_has_zero_variance():
     sample = toy_sample(d=[2.0] * 6, delta_w=[1, 0, 1, 0, 1, 0],
                         delta_f=[0, 1, 0, 1, 0, 1], psu_ids=[0, 0, 1, 1, 2, 2])
     y = np.full((6, 1), 3.7)
-    res = uniform_adjustment(sample_stats(sample, y))
+    res = uniform_adjustment(sample_stats(sample, y.T))
     var = variance_of(res)
     assert var[0] == pytest.approx(0.0, abs=1e-18)
     assert first_stage_units(sample, None)[1] - 1 == 2  # degrees of freedom
@@ -44,8 +44,8 @@ def test_hybrid_variance_is_weighted_sum_of_components():
                           clustered=False, ftf_rate=None,
                           elig=np.zeros(n_a, dtype=bool), tag="A")
     y_a = rng.normal(size=(n_a, 2))
-    ta = web_only(sample_stats(sample_a, y_a))
-    tb = uniform_adjustment(sample_stats(sample_b, y_b))
+    ta = web_only(sample_stats(sample_a, y_a.T))
+    tb = uniform_adjustment(sample_stats(sample_b, y_b.T))
     lam = 0.35
     np.testing.assert_allclose(variance_of(composite_total(ta, tb, lam)),
                                lam**2 * variance_of(ta) + (1 - lam) ** 2 * variance_of(tb),
@@ -58,8 +58,8 @@ def test_hybrid_variance_is_weighted_sum_of_components():
 def test_variance_is_nonnegative(seed):
     rng = np.random.default_rng(seed)
     sample, y = random_case(rng)
-    for res in (uniform_adjustment(sample_stats(sample, y)),
-                followup_adjustment(sample_stats(sample, y))):
+    for res in (uniform_adjustment(sample_stats(sample, y.T)),
+                followup_adjustment(sample_stats(sample, y.T))):
         assert (variance_of(res) >= 0).all()
 
 
@@ -141,7 +141,7 @@ def test_one_group_plan_has_too_few_variance_units():
         sample = _psu_sampled(n_psus, n_sub)
         plan = build_variance_units(sample, np.random.default_rng(3))
         assert (plan == 0).all()
-        res = followup_adjustment(sample_stats(sample, np.ones((sample.n_units, 1))))
+        res = followup_adjustment(sample_stats(sample, np.ones((1, sample.n_units))))
         [var] = score_variances([res], {"S": first_stage_units(sample, plan)})
         assert isinstance(var, EstimationError)
         assert str(var) == "fewer than 2 variance units"
@@ -150,7 +150,7 @@ def test_one_group_plan_has_too_few_variance_units():
 def test_grouped_variance_runs_and_reduces_df():
     sample = _psu_sampled(8, 4, seed=4)
     y = np.random.default_rng(5).normal(2.0, 1.0, size=(sample.n_units, 1))
-    res = followup_adjustment(sample_stats(sample, y))
+    res = followup_adjustment(sample_stats(sample, y.T))
     plan = build_variance_units(sample, np.random.default_rng(6))
     grouped = variance_of(res, plans={"S": plan})
     # degrees of freedom, one fewer than the first-stage units: 3 grouped, 7 plain
@@ -160,7 +160,7 @@ def test_grouped_variance_runs_and_reduces_df():
 
 def test_too_few_variance_units_error():
     sample = toy_sample(d=[1.0, 1.0], delta_w=[1, 1], psu_ids=[0, 0])
-    res = uniform_adjustment(sample_stats(sample, np.ones((2, 1))))
+    res = uniform_adjustment(sample_stats(sample, np.ones((1, 2))))
     with pytest.raises(EstimationError, match="variance units"):
         variance_of(res)
 

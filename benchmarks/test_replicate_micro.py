@@ -9,9 +9,11 @@ unclustered households (A) and 50 PSUs of 50 households (B).  Estimators
 are timed on statistics that earlier calls have already used, as every
 estimator after the first one of a replicate sees them.
 
-The variance cases time one pass over every distinct score block of the
-preset's labels on one sample, and the replicate case one whole warm
-``run_iteration``.
+The variance cases time one sample's pass: its per-(unit, response
+class) sums, then the variances of every distinct score block of the
+preset's labels on it.  The replicate cases time one whole warm
+``run_iteration`` of b1a, and of a1a: b1a's design on the same
+population under response rule A, which no ``perfbench`` workload runs.
 
 The set-up cases build that population, and index it by PSU on a fresh
 copy each round (the frame is kept once built).
@@ -91,14 +93,14 @@ def b1a_blocks(b1a):
     blocks: dict = {}
     for spec in scenario.estimators:
         for b in mc.ESTIMATORS[scenario.design.kind, spec.id](rep, spec).score_blocks:
-            blocks.setdefault(b.sample.tag, {})[id(b.e)] = b.e
-    return rep.units, {tag: list(es.values()) for tag, es in blocks.items()}
+            blocks.setdefault(b.stats.sample.tag, {})[id(b)] = b
+    return rep.units, {tag: list(bs.values()) for tag, bs in blocks.items()}
 
 
 @pytest.mark.parametrize("tag", ["A", "B"])
-def test_sample_variances(benchmark, b1a_blocks, tag):
+def test_variance_pass(benchmark, b1a_blocks, tag):
     units, blocks = b1a_blocks
-    v = benchmark(variance.sample_variances, blocks[tag], units[tag], {})
+    v = benchmark(variance.block_variances, blocks[tag], units[tag])
     assert len(v) == len(blocks[tag]) >= 4 and all((x >= 0).all() for x in v)
 
 
@@ -108,12 +110,17 @@ def test_first_stage_units(benchmark, b1a):
     assert n_groups == 50 and len(codes) == samples["B"].n_units
 
 
-def test_run_iteration(benchmark, b1a):
-    """One whole warm b1a replicate: draws, estimates, variances, intervals."""
-    scenario, pop, _, _ = b1a
-    truth, workspace = pop.totals(), {}
-    mc.run_iteration(scenario, pop, truth, 0, workspace)
-    res = benchmark(mc.run_iteration, scenario, pop, truth, 1, workspace)
+@pytest.mark.parametrize("preset", ["b1a", "a1a"])
+def test_run_iteration(benchmark, b1a, preset):
+    """One whole warm replicate: draws, estimates, variances, intervals."""
+    if preset == "b1a":
+        scenario, pop = b1a[:2]
+    else:  # the same population spec, under rule A
+        scenario = load_config(preset_path("a1a-synthetic")).scenario
+        pop = mc.prepare_population(b1a[1], scenario)
+    truth = pop.totals()
+    mc.run_iteration(scenario, pop, truth, 0)
+    res = benchmark(mc.run_iteration, scenario, pop, truth, 1)
     assert len(res.cells) == len(scenario.estimators)
 
 

@@ -26,16 +26,17 @@ weights times outcomes:
 Every estimator but ``composite_total``, which combines two results,
 reads the ``sample_stats`` of its samples: weighted masses and mode
 means, built once per sample and shared by every estimator on it.
-A result carries the closed-form total and the linearization scores,
-all a replicate reads.  The same totals are sums of respondent weights
-times outcomes; that weight form lives in the test suite as an
-independent reference.
+A result carries the closed-form total and, per sample, its score
+coefficients: a household's linearization score is d * (a[c] + b[c] * y)
+for its response class c, so the score arithmetic is O(4 K) whatever the
+sample size.  The same totals are sums of respondent weights times
+outcomes; that weight form lives in the test suite as an independent
+reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -49,17 +50,23 @@ class DegenerateEstimate(EstimationError):
     """The sample realization does not support this estimator."""
 
 
+# Response classes: web and ftf respondents, flagged and other nonrespondents.
+WEB, FTF, FLAGGED, OTHER = range(4)
+
+
 @dataclass(frozen=True)
 class ScoreBlock:
-    """Per-unit linearized contributions d_k * z_k for one sample."""
+    """The linearization scores on one sample, d_i * (a[c_i] + b[c_i] * y_i)
+    for household i of response class c_i."""
 
-    sample: DrawnSample
-    e: np.ndarray  # [n_variables, n_units], C-contiguous
+    stats: SampleStats
+    a: np.ndarray  # [4, n_variables], rows in class order
+    b: np.ndarray  # [4]
 
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """A total and its scores."""
+    """A total and its score coefficients, one block per sample."""
 
     total: np.ndarray  # [n_variables]
     score_blocks: tuple[ScoreBlock, ...]
@@ -76,11 +83,9 @@ class SampleStats:
     """Design-weighted masses, mode sums and means of one sample."""
 
     sample: DrawnSample
-    yt: np.ndarray  # outcomes variables-major, [K, n], the layout of the scores
+    yt: np.ndarray  # outcomes variables-major, [K, n]
     d: np.ndarray
-    dw: np.ndarray
-    df: np.ndarray
-    elig: np.ndarray
+    cls: np.ndarray  # each household's response class, WEB ... OTHER
     n_hat: float
     w_hat: float
     m_hat: float
@@ -90,16 +95,6 @@ class SampleStats:
     a_f: np.ndarray
     ybar_w: np.ndarray
     ybar_f: np.ndarray
-
-    @cached_property
-    def yc_w(self) -> np.ndarray:
-        """Outcomes centered on the web respondent mean, [K, n]."""
-        return self.yt - self.ybar_w[:, None]
-
-    @cached_property
-    def yc_f(self) -> np.ndarray:
-        """Outcomes centered on the ftf respondent mean, [K, n]."""
-        return self.yt - self.ybar_f[:, None]
 
 
 def sample_stats(sample: DrawnSample, yt: np.ndarray) -> SampleStats:
@@ -112,8 +107,11 @@ def sample_stats(sample: DrawnSample, yt: np.ndarray) -> SampleStats:
     d_w, d_f, d_m = d * dw, d * df, d * (1.0 - dw)
     w_hat, f_hat = float(d_w.sum()), float(d_f.sum())
     a_w, a_f = (yt * d_w).sum(axis=1), (yt * d_f).sum(axis=1)
+    # ftf respondents are flagged (``response.collect``), so a nonrespondent
+    # is FTF, FLAGGED or OTHER by how many of delta_f and the flag it has
+    cls = (1 - sample.delta_w) * (OTHER - sample.delta_f - sample.flags())
     return SampleStats(
-        sample=sample, yt=yt, d=d, dw=dw, df=df, elig=elig,
+        sample=sample, yt=yt, d=d, cls=cls,
         n_hat=float(d.sum()), w_hat=w_hat, m_hat=float(d_m.sum()),
         me_hat=float((d_m * elig).sum()), f_hat=f_hat, a_w=a_w, a_f=a_f,
         ybar_w=a_w / w_hat if w_hat > 0 else np.full(len(yt), np.nan),
@@ -128,8 +126,8 @@ def uniform_adjustment(st: SampleStats) -> EstimatorResult:
     R = sum_k d_k (dw_k + df_k/omega) / sum_k d_k.
     """
     om = 1.0 if st.sample.ftf_rate is None else st.sample.ftf_rate
-    g = st.dw + st.df / om  # per-unit response expansion
-    dg = st.d * g
+    g = np.array([1.0, 1.0 / om, 0.0, 0.0])  # response expansion dw + df/omega by class
+    dg = st.d * g[st.cls]
     num = float(dg.sum())
     if num <= 0.0:
         raise DegenerateEstimate("no respondents; overall response rate is zero")
@@ -137,11 +135,8 @@ def uniform_adjustment(st: SampleStats) -> EstimatorResult:
     total = (st.yt * dg).sum(axis=1) / r_hat
     ybar_t = total / st.n_hat
     # d * (ybar_t + (g / R) * (y - ybar_t))
-    e = st.yt - ybar_t[:, None]
-    e *= g / r_hat
-    e += ybar_t[:, None]
-    e *= st.d
-    return EstimatorResult(total, (ScoreBlock(st.sample, e),))
+    slope = g / r_hat
+    return EstimatorResult(total, (ScoreBlock(st, (1.0 - slope)[:, None] * ybar_t, slope),))
 
 
 def followup_adjustment(st: SampleStats, expansion: str = "design") -> EstimatorResult:
@@ -157,9 +152,8 @@ def followup_adjustment(st: SampleStats, expansion: str = "design") -> Estimator
 
     if st.m_hat == 0.0:
         # Full web response: plain design-weighted total.
-        e = st.dw * st.yt
-        e *= st.d
-        return EstimatorResult(st.a_w.copy(), (ScoreBlock(st.sample, e),))
+        block = ScoreBlock(st, np.zeros((4, len(st.yt))), np.array([1.0, 0.0, 0.0, 0.0]))
+        return EstimatorResult(st.a_w.copy(), (block,))
     if st.me_hat == 0.0:
         raise DegenerateEstimate("nonrespondents exist but none were eligible for follow-up")
     if st.f_hat == 0.0:
@@ -172,14 +166,12 @@ def followup_adjustment(st: SampleStats, expansion: str = "design") -> Estimator
     # weight factor of the ftf respondents over their design weight; ME/F is
     # the reciprocal conditional ftf response rate
     f_factor = st.me_hat / st.f_hat / om if expansion == "design" else st.m_hat / st.f_hat
-    e = st.dw * st.yt
-    e += (f_factor * st.df) * st.yc_f
-    if expansion == "design":
-        e += ((1.0 / om) * (st.elig * (1.0 - st.dw))) * st.ybar_f[:, None]
-    else:
-        e += (1.0 - st.dw) * st.ybar_f[:, None]
-    e *= st.d
-    return EstimatorResult(total, (ScoreBlock(st.sample, e),))
+    # d * (dw * y + f_factor * df * (y - ybar_f) + h * ybar_f), h by class:
+    # 1/omega on the flagged nonrespondents, or 1 on all nonrespondents
+    h = [0.0, 1.0 / om, 1.0 / om, 0.0] if expansion == "design" else [0.0, 1.0, 1.0, 1.0]
+    slope = np.array([1.0, f_factor, 0.0, 0.0])
+    a = (np.array(h) - (0.0, f_factor, 0.0, 0.0))[:, None] * st.ybar_f
+    return EstimatorResult(total, (ScoreBlock(st, a, slope),))
 
 
 def web_only(st: SampleStats) -> EstimatorResult:
@@ -187,11 +179,9 @@ def web_only(st: SampleStats) -> EstimatorResult:
     if st.w_hat == 0.0:
         raise DegenerateEstimate("no web respondents")
     total = st.n_hat * st.ybar_w
-    rw_inv = st.n_hat / st.w_hat
-    e = (rw_inv * st.dw) * st.yc_w
-    e += st.ybar_w[:, None]
-    e *= st.d
-    return EstimatorResult(total, (ScoreBlock(st.sample, e),))
+    # d * (ybar_w + (N/W) * dw * (y - ybar_w))
+    slope = np.array([st.n_hat / st.w_hat, 0.0, 0.0, 0.0])
+    return EstimatorResult(total, (ScoreBlock(st, (1.0 - slope)[:, None] * st.ybar_w, slope),))
 
 
 def composite_total(res_a: EstimatorResult, res_b: EstimatorResult,
@@ -204,7 +194,7 @@ def composite_total(res_a: EstimatorResult, res_b: EstimatorResult,
         parts.append((1.0 - lam, res_b))
     total = sum(f * r.total for f, r in parts)
     return EstimatorResult(total, tuple(
-        ScoreBlock(b.sample, f * b.e) for f, r in parts for b in r.score_blocks))
+        ScoreBlock(b.stats, f * b.a, f * b.b) for f, r in parts for b in r.score_blocks))
 
 
 def web_composite(sa: SampleStats, sb: SampleStats, kappa: float,
@@ -244,20 +234,23 @@ def web_composite(sa: SampleStats, sb: SampleStats, kappa: float,
 
     # Linearization.  The pooled rate couples the samples; each unit's
     # score collects its derivatives through N_c, the pooled rate, and
-    # its own sample's means.
+    # its own sample's means: d * ((dw - gam) * shift + part * level
+    # + c_w * dw * (y - ybar_w) + c_f * df * (y - ybar_f)).
     shift = n_c * (pooled_web - ybar_fb) / sum_n  # [K] per unit of (dw - gam)
     level = total / n_c  # [K]
     blocks = []
     for st, part, carries in shares:
-        e = (st.dw - gam) * shift[:, None]
+        a = (np.array([1.0, 0.0, 0.0, 0.0]) - gam)[:, None] * shift
         if n_hat_mode == "composite":
-            e += (part * level)[:, None]
+            a += part * level
+        slope = np.zeros(4)
         if part > 0.0:
-            e += ((n_c * gam * part / st.w_hat) * st.dw) * st.yc_w
+            slope[WEB] = n_c * gam * part / st.w_hat
+            a[WEB] -= slope[WEB] * st.ybar_w
         if carries:
-            e += ((n_c * (1.0 - gam) / st.f_hat) * st.df) * st.yc_f
-        e *= st.d
-        blocks.append(ScoreBlock(st.sample, e))
+            slope[FTF] = n_c * (1.0 - gam) / st.f_hat
+            a[FTF] -= slope[FTF] * st.ybar_f
+        blocks.append(ScoreBlock(st, a, slope))
     return EstimatorResult(total, tuple(blocks))
 
 

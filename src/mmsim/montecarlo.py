@@ -270,9 +270,10 @@ def draw_samples(scenario: ScenarioSpec, pop: Population, iteration: int
 
 
 def run_iteration(scenario: ScenarioSpec, pop: Population, truth: np.ndarray,
-                  iteration: int, workspace: dict | None = None) -> IterationResult:
-    """Draw, collect and estimate one replicate: all totals and scores, one
-    variance pass per sample (buffers kept in ``workspace``), coverage."""
+                  iteration: int) -> IterationResult:
+    """Draw, collect and estimate one replicate: every label's total and
+    score coefficients, then one variance pass per sample over the
+    per-(unit, response class) sums of d and d * y, then coverage."""
     rep = _Replicate(scenario, pop, *draw_samples(scenario, pop, iteration))
     estimates: dict[str, est.EstimatorResult | EstimationError] = {}
     for spec in scenario.estimators:
@@ -280,7 +281,7 @@ def run_iteration(scenario: ScenarioSpec, pop: Population, truth: np.ndarray,
             estimates[spec.name] = ESTIMATORS[scenario.design.kind, spec.id](rep, spec)
         except EstimationError as exc:
             estimates[spec.name] = exc
-    variances = variance.score_variances(list(estimates.values()), rep.units, workspace)
+    variances = variance.score_variances(list(estimates.values()), rep.units)
     cells: dict[str, EstimatorCell] = {}
     for (name, result), var in zip(estimates.items(), variances):
         if isinstance(var, EstimationError):
@@ -318,9 +319,8 @@ def _worker_chunk(span, args=None):
     """The rows of ``span``, one ``run_iteration`` each, as one block of arrays."""
     pop, scenario, truth = args or _CTX["args"]
     block = _allocate(len(span), len(scenario.estimators), len(truth))
-    workspace: dict = {}  # the chunk's variance buffers
     for row, i in enumerate(span):
-        cells = run_iteration(scenario, pop, truth, i, workspace).cells.values()
+        cells = run_iteration(scenario, pop, truth, i).cells.values()
         for array, field in zip(block, ("point", "variance", "covered", "reason")):
             array[row] = [getattr(cell, field) for cell in cells]
     return block

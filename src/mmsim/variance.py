@@ -1,13 +1,16 @@
 """Linearization variance estimation and normal-theory intervals.
 
-Each estimator exposes per-unit linearized contributions (scores); the
-variance estimator aggregates them to first-stage units and applies the
-with-replacement between-unit formula, summing over the independent
-samples of a hybrid design.  First-stage units are households for an
-unclustered sample and PSUs for a two-stage sample; for PSU-subsampling
-designs PSUs are first combined into variance units balanced on the
-follow-up subsampling, which keeps the estimator unbiased for the
-two-phase variance.
+An estimator's scores on a sample are d_i * (a[c_i] + b[c_i] * y_i) by
+response class c_i (``estimators.ScoreBlock``).  Their unit sums follow
+from the sample's sums of d and d * y per (first-stage unit, class),
+built once per sample; every block on it is then reduced in one pass to
+the with-replacement between-unit variance, summed over the independent
+samples of a hybrid design.  Where households are the units, per-class
+centred moments of d and d * y stand in for the unit sums.  First-stage
+units are households for an unclustered sample and PSUs for a two-stage
+sample; for PSU-subsampling designs PSUs are first combined into
+variance units balanced on the follow-up subsampling, which keeps the
+estimator unbiased for the two-phase variance.
 
 No first-stage finite population correction is applied; a warning is
 emitted, once per run, when inclusion probabilities are large enough
@@ -35,7 +38,7 @@ def build_variance_units(sample: DrawnSample, rng: np.random.Generator) -> np.nd
     gcd of the two counts gives the number of groups, each of b PSUs with
     a subsampled: group i takes the i-th run of a subsampled PSUs and of
     b - a others, each list permuted from ascending id order.  Counts whose
-    gcd is 1 give one group, which ``sample_variances`` rejects as fewer
+    gcd is 1 give one group, which ``block_variances`` rejects as fewer
     than 2 variance units; a ``DesignSpec`` rejects such designs when it is
     made.
     """
@@ -61,63 +64,73 @@ def first_stage_units(sample: DrawnSample,
     return plan[sample.psu_code], int(plan.max()) + 1
 
 
-def _scratch(buffers: dict, name: str, shape: tuple[int, int]) -> np.ndarray:
-    """A float64 array kept in ``buffers``, so replicates reuse its pages
-    (arrays this size, allocated anew, are faulted in again every time)."""
-    if buffers.get(name, np.empty(0)).size < shape[0] * shape[1]:
-        buffers[name] = np.empty(shape[0] * shape[1])
-    return buffers[name][:shape[0] * shape[1]].reshape(shape)
-
-
-def sample_variances(scores: list[np.ndarray], units: tuple[np.ndarray | None, int],
-                     buffers: dict) -> list[np.ndarray]:
-    """With-replacement between-unit variance of a total, per variable, of
-    each [K, n] score block on one sample with ``first_stage_units`` units:
-    for unit sums U_g, v = G/(G-1) * sum_g (U_g - mean U)^2.  A unit's rows
-    are added in order by a bincount per block; the unit sums of all blocks
-    (or, with every household its own unit, the rows) then sit side by side
-    as the W columns of one C-contiguous array, whose axis-0 sums add them
-    in order.  For K >= 2 all blocks share one pass; a one-variable block
-    gets its own, as numpy sums a lone column pairwise.  ``buffers`` keeps
-    the two n * W arrays of a sample whose households are its units."""
+def block_variances(blocks: list, units: tuple[np.ndarray | None, int]) -> list[np.ndarray]:
+    """The variance, per variable, of each score block on one sample with
+    ``first_stage_units`` ``units``: G/(G-1) * sum_g (U_g - mean U)^2 over
+    the unit sums U_g.  The sample's sums are built once and every block is
+    reduced in one pass; a block gives the same bits alone."""
     codes, n_groups = units
     if n_groups < 2:
         raise EstimationError("fewer than 2 variance units")
-    k, n = scores[0].shape
-    bins = None if codes is None else (codes + (np.arange(k) * n_groups)[:, None]).ravel()
-    out = []
-    for batch in [scores] if k > 1 else [[e] for e in scores]:
-        w = k * len(batch)
-        if codes is None:
-            totals = _scratch(buffers, "rows", (n, w))
-            np.copyto(totals, np.concatenate(batch, out=_scratch(buffers, "stack", (w, n))).T)
-        else:
-            totals = np.concatenate([np.bincount(bins, weights=e.ravel(), minlength=n_groups * k)
-                                     for e in batch]).reshape(w, n_groups).T.copy()
-        totals -= totals.sum(axis=0, keepdims=True) / n_groups  # as np.mean computes it
-        totals *= totals
-        out.extend((n_groups / (n_groups - 1.0) * totals.sum(axis=0)).reshape(len(batch), k))
-    return out
+    st = blocks[0].stats
+    a, b = np.stack([blk.a for blk in blocks]), np.stack([blk.b for blk in blocks])
+    dy = st.yt * st.d
+    if codes is None:
+        return list(_household_variances(st.cls, st.d, dy, a, b))
+    k, key = len(dy), st.cls.astype(np.intp) * n_groups + codes  # (class, unit)
+    d_sums = np.bincount(key, st.d, 4 * n_groups).reshape(4, -1)
+    bins = (key + (np.arange(k) * (4 * n_groups))[:, None]).ravel()
+    dy_sums = np.bincount(bins, dy.ravel(), 4 * k * n_groups).reshape(k, 4, -1)
+    u = (a.transpose(0, 2, 1)[..., None] * d_sums + b[:, None, :, None] * dy_sums).sum(axis=2)
+    u -= u.sum(axis=-1, keepdims=True) / n_groups
+    u *= u
+    return list(n_groups / (n_groups - 1.0) * u.sum(axis=-1))
 
 
-def score_variances(results: list, units: dict, workspace: dict | None = None) -> list:
+def _household_variances(cls, x, z, a, b):
+    """``block_variances`` when every household is its own unit.  Household
+    i of class c scores a[c] * x_i + b[c] * z_i, with x = d and z = d * y,
+    so its class adds a quadratic form in the class's centred moments of x
+    and z, plus its count times the squared deviation of its mean score.
+    In class order, each class's sums are one ``reduceat`` run."""
+    order = np.argsort(cls, kind="stable")
+    count = np.bincount(cls, minlength=4)
+    seen = np.flatnonzero(count)
+    starts = (np.cumsum(count) - count)[seen]
+
+    def by_class(v):  # [..., n] in class order -> [..., 4] sums
+        out = np.zeros(v.shape[:-1] + (4,))
+        out[..., seen] = np.add.reduceat(v, starts, axis=-1)
+        return out
+
+    x, z = x[order], np.take(z, order, axis=1)
+    x_bar, z_bar = by_class(x) / np.maximum(count, 1), by_class(z) / np.maximum(count, 1)
+    xc = x - np.repeat(x_bar[seen], count[seen])
+    zc = z - np.repeat(z_bar[:, seen], count[seen], axis=1)
+    b, count = b[..., None], count[:, None]
+    means = a * x_bar[:, None] + b * z_bar.T  # [B, 4, K]
+    means -= (count * means).sum(axis=1, keepdims=True) / len(x)
+    ss = (a * a * by_class(xc * xc)[:, None] + 2.0 * a * b * by_class(zc * xc).T
+          + b * b * by_class(zc * zc).T + count * means * means)
+    return len(x) / (len(x) - 1.0) * ss.sum(axis=1)
+
+
+def score_variances(results: list, units: dict) -> list:
     """Each estimator result's variance, given each sample tag's units: one
-    ``sample_variances`` pass per sample over its distinct score blocks, then
-    a result's samples added in block order.  An ``EstimationError`` in
-    ``results``, or raised by a sample's pass, takes the variance's place."""
-    workspace = {} if workspace is None else workspace
-    on_sample: dict[str, dict[int, np.ndarray]] = {}
+    pass per sample over its distinct score blocks, then a result's samples
+    added in block order.  An ``EstimationError`` in ``results``, or raised
+    by a sample's pass, takes the variance's place."""
+    on_sample: dict[str, dict[int, object]] = {}
     for r in results:
-        for b in () if isinstance(r, EstimationError) else r.score_blocks:
-            on_sample.setdefault(b.sample.tag, {})[id(b.e)] = b.e
+        for blk in () if isinstance(r, EstimationError) else r.score_blocks:
+            on_sample.setdefault(blk.stats.sample.tag, {})[id(blk)] = blk
     var: dict = {}
-    for tag, scores in on_sample.items():
+    for tag, blocks in on_sample.items():
         try:
-            var.update(zip(scores, sample_variances(list(scores.values()), units[tag],
-                                                    workspace.setdefault(tag, {}))))
+            var.update(zip(blocks, block_variances(list(blocks.values()), units[tag])))
         except EstimationError as exc:
-            var.update(dict.fromkeys(scores, exc))
-    parts = [[r] if isinstance(r, EstimationError) else [var[id(b.e)] for b in r.score_blocks]
+            var.update(dict.fromkeys(blocks, exc))
+    parts = [[r] if isinstance(r, EstimationError) else [var[id(blk)] for blk in r.score_blocks]
              for r in results]
     return [next((v for v in p if isinstance(v, EstimationError)), None) or sum(p, 0.0)
             for p in parts]

@@ -5,7 +5,7 @@ import pytest
 
 from mmsim.population import Population, SyntheticPopSpec, VariableSpec
 from mmsim.sampling import DrawnSample, _pps_draw, _pps_frame
-from mmsim.variance import first_stage_units, sample_variances
+from mmsim.variance import block_variances, first_stage_units
 
 
 def make_population(y, psu_ids, modes=None, labels=None, variable_names=None):
@@ -202,5 +202,33 @@ def variance_of(result, plans=None):
     sample's first-stage units (``plans``: variance-unit plans by sample tag),
     added over the independent samples."""
     plans = plans or {}
-    return sum((sample_variances([b.e], first_stage_units(b.sample, plans.get(b.sample.tag)),
-                                 {})[0] for b in result.score_blocks), 0.0)
+    return sum((block_variances([b], first_stage_units(b.stats.sample,
+                                                        plans.get(b.stats.sample.tag)))[0]
+                for b in result.score_blocks), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Per-household scores and their variance, an independent reference
+# ---------------------------------------------------------------------------
+
+def household_scores(block):
+    """The [K, n] scores d_i * (a[c_i] + b[c_i] * y_i) of a score block, one
+    household at a time."""
+    st = block.stats
+    return st.d * (block.a[st.cls].T + block.b[st.cls] * st.yt)
+
+
+def reference_variance(e, units):
+    """The with-replacement variance of the [K, n] scores ``e`` over the
+    ``first_stage_units`` ``units``: unit sums by one bincount that adds each
+    unit's rows in order, then row-order sums of the (G, K) deviations."""
+    codes, n_groups = units
+    k = e.shape[0]
+    totals = e.T.copy()
+    if codes is not None:
+        bins = (codes[:, None] * k + np.arange(k)).ravel()
+        totals = np.bincount(bins, weights=totals.ravel(),
+                             minlength=n_groups * k).reshape(n_groups, k)
+    dev = totals - totals.sum(axis=0, keepdims=True) / n_groups
+    dev *= dev
+    return n_groups / (n_groups - 1.0) * dev.sum(axis=0)

@@ -13,7 +13,13 @@ from mmsim.estimators import (
     web_composite,
     web_only,
 )
-from conftest import random_case, reference_total, reference_weights, toy_sample
+from conftest import (
+    household_scores,
+    random_case,
+    reference_total,
+    reference_weights,
+    toy_sample,
+)
 
 
 def four_unit_sample():
@@ -217,7 +223,7 @@ def test_tdf1_endpoints_and_hand_value():
     mixed = composite_total(ta, tb, 0.7)
     assert mixed.total[0] == pytest.approx(0.7 * 25 + 0.3 * 8)  # 19.9
     # the lam=1 composite carries no clustered-sample scores at all
-    assert {b.sample.tag for b in composite_total(ta, tb, 1.0).score_blocks} == {"A"}
+    assert {b.stats.sample.tag for b in composite_total(ta, tb, 1.0).score_blocks} == {"A"}
 
 
 def test_tdf2_reduces_to_t2_when_samples_coincide_and_kappa_zero():
@@ -313,7 +319,7 @@ def _check_dual(estimate, outcomes, estimator, *samples, factor=None):
     np.testing.assert_allclose(reference_total(weights, ones), estimate(ones).total,
                                rtol=1e-10, atol=1e-12)
     # scores of degree-one estimators reproduce the estimate
-    recon = sum(b.e.sum(axis=1) for b in result.score_blocks)
+    recon = sum(household_scores(b).sum(axis=1) for b in result.score_blocks)
     np.testing.assert_allclose(recon, result.total, rtol=1e-9, atol=1e-9)
 
 

@@ -1,11 +1,27 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmsim.population import LABEL_FTF, LABEL_NONE, LABEL_WEB
+from mmsim.estimators import FLAGGED, FTF, OTHER, WEB, sample_stats
+from mmsim.population import (
+    LABEL_FTF,
+    LABEL_NONE,
+    LABEL_WEB,
+    MODE_NAMES,
+    StochasticLabels,
+    attach_propensities,
+)
 from mmsim.response import collect, response_rates
-from mmsim.sampling import followup_all_units, srswor, subsample_nonrespondents_units
+from mmsim.sampling import (
+    followup_all_units,
+    srswor,
+    subsample_nonrespondents_units,
+    subsample_psus,
+    two_stage_select,
+)
 
 from conftest import make_population
 
@@ -127,3 +143,35 @@ def test_adding_a_responder_never_decreases_overall_rate():
         promoted[out.unit_idx[rng.choice(nonresp)]] = LABEL_FTF
         bumped = collect(s, promoted, followup_all_units)
         assert response_rates(bumped).r >= base.r - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stochastic=st.booleans(),
+       step=st.sampled_from(["all", "units", "psus"]))
+def test_response_classes_partition_each_sample(seed, stochastic, step):
+    """After ``collect``, each household is a web respondent, an ftf
+    respondent, a flagged or another nonrespondent, and nothing else: ftf
+    respondents were flagged, web respondents never are.  The classes
+    ``sample_stats`` codes for the variance are these."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(8, 15, 40)
+    n = int(sizes.sum())
+    pop = make_population(rng.normal(size=n), np.repeat(np.arange(40), sizes),
+                          modes=rng.integers(0, 3, n), labels=rng.integers(0, 3, n))
+    labels = pop.labels
+    if stochastic:
+        pw = rng.uniform(0.0, 1.0, 3)
+        table = np.column_stack([pw, rng.uniform(0.0, 1.0, 3) * (1.0 - pw)])
+        pop = attach_propensities(pop, dict(zip(MODE_NAMES, table.tolist())))
+        labels = StochasticLabels(pop, rng)
+    followup = {"all": followup_all_units,
+                "units": partial(subsample_nonrespondents_units, omega=0.5, rng=rng),
+                "psus": partial(subsample_psus, count=2, rng=rng)}[step]
+    out = collect(two_stage_select(pop, 4, 6, rng), labels, followup)
+    web, ftf, flagged = out.delta_w == 1, out.delta_f == 1, out.flags()
+    classes = np.stack([web, ftf, flagged & ~web & ~ftf, ~flagged & ~web & ~ftf])
+    assert (classes.sum(axis=0) == 1).all()
+    assert not (ftf & ~flagged).any()
+    assert not (web & flagged).any()
+    codes = np.array([WEB, FTF, FLAGGED, OTHER])[classes.argmax(axis=0)]
+    assert (sample_stats(out, np.ones((1, out.n_units))).cls == codes).all()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mmsim.errors import EstimationError
 from mmsim.estimators import (
+    ScoreBlock,
     composite_total,
     followup_adjustment,
     sample_stats,
@@ -14,14 +15,20 @@ from mmsim.estimators import (
     web_only,
 )
 from mmsim.variance import (
+    block_variances,
     build_variance_units,
     confidence_interval,
     first_stage_units,
-    sample_variances,
     score_variances,
 )
 
-from conftest import random_case, toy_sample, variance_of
+from conftest import (
+    household_scores,
+    random_case,
+    reference_variance,
+    toy_sample,
+    variance_of,
+)
 
 
 def test_constant_outcome_full_response_has_zero_variance():
@@ -169,62 +176,65 @@ def test_too_few_variance_units_error():
 # One variance pass per sample
 # ---------------------------------------------------------------------------
 
-def _one_block_reference(e, codes, n_groups):
-    """The with-replacement variance of one [K, n] score block as an
-    n-major (n, K) array: unit sums by one bincount that adds each unit's
-    rows in order, then axis-0 sums of the (G, K) totals."""
-    k = e.shape[0]
-    totals = e.T.copy()
-    if codes is not None:
-        bins = (codes[:, None] * k + np.arange(k)).ravel()
-        totals = np.bincount(bins, weights=totals.ravel(),
-                             minlength=n_groups * k).reshape(n_groups, k)
-    dev = totals - totals.sum(axis=0, keepdims=True) / n_groups
-    dev *= dev
-    return n_groups / (n_groups - 1.0) * dev.sum(axis=0)
+def _random_sample(rng, units, shuffled, equal_d):
+    """A sample of at least 8 first-stage units, its households drawn into
+    the four response classes at random, and the plan its variance units
+    follow (None: its PSUs).  With
+    fewer units, a chance near-tie of the unit sums leaves the variance
+    ill-conditioned: two groups of 170 households put this pass 1.7e-12 and
+    the reference 3.3e-12 from the exact value."""
+    n_psus = int(rng.integers(16, 40) if units == "plan" else rng.integers(8, 30))
+    if units == "households":
+        psu_ids, n = None, n_psus
+    else:
+        takes = rng.integers(8, 20, n_psus) if units == "unequal" else int(rng.integers(8, 20))
+        psu_ids = np.repeat(np.arange(n_psus) * 3 + 1, takes)
+        n = len(psu_ids)
+        if shuffled:
+            psu_ids = rng.permutation(psu_ids)
+    delta_w = (rng.random(n) < 0.4).astype(np.uint8)
+    flagged = (delta_w == 0) & (rng.random(n) < 0.7)
+    delta_f = (flagged & (rng.random(n) < 0.6)).astype(np.uint8)
+    d = np.full(n, rng.uniform(1.0, 50.0)) if equal_d else rng.uniform(0.5, 50.0, n)
+    sample = toy_sample(d=d, delta_w=delta_w, delta_f=delta_f, elig=flagged, psu_ids=psu_ids,
+                        clustered=psu_ids is not None, ftf_rate=0.7)
+    plan = None
+    if units == "plan":
+        plan = rng.permutation(np.arange(n_psus) % int(rng.integers(8, n_psus // 2 + 1)))
+    return sample, plan
 
 
 @settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3, 6]),
-       n_blocks=st.integers(1, 5), units=st.sampled_from(["households", "equal", "unequal"]),
-       shuffled=st.booleans())
-def test_one_pass_per_sample_equals_one_block_at_a_time_bit_for_bit(
-        seed, k, n_blocks, units, shuffled):
-    """Blocks side by side in one pass (K >= 2) or one at a time (K = 1, whose
-    single column sums pairwise) give each block's own variance, bits and
-    all, with at least 8 units of at least 8 rows."""
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 6]), n_blocks=st.integers(1, 5),
+       units=st.sampled_from(["households", "equal", "unequal", "plan"]),
+       shuffled=st.booleans(), equal_d=st.booleans())
+def test_one_pass_per_sample_matches_the_per_household_reference(
+        seed, k, n_blocks, units, shuffled, equal_d):
+    """The blocks of one sample reduced in one pass match the variance of
+    their per-household scores, and each block gives the same bits alone."""
     rng = np.random.default_rng(seed)
-    n_groups = int(rng.integers(8, 30))
-    if units == "households":
-        codes, n = None, n_groups
-    elif units == "equal":
-        codes = np.repeat(np.arange(n_groups), int(rng.integers(8, 20)))
-        n = len(codes)
-    else:
-        codes = np.repeat(np.arange(n_groups), rng.integers(8, 20, n_groups))
-        n = len(codes)
-    if codes is not None and shuffled:
-        codes = rng.permutation(codes)
-    blocks = [rng.normal(size=(k, n)) * rng.uniform(0.5, 50.0, n) for _ in range(n_blocks)]
-    got = sample_variances(blocks, (codes, n_groups), {})
-    alone = [sample_variances([e], (codes, n_groups), {})[0] for e in blocks]
-    want = [_one_block_reference(e, codes, n_groups) for e in blocks]
+    sample, plan = _random_sample(rng, units, shuffled, equal_d)
+    stats = sample_stats(sample, rng.normal(2.0, 1.5, size=(k, sample.n_units)))
+    blocks = [ScoreBlock(stats, rng.normal(size=(4, k)) * rng.uniform(0.1, 10.0),
+                         rng.normal(size=4)) for _ in range(n_blocks)]
+    fsu = first_stage_units(sample, plan)
+    got = block_variances(blocks, fsu)
     assert len(got) == n_blocks
-    for g, a, w in zip(got, alone, want):
-        assert g.tobytes() == a.tobytes() == w.tobytes()
+    for block, v in zip(blocks, got):
+        np.testing.assert_allclose(v, reference_variance(household_scores(block), fsu),
+                                   rtol=1e-12, atol=0.0)
+        alone = block_variances([block], fsu)[0]
+        assert v.tobytes() == alone.tobytes()
 
 
-def test_one_pass_reuses_its_buffers_and_rejects_one_unit():
-    rng = np.random.default_rng(3)
-    blocks = [rng.normal(size=(2, 40)) for _ in range(3)]
-    buffers = {}
-    first = sample_variances(blocks, (None, 40), buffers)
-    kept = {name: a for name, a in buffers.items()}
-    again = sample_variances(blocks, (None, 40), buffers)
-    assert all(buffers[name] is a for name, a in kept.items()) and kept
-    assert [a.tobytes() for a in first] == [a.tobytes() for a in again]
-    with pytest.raises(EstimationError, match="fewer than 2 variance units"):
-        sample_variances(blocks, (np.zeros(40, dtype=int), 1), {})
+def test_one_variance_unit_is_too_few_for_either_kind_of_unit():
+    one_household = toy_sample(d=[3.0], delta_w=[1], clustered=False, ftf_rate=None,
+                               elig=[False])
+    one_psu = toy_sample(d=[1.0] * 4, delta_w=[1, 0, 1, 0], psu_ids=[5] * 4)
+    for sample in (one_household, one_psu):
+        res = uniform_adjustment(sample_stats(sample, np.ones((2, sample.n_units))))
+        with pytest.raises(EstimationError, match="fewer than 2 variance units"):
+            block_variances(res.score_blocks, first_stage_units(sample, None))
 
 
 # ---------------------------------------------------------------------------

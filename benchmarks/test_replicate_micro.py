@@ -141,8 +141,9 @@ def test_psu_frame(benchmark, b1a):
     pop = b1a[1]
 
     def fresh():
-        return (Population(psu_ids=pop.psu_ids, columns=pop.columns, modes=pop.modes,
-                           labels=None, variable_names=pop.variable_names),), {}
+        return (Population(psu_ids=pop.psu_ids, bits=pop.bits, block=pop.block,
+                           binary=pop.binary, modes=pop.modes, labels=None,
+                           variable_names=pop.variable_names),), {}
 
     psus, sizes = benchmark.pedantic(Population.psu_frame, setup=fresh, rounds=10)
     assert len(psus) == 8000 and sizes.sum() == pop.n_households
@@ -152,7 +153,8 @@ def test_psu_frame(benchmark, b1a):
 def stochastic_240k():
     n, rng = 240_000, np.random.default_rng(5)
     pop = Population(psu_ids=np.repeat(np.arange(2000, dtype=np.int64), n // 2000),
-                     columns=(np.ones(n),), modes=rng.integers(0, 3, n).astype(np.int8),
+                     bits=np.empty((n, 0), np.uint8), block=np.ones((n, 1)), binary=(False,),
+                     modes=rng.integers(0, 3, n).astype(np.int8),
                      labels=None, variable_names=("v1",))
     pop = attach_propensities(pop, {"WEB": (1.0, 0.0), "MAIL": (0.0, 0.5), "FTF": (0.0, 0.5)})
     return pop, np.sort(rng.choice(n, 5000, replace=False))

@@ -61,13 +61,13 @@ def _icc_or_none(values: np.ndarray, codes: np.ndarray) -> float | None:
 def _population_report(pop: Population) -> dict:
     in_mode = [pop.modes == code for code in range(len(MODE_NAMES))]
     shares = {name: float(mask.mean()) for name, mask in zip(MODE_NAMES, in_mode)}
-    means = {
-        name: {v: float(col[mask].mean()) if mask.any() else None
-               for col, v in zip(pop.columns, pop.variable_names)}
-        for name, mask in zip(MODE_NAMES, in_mode)
-    }
-    codes = pop.psu_codes()
-    icc = {v: _icc_or_none(col, codes) for col, v in zip(pop.columns, pop.variable_names)}
+    means = {name: {} for name in MODE_NAMES}
+    codes, icc = pop.psu_codes(), {}
+    for j, v in enumerate(pop.variable_names):  # one variable unpacked at a time
+        col = pop.column(j)
+        for name, mask in zip(MODE_NAMES, in_mode):
+            means[name][v] = float(col[mask].mean()) if mask.any() else None
+        icc[v] = _icc_or_none(col, codes)
     return {"n_households": pop.n_households,
             "n_psus": len(pop.psu_frame()[0]),
             "mode_shares": shares, "mode_means": means, "icc_estimates": icc}

@@ -1,7 +1,8 @@
 """Finite household populations: ingestion, synthesis, labelling, CSV output.
 
-A population is stored column-wise (numpy arrays) and is immutable after
-construction, so it can be shared read-only across worker processes.  Each
+A population is stored as numpy arrays, one per household attribute and
+two row-major outcome stores, and is immutable after construction, so it
+can be shared read-only across worker processes.  Each
 household carries a source mode (how it answered the survey the microdata
 came from) and, once a response rule has been applied, a response label:
 responds to a web invitation, responds only to the face-to-face (ftf)
@@ -80,26 +81,34 @@ class Population:
 
     ``modes`` is each household's source mode; ``labels`` is None for a raw
     population and a per-household response label once a rule is applied.
-    ``columns`` has one array per analysis variable, ``uint8`` for a
-    synthetic binary one and float64 otherwise; ``outcomes(rows)`` gathers
-    rows as float64, variables-major.  ``y``, every row's outcomes row-major,
-    is a copy built on each read that no run reads.  ``propensities`` is the
-    stochastic rule's (3, 2) table of ``(phi_w, phi_f)``, read by mode.
+    ``propensities`` is the stochastic rule's (3, 2) table of
+    ``(phi_w, phi_f)``, read by mode.
+
+    Outcomes are kept in two row-major stores, ``binary[j]`` telling which
+    holds variable j: ``bits``, the binary variables packed eight per byte
+    in ``np.packbits`` order, [N, ceil(nb / 8)] uint8, and ``block``, the
+    others, a float64 [N, nc] matrix, each in variable order.
+    ``outcomes(rows)`` gathers rows with one read of each store, as float64
+    variables-major; ``column(j)`` is one variable for every household, and
+    ``y``, every row's outcomes row-major, is a copy built on each read
+    that no run reads.
 
     A household is its row, and no household id is kept: the microdata
     reader checks the file's ids are distinct and drops them.
 
     Construction checks the whole object, once per population: it is
-    nonempty, there is one finite length-N column per variable with N =
-    ``len(psu_ids)``, ``labels`` has length N, and a propensity table is
-    valid.  Copies made by ``with_labels`` (a rule's labels, one per row)
-    and ``attach_propensities`` (which checks its table) skip these checks,
-    which copy nothing population-sized: finiteness is read off each
-    column's minimum and maximum.
+    nonempty, the stores hold N = ``len(psu_ids)`` rows of the variables
+    ``binary`` sorts into them, ``block`` is finite, ``labels`` has length
+    N, and a propensity table is valid.  Copies made by ``with_labels`` (a
+    rule's labels, one per row) and ``attach_propensities`` (which checks
+    its table) skip these checks, which copy nothing population-sized:
+    finiteness is read off the block's minimum and maximum.
     """
 
     psu_ids: np.ndarray
-    columns: tuple[np.ndarray, ...]
+    bits: np.ndarray
+    block: np.ndarray
+    binary: tuple[bool, ...]
     modes: np.ndarray
     labels: np.ndarray | None
     variable_names: tuple[str, ...]
@@ -110,11 +119,14 @@ class Population:
         n = len(self.psu_ids)
         if n == 0:
             raise IntegrityError("population is empty")
-        shapes = [c.shape for c in self.columns]
-        if shapes != [(n,)] * len(self.variable_names):
-            raise IntegrityError(f"outcome column shapes {shapes} do not match "
-                                 f"{n} households x {len(self.variable_names)} variables")
-        if not np.isfinite([[c.min(), c.max()] for c in self.columns]).all():
+        nb = sum(self.binary)
+        want = ((n, -(-nb // 8)), (n, len(self.binary) - nb))
+        if (len(self.binary) != len(self.variable_names) or self.bits.dtype != np.uint8
+                or (self.bits.shape, self.block.shape) != want):
+            raise IntegrityError(
+                f"outcome stores of shapes {self.bits.shape} and {self.block.shape} do not "
+                f"match {n} households x {len(self.variable_names)} variables, {nb} binary")
+        if self.block.size and not np.isfinite([self.block.min(), self.block.max()]).all():
             raise IntegrityError("outcome matrix has non-finite values")
         if self.labels is not None and len(self.labels) != n:
             raise IntegrityError("labels length mismatch")
@@ -125,18 +137,39 @@ class Population:
     def n_households(self) -> int:
         return len(self.psu_ids)
 
-    y = property(lambda self: np.stack(self.columns, axis=1).astype(float, copy=False))
+    y = property(lambda self: np.stack([self.column(j) for j in range(len(self.binary))],
+                                       axis=1).astype(float, copy=False))
+
+    def column(self, j: int) -> np.ndarray:
+        """Variable j for every household: uint8 unpacked from its bit, or a
+        float64 view of its column of ``block``."""
+        b = sum(self.binary[:j])  # binary variables before j
+        if self.binary[j]:
+            return (self.bits[:, b // 8] >> (7 - b % 8)) & 1
+        return self.block[:, j - b]
 
     def outcomes(self, rows) -> np.ndarray:
-        """C-contiguous float64 [variables, rows] outcomes at an index array or slice."""
-        return np.stack([c[rows] for c in self.columns]).astype(float, copy=False)
+        """C-contiguous float64 [variables, rows] outcomes at an index array or
+        slice: one row read of each store, bits unpacked variables-major
+        (by shifts, which take less time than ``np.unpackbits``)."""
+        if isinstance(rows, slice):
+            bits, block = self.bits[rows], self.block[rows]
+        else:
+            bits, block = np.take(self.bits, rows, axis=0), np.take(self.block, rows, axis=0)
+        binary = np.array(self.binary, dtype=bool)
+        b = np.arange(np.count_nonzero(binary))
+        out = np.empty((len(binary), len(block)))
+        out[binary] = (bits.T[b // 8] >> (7 - b % 8).astype(np.uint8)[:, None]) & 1
+        out[~binary] = block.T
+        return out
 
     def totals(self) -> np.ndarray:
         """Each variable's population total, bit for bit ``y.sum(axis=0)``
         without building ``y``.  That sum adds a lone column pairwise and
         each of several in row order; a 0/1 column's count is exact in any."""
-        return np.array([c.sum(dtype=float) if len(self.columns) == 1 or c.dtype == np.uint8
-                         else _row_order_sum(c) for c in self.columns])
+        columns = map(self.column, range(len(self.binary)))  # one at a time
+        return np.array([c.sum(dtype=float) if len(self.binary) == 1 or c.dtype == np.uint8
+                         else _row_order_sum(c) for c in columns])
 
     def psu_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct PSU ids, ascending, and their household counts.
@@ -418,11 +451,11 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
     """Generate a raw clustered population (modes assigned, labels unset).
 
     Households are drawn in row chunks written straight into the
-    preallocated ``modes`` and ``columns``, so the build needs the
-    population's own arrays plus one chunk of temporaries.  Each step
-    continues the generator stream chunk by chunk, which reproduces its
-    unchunked draw bit for bit: the population and the generator's final
-    state do not depend on the chunk size.
+    preallocated ``modes``, ``bits`` and ``block``, a binary draw into its
+    bit, so the build needs the population's own arrays plus one chunk of
+    temporaries.  Each step continues the generator stream chunk by chunk,
+    which reproduces its unchunked draw bit for bit: the population and the
+    generator's final state do not depend on the chunk size.
 
     What is constant within a PSU is computed once per PSU: the mode
     thresholds, and each variable's outcome probability or mean as a table
@@ -439,13 +472,16 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
     with _allocating("households_max", n, "households"):
         psu_ids = np.repeat(np.arange(spec.n_psus, dtype=np.int64), sizes)
         modes = np.empty(n, dtype=np.int8)
-        columns = tuple(np.empty(n, "u1" if v.kind == "binary" else "f8") for v in spec.variables)
+        binary = tuple(v.kind == "binary" for v in spec.variables)
+        bits = np.zeros((n, -(-sum(binary) // 8)), dtype=np.uint8)
+        block = np.empty((n, len(binary) - sum(binary)))
     chunks = _chunks(n, _CHUNK_ROWS)
     # Chunk buffers for the uniforms, the PSU or cell values read per
-    # household and the cell codes: a new chunk-sized temporary per chunk
-    # would cost fresh page faults.
+    # household, the cell codes and a binary variable's bits: a new
+    # chunk-sized temporary per chunk would cost fresh page faults.
     draws, values = np.empty(min(n, _CHUNK_ROWS)), np.empty(min(n, _CHUNK_ROWS))
     cells = np.empty(len(draws), dtype=np.intp)
+    hits = np.empty(len(draws), dtype=np.uint8)
 
     # Mode assignment: the PSU effect shifts the web share; mail and ftf
     # split the remainder in their marginal proportions.  A household's
@@ -467,7 +503,9 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
     # success probability or mean is a table over (PSU, mode) cells, read
     # at cell psu * 3 + mode.
     shares = _mode_shares(spec)
-    for col, v in zip(columns, spec.variables):
+    for j, v in enumerate(spec.variables):
+        b = sum(binary[:j])  # binary variables before j
+        col = bits[:, b // 8] if binary[j] else block[:, j - b]
         u_psu = rng.uniform(-_SQRT3, _SQRT3, spec.n_psus)[:, None]
         mode_means = v.mode_means()
         if v.kind == "binary":
@@ -483,15 +521,19 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
             cell = np.multiply(psu_ids[rows], 3, out=cells[:k])
             cell += modes[rows]
             if v.kind == "binary":
-                np.less(rng.random(out=draws[:k]), table.take(cell, out=values[:k]),
-                        out=col[rows])
+                hit = np.less(rng.random(out=draws[:k]), table.take(cell, out=values[:k]),
+                              out=hits[:k])
+                hit <<= 7 - b % 8
+                np.bitwise_or(col[rows], hit, out=col[rows])
             else:
                 np.add(table.take(cell, out=values[:k]), rng.normal(0.0, sd_within, k),
                        out=col[rows])
 
     return Population(
         psu_ids=psu_ids,
-        columns=columns,
+        bits=bits,
+        block=block,
+        binary=binary,
         modes=modes,
         labels=None,
         variable_names=tuple(v.name for v in spec.variables),
@@ -514,10 +556,12 @@ def build_pseudopopulation(raw: Population, rule: str, rng: np.random.Generator)
 
 
 def _half_split(labels: np.ndarray, idx: np.ndarray, rng: np.random.Generator) -> None:
-    perm = rng.permutation(len(idx))
+    """Label a random half of rows ``idx`` ftf and the rest none, shuffling
+    ``idx`` in place: the draws of ``rng.permutation(len(idx))``."""
+    rng.shuffle(idx)
     half = len(idx) // 2
-    labels[idx[perm[:half]]] = LABEL_FTF
-    labels[idx[perm[half:]]] = LABEL_NONE
+    labels[idx[:half]] = LABEL_FTF
+    labels[idx[half:]] = LABEL_NONE
 
 
 def _propensity_fault(phi_w: float, phi_f: float) -> str | None:
@@ -635,7 +679,8 @@ def load_microdata(path: str | Path, schema: MicrodataSchema) -> Population:
     if (dup := _first_duplicate(ids)) is not None:  # the one check not made while reading
         row = np.flatnonzero(ids == dup)[1]
         raise IntegrityError(f"{_where(path, row)}: duplicate household id {dup}")
-    return Population(psu_ids=psu_ids, columns=tuple(y.T), modes=modes, labels=labels,
+    return Population(psu_ids=psu_ids, bits=np.empty((len(y), 0), np.uint8), block=y,
+                      binary=(False,) * len(schema.variables), modes=modes, labels=labels,
                       variable_names=tuple(schema.variables))
 
 

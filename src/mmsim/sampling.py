@@ -160,14 +160,19 @@ def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
 
     sel_sizes = sizes[sel]
     members = pop.psu_members(sel)
-    # The smallest fitting code type lets the stable sort below be a radix sort.
-    block = np.repeat(np.arange(len(sel), dtype=np.min_scalar_type(len(sel) - 1)),
-                      sel_sizes)
+    block = np.repeat(np.arange(len(sel)), sel_sizes)
     keys = rng.random(len(members))
-    order = _lexsort_order(keys, block)
     starts = np.cumsum(sel_sizes) - sel_sizes
-    rank = np.arange(len(members)) - np.repeat(starts, sel_sizes)
-    chosen = members[order[rank < m_per_psu]]
+    # Each PSU takes its m_per_psu smallest keys, ties by position, as in
+    # np.lexsort((keys, block)): the values of block + keys, non-decreasing
+    # in the key, up to its m_per_psu-th, unless a tie at a cut takes more.
+    value = block + keys
+    take = value <= np.sort(value)[starts + m_per_psu - 1][block]
+    if np.count_nonzero(take) == m_per_psu * len(sel):
+        chosen = members[take]
+    else:
+        rank = np.arange(len(members)) - np.repeat(starts, sel_sizes)
+        chosen = members[np.lexsort((keys, block))[rank < m_per_psu]]
     chosen.sort()
     psus = psus[np.sort(sel)]
 
@@ -178,20 +183,6 @@ def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
         psus=psus,
         psu_code=np.searchsorted(psus, pop.psu_ids[chosen]),
     )
-
-
-def _lexsort_order(keys: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``np.lexsort((keys, block))``: by block, then key, then position.
-
-    An unstable argsort of the keys followed by a stable argsort of their
-    block codes gives that order whenever no two keys are equal; after an
-    exact tie the keys are sorted stably, so tied keys keep their positions.
-    """
-    by_key = np.argsort(keys)
-    ranked = keys[by_key]
-    if (ranked[1:] == ranked[:-1]).any():
-        by_key = np.argsort(keys, kind="stable")
-    return by_key[np.argsort(block[by_key], kind="stable")]
 
 
 def _systematic_positions(sizes: np.ndarray, omega: float, u: np.ndarray) -> np.ndarray:
@@ -226,15 +217,13 @@ def subsample_nonrespondents_units(sample: DrawnSample, omega: float,
     by_psu, starts = _group(codes[nonresp])
     pool = nonresp[by_psu]  # grouped by ascending PSU id, rows ascending within
     first, sizes = starts[:-1], np.diff(starts)
-    perm = np.empty(len(pool), dtype=np.int64)
     u = []
     for a, m in zip(first.tolist(), sizes.tolist()):
-        perm[a:a + m] = rng.permutation(m)
+        rng.shuffle(pool[a:a + m])  # the draws of rng.permutation(m)
         if omega < 1.0:
             u.append(rng.random())
-    shuffled = pool[perm + np.repeat(first, sizes)]
     flags = np.zeros(sample.n_units, dtype=bool)
-    flags[shuffled[_systematic_positions(sizes, omega, np.asarray(u))]] = True
+    flags[pool[_systematic_positions(sizes, omega, np.asarray(u))]] = True
     return _derive(sample, in_ftf_subsample=flags, ftf_rate=omega)
 
 

@@ -17,11 +17,24 @@ def make_population(y, psu_ids, modes=None, labels=None, variable_names=None):
     names = variable_names or tuple(f"v{j + 1}" for j in range(y.shape[1]))
     return Population(
         psu_ids=np.asarray(psu_ids, dtype=np.int64),
-        columns=tuple(y.T.copy()),
+        **outcome_stores(tuple(y.T)),
         modes=np.zeros(len(psu_ids), np.int8) if modes is None else np.asarray(modes, np.int8),
         labels=None if labels is None else np.asarray(labels, dtype=np.int8),
         variable_names=tuple(names),
     )
+
+
+def outcome_stores(columns):
+    """``Population`` outcome fields holding ``columns``, one array per
+    variable: the uint8 ones packed into ``bits`` by ``np.packbits``, the
+    others float64 in ``block``."""
+    n = len(columns[0])
+    binary = tuple(c.dtype == np.uint8 for c in columns)
+    bits = [c for c, b in zip(columns, binary) if b]
+    other = [c for c, b in zip(columns, binary) if not b]
+    return {"bits": np.packbits(np.array(bits, np.uint8).reshape(-1, n).T, axis=1),
+            "block": np.array(other, dtype=float).reshape(-1, n).T.copy(),
+            "binary": binary}
 
 
 def pps_draw(sizes, n_psus, rng):

@@ -43,7 +43,7 @@ from mmsim.population import (
     write_population_csv,
 )
 
-from conftest import SMALL_SPEC, make_population
+from conftest import SMALL_SPEC, make_population, outcome_stores
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,7 @@ def _traced_peak(fn):
 
 
 def _nbytes(pop):
-    return sum(a.nbytes for a in (pop.psu_ids, *pop.columns, pop.modes))
+    return sum(a.nbytes for a in (pop.psu_ids, pop.bits, pop.block, pop.modes))
 
 
 LARGE_SPEC = SyntheticPopSpec(
@@ -218,26 +218,30 @@ def test_write_peak_is_one_small_chunk_of_python_objects(tmp_path):
 
 
 def test_generate_peak_is_below_a_float64_outcome_matrix(monkeypatch):
-    # 2 of LARGE_SPEC's 3 variables are binary: one byte per household each
+    # 2 of LARGE_SPEC's 3 variables are binary: two bits of one byte per household
     monkeypatch.setattr(population_mod, "_CHUNK_ROWS", 2**12)
     pop, peak = _traced_peak(lambda: generate_synthetic(LARGE_SPEC))
     matrix = pop.n_households * len(pop.variable_names) * 8
-    assert [c.dtype for c in pop.columns] == [np.uint8, np.uint8, np.float64]
+    assert pop.binary == (True, True, False)
+    assert (pop.bits.dtype, pop.bits.shape) == (np.uint8, (pop.n_households, 1))
+    assert (pop.block.dtype, pop.block.shape) == (np.float64, (pop.n_households, 1))
     assert peak < pop.psu_ids.nbytes + pop.modes.nbytes + matrix
 
 
 BINARY, CONTINUOUS = SMALL_SPEC.variables[0], SMALL_SPEC.variables[2]
 
 
-@pytest.mark.parametrize("kinds", ["b", "c", "bc", "cc", "bb", "bbbbbc", "cccccc", "bcbcbc"])
+@pytest.mark.parametrize("kinds", ["b", "c", "bc", "cc", "bb", "bbbbbc", "cccccc", "bcbcbc",
+                                   "bbbbcbbbbbc", "b" * 17])
 @pytest.mark.parametrize("from_file", [False, True])
 def test_totals_are_the_outcome_matrix_sum_bit_for_bit(monkeypatch, kinds, from_file):
     monkeypatch.setattr(population_mod, "_CHUNK_ROWS", 2**11)
     variables = tuple(dataclasses.replace(BINARY if k == "b" else CONTINUOUS, name=f"v{j}")
                       for j, k in enumerate(kinds))
     pop = generate_synthetic(dataclasses.replace(SMALL_SPEC, variables=variables))
-    if from_file:  # float64 columns that are views of one row-major block
-        pop = dataclasses.replace(pop, columns=tuple(pop.y.T))
+    if from_file:  # every variable a float64 column of the block, as the reader stores them
+        pop = dataclasses.replace(pop, bits=np.empty((pop.n_households, 0), np.uint8),
+                                  block=pop.y, binary=(False,) * len(kinds))
     assert pop.n_households > 5 * 2**11
     y = pop.y
     assert y.dtype == np.float64 and y.flags.c_contiguous
@@ -245,13 +249,51 @@ def test_totals_are_the_outcome_matrix_sum_bit_for_bit(monkeypatch, kinds, from_
     assert pop.totals().tobytes() == y.sum(axis=0).tobytes()
 
 
-def test_outcomes_are_rows_of_the_outcome_matrix(small_synthetic):
-    pop = small_synthetic
-    idx = np.random.default_rng(0).choice(pop.n_households, 500)
-    for rows in (idx, slice(7, 700)):
-        got = pop.outcomes(rows)
-        assert got.dtype == np.float64 and got.flags.c_contiguous
-        assert got.tobytes() == np.ascontiguousarray(pop.y[rows].T).tobytes()
+def test_outcomes_are_rows_of_the_outcome_matrix(small_synthetic, tmp_path):
+    write_population_csv(small_synthetic, tmp_path / "pop.csv")
+    read = load_microdata(tmp_path / "pop.csv",
+                          MicrodataSchema(variables=small_synthetic.variable_names))
+    idx = np.random.default_rng(0).choice(small_synthetic.n_households, 500)
+    for pop in (small_synthetic, read):
+        for rows in (idx, slice(7, 700)):
+            got = pop.outcomes(rows)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.tobytes() == np.ascontiguousarray(small_synthetic.y[rows].T).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(nb=st.sampled_from([0, 1, 7, 8, 9, 17]), nc=st.integers(0, 3), data=st.data())
+def test_outcomes_gather_the_stacked_columns(nb, nc, data):
+    # binary variables packed into one, two or three bytes, mixed in any
+    # order with continuous ones, and the same outcomes as the microdata
+    # reader stores them: every variable a float64 column of the block
+    assume(nb + nc)
+    n = data.draw(st.integers(1, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kinds = data.draw(st.permutations([True] * nb + [False] * nc))
+    columns = tuple(rng.integers(0, 2, n, dtype=np.uint8) if b else rng.normal(size=n)
+                    for b in kinds)
+    want = np.stack([c.astype(float) for c in columns])
+    lo, hi = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    for stores in (outcome_stores(columns), outcome_stores(tuple(want))):
+        pop = Population(psu_ids=np.zeros(n, np.int64), **stores, modes=np.zeros(n, np.int8),
+                         labels=None, variable_names=tuple(f"v{j}" for j in range(nb + nc)))
+        assert pop.y.tobytes() == np.ascontiguousarray(want.T).tobytes()
+        for rows in (rng.integers(0, n, data.draw(st.integers(1, 2 * n))),
+                     np.array([], dtype=np.intp), slice(lo, hi)):
+            got = pop.outcomes(rows)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.shape == want[:, rows].shape
+            assert got.tobytes() == np.ascontiguousarray(want[:, rows]).tobytes()
+
+
+@pytest.mark.parametrize("kinds", ["b", "c", "bbbbbc", "bbbbbbbbcbc", "b" * 17])
+def test_generated_outcomes_take_a_bit_per_binary_variable(kinds):
+    variables = tuple(dataclasses.replace(BINARY if k == "b" else CONTINUOUS, name=f"v{j}")
+                      for j, k in enumerate(kinds))
+    pop = generate_synthetic(dataclasses.replace(SMALL_SPEC, n_psus=20, variables=variables))
+    nb, nc = kinds.count("b"), kinds.count("c")
+    assert pop.bits.nbytes + pop.block.nbytes == pop.n_households * (-(-nb // 8) + 8 * nc)
 
 
 def test_psu_frame_allocates_little_beyond_members():
@@ -279,8 +321,8 @@ def test_psu_frame_of_sorted_ids_keeps_no_member_rows():
 def test_constructing_with_ascending_ids_copies_no_id_column():
     pop = generate_synthetic(LARGE_SPEC)
     _, peak = _traced_peak(lambda: Population(
-        psu_ids=pop.psu_ids, columns=pop.columns, modes=pop.modes, labels=None,
-        variable_names=pop.variable_names))
+        psu_ids=pop.psu_ids, bits=pop.bits, block=pop.block, binary=pop.binary,
+        modes=pop.modes, labels=None, variable_names=pop.variable_names))
     assert peak < pop.n_households * 8 / 2
 
 
@@ -588,7 +630,7 @@ def test_population_writer_matches_row_by_row_writer(tmp_path, with_labels):
     n = 300
     y = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
     y[:4, 0] = [-0.0, 0.0, 5e-324, 1.7976931348623157e308]
-    pop = Population(psu_ids=rng.integers(-2**62, 2**62, n), columns=tuple(y.T),
+    pop = Population(psu_ids=rng.integers(-2**62, 2**62, n), **outcome_stores(tuple(y.T)),
                      modes=rng.integers(0, 3, n).astype(np.int8),
                      labels=rng.integers(0, 3, n).astype(np.int8) if with_labels else None,
                      variable_names=("v1", "odd, \"name\"", "v3"))
@@ -597,11 +639,24 @@ def test_population_writer_matches_row_by_row_writer(tmp_path, with_labels):
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-@pytest.mark.parametrize("columns", [(np.ones(3),), (np.ones(3), np.ones(2)),
-                                     (np.ones(3), np.ones((3, 1)))])
+_NO_BITS = np.empty((3, 0), np.uint8)
+
+
+@pytest.mark.parametrize("columns", [
+    {"bits": _NO_BITS, "block": np.ones((3, 1)), "binary": (False, False)},
+    {"bits": _NO_BITS, "block": np.ones((2, 2)), "binary": (False, False)},
+    {"bits": _NO_BITS, "block": np.ones((3, 2, 1)), "binary": (False, False)},
+    {"bits": np.zeros((3, 1), np.uint8), "block": np.ones((3, 2)), "binary": (False, False)},
+    {"bits": np.zeros((3, 2), np.uint8), "block": np.ones((3, 1)), "binary": (True, False)},
+    {"bits": np.zeros((3, 1)), "block": np.ones((3, 1)), "binary": (True, False)},
+    {"bits": np.zeros((3, 1), np.uint8), "block": np.ones((3, 1)), "binary": (True,)},
+])
 def test_population_needs_one_column_per_variable_and_household(columns):
+    # one column for two variables, two rows for three households, a column
+    # that is not a vector, a byte of bits with no binary variable, two bytes
+    # for one, bits that are not uint8, one kind for two variables
     with pytest.raises(IntegrityError, match="do not match 3 households x 2 variables"):
-        Population(psu_ids=np.zeros(3, dtype=np.int64), columns=columns,
+        Population(psu_ids=np.zeros(3, dtype=np.int64), **columns,
                    modes=np.zeros(3, np.int8), labels=None, variable_names=("a", "b"))
 
 
@@ -610,7 +665,7 @@ def test_population_rejects_non_finite_outcomes(value):
     y = np.ones((3, 2))
     y[1, 1] = value
     with pytest.raises(IntegrityError, match="non-finite"):
-        Population(psu_ids=np.zeros(3, dtype=np.int64), columns=tuple(y.T),
+        Population(psu_ids=np.zeros(3, dtype=np.int64), **outcome_stores(tuple(y.T)),
                    modes=np.zeros(3, np.int8), labels=None, variable_names=("a", "b"))
 
 
@@ -738,7 +793,7 @@ _variables = st.lists(
                   mean_mail=st.floats(-5, 5), mean_ftf=st.floats(-5, 5),
                   kind=st.just("continuous"), sd=st.floats(0.1, 3.0)),
     ),
-    min_size=1, max_size=3,
+    min_size=1, max_size=10,
 )
 
 

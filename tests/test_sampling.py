@@ -280,27 +280,42 @@ def test_draws_match_per_psu_definitions(layout, omega, seed):
 
 class _Rigged:
     """Generator stand-in: real permutations, uniform arrays that take only
-    four values (so the within-PSU key sort meets exact ties), and scalar
-    uniforms fixed at ``u`` when it is given."""
+    four values (so the within-PSU key sort meets exact ties) or, with
+    ``tiny``, are distinct multiples of 2**-53 that adding a PSU code of 1
+    or more rounds together, and scalar uniforms fixed at ``u`` when it is
+    given."""
 
-    def __init__(self, seed, u=None):
-        self._rng, self._u = np.random.default_rng(seed), u
+    def __init__(self, seed, u=None, tiny=False):
+        self._rng, self._u, self._tiny = np.random.default_rng(seed), u, tiny
 
     def permutation(self, n):
         return self._rng.permutation(n)
 
+    def shuffle(self, x):
+        x[:] = x[self._rng.permutation(len(x))]
+
     def random(self, size=None):
         if size is None:
             return self._rng.random() if self._u is None else self._u
+        if self._tiny:
+            return self._rng.permutation(size) * 2.0**-53
         return np.floor(self._rng.random(size) * 4) / 4
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_two_stage_breaks_exact_key_ties_like_lexsort(seed):
-    pop = make_population(np.zeros(1200), np.repeat(np.arange(30, 0, -1), 40))
-    got = two_stage_select(pop, 5, 25, _Rigged(seed))
-    want = _two_stage_reference(pop, 5, 25, _Rigged(seed))
-    _assert_same_sample(got, want)
+    # 5 of 30 PSUs, and 300 of 600, whose codes do not fit in uint8; keys
+    # with exact ties, distinct keys that adding the PSU code rounds
+    # together, and real keys
+    generators = (lambda: _Rigged(seed), lambda: _Rigged(seed, tiny=True),
+                  lambda: np.random.default_rng(seed))
+    for n_frame, size, n_psus, m_per_psu in ((30, 40, 5, 25), (600, 6, 300, 4)):
+        pop = make_population(np.zeros(n_frame * size),
+                              np.repeat(np.arange(n_frame, 0, -1), size))
+        for rng in generators:
+            got = two_stage_select(pop, n_psus, m_per_psu, rng())
+            want = _two_stage_reference(pop, n_psus, m_per_psu, rng())
+            _assert_same_sample(got, want)
 
 
 @pytest.mark.parametrize("u", [0.5, 0.0, 0.75])

@@ -504,8 +504,8 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
     # at cell psu * 3 + mode.
     shares = _mode_shares(spec)
     for j, v in enumerate(spec.variables):
-        b = sum(binary[:j])  # binary variables before j
-        col = bits[:, b // 8] if binary[j] else block[:, j - b]
+        bit = sum(binary[:j])  # binary variables before j
+        col = bits[:, bit // 8] if binary[j] else block[:, j - bit]
         u_psu = rng.uniform(-_SQRT3, _SQRT3, spec.n_psus)[:, None]
         mode_means = v.mode_means()
         if v.kind == "binary":
@@ -523,7 +523,7 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
             if v.kind == "binary":
                 hit = np.less(rng.random(out=draws[:k]), table.take(cell, out=values[:k]),
                               out=hits[:k])
-                hit <<= 7 - b % 8
+                hit *= np.uint8(1 << (7 - bit % 8))  # faster than numpy's uint8 shift
                 np.bitwise_or(col[rows], hit, out=col[rows])
             else:
                 np.add(table.take(cell, out=values[:k]), rng.normal(0.0, sd_within, k),

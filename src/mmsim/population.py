@@ -53,6 +53,10 @@ _SQRT3 = math.sqrt(3.0)
 _CHUNK_ROWS = 2**16
 _WRITE_ROWS = 2**13
 
+# Uniforms that PCG64 draws in about the time of one jump of a stochastic
+# label lookup (``PCG64.advance`` plus a call to draw a run).
+_JUMP_ROWS = 2**10
+
 # Characters of a mode or label field np.loadtxt keeps: it cuts a longer
 # field to this width, so a field that fills it is read again in full.
 _NAME_WIDTH = 8
@@ -175,8 +179,8 @@ class Population:
         """Distinct PSU ids, ascending, and their household counts.
 
         Built once per population, the frame also keeps where each PSU's
-        rows start, and the rows unless the PSU ids are non-decreasing
-        (``psu_members``); ``psu_codes`` builds per-household codes anew.
+        rows start, and its rows (``members``) unless the PSU ids are
+        non-decreasing; ``psu_codes`` builds per-household codes anew.
         """
         if self._psu_index is None:
             starts = _runs(self.psu_ids)
@@ -207,16 +211,6 @@ class Population:
         if key not in self._psu_index:
             self._psu_index[key] = build()
         return self._psu_index[key]
-
-    def psu_members(self, psu_codes: np.ndarray) -> np.ndarray:
-        """Household row indices of the PSUs with the given dense codes,
-        PSU by PSU in the order given, ascending within each PSU."""
-        _, sizes = self.psu_frame()
-        ix = self._psu_index
-        sizes = sizes[psu_codes]
-        offsets = np.cumsum(sizes) - sizes
-        rows = np.arange(sizes.sum()) + np.repeat(ix["starts"][psu_codes] - offsets, sizes)
-        return rows if ix["members"] is None else ix["members"][rows]
 
     def with_labels(self, labels: np.ndarray) -> "Population":
         return _derive(self, labels=labels)
@@ -611,17 +605,53 @@ def draw_stochastic_labels(pop: Population, rng: np.random.Generator) -> Populat
 class StochasticLabels:
     """One propensity draw, classified only at the rows looked up.
 
-    It takes one ``rng.random(N)`` draw, a uniform per household, so
+    Household i's uniform is the i-th of one ``rng.random(N)`` draw, so
     ``lookup[idx]`` equals ``draw_stochastic_labels(pop, rng).labels[idx]``
-    bit for bit, without labelling the rows no sample reads.
+    bit for bit, and ``rng`` is left where that draw leaves it.  From a
+    PCG64 stream a lookup of non-negative rows draws only what it reads:
+    it splits the sorted rows into runs at gaps of more than ``_JUMP_ROWS``
+    and, from the stream's start, jumps each gap (``PCG64.advance``) and
+    draws each run.  When the runs would cost more than half the whole
+    draw, which a later lookup could just index, for a slice, or from
+    another generator, it makes the whole draw once and keeps it.
     """
 
     def __init__(self, pop: Population, rng: np.random.Generator):
-        self._u = rng.random(pop.n_households)
-        self._modes, self._table = pop.modes, pop.propensities
+        self._n, self._modes, self._table = pop.n_households, pop.modes, pop.propensities
+        self._u, bg = None, rng.bit_generator
+        if not isinstance(bg, np.random.PCG64):
+            self._u = rng.random(self._n)
+            return
+        # the stream's start, on a generator of its own (its seed is overwritten)
+        self._start, self._gen = bg.state, np.random.Generator(np.random.PCG64(0))
+        bg.advance(self._n)  # which also drops the buffered 32-bit half random(N) keeps
+        bg.state = {**bg.state, **{k: self._start[k] for k in ("has_uint32", "uinteger")}}
 
     def __getitem__(self, idx) -> np.ndarray:
-        return _classify(self._u[idx], self._modes[idx], self._table)
+        return _classify(self._uniforms(idx), self._modes[idx], self._table)
+
+    def _uniforms(self, idx) -> np.ndarray:
+        if self._u is not None:
+            return self._u[idx]
+        gen = self._gen
+        gen.bit_generator.state = self._start
+        if not isinstance(idx, slice):
+            rows = np.asarray(idx, dtype=np.intp)
+            at = np.sort(rows)
+            ends = np.flatnonzero(at[1:] - at[:-1] > _JUMP_ROWS)  # of each run but the last
+            first = np.concatenate((at[:1], at[ends + 1]))
+            end = np.concatenate((at[ends], at[-1:])) + 1
+            if len(first) * _JUMP_ROWS + (end - first).sum() < self._n / 2:
+                drawn, pos, o = np.empty((end - first).sum()), 0, 0
+                for a, b in zip(first.tolist(), end.tolist()):
+                    gen.bit_generator.advance(a - pos)
+                    gen.random(out=drawn[o:o + b - a])
+                    pos, o = b, o + b - a
+                # row r of a run starting at first, drawn from o, is at r + o - first
+                shift = np.cumsum(end - first) - end
+                return drawn[rows + shift[np.searchsorted(first, rows, side="right") - 1]]
+        self._u = gen.random(self._n)
+        return self._u[idx]
 
 
 def estimate_icc(values: np.ndarray, codes: np.ndarray) -> float:

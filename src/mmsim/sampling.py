@@ -158,31 +158,30 @@ def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
     sel, _ = _pps_draw(pps_frame(pop, n_psus, m_per_psu), rng)
     f = n_psus * m_per_psu / pop.n_households
 
+    # Keys drawn PSU by PSU as selected, rows ascending within each: a table
+    # of one selected PSU per row, padded with +inf.
     sel_sizes = sizes[sel]
-    members = pop.psu_members(sel)
-    block = np.repeat(np.arange(len(sel)), sel_sizes)
-    keys = rng.random(len(members))
-    starts = np.cumsum(sel_sizes) - sel_sizes
-    # Each PSU takes its m_per_psu smallest keys, ties by position, as in
-    # np.lexsort((keys, block)): the values of block + keys, non-decreasing
-    # in the key, up to its m_per_psu-th, unless a tie at a cut takes more.
-    value = block + keys
-    take = value <= np.sort(value)[starts + m_per_psu - 1][block]
-    if np.count_nonzero(take) == m_per_psu * len(sel):
-        chosen = members[take]
-    else:
-        rank = np.arange(len(members)) - np.repeat(starts, sel_sizes)
-        chosen = members[np.lexsort((keys, block))[rank < m_per_psu]]
-    chosen.sort()
-    psus = psus[np.sort(sel)]
-
-    return DrawnSample(
-        tag=tag,
-        unit_idx=chosen,
-        d=np.full(len(chosen), 1.0 / f),
-        psus=psus,
-        psu_code=np.searchsorted(psus, pop.psu_ids[chosen]),
-    )
+    keys = np.full((len(sel), sel_sizes.max()), np.inf)
+    keys[np.arange(keys.shape[1]) < sel_sizes[:, None]] = rng.random(sel_sizes.sum())
+    # Each PSU takes its m_per_psu smallest keys, ties by position as in
+    # np.lexsort: those up to its m_per_psu-th, unless a tie at the cut takes more.
+    take = keys <= np.sort(keys, axis=1)[:, m_per_psu - 1, None]
+    if np.count_nonzero(take) != m_per_psu * len(sel):
+        take[:] = False
+        np.put_along_axis(take, np.argsort(keys, axis=1, kind="stable")[:, :m_per_psu],
+                          True, axis=1)
+    # Table rows by ascending PSU id: each household's PSU code is its row.
+    order = np.argsort(sel)
+    sel, at = sel[order], np.flatnonzero(take[order])  # row * width + column
+    code = np.repeat(np.arange(len(sel)), m_per_psu)
+    ix = pop._psu_index
+    chosen = at + (ix["starts"][sel] - keys.shape[1] * np.arange(len(sel)))[code]
+    if ix["members"] is not None:
+        chosen = ix["members"][chosen]
+        by_row = np.argsort(chosen)
+        chosen, code = chosen[by_row], code[by_row]
+    return DrawnSample(tag=tag, unit_idx=chosen, d=np.full(len(chosen), 1.0 / f),
+                       psus=psus[sel], psu_code=code)
 
 
 def _systematic_positions(sizes: np.ndarray, omega: float, u: np.ndarray) -> np.ndarray:

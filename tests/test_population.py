@@ -6,10 +6,11 @@ import re
 import reprlib
 import tracemalloc
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mmsim import population as population_mod
@@ -32,6 +33,7 @@ from mmsim.population import (
     MODE_WEB,
     MicrodataSchema,
     Population,
+    StochasticLabels,
     SyntheticPopSpec,
     VariableSpec,
     attach_propensities,
@@ -42,6 +44,7 @@ from mmsim.population import (
     load_microdata,
     write_population_csv,
 )
+from mmsim.sampling import two_stage_select
 
 from conftest import SMALL_SPEC, make_population, outcome_stores
 
@@ -133,10 +136,6 @@ def test_psu_frame_matches_numpy_unique(psu_ids):
     np.testing.assert_array_equal(psus, want_psus)
     np.testing.assert_array_equal(codes, want_codes)
     np.testing.assert_array_equal(sizes, np.bincount(want_codes))
-    members = pop.psu_members(np.arange(len(psus))[::-1])
-    np.testing.assert_array_equal(
-        members, np.concatenate([np.flatnonzero(want_codes == c)
-                                 for c in range(len(psus))][::-1]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,10 +311,11 @@ def test_psu_frame_of_sorted_ids_keeps_no_member_rows():
     np.testing.assert_array_equal(psus, want_psus)
     np.testing.assert_array_equal(sizes, np.bincount(want_codes))
     np.testing.assert_array_equal(pop.psu_codes(), want_codes)
-    picked = np.array([5, 0, 999, 17])
-    np.testing.assert_array_equal(
-        pop.psu_members(picked),
-        np.concatenate([np.flatnonzero(want_codes == c) for c in picked]))
+    # The two-stage take reads each selected PSU's rows off the kept starts.
+    s = two_stage_select(pop, 40, 80, np.random.default_rng(4))
+    assert (np.diff(s.unit_idx) > 0).all()
+    np.testing.assert_array_equal(s.psus[s.psu_code], pop.psu_ids[s.unit_idx])
+    np.testing.assert_array_equal(np.bincount(s.psu_code), np.full(40, 80))
 
 
 def test_constructing_with_ascending_ids_copies_no_id_column():
@@ -1020,3 +1020,94 @@ def test_nan_propensities_rejected(phi):
     pop = make_population(np.ones(3), np.zeros(3), modes=np.zeros(3, dtype=int))
     with pytest.raises(ValidationError, match=r"\[0, 1\]"):
         attach_propensities(pop, {"WEB": phi, "MAIL": (0.5, 0.2), "FTF": (0.5, 0.2)})
+
+
+def _propensity_population(modes, psu_ids=None):
+    modes = np.asarray(modes)
+    pop = make_population(np.ones(len(modes)),
+                          np.zeros(len(modes)) if psu_ids is None else psu_ids, modes=modes)
+    return attach_propensities(pop, {"WEB": (0.3, 0.4), "MAIL": (0.2, 0.5), "FTF": (0.1, 0.6)})
+
+
+def _state(state):
+    """A bit generator's state, with its arrays (MT19937's key) as bytes."""
+    if isinstance(state, dict):
+        return {k: _state(v) for k, v in state.items()}
+    return state.tobytes() if isinstance(state, np.ndarray) else state
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), halves=st.integers(0, 3), n=st.integers(1, 5000),
+       bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937]))
+def test_stochastic_labels_leave_the_generator_where_the_full_draw_does(
+        seed, halves, n, bit_generator):
+    # An odd count of 32-bit draws leaves half a 64-bit output buffered,
+    # which random(N) keeps and a PCG64 jump ahead drops.
+    got, want = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    for rng in (got, want):
+        rng.integers(0, 10, halves, dtype=np.uint32)
+    StochasticLabels(_propensity_population(np.zeros(n, dtype=int)), got)
+    want.random(n)
+    assert _state(got.bit_generator.state) == _state(want.bit_generator.state)
+    assert got.integers(0, 2**32, 3, dtype=np.uint32).tobytes() == \
+        want.integers(0, 2**32, 3, dtype=np.uint32).tobytes()
+
+
+@st.composite
+def label_lookups(draw, n):
+    """Rows to look up in a population of ``n``: scattered rows in any
+    order with repeats, sorted blocks of neighbouring rows as a clustered
+    sample reads, the edge rows, or a slice."""
+    row = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["scattered", "sorted", "clustered", "edges", "slice"]))
+    if kind == "slice":
+        end = st.none() | st.integers(-n - 2, n + 2)
+        return slice(draw(end), draw(end), draw(st.none() | st.integers(1, 7)))
+    if kind == "edges":
+        return np.array(draw(st.permutations([0, n - 1])))
+    if kind == "clustered":
+        blocks = draw(st.lists(st.tuples(row, st.integers(1, 40)), max_size=5))
+        return np.unique(np.concatenate(
+            [np.arange(a, min(n, a + k)) for a, k in blocks] or [np.empty(0, np.intp)]))
+    rows = np.array(draw(st.lists(row, max_size=60)), dtype=np.intp)
+    return np.sort(rows) if kind == "sorted" else rows
+
+
+@st.composite
+def label_cases(draw):
+    n = draw(st.integers(1, 3000))
+    return n, draw(label_lookups(n)), draw(label_lookups(n))
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=label_cases(), jump_rows=st.sampled_from([0, 1, 3, 40, 2**10]),
+       seed=st.integers(0, 2**32 - 1))
+@example(case=(1, np.array([0]), np.array([0, 0])), jump_rows=0, seed=1)  # N = 1
+# scattered then clustered, as the hybrid design looks up, and the reverse
+@example(case=(3000, np.array([2999, 7, 1500, 7]), np.arange(100, 180)), jump_rows=3, seed=2)
+@example(case=(3000, np.arange(100, 180), np.array([2999, 7, 1500, 7])), jump_rows=3, seed=2)
+# blocks whose gaps of 40 rows or fewer merge them into one run
+@example(case=(3000, np.r_[10:20, 60:70, 71:80], slice(None)), jump_rows=40, seed=3)
+def test_stochastic_lookups_equal_the_full_draw(case, jump_rows, seed):
+    n, first, second = case
+    pop = _propensity_population(np.random.default_rng(seed).integers(0, 3, n))
+    u = np.random.default_rng(seed).random(n)
+    with patch.object(population_mod, "_JUMP_ROWS", jump_rows):
+        lookup = StochasticLabels(pop, np.random.default_rng(seed))
+        for idx in (first, second):
+            want = population_mod._classify(u[idx], pop.modes[idx], pop.propensities)
+            got = lookup[idx]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_clustered_lookup_draws_only_its_runs():
+    # 100 PSUs of 50 of 240k households: one allocation of N uniforms would
+    # be four times this bound.
+    n = 240_000
+    pop = _propensity_population(np.arange(n) % 3, np.repeat(np.arange(2000), n // 2000))
+    rows = two_stage_select(pop, 100, 50, np.random.default_rng(2)).unit_idx
+    labels, peak = _traced_peak(lambda: StochasticLabels(pop, np.random.default_rng(3))[rows])
+    assert peak < n * 8 / 4
+    u = np.random.default_rng(3).random(n)[rows]
+    assert labels.tobytes() == population_mod._classify(
+        u, pop.modes[rows], pop.propensities).tobytes()

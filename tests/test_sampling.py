@@ -161,6 +161,35 @@ def test_two_stage_rejects_small_psu():
 def test_two_stage_units_belong_to_selected_psus(small_synthetic):
     s = two_stage_select(small_synthetic, 20, 60, np.random.default_rng(10))
     np.testing.assert_array_equal(s.psus[s.psu_code], small_synthetic.psu_ids[s.unit_idx])
+    _assert_psu_codes(small_synthetic, s)
+
+
+def _assert_psu_codes(pop, s):
+    """Households ascend by row, and each one's PSU code is its PSU id's
+    position among the sampled PSUs."""
+    assert (np.diff(s.unit_idx) > 0).all()
+    assert s.psu_code.dtype == np.intp
+    np.testing.assert_array_equal(s.psu_code, np.searchsorted(s.psus, pop.psu_ids[s.unit_idx]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids=st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(0, 5), min_size=2,
+                    max_size=20, unique=True),
+       size=st.integers(1, 4), data=st.data())
+def test_two_stage_full_takes_read_every_member_row(ids, size, data):
+    # Equal PSUs taken whole: the sample is every row of the selected PSUs,
+    # whose ids lie in any order and whose rows interleave or not.
+    rows = np.repeat(ids, size)
+    if data.draw(st.booleans()):
+        rows = rows[data.draw(st.permutations(range(len(rows))))]
+    pop = make_population(np.zeros(len(rows)), rows)
+    n_psus, seed = data.draw(st.integers(1, len(ids) - 1)), data.draw(st.integers(0, 99))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # large first-stage fractions
+        s = two_stage_select(pop, n_psus, size, np.random.default_rng(seed))
+    assert len(s.psus) == n_psus and (np.diff(s.psus) > 0).all()
+    np.testing.assert_array_equal(s.unit_idx, np.flatnonzero(np.isin(pop.psu_ids, s.psus)))
+    _assert_psu_codes(pop, s)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +296,7 @@ def test_draws_match_per_psu_definitions(layout, omega, seed):
         got = two_stage_select(pop, n_psus, m_per_psu, rng)
         want = _two_stage_reference(pop, n_psus, m_per_psu, ref_rng)
     _assert_same_sample(got, want)
+    _assert_psu_codes(pop, got)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     delta_w = np.asarray(responds, dtype=np.uint8)[got.unit_idx]
@@ -316,6 +346,7 @@ def test_two_stage_breaks_exact_key_ties_like_lexsort(seed):
             got = two_stage_select(pop, n_psus, m_per_psu, rng())
             want = _two_stage_reference(pop, n_psus, m_per_psu, rng())
             _assert_same_sample(got, want)
+            _assert_psu_codes(pop, got)
 
 
 @pytest.mark.parametrize("u", [0.5, 0.0, 0.75])

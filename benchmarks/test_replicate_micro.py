@@ -19,9 +19,12 @@ The set-up cases build that population, and index it by PSU on a fresh
 copy each round (the frame is kept once built).
 
 The stochastic-label cases run on a population the size of the
-microdata-stochastic workload (240k households) and label 5000 sampled
-rows, once classified only there and once through a whole-population
-label vector.
+microdata-stochastic workload (240k households).  They label 5000
+scattered rows, the rows of 100 sampled PSUs, or both of a hybrid
+replicate's lookups, once drawn and classified only there and once
+through a whole-population label vector.  The two-stage cases take
+b1a's clustered sample and the microdata workload's (100 of 2000 PSUs,
+50 households each).
 """
 
 import numpy as np
@@ -124,12 +127,17 @@ def test_run_iteration(benchmark, b1a, preset):
     assert len(res.cells) == len(scenario.estimators)
 
 
-def test_two_stage_select(benchmark, b1a):
-    scenario, pop, _, _ = b1a
+@pytest.mark.parametrize("shape", ["b1a", "microdata"])
+def test_two_stage_select(benchmark, b1a, stochastic_240k, shape):
+    """b1a's 50 of 8000 PSUs, and the microdata workload's 100 of 2000, m = 50."""
+    if shape == "b1a":
+        pop, design = b1a[1], b1a[0].design
+        n_psus, m_per_psu = design.n_psus, design.m_per_psu
+    else:
+        pop, n_psus, m_per_psu = stochastic_240k[0], 100, 50
     rng = np.random.default_rng(0)
-    design = scenario.design
-    s = benchmark(sampling.two_stage_select, pop, design.n_psus, design.m_per_psu, rng)
-    assert s.n_units == design.n_psus * design.m_per_psu
+    s = benchmark(sampling.two_stage_select, pop, n_psus, m_per_psu, rng)
+    assert s.n_units == n_psus * m_per_psu
 
 
 def test_generate_synthetic(benchmark):
@@ -151,25 +159,39 @@ def test_psu_frame(benchmark, b1a):
 
 @pytest.fixture(scope="module")
 def stochastic_240k():
+    """A population the size of the microdata workload's, and the rows each
+    case looks up: 5000 scattered, the 100 x 50 of sampled PSUs, and the
+    hybrid design's two lookups on one draw (2500 scattered, then PSUs)."""
     n, rng = 240_000, np.random.default_rng(5)
     pop = Population(psu_ids=np.repeat(np.arange(2000, dtype=np.int64), n // 2000),
                      bits=np.empty((n, 0), np.uint8), block=np.ones((n, 1)), binary=(False,),
                      modes=rng.integers(0, 3, n).astype(np.int8),
                      labels=None, variable_names=("v1",))
     pop = attach_propensities(pop, {"WEB": (1.0, 0.0), "MAIL": (0.0, 0.5), "FTF": (0.0, 0.5)})
-    return pop, np.sort(rng.choice(n, 5000, replace=False))
+    scattered = np.sort(rng.choice(n, 5000, replace=False))
+    clustered = sampling.two_stage_select(pop, 100, 50, rng).unit_idx
+    return pop, {"scattered": [scattered], "clustered": [clustered],
+                 "hybrid": [scattered[::2], clustered]}
 
 
-LABEL_DRAWS = {
-    "sampled_rows": lambda pop, rng, idx: StochasticLabels(pop, rng)[idx],
-    "whole_population": lambda pop, rng, idx: draw_stochastic_labels(pop, rng).labels[idx],
-}
+def _sampled_rows(pop, rng, lookups):
+    labels = StochasticLabels(pop, rng)
+    return [labels[idx] for idx in lookups]
 
 
+def _whole_population(pop, rng, lookups):
+    labels = draw_stochastic_labels(pop, rng).labels
+    return [labels[idx] for idx in lookups]
+
+
+LABEL_DRAWS = {"sampled_rows": _sampled_rows, "whole_population": _whole_population}
+
+
+@pytest.mark.parametrize("rows", ["scattered", "clustered", "hybrid"])
 @pytest.mark.parametrize("name", list(LABEL_DRAWS))
-def test_stochastic_labels(benchmark, stochastic_240k, name):
-    pop, idx = stochastic_240k
-    benchmark(LABEL_DRAWS[name], pop, np.random.default_rng(0), idx)
-    got = LABEL_DRAWS[name](pop, np.random.default_rng(1), idx)
-    want = draw_stochastic_labels(pop, np.random.default_rng(1)).labels[idx]
-    assert got.tobytes() == want.tobytes()
+def test_stochastic_labels(benchmark, stochastic_240k, name, rows):
+    pop, lookups = stochastic_240k
+    benchmark(LABEL_DRAWS[name], pop, np.random.default_rng(0), lookups[rows])
+    got = LABEL_DRAWS[name](pop, np.random.default_rng(1), lookups[rows])
+    want = draw_stochastic_labels(pop, np.random.default_rng(1)).labels
+    assert [g.tobytes() for g in got] == [want[idx].tobytes() for idx in lookups[rows]]

@@ -170,7 +170,7 @@ def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
         take[:] = False
         np.put_along_axis(take, np.argsort(keys, axis=1, kind="stable")[:, :m_per_psu],
                           True, axis=1)
-    # Table rows by ascending PSU id: each household's PSU code is its row.
+    # Table rows by ascending PSU id, m_per_psu taken from each: a PSU's code is its row.
     order = np.argsort(sel)
     sel, at = sel[order], np.flatnonzero(take[order])  # row * width + column
     code = np.repeat(np.arange(len(sel)), m_per_psu)

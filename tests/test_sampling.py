@@ -187,7 +187,7 @@ def test_two_stage_full_takes_read_every_member_row(ids, size, data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # large first-stage fractions
         s = two_stage_select(pop, n_psus, size, np.random.default_rng(seed))
-    assert len(s.psus) == n_psus and (np.diff(s.psus) > 0).all()
+    assert len(s.psus) == n_psus and (s.psus[1:] > s.psus[:-1]).all()
     np.testing.assert_array_equal(s.unit_idx, np.flatnonzero(np.isin(pop.psu_ids, s.psus)))
     _assert_psu_codes(pop, s)
 

@@ -15,8 +15,10 @@ preset's labels on it.  The replicate cases time one whole warm
 ``run_iteration`` of b1a, and of a1a: b1a's design on the same
 population under response rule A, which no ``perfbench`` workload runs.
 
-The set-up cases build that population, and index it by PSU on a fresh
-copy each round (the frame is kept once built).
+The set-up cases build that population, take the PSU codes of every
+row chunk its generation reads from its PSU frame, and build a PSU frame
+from its per-household PSU ids, ascending (as generation and a sorted
+microdata file give them) and shuffled.
 
 The stochastic-label cases run on a population the size of the
 microdata-stochastic workload (240k households).  They label 5000
@@ -32,7 +34,7 @@ import pytest
 
 from mmsim import estimators as est
 from mmsim import montecarlo as mc
-from mmsim import sampling, variance
+from mmsim import population, sampling, variance
 from mmsim.config import load_config, preset_path
 from mmsim.population import (
     Population,
@@ -40,6 +42,7 @@ from mmsim.population import (
     attach_propensities,
     draw_stochastic_labels,
     generate_synthetic,
+    psu_frame_of,
 )
 
 
@@ -145,16 +148,22 @@ def test_generate_synthetic(benchmark):
     assert pop.n_households == 959_383
 
 
-def test_psu_frame(benchmark, b1a):
+def test_chunk_psu_codes(benchmark, b1a):
+    """Each generation pass's PSU codes, one ``_CHUNK_ROWS`` chunk at a time."""
     pop = b1a[1]
+    chunks = population._chunks(pop.n_households, population._CHUNK_ROWS)
+    codes = benchmark(lambda: [population._slice_codes(pop.starts, rows) for rows in chunks])
+    assert sum(map(len, codes)) == pop.n_households
 
-    def fresh():
-        return (Population(psu_ids=pop.psu_ids, bits=pop.bits, block=pop.block,
-                           binary=pop.binary, modes=pop.modes, labels=None,
-                           variable_names=pop.variable_names),), {}
 
-    psus, sizes = benchmark.pedantic(Population.psu_frame, setup=fresh, rounds=10)
-    assert len(psus) == 8000 and sizes.sum() == pop.n_households
+@pytest.mark.parametrize("order", ["ascending", "shuffled"])
+def test_psu_frame_of(benchmark, b1a, order):
+    ids = b1a[1].psu_ids
+    if order == "shuffled":
+        ids = np.random.default_rng(0).permutation(ids)
+    frame = benchmark(psu_frame_of, ids)
+    assert len(frame["psus"]) == 8000 and frame["starts"][-1] == len(ids)
+    assert (frame["members"] is None) == (order == "ascending")
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +172,7 @@ def stochastic_240k():
     case looks up: 5000 scattered, the 100 x 50 of sampled PSUs, and the
     hybrid design's two lookups on one draw (2500 scattered, then PSUs)."""
     n, rng = 240_000, np.random.default_rng(5)
-    pop = Population(psu_ids=np.repeat(np.arange(2000, dtype=np.int64), n // 2000),
+    pop = Population(**psu_frame_of(np.repeat(np.arange(2000, dtype=np.int64), n // 2000)),
                      bits=np.empty((n, 0), np.uint8), block=np.ones((n, 1)), binary=(False,),
                      modes=rng.integers(0, 3, n).astype(np.int8),
                      labels=None, variable_names=("v1",))

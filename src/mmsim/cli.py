@@ -69,7 +69,7 @@ def _population_report(pop: Population) -> dict:
             means[name][v] = float(col[mask].mean()) if mask.any() else None
         icc[v] = _icc_or_none(col, codes)
     return {"n_households": pop.n_households,
-            "n_psus": len(pop.psu_frame()[0]),
+            "n_psus": len(pop.psus),
             "mode_shares": shares, "mode_means": means, "icc_estimates": icc}
 
 

@@ -98,10 +98,15 @@ class Population:
     that no run reads.
 
     A household is its row, and no household id is kept: the microdata
-    reader checks the file's ids are distinct and drops them.
+    reader checks the file's ids are distinct and drops them.  Nor is a
+    PSU id: the PSU frame is ``psus``, the distinct ids ascending, and
+    ``starts``, where each PSU starts (then N).  PSU p's rows are
+    ``members[starts[p]:starts[p + 1]]``, or that range itself when the
+    ids are non-decreasing and ``members`` is None.  ``psu_frame_of``
+    builds the frame of per-household ids; ``psu_ids`` rebuilds them.
 
     Construction checks the whole object, once per population: it is
-    nonempty, the stores hold N = ``len(psu_ids)`` rows of the variables
+    nonempty, the stores hold N = ``starts[-1]`` rows of the variables
     ``binary`` sorts into them, ``block`` is finite, ``labels`` has length
     N, and a propensity table is valid.  Copies made by ``with_labels`` (a
     rule's labels, one per row) and ``attach_propensities`` (which checks
@@ -109,18 +114,20 @@ class Population:
     finiteness is read off the block's minimum and maximum.
     """
 
-    psu_ids: np.ndarray
+    psus: np.ndarray
+    starts: np.ndarray
     bits: np.ndarray
     block: np.ndarray
     binary: tuple[bool, ...]
     modes: np.ndarray
     labels: np.ndarray | None
     variable_names: tuple[str, ...]
+    members: np.ndarray | None = None
     propensities: np.ndarray | None = None
-    _psu_index: dict = field(default=None, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.psu_ids)
+        n = self.n_households
         if n == 0:
             raise IntegrityError("population is empty")
         nb = sum(self.binary)
@@ -139,8 +146,9 @@ class Population:
 
     @property
     def n_households(self) -> int:
-        return len(self.psu_ids)
+        return int(self.starts[-1])
 
+    psu_ids = property(lambda self: self.psus[self.psu_codes()])
     y = property(lambda self: np.stack([self.column(j) for j in range(len(self.binary))],
                                        axis=1).astype(float, copy=False))
 
@@ -170,47 +178,33 @@ class Population:
     def totals(self) -> np.ndarray:
         """Each variable's population total, bit for bit ``y.sum(axis=0)``
         without building ``y``.  That sum adds a lone column pairwise and
-        each of several in row order; a 0/1 column's count is exact in any."""
-        columns = map(self.column, range(len(self.binary)))  # one at a time
-        return np.array([c.sum(dtype=float) if len(self.binary) == 1 or c.dtype == np.uint8
-                         else _row_order_sum(c) for c in columns])
+        each of several in row order, as ``block.sum(axis=0)`` does a block
+        of one or several columns; a 0/1 column's count is exact in any."""
+        out, binary = np.empty(len(self.binary)), np.array(self.binary, dtype=bool)
+        out[binary] = [self.column(j).sum(dtype=float) for j in np.flatnonzero(binary)]
+        lone = self.block.shape[1] == 1 < len(binary)  # one of several variables
+        out[~binary] = [_row_order_sum(self.block[:, 0])] if lone else self.block.sum(axis=0)
+        return out
 
     def psu_frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct PSU ids, ascending, and their household counts.
-
-        Built once per population, the frame also keeps where each PSU's
-        rows start, and its rows (``members``) unless the PSU ids are
-        non-decreasing; ``psu_codes`` builds per-household codes anew.
-        """
-        if self._psu_index is None:
-            starts = _runs(self.psu_ids)
-            by_psu, starts = (None, starts) if starts is not None else _group(self.psu_ids)
-            first = starts[:-1] if by_psu is None else by_psu[starts[:-1]]
-            object.__setattr__(
-                self,
-                "_psu_index",
-                {"psus": self.psu_ids[first], "sizes": np.diff(starts),
-                 "members": by_psu, "starts": starts},
-            )
-        ix = self._psu_index
-        return ix["psus"], ix["sizes"]
+        """The frame's distinct PSU ids, ascending, and their household
+        counts, the steps between its ``starts``."""
+        return self.psus, np.diff(self.starts)
 
     def psu_codes(self) -> np.ndarray:
-        """Each household's dense PSU code, its PSU's index into
-        ``psu_frame()[0]``; built anew on every call and not kept."""
-        _, sizes = self.psu_frame()
-        codes = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
-        if self._psu_index["members"] is not None:
-            codes[self._psu_index["members"]] = codes.copy()
+        """Each household's dense PSU code, its PSU's index into ``psus``;
+        built anew on every call and not kept."""
+        codes = _slice_codes(self.starts, slice(0, self.n_households))
+        if self.members is not None:
+            codes[self.members] = codes.copy()
         return codes
 
     def frame_cache(self, key, build):
-        """``build()``, computed once per population and kept with the PSU
-        frame, which copies made by ``_derive`` share."""
-        self.psu_frame()
-        if key not in self._psu_index:
-            self._psu_index[key] = build()
-        return self._psu_index[key]
+        """``build()``, computed once per population and kept with it, shared
+        by the copies ``_derive`` makes."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def with_labels(self, labels: np.ndarray) -> "Population":
         return _derive(self, labels=labels)
@@ -219,7 +213,7 @@ class Population:
 def _derive(obj, **changes):
     """Copy of a frozen dataclass with ``changes`` applied, without running
     ``__post_init__``; the caller checks the fields it sets.  Cached state
-    such as ``Population._psu_index`` carries over."""
+    such as ``Population._cache`` carries over."""
     new = object.__new__(type(obj))
     vars(new).update(vars(obj), **changes)
     return new
@@ -231,6 +225,24 @@ def _row_order_sum(col: np.ndarray) -> float:
     for rows in _chunks(len(col), _CHUNK_ROWS):
         total = np.add.accumulate(np.concatenate([[total], col[rows]]))[-1]
     return total
+
+
+def psu_frame_of(psu_ids: np.ndarray) -> dict:
+    """The ``Population`` frame fields ``psus``, ``starts`` and ``members``
+    of per-household PSU ids; non-decreasing ids keep no ``members``."""
+    starts = _runs(psu_ids)
+    members, starts = (None, starts) if starts is not None else _group(psu_ids)
+    first = starts[:-1] if members is None else members[starts[:-1]]
+    return {"psus": psu_ids[first], "starts": starts, "members": members}
+
+
+def _slice_codes(starts: np.ndarray, rows: slice) -> np.ndarray:
+    """PSU codes of the rows ``rows.start`` to ``rows.stop`` of a frame
+    without ``members``, where PSU p's rows are ``starts[p]`` to
+    ``starts[p + 1]``: one repeat of the PSUs they fall in."""
+    lo, hi = rows.start, rows.stop
+    first, last = starts.searchsorted([lo, hi - 1], side="right") - 1
+    return np.repeat(np.arange(first, last + 1), np.diff(starts[first:last + 2].clip(lo, hi)))
 
 
 def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -462,9 +474,9 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
     rng = np.random.default_rng(spec.seed)
     with _allocating("n_psus", spec.n_psus, "PSUs"):
         sizes = rng.integers(spec.households_min, spec.households_max + 1, spec.n_psus)
-    n = int(sizes.sum())
+        starts = np.concatenate(([0], np.cumsum(sizes)))  # PSU p's rows: the frame
+    n = int(starts[-1])
     with _allocating("households_max", n, "households"):
-        psu_ids = np.repeat(np.arange(spec.n_psus, dtype=np.int64), sizes)
         modes = np.empty(n, dtype=np.int8)
         binary = tuple(v.kind == "binary" for v in spec.variables)
         bits = np.zeros((n, -(-sum(binary) // 8)), dtype=np.uint8)
@@ -489,7 +501,7 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
     q_web_mail = q_web + q_mail
     for rows in chunks:
         k = rows.stop - rows.start
-        u, psu = rng.random(out=draws[:k]), psu_ids[rows]
+        u, psu = rng.random(out=draws[:k]), _slice_codes(starts, rows)
         np.greater_equal(u, q_web.take(psu, out=values[:k]), out=modes[rows])
         modes[rows] += u >= q_web_mail.take(psu, out=values[:k])
 
@@ -512,7 +524,7 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
             table = (mode_means + b * u_psu).ravel()
         for rows in chunks:
             k = rows.stop - rows.start
-            cell = np.multiply(psu_ids[rows], 3, out=cells[:k])
+            cell = np.multiply(_slice_codes(starts, rows), 3, out=cells[:k])
             cell += modes[rows]
             if v.kind == "binary":
                 hit = np.less(rng.random(out=draws[:k]), table.take(cell, out=values[:k]),
@@ -524,7 +536,8 @@ def generate_synthetic(spec: SyntheticPopSpec) -> Population:
                        out=col[rows])
 
     return Population(
-        psu_ids=psu_ids,
+        psus=np.arange(spec.n_psus, dtype=np.int64),
+        starts=starts,
         bits=bits,
         block=block,
         binary=binary,
@@ -709,7 +722,7 @@ def load_microdata(path: str | Path, schema: MicrodataSchema) -> Population:
     if (dup := _first_duplicate(ids)) is not None:  # the one check not made while reading
         row = np.flatnonzero(ids == dup)[1]
         raise IntegrityError(f"{_where(path, row)}: duplicate household id {dup}")
-    return Population(psu_ids=psu_ids, bits=np.empty((len(y), 0), np.uint8), block=y,
+    return Population(**psu_frame_of(psu_ids), bits=np.empty((len(y), 0), np.uint8), block=y,
                       binary=(False,) * len(schema.variables), modes=modes, labels=labels,
                       variable_names=tuple(schema.variables))
 
@@ -924,12 +937,14 @@ def write_population_csv(pop: Population, path: str | Path) -> None:
     header = ["id", "psu", "mode", *pop.variable_names]
     if pop.labels is not None:
         header.append("label")
+    codes = None if pop.members is None else pop.psu_codes()  # else a chunk's at a time
     with Path(path).open("w", newline="") as fh:
         # Only the header can hold a comma or quote, so only it goes through csv.
         csv.writer(fh, lineterminator="\n").writerow(header)
         for rows in _chunks(pop.n_households, _WRITE_ROWS):
             columns = [map(str, range(rows.start, rows.stop)),
-                       map(str, pop.psu_ids[rows].tolist()),
+                       map(str, pop.psus[_slice_codes(pop.starts, rows) if codes is None
+                                         else codes[rows]].tolist()),
                        [MODE_NAMES[m] for m in pop.modes[rows].tolist()],
                        *(map(repr, col) for col in pop.outcomes(rows).tolist())]
             if pop.labels is not None:

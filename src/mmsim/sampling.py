@@ -154,13 +154,12 @@ def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
     design is self-weighting with d = 1/f.  The PPS frame is ``pps_frame``'s,
     computed once per population and design.
     """
-    psus, sizes = pop.psu_frame()
     sel, _ = _pps_draw(pps_frame(pop, n_psus, m_per_psu), rng)
     f = n_psus * m_per_psu / pop.n_households
 
     # Keys drawn PSU by PSU as selected, rows ascending within each: a table
     # of one selected PSU per row, padded with +inf.
-    sel_sizes = sizes[sel]
+    sel_sizes = pop.starts[sel + 1] - pop.starts[sel]
     keys = np.full((len(sel), sel_sizes.max()), np.inf)
     keys[np.arange(keys.shape[1]) < sel_sizes[:, None]] = rng.random(sel_sizes.sum())
     # Each PSU takes its m_per_psu smallest keys, ties by position as in
@@ -174,14 +173,13 @@ def two_stage_select(pop: Population, n_psus: int, m_per_psu: int,
     order = np.argsort(sel)
     sel, at = sel[order], np.flatnonzero(take[order])  # row * width + column
     code = np.repeat(np.arange(len(sel)), m_per_psu)
-    ix = pop._psu_index
-    chosen = at + (ix["starts"][sel] - keys.shape[1] * np.arange(len(sel)))[code]
-    if ix["members"] is not None:
-        chosen = ix["members"][chosen]
+    chosen = at + (pop.starts[sel] - keys.shape[1] * np.arange(len(sel)))[code]
+    if pop.members is not None:
+        chosen = pop.members[chosen]
         by_row = np.argsort(chosen)
         chosen, code = chosen[by_row], code[by_row]
     return DrawnSample(tag=tag, unit_idx=chosen, d=np.full(len(chosen), 1.0 / f),
-                       psus=psus[sel], psu_code=code)
+                       psus=pop.psus[sel], psu_code=code)
 
 
 def _systematic_positions(sizes: np.ndarray, omega: float, u: np.ndarray) -> np.ndarray:

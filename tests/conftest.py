@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mmsim.population import Population, SyntheticPopSpec, VariableSpec
+from mmsim.population import Population, SyntheticPopSpec, VariableSpec, psu_frame_of
 from mmsim.sampling import DrawnSample, _pps_draw, _pps_frame
 from mmsim.variance import block_variances, first_stage_units
 
@@ -16,7 +16,7 @@ def make_population(y, psu_ids, modes=None, labels=None, variable_names=None):
         y = y.T
     names = variable_names or tuple(f"v{j + 1}" for j in range(y.shape[1]))
     return Population(
-        psu_ids=np.asarray(psu_ids, dtype=np.int64),
+        **psu_frame_of(np.asarray(psu_ids, dtype=np.int64)),
         **outcome_stores(tuple(y.T)),
         modes=np.zeros(len(psu_ids), np.int8) if modes is None else np.asarray(modes, np.int8),
         labels=None if labels is None else np.asarray(labels, dtype=np.int8),

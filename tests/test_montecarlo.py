@@ -158,7 +158,6 @@ def test_stochastic_iteration_skips_population_wide_id_checks(small_synthetic, m
     pop = attach_propensities(small_synthetic,
                               {"WEB": (0.6, 0.3), "MAIL": (0.3, 0.4), "FTF": (0.2, 0.4)})
     scen = mini_hybrid(rule="stochastic", iterations=1)
-    pop.psu_frame()  # the PSU index is built once per population, not per replicate
     sizes = []
 
     def recording(fn):

@@ -42,6 +42,7 @@ from mmsim.population import (
     estimate_icc,
     generate_synthetic,
     load_microdata,
+    psu_frame_of,
     write_population_csv,
 )
 from mmsim.sampling import two_stage_select
@@ -126,19 +127,6 @@ def test_duplicate_id_is_integrity_error(tmp_path):
 
 
 @settings(max_examples=60, deadline=None)
-@given(psu_ids=st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(0, 5), min_size=1,
-                        max_size=80))
-def test_psu_frame_matches_numpy_unique(psu_ids):
-    pop = make_population(np.zeros(len(psu_ids)), psu_ids)
-    psus, sizes = pop.psu_frame()
-    codes = pop.psu_codes()
-    want_psus, want_codes = np.unique(pop.psu_ids, return_inverse=True)
-    np.testing.assert_array_equal(psus, want_psus)
-    np.testing.assert_array_equal(codes, want_codes)
-    np.testing.assert_array_equal(sizes, np.bincount(want_codes))
-
-
-@settings(max_examples=60, deadline=None)
 @given(psu_ids=st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-3, 3), min_size=1,
                         max_size=80), presorted=st.booleans())
 def test_psu_frame_fast_path_matches_numpy_unique(psu_ids, presorted):
@@ -155,6 +143,42 @@ def test_psu_frame_fast_path_matches_numpy_unique(psu_ids, presorted):
     np.testing.assert_array_equal(sizes, np.bincount(want_codes))
     np.testing.assert_array_equal(pop.psu_codes(), want_codes)
     np.testing.assert_array_equal(starts, np.append(np.cumsum(sizes) - sizes, len(psu_ids)))
+
+
+_EXTREME_IDS = (st.integers(-2**63, -2**63 + 3) | st.integers(2**63 - 4, 2**63 - 1)
+                | st.integers(-3, 3) | st.integers(-2**63, 2**63 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(layout=st.sampled_from(["sorted", "grouped", "interleaved", "one-psu", "one-household"]),
+       data=st.data())
+def test_psu_frame_matches_numpy_unique(layout, data):
+    # PSUs of 1-8 households, in ascending order, in groups out of order, or
+    # with their households interleaved; one PSU; one household
+    psus = data.draw(st.lists(_EXTREME_IDS, min_size=1, max_size=12, unique=True))
+    psus = psus[:1] if layout in ("one-psu", "one-household") else psus
+    sizes = [1] if layout == "one-household" else data.draw(
+        st.lists(st.integers(1, 8), min_size=len(psus), max_size=len(psus)))
+    ids = np.repeat(np.array(psus, dtype=np.int64), sizes)
+    if layout == "sorted":
+        ids.sort()
+    elif layout == "interleaved":
+        ids = np.array(data.draw(st.permutations(ids.tolist())), dtype=np.int64)
+    pop = make_population(np.zeros(len(ids)), ids)
+    got = pop.psu_ids
+    assert got.dtype == np.int64 and got.tobytes() == ids.tobytes()
+    want_psus, want_codes, want_sizes = np.unique(ids, return_inverse=True, return_counts=True)
+    psus, sizes = pop.psu_frame()
+    assert psus.dtype == np.int64 and psus.tobytes() == want_psus.tobytes()
+    np.testing.assert_array_equal(sizes, want_sizes)
+    np.testing.assert_array_equal(pop.psu_codes(), want_codes)
+    # members are kept only for ids that decrease somewhere
+    assert (pop.members is None) == bool((ids[1:] >= ids[:-1]).all())
+    # a row chunk's codes, as the generator and writer read them off a
+    # frame without members: PSU order
+    lo, hi = sorted(data.draw(st.lists(st.integers(0, len(ids)), min_size=2, max_size=2)))
+    np.testing.assert_array_equal(population_mod._slice_codes(pop.starts, slice(lo, hi)),
+                                  np.repeat(np.arange(len(psus)), sizes)[lo:hi])
 
 
 def test_estimate_icc_rejects_sparse_codes():
@@ -175,7 +199,10 @@ def _traced_peak(fn):
 
 
 def _nbytes(pop):
-    return sum(a.nbytes for a in (pop.psu_ids, pop.bits, pop.block, pop.modes))
+    """Bytes of the population's stores: the PSU frame, outcomes and modes."""
+    members = () if pop.members is None else (pop.members,)
+    return sum(a.nbytes for a in (pop.psus, pop.starts, *members, pop.bits, pop.block,
+                                  pop.modes))
 
 
 LARGE_SPEC = SyntheticPopSpec(
@@ -192,6 +219,17 @@ def test_generate_peak_is_population_plus_a_few_chunks(monkeypatch):
     assert peak <= _nbytes(pop) + 12 * chunk * 8
 
 
+def test_generate_keeps_no_psu_id_per_household(monkeypatch):
+    # the stores, eight chunk-length float64 buffers and temporaries, and the
+    # per-PSU tables: no household-length int64 array (8 bytes per household)
+    chunk = 2**12
+    monkeypatch.setattr(population_mod, "_CHUNK_ROWS", chunk)
+    pop, peak = _traced_peak(lambda: generate_synthetic(LARGE_SPEC))
+    assert pop.members is None and len(pop.psus) == LARGE_SPEC.n_psus
+    assert 8 * chunk * 8 + 20 * LARGE_SPEC.n_psus * 8 < pop.n_households * 8
+    assert peak < _nbytes(pop) + 8 * chunk * 8 + 20 * LARGE_SPEC.n_psus * 8
+
+
 def test_load_microdata_peak_is_population_plus_a_few_chunks(tmp_path, monkeypatch):
     chunk = 2**12
     spec = dataclasses.replace(SMALL_SPEC, n_psus=300)
@@ -201,9 +239,10 @@ def test_load_microdata_peak_is_population_plus_a_few_chunks(tmp_path, monkeypat
     schema = MicrodataSchema(variables=tuple(v.name for v in spec.variables))
     pop, peak = _traced_peak(lambda: load_microdata(path, schema))
     assert pop.n_households > 6 * chunk
-    # the id column, checked for duplicates and dropped, and one chunk's
-    # records: id, psu, a mode string's reference and the outcomes
-    assert peak <= _nbytes(pop) + pop.n_households * 8 + \
+    # the id column, checked for duplicates and dropped, the PSU id column,
+    # turned into the PSU frame, and one chunk's records: id, psu, a mode
+    # string's reference and the outcomes
+    assert peak <= _nbytes(pop) + 2 * pop.n_households * 8 + \
         8 * chunk * (3 + len(schema.variables)) * 8
 
 
@@ -224,7 +263,7 @@ def test_generate_peak_is_below_a_float64_outcome_matrix(monkeypatch):
     assert pop.binary == (True, True, False)
     assert (pop.bits.dtype, pop.bits.shape) == (np.uint8, (pop.n_households, 1))
     assert (pop.block.dtype, pop.block.shape) == (np.float64, (pop.n_households, 1))
-    assert peak < pop.psu_ids.nbytes + pop.modes.nbytes + matrix
+    assert peak < pop.psus.nbytes + pop.starts.nbytes + pop.modes.nbytes + matrix
 
 
 BINARY, CONTINUOUS = SMALL_SPEC.variables[0], SMALL_SPEC.variables[2]
@@ -275,8 +314,9 @@ def test_outcomes_gather_the_stacked_columns(nb, nc, data):
     want = np.stack([c.astype(float) for c in columns])
     lo, hi = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
     for stores in (outcome_stores(columns), outcome_stores(tuple(want))):
-        pop = Population(psu_ids=np.zeros(n, np.int64), **stores, modes=np.zeros(n, np.int8),
-                         labels=None, variable_names=tuple(f"v{j}" for j in range(nb + nc)))
+        pop = Population(**psu_frame_of(np.zeros(n, np.int64)), **stores,
+                         modes=np.zeros(n, np.int8), labels=None,
+                         variable_names=tuple(f"v{j}" for j in range(nb + nc)))
         assert pop.y.tobytes() == np.ascontiguousarray(want.T).tobytes()
         for rows in (rng.integers(0, n, data.draw(st.integers(1, 2 * n))),
                      np.array([], dtype=np.intp), slice(lo, hi)):
@@ -296,32 +336,42 @@ def test_generated_outcomes_take_a_bit_per_binary_variable(kinds):
 
 
 def test_psu_frame_allocates_little_beyond_members():
+    # a generated population's frame is stored; ids out of order cost their
+    # member rows and one sorted copy of the ids while the frame is built
     pop = generate_synthetic(LARGE_SPEC)
     _, peak = _traced_peak(pop.psu_frame)
-    assert peak <= 1.5 * pop.n_households * 8
+    assert peak < 0.1 * pop.n_households * 8
+    ids = np.random.default_rng(2).permutation(pop.psu_ids)
+    frame, peak = _traced_peak(lambda: psu_frame_of(ids))
+    assert frame["members"].nbytes == pop.n_households * 8
+    assert peak <= 2.1 * pop.n_households * 8
 
 
 def test_psu_frame_of_sorted_ids_keeps_no_member_rows():
     # Non-decreasing PSU ids, as every generated population has: each PSU's
     # rows are one range, so the frame keeps no household-length array.
     pop = generate_synthetic(LARGE_SPEC)
-    (psus, sizes), peak = _traced_peak(pop.psu_frame)
+    ids = pop.psu_ids
+    frame, peak = _traced_peak(lambda: psu_frame_of(ids))
     assert peak < 0.1 * pop.n_households * 8
-    want_psus, want_codes = np.unique(pop.psu_ids, return_inverse=True)
-    np.testing.assert_array_equal(psus, want_psus)
-    np.testing.assert_array_equal(sizes, np.bincount(want_codes))
+    assert frame["members"] is None and pop.members is None
+    want_psus, want_codes = np.unique(ids, return_inverse=True)
+    for psus, starts in ((frame["psus"], frame["starts"]), (pop.psus, pop.starts)):
+        np.testing.assert_array_equal(psus, want_psus)
+        np.testing.assert_array_equal(np.diff(starts), np.bincount(want_codes))
     np.testing.assert_array_equal(pop.psu_codes(), want_codes)
     # The two-stage take reads each selected PSU's rows off the kept starts.
     s = two_stage_select(pop, 40, 80, np.random.default_rng(4))
     assert (np.diff(s.unit_idx) > 0).all()
-    np.testing.assert_array_equal(s.psus[s.psu_code], pop.psu_ids[s.unit_idx])
+    np.testing.assert_array_equal(s.psus[s.psu_code], ids[s.unit_idx])
     np.testing.assert_array_equal(np.bincount(s.psu_code), np.full(40, 80))
 
 
 def test_constructing_with_ascending_ids_copies_no_id_column():
     pop = generate_synthetic(LARGE_SPEC)
+    ids = pop.psu_ids
     _, peak = _traced_peak(lambda: Population(
-        psu_ids=pop.psu_ids, bits=pop.bits, block=pop.block, binary=pop.binary,
+        **psu_frame_of(ids), bits=pop.bits, block=pop.block, binary=pop.binary,
         modes=pop.modes, labels=None, variable_names=pop.variable_names))
     assert peak < pop.n_households * 8 / 2
 
@@ -630,7 +680,7 @@ def test_population_writer_matches_row_by_row_writer(tmp_path, with_labels):
     n = 300
     y = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
     y[:4, 0] = [-0.0, 0.0, 5e-324, 1.7976931348623157e308]
-    pop = Population(psu_ids=rng.integers(-2**62, 2**62, n), **outcome_stores(tuple(y.T)),
+    pop = Population(**psu_frame_of(rng.integers(-2**62, 2**62, n)), **outcome_stores(tuple(y.T)),
                      modes=rng.integers(0, 3, n).astype(np.int8),
                      labels=rng.integers(0, 3, n).astype(np.int8) if with_labels else None,
                      variable_names=("v1", "odd, \"name\"", "v3"))
@@ -656,7 +706,7 @@ def test_population_needs_one_column_per_variable_and_household(columns):
     # that is not a vector, a byte of bits with no binary variable, two bytes
     # for one, bits that are not uint8, one kind for two variables
     with pytest.raises(IntegrityError, match="do not match 3 households x 2 variables"):
-        Population(psu_ids=np.zeros(3, dtype=np.int64), **columns,
+        Population(**psu_frame_of(np.zeros(3, dtype=np.int64)), **columns,
                    modes=np.zeros(3, np.int8), labels=None, variable_names=("a", "b"))
 
 
@@ -665,7 +715,7 @@ def test_population_rejects_non_finite_outcomes(value):
     y = np.ones((3, 2))
     y[1, 1] = value
     with pytest.raises(IntegrityError, match="non-finite"):
-        Population(psu_ids=np.zeros(3, dtype=np.int64), **outcome_stores(tuple(y.T)),
+        Population(**psu_frame_of(np.zeros(3, dtype=np.int64)), **outcome_stores(tuple(y.T)),
                    modes=np.zeros(3, np.int8), labels=None, variable_names=("a", "b"))
 
 

@@ -174,17 +174,9 @@ def cmd_run(cfg: RunConfig, jobs: int = 1, quiet: bool = False) -> int:
 
 
 def cmd_deff(args) -> int:
-    params = PlanParams(
-        icc=args.delta, web_rate=args.web_rate, ftf_rate=args.ftf_rate,
-        unit_n_psus=args.unit_psus, unit_hh_per_psu=args.unit_hh,
-        unit_ftf_take=args.unit_take,
-        psu_n_psus=args.psu_psus, psu_sub_psus=args.psu_sub,
-        psu_hh_per_psu=args.psu_hh,
-        hybrid_n_psus=args.hybrid_psus, hybrid_hh_per_psu=args.hybrid_hh,
-        hybrid_unclustered_n=args.hybrid_unclustered,
-    )
-    plans = plan_three_designs(params)
-    print(format_plan_table(plans))
+    params = PlanParams(**{name: getattr(args, flag[2:].replace("-", "_"))
+                           for flag, name, _ in DEFF_FLAGS})
+    print(format_plan_table(plan_three_designs(params)))
     return 0
 
 
@@ -193,6 +185,23 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+# mmsim deff's flags: (flag, PlanParams field, help); the field gives type and default
+DEFF_FLAGS = (
+    ("--delta", "icc", "intraclass correlation"),
+    ("--web-rate", "web_rate", None),
+    ("--ftf-rate", "ftf_rate", "conditional ftf response rate"),
+    ("--unit-psus", "unit_n_psus", None),
+    ("--unit-hh", "unit_hh_per_psu", None),
+    ("--unit-take", "unit_ftf_take", "nonrespondents followed per PSU"),
+    ("--psu-psus", "psu_n_psus", None),
+    ("--psu-sub", "psu_sub_psus", None),
+    ("--psu-hh", "psu_hh_per_psu", None),
+    ("--hybrid-psus", "hybrid_n_psus", None),
+    ("--hybrid-hh", "hybrid_hh_per_psu", None),
+    ("--hybrid-unclustered", "hybrid_unclustered_n", None),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,20 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     deff = sub.add_parser("deff", help="closed-form design-effect planning table")
-    deff.add_argument("--delta", type=float, default=0.02, help="intraclass correlation")
-    deff.add_argument("--web-rate", type=float, default=0.25)
-    deff.add_argument("--ftf-rate", type=float, default=0.5,
-                      help="conditional ftf response rate")
-    deff.add_argument("--unit-psus", type=int, default=200)
-    deff.add_argument("--unit-hh", type=int, default=140)
-    deff.add_argument("--unit-take", type=int, default=30,
-                      help="nonrespondents followed per PSU")
-    deff.add_argument("--psu-psus", type=int, default=700)
-    deff.add_argument("--psu-sub", type=int, default=200)
-    deff.add_argument("--psu-hh", type=int, default=40)
-    deff.add_argument("--hybrid-psus", type=int, default=200)
-    deff.add_argument("--hybrid-hh", type=int, default=40)
-    deff.add_argument("--hybrid-unclustered", type=int, default=20000)
+    for flag, name, text in DEFF_FLAGS:
+        default = getattr(PlanParams, name)  # a dataclass field's default is its class attribute
+        deff.add_argument(flag, type=type(default), default=default, help=text)
     return parser
 
 

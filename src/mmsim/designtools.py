@@ -99,18 +99,31 @@ class PlanParams:
     hybrid_unclustered_n: int = 20000
 
     def __post_init__(self):
-        counts = ("unit_n_psus", "unit_hh_per_psu", "unit_ftf_take", "psu_n_psus", "psu_sub_psus",
-                  "psu_hh_per_psu", "hybrid_n_psus", "hybrid_hh_per_psu", "hybrid_unclustered_n")
-        rules = [(name, ">= 1", getattr(self, name) >= 1) for name in counts] + [
-            ("web_rate", "in [0, 1)", 0.0 <= self.web_rate < 1.0),  # 1 - web_rate divides
-            ("ftf_rate", "in [0, 1]", 0.0 <= self.ftf_rate <= 1.0),
-            ("ftf_rate", "> 0 when web_rate is 0", self.web_rate > 0.0 or self.ftf_rate > 0.0),
-            ("psu_sub_psus", "<= psu_n_psus", self.psu_sub_psus <= self.psu_n_psus),
-            ("unit_ftf_take", "<= the expected nonrespondents per PSU",
-             self.unit_ftf_take <= self.unit_hh_per_psu * (1.0 - self.web_rate))]
-        for name, rule, ok in rules:
+        def need(name: str, rule: str, ok: bool) -> None:
             if not ok:
                 raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)}")
+
+        for name in ("unit_n_psus", "unit_hh_per_psu", "unit_ftf_take", "psu_n_psus",
+                     "psu_sub_psus", "psu_hh_per_psu", "hybrid_n_psus", "hybrid_hh_per_psu",
+                     "hybrid_unclustered_n"):
+            need(name, ">= 1", getattr(self, name) >= 1)
+        p, web, ftf = self, self.web_rate, self.ftf_rate
+        need("web_rate", "in [0, 1)", 0.0 <= web < 1.0)  # 1 - web_rate divides
+        need("ftf_rate", "in [0, 1]", 0.0 <= ftf <= 1.0)
+        need("ftf_rate", "> 0 when web_rate is 0", web > 0.0 or ftf > 0.0)
+        need("psu_sub_psus", "<= psu_n_psus", p.psu_sub_psus <= p.psu_n_psus)
+        nonresp = p.unit_hh_per_psu * (1.0 - web)
+        need("unit_ftf_take", "<= the expected nonrespondents per PSU", p.unit_ftf_take <= nonresp)
+        # each plan's expected completes per PSU: one or more, not all rounded away
+        one = "large enough for one expected complete per PSU"
+        wu, fu = expected_completes(p.unit_hh_per_psu, web, ftf, p.unit_ftf_take / nonresp)
+        need("unit_hh_per_psu", one, wu + fu >= 1 and round(wu) + round(fu) > 0)
+        wp, fp = p.psu_hh_per_psu * web, p.psu_hh_per_psu * (1.0 - web) * ftf
+        rest, sub = p.psu_n_psus - p.psu_sub_psus, p.psu_sub_psus
+        need("psu_hh_per_psu", one, holt_m_prime([wp] * rest + [wp + fp] * sub) >= 1
+             and round(p.psu_n_psus * wp) + round(sub * fp) > 0)
+        hh = p.hybrid_n_psus * p.hybrid_hh_per_psu
+        need("hybrid_hh_per_psu", one, (hh * web + hh * (1.0 - web) * ftf) / p.hybrid_n_psus >= 1)
 
 
 @dataclass(frozen=True)

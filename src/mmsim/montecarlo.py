@@ -4,13 +4,8 @@ Every iteration derives its random streams from (master seed, scenario
 key, iteration index, stage), so results are identical for any degree
 of parallelism and adding estimators to a scenario never perturbs the
 sampling draws.  Degenerate estimator realizations are recorded and
-excluded from metric denominators, never imputed.
-
-Metric conventions: relative bias and CV are per-iteration measures
-averaged across iterations; RRMSE and confidence-interval coverage are
-cross-iteration aggregates.  Aggregate rows average the per-variable
-metrics across variables (ABS_RB averages the absolute per-variable
-relative biases).
+excluded from metric denominators, never imputed.  README's metric
+table gives each summary column's per-variable and ``__mean__`` value.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -430,59 +425,45 @@ def summarize(results: Replicates, truth: np.ndarray,
     estimators.
     """
     truth = np.asarray(truth, dtype=float)
-    k = len(variable_names)
+    used = [_used_rows(results, i) for i in range(len(results.labels))]
     if cil_reference is None:
-        lengths = [_used_rows(results, i)[3] for i in range(len(results.labels))]
-        cil_reference = {v: float(np.mean([c[:, j].mean() for c in lengths]))
+        cil_reference = {v: float(np.mean([u[3][:, j].mean() for u in used]))
                          for j, v in enumerate(variable_names)}
+    ref = np.array([cil_reference.get(v) or 0.0 for v in variable_names], dtype=float)
 
     rows = []
-    for i, label in enumerate(results.labels):
-        points, variances, covered, cils, degenerate = _used_rows(results, i)
+    for label, (points, variances, covered, cils, degenerate) in zip(results.labels, used):
         n = len(points)
-        rel = (points - truth[None, :]) / truth[None, :]
+        rel = (points - truth) / truth
         sq = rel**2
-        cv_i = np.sqrt(variances) / points
-        rb, cv, m_sq = rel.mean(axis=0), cv_i.mean(axis=0), sq.mean(axis=0)
-        se_rb, se_cv = _mc_se(rel), _mc_se(cv_i)
-        rrmse = np.sqrt(m_sq)
+        # a replicate whose estimated SE is 0 has CV 0, even at a zero estimate
+        cv_i = np.divide(np.sqrt(variances), points, out=np.zeros_like(points),
+                         where=variances != 0)
+        rb, cover, mean_cil = rel.mean(axis=0), covered.mean(axis=0), cils.mean(axis=0)
+        rrmse = np.sqrt(sq.mean(axis=0))
+        rel_agg, cv_agg, cover_agg = rel.mean(axis=1), cv_i.mean(axis=1), covered.mean(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             se_rrmse = np.where(rrmse > 0, _mc_se(sq) / (2.0 * rrmse), 0.0 if n > 1 else np.nan)
-        cover = covered.mean(axis=0)
-        se_cover = np.sqrt(cover * (1.0 - cover) / n)
-        mean_cil = cils.mean(axis=0)
-
-        for j, v in enumerate(variable_names):
-            ref = cil_reference.get(v)
-            rows.append(SummaryRow(
-                estimator=label, variable=v, n_used=n, degenerate=degenerate,
-                rb=float(rb[j]), se_rb=float(se_rb[j]),
-                cv=float(cv[j]), se_cv=float(se_cv[j]),
-                rrmse=float(rrmse[j]), se_rrmse=float(se_rrmse[j]),
-                coverage=float(cover[j]), se_coverage=float(se_cover[j]),
-                abs_rb=float(abs(rb[j])),
-                mean_cil=float(mean_cil[j]),
-                norm_cil=float(mean_cil[j] / ref) if ref else float("nan"),
-            ))
-
-        # Variable-averaged row with MC errors that respect the
-        # within-iteration correlation across variables; RRMSE's by the delta
-        # method, as the MC error of each row's gradient-weighted sq.
-        rel_agg, cv_agg, cover_agg = rel.mean(axis=1), cv_i.mean(axis=1), covered.mean(axis=1)
-        with np.errstate(divide="ignore"):
-            grad = np.where(m_sq > 0, 1.0 / (2.0 * k * np.sqrt(m_sq)), 0.0)
-        norm_vals = [mean_cil[j] / cil_reference[v]
-                     for j, v in enumerate(variable_names) if cil_reference.get(v)]
-        rows.append(SummaryRow(
-            estimator=label, variable=AGGREGATE, n_used=n, degenerate=degenerate,
-            rb=float(rel_agg.mean()), se_rb=float(_mc_se(rel_agg)),
-            cv=float(cv_agg.mean()), se_cv=float(_mc_se(cv_agg)),
-            rrmse=float(rrmse.mean()), se_rrmse=float(_mc_se((sq * grad).sum(axis=1))),
-            coverage=float(cover_agg.mean()), se_coverage=float(_mc_se(cover_agg)),
-            abs_rb=float(np.abs(rb).mean()),
-            mean_cil=float(mean_cil.mean()),
-            norm_cil=float(np.mean(norm_vals)) if norm_vals else float("nan"),
-        ))
+            grad = np.where(rrmse > 0, 1.0 / (2.0 * len(rrmse) * rrmse), 0.0)
+            norm = np.where(ref != 0, mean_cil / ref, np.nan)
+        # metric: (per variable [K], variable-averaged).  Averaged MC errors, of the row
+        # means, keep the cross-variable correlation; RRMSE's is by the delta method.
+        table = {
+            "rb": (rb, rel_agg.mean()),
+            "se_rb": (_mc_se(rel), _mc_se(rel_agg)),
+            "cv": (cv_i.mean(axis=0), cv_agg.mean()),
+            "se_cv": (_mc_se(cv_i), _mc_se(cv_agg)),
+            "rrmse": (rrmse, rrmse.mean()),
+            "se_rrmse": (se_rrmse, _mc_se((sq * grad).sum(axis=1))),
+            "coverage": (cover, cover_agg.mean()),
+            "se_coverage": (np.sqrt(cover * (1.0 - cover) / n), _mc_se(cover_agg)),
+            "abs_rb": (np.abs(rb), np.abs(rb).mean()),
+            "mean_cil": (mean_cil, mean_cil.mean()),
+            "norm_cil": (norm, norm[ref != 0].mean() if ref.any() else np.nan),
+        }
+        columns = {metric: np.append(each, mean) for metric, (each, mean) in table.items()}
+        rows += [SummaryRow(label, v, n, degenerate, **{m: float(c[j]) for m, c in columns.items()})
+                 for j, v in enumerate((*variable_names, AGGREGATE))]
     return ScenarioSummary(scenario=scenario_id, variables=tuple(variable_names),
                            rows=tuple(rows))
 
@@ -512,18 +493,14 @@ def write_iterations_csv(path, scenario_id: str, results: Replicates,
                                 "" if reason else int(cover), int(bool(reason))])
 
 
-_SUMMARY_FIELDS = tuple(f.name for f in fields(SummaryRow)[2:])  # after estimator, variable
-
-
 def write_summary_csv(path, summary: ScenarioSummary, metadata: dict) -> None:
     with open(path, "w", newline="") as fh:
         _write_metadata(fh, metadata)
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["scenario", "estimator", "variable", *_SUMMARY_FIELDS])
+        w.writerow(["scenario", *(f.name for f in fields(SummaryRow))])
         for r in summary.rows:
-            w.writerow([summary.scenario, r.estimator, r.variable,
-                        *(repr(getattr(r, f)) if isinstance(getattr(r, f), float)
-                          else getattr(r, f) for f in _SUMMARY_FIELDS)])
+            w.writerow([summary.scenario,
+                        *(repr(x) if isinstance(x, float) else x for x in astuple(r))])
 
 
 def write_summary_json(path, summary: ScenarioSummary, metadata: dict) -> None:
@@ -531,11 +508,7 @@ def write_summary_json(path, summary: ScenarioSummary, metadata: dict) -> None:
         "metadata": metadata,
         "scenario": summary.scenario,
         "variables": list(summary.variables),
-        "rows": [
-            {"estimator": r.estimator, "variable": r.variable,
-             **{f: getattr(r, f) for f in _SUMMARY_FIELDS}}
-            for r in summary.rows
-        ],
+        "rows": [asdict(r) for r in summary.rows],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=True)

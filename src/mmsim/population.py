@@ -230,8 +230,7 @@ def _row_order_sum(col: np.ndarray) -> float:
 def psu_frame_of(psu_ids: np.ndarray) -> dict:
     """The ``Population`` frame fields ``psus``, ``starts`` and ``members``
     of per-household PSU ids; non-decreasing ids keep no ``members``."""
-    starts = _runs(psu_ids)
-    members, starts = (None, starts) if starts is not None else _group(psu_ids)
+    members, starts = _group(psu_ids)
     first = starts[:-1] if members is None else members[starts[:-1]]
     return {"psus": psu_ids[first], "starts": starts, "members": members}
 
@@ -245,32 +244,33 @@ def _slice_codes(starts: np.ndarray, rows: slice) -> np.ndarray:
     return np.repeat(np.arange(first, last + 1), np.diff(starts[first:last + 2].clip(lo, hi)))
 
 
-def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _group(keys: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     """Positions of ``keys`` grouped by value, and where each group starts.
 
     Returns ``(order, starts)``: group g, the g-th smallest distinct
     value, is ``order[starts[g]:starts[g + 1]]`` with positions ascending
-    (one stable sort); ``starts`` ends with ``len(keys)``.  Keys that
-    are already non-decreasing skip the sort, whose order would be the
-    identity.
+    (one stable sort); ``starts`` ends with ``len(keys)``.  Keys already
+    non-decreasing skip the sort: ``order`` is None, the identity.
     """
     starts = _runs(keys)
     if starts is not None:
-        return np.arange(len(keys)), starts
+        return None, starts
     order = np.argsort(keys, kind="stable")
-    return order, _runs(keys[order])
+    return order, _runs(keys, order)
 
 
-def _runs(keys: np.ndarray) -> np.ndarray | None:
-    """Where each run of equal non-decreasing ``keys`` starts, then ``len(keys)``;
-    None if keys decrease.  Compared 4096 at a time: no key-length temporary."""
+def _runs(keys: np.ndarray, order: np.ndarray | None = None) -> np.ndarray | None:
+    """Where each run of equal non-decreasing ``keys``, read as ``keys[order]``
+    if ``order`` is given, starts, then ``len(keys)``; None if they decrease.
+    Read 4096 at a time: no key-length temporary, nor a copy of ``keys[order]``."""
     n, step = len(keys), 2**12
     firsts = [np.arange(min(n, 1))]
     for lo in range(1, n, step):
-        cur, prev = keys[lo:lo + step], keys[lo - 1:min(lo + step, n) - 1]
-        if (cur < prev).any():
+        run = keys[lo - 1:lo + step] if order is None else keys[order[lo - 1:lo + step]]
+        if (run[1:] < run[:-1]).any():
             return None
-        firsts.append(lo + np.flatnonzero(cur != prev))
+        firsts.append(lo + np.flatnonzero(run[1:] != run[:-1]))
+        del run  # a gathered chunk is freed before the next one is made
     return np.concatenate([*firsts, [n]])
 
 

@@ -212,7 +212,7 @@ def subsample_nonrespondents_units(sample: DrawnSample, omega: float,
     nonresp = np.flatnonzero(sample.delta_w == 0)
     codes = np.zeros(sample.n_units, dtype=np.intp) if sample.psus is None else sample.psu_code
     by_psu, starts = _group(codes[nonresp])
-    pool = nonresp[by_psu]  # grouped by ascending PSU id, rows ascending within
+    pool = nonresp if by_psu is None else nonresp[by_psu]  # by PSU, rows ascending within
     first, sizes = starts[:-1], np.diff(starts)
     u = []
     for a, m in zip(first.tolist(), sizes.tolist()):

@@ -265,6 +265,49 @@ def test_run_emits_summaries(tmp_path):
     assert {r["estimator"] for r in rows} == {"T2", "TDF2"}
 
 
+# One household per sampled PSU of 20 small ones: some replicates estimate a
+# binary total of 0 with an estimated variance of 0.
+ZERO_VARIANCE_RUN = """\
+population:
+  synthetic:
+    n_psus: 20
+    households_min: 10
+    households_max: 12
+    share_web: 0.48
+    share_mail: 0.26
+    icc_outcome: 0.02
+    icc_response: 0.02
+    seed: 7
+    variables:
+      - {name: v1, kind: binary, mean_web: 0.88, mean_mail: 0.82, mean_ftf: 0.77}
+      - {name: v2, kind: continuous, mean_web: 0.75, mean_mail: 0.62, mean_ftf: 0.52, sd: 0.55}
+scenario:
+  id: ZV
+  rule: B
+  iterations: 5
+  seed: 1
+  design:
+    kind: hybrid
+    n_unclustered: 20
+    n_psus: 4
+    m_per_psu: 1
+  estimators:
+    - {id: T1}
+    - {id: T2}
+    - {id: TA}
+"""
+
+
+def test_zero_estimate_with_zero_variance_writes_no_nan(tmp_path):
+    cfg = write_config(tmp_path, ZERO_VARIANCE_RUN + f"output:\n  dir: {tmp_path}/out\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 0
+    iterations = list(csv.DictReader(read_noncomment(tmp_path / "out" / "iterations.csv")))
+    assert any(float(r["point"]) == 0.0 == float(r["variance"]) for r in iterations)
+    assert "nan" not in (tmp_path / "out" / "summary.csv").read_text()
+
+
 def test_run_same_seed_identical_any_jobs(tmp_path):
     cfg = write_config(tmp_path, POP_BLOCK + SCENARIO_BLOCK)
     files = {}
@@ -790,6 +833,12 @@ def test_deff_zero_icc_clustering_deffs_are_one(capsys):
     (["--web-rate", "1"], "web_rate"),
     (["--unit-psus", "-5"], "unit_n_psus"),
     (["--web-rate", "0", "--ftf-rate", "0"], "ftf_rate"),
+    # under one expected complete per PSU, or all of them rounded away
+    (["--unit-hh", "2", "--web-rate", "0.25", "--unit-take", "1"], "unit_hh_per_psu"),
+    (["--psu-hh", "1", "--web-rate", "0.2", "--ftf-rate", "0.1"], "psu_hh_per_psu"),
+    (["--hybrid-hh", "1", "--web-rate", "0.2", "--ftf-rate", "0.1"], "hybrid_hh_per_psu"),
+    (["--psu-psus", "1", "--psu-sub", "1", "--psu-hh", "1", "--web-rate", "0.5",
+      "--ftf-rate", "1"], "psu_hh_per_psu"),
 ])
 def test_deff_out_of_range_plan_is_config_error(capsys, args, field):
     assert main(["deff", *args]) == 2

@@ -120,3 +120,24 @@ def test_planning_chain_reproduces_reference_figures():
     assert hybrid.overall_deff == pytest.approx(1.14, abs=0.01)
     assert hybrid.effective_n == pytest.approx(8741, abs=40)
     assert all(p.web_completes + p.ftf_completes == pytest.approx(10000) for p in (unit, psu, hybrid))
+
+
+PLAN_FIELDS = tuple(PlanParams.__dataclass_fields__)
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.lists(st.integers(1, 6), min_size=9, max_size=9),
+       rates=st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.5, 0.75, 1.0]), min_size=2,
+                      max_size=2),
+       icc=st.sampled_from([0.0, 0.02, 0.5]))
+def test_a_plan_that_constructs_can_be_planned(counts, rates, icc):
+    # Small designs, where expected completes per PSU can fall under one or
+    # round to no Kish weight: either PlanParams names the field at fault,
+    # or every design's plan is computed.
+    params = dict(zip(PLAN_FIELDS[3:], counts), icc=icc, web_rate=rates[0], ftf_rate=rates[1])
+    try:
+        plan = PlanParams(**params)
+    except ValidationError as exc:
+        assert str(exc).split(" must be ")[0] in PLAN_FIELDS
+        return
+    assert all(p.effective_n > 0 for p in plan_three_designs(plan))

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from mmsim.montecarlo import (
     summarize,
 )
 from mmsim.population import MODE_WEB, Population, generate_synthetic
-from mmsim.variance import confidence_interval
+from mmsim.variance import Z_95, confidence_interval
 from conftest import SMALL_SPEC, make_population
 
 
@@ -332,6 +333,76 @@ def test_aggregate_rrmse_error_is_the_delta_method_value():
     assert row.se_rrmse == pytest.approx(want, rel=1e-12)
     one = summarize(_replicates(*zip(*draws[:1]), truth), truth, ("v1", "v2", "v3"), "S")
     assert np.isnan(one.row("E").se_rrmse)
+
+
+def test_a_replicate_with_zero_estimated_variance_has_zero_cv():
+    # its estimated SE is 0, so its CV is 0, even where the estimate is 0 too
+    truth = np.array([10.0])
+    results = _replicates([[0.0], [12.0], [8.0]], [[0.0], [4.0], [1.0]], truth)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = summarize(results, truth, ("v1",), "S").row("E", "v1")
+    assert row.cv == pytest.approx((0.0 + 2.0 / 12.0 + 1.0 / 8.0) / 3, rel=1e-15)
+    assert row.se_cv == pytest.approx(np.std([0.0, 2.0 / 12.0, 1.0 / 8.0], ddof=1) / np.sqrt(3))
+
+
+def _two_label_run(n, degenerate):
+    """Labels "E" and "F" on three variables over ``n`` iterations; the rows
+    ``degenerate`` of E are degenerate, and F has one zero-variance estimate."""
+    rng = np.random.default_rng(4)
+    truth = np.array([50.0, 80.0, 20.0])
+    point = truth * (1 + rng.normal(0.02, 0.1, (n, 2, 3)))
+    variance = rng.uniform(1, 30, (n, 2, 3))
+    variance[-1, 1, 0] = 0.0
+    reason = np.full((n, 2), "", dtype=object)
+    reason[list(degenerate), 0] = "x"
+    point[reason != ""], variance[reason != ""] = np.nan, np.nan
+    _, _, covered = confidence_interval(point, variance, truth)
+    return Replicates(("E", "F"), truth, point, variance, covered, reason)
+
+
+@pytest.mark.parametrize("n, degenerate, reference", [
+    (40, (), {"v1": 30.0, "v3": 12.0}),  # a reference that lacks v2
+    (40, (3, 7, 8), None),  # degenerate rows, and the within-run reference
+    (5, (0, 1, 2, 3), None),  # E has a single used iteration: no MC errors
+])
+def test_mean_row_matches_a_direct_computation(n, degenerate, reference):
+    results, names = _two_label_run(n, degenerate), ("v1", "v2", "v3")
+    summary = summarize(results, results.truth, names, "S", cil_reference=reference)
+    used = [results.reason[:, col] == "" for col in range(2)]
+    cil = 2 * Z_95 * np.sqrt(results.variance)
+    if reference is None:  # each variable's mean CIL, averaged over the labels
+        reference = {v: np.mean([cil[keep, col, j].mean() for col, keep in enumerate(used)])
+                     for j, v in enumerate(names)}
+    for col, label in enumerate(results.labels):
+        keep = used[col]
+        m = int(keep.sum())
+        p, v = results.point[keep, col], results.variance[keep, col]
+        rel, cv = (p - results.truth) / results.truth, np.where(v == 0, 0.0, np.sqrt(v) / p)
+        hit = results.covered[keep, col].astype(float)
+        rrmse = np.sqrt((rel**2).mean(axis=0))
+        grad = 1.0 / (2.0 * len(names) * rrmse)  # d mean_j sqrt(m_j) / d m_j
+
+        def mc_se(rows):  # Monte Carlo error of the mean of per-iteration values
+            return rows.std(ddof=1) / np.sqrt(m) if m > 1 else np.nan
+
+        lengths = cil[keep, col].mean(axis=0)
+        want = {
+            "n_used": m, "degenerate": len(keep) - m,
+            "rb": rel.mean(), "se_rb": mc_se(rel.mean(axis=1)),
+            "cv": cv.mean(), "se_cv": mc_se(cv.mean(axis=1)),
+            "rrmse": rrmse.mean(), "se_rrmse": mc_se((rel**2 @ grad)),
+            "coverage": hit.mean(), "se_coverage": mc_se(hit.mean(axis=1)),
+            "abs_rb": np.abs(rel.mean(axis=0)).mean(), "mean_cil": lengths.mean(),
+            "norm_cil": np.mean([lengths[j] / reference[v]
+                                 for j, v in enumerate(names) if v in reference]),
+        }
+        row = summary.row(label)
+        assert set(want) == {f for f in vars(row) if f not in ("estimator", "variable")}
+        for field, value in want.items():
+            assert getattr(row, field) == pytest.approx(value, rel=1e-12, abs=1e-15,
+                                                        nan_ok=True), (label, field)
+        assert np.isnan(summary.row(label, "v2").norm_cil) == ("v2" not in reference)
 
 
 def test_degenerate_iterations_are_excluded_and_counted():

@@ -9,6 +9,11 @@ unclustered households (A) and 50 PSUs of 50 households (B).  Estimators
 are timed on statistics that earlier calls have already used, as every
 estimator after the first one of a replicate sees them.
 
+The collect cases time the web push and the follow-up step on b1a's
+clustered sample: no follow-up, all web nonrespondents (as b1a runs),
+half of them in each PSU (b2u's omega) or those in half of its PSUs (as
+b2p subsamples).
+
 The variance cases time one sample's pass: its per-(unit, response
 class) sums, then the variances of every distinct score block of the
 preset's labels on it.  The replicate cases time one whole warm
@@ -29,12 +34,14 @@ b1a's clustered sample and the microdata workload's (100 of 2000 PSUs,
 50 households each).
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from mmsim import estimators as est
 from mmsim import montecarlo as mc
-from mmsim import population, sampling, variance
+from mmsim import population, response, sampling, variance
 from mmsim.config import load_config, preset_path
 from mmsim.population import (
     Population,
@@ -88,6 +95,26 @@ def test_compute_factors(benchmark, b1a):
     scenario, _, samples, _ = b1a
     fac = benchmark(est.compute_factors, samples["A"], samples["B"], scenario.icc_planning)
     assert 0.0 < fac.lam < 1.0
+
+
+FOLLOWUPS = {
+    "none": lambda rng: None,
+    "all": lambda rng: sampling.followup_all_units,
+    "units": lambda rng: partial(sampling.subsample_nonrespondents_units, omega=0.5, rng=rng),
+    "psus": lambda rng: partial(sampling.subsample_psus, count=25, rng=rng),
+}
+
+
+@pytest.mark.parametrize("step", list(FOLLOWUPS))
+def test_collect(benchmark, b1a, step):
+    scenario, pop = b1a[:2]
+    design, rng = scenario.design, np.random.default_rng(0)
+    drawn = sampling.two_stage_select(pop, design.n_psus, design.m_per_psu, mc.stage_rng(
+        scenario.seed, mc.scenario_key(scenario.id), 0, mc.STAGE_CLUSTERED), tag="B")
+    s = benchmark(response.collect, drawn, pop.labels, FOLLOWUPS[step](rng))
+    assert s.unit_idx.tobytes() == b1a[2]["B"].unit_idx.tobytes() and s.cls.dtype == np.int8
+    followed = (s.cls == sampling.FTF) | (s.cls == sampling.FLAGGED)
+    assert followed.any() != (step == "none")
 
 
 @pytest.fixture(scope="module")

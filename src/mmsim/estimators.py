@@ -28,10 +28,10 @@ reads the ``sample_stats`` of its samples: weighted masses and mode
 means, built once per sample and shared by every estimator on it.
 A result carries the closed-form total and, per sample, its score
 coefficients: a household's linearization score is d * (a[c] + b[c] * y)
-for its response class c, so the score arithmetic is O(4 K) whatever the
-sample size.  The same totals are sums of respondent weights times
-outcomes; that weight form lives in the test suite as an independent
-reference.
+for its response class c (``sampling``: WEB, FTF, FLAGGED or OTHER), so
+the score arithmetic is O(4 K) whatever the sample size.  The same
+totals are sums of respondent weights times outcomes; that weight form
+lives in the test suite as an independent reference.
 """
 
 from __future__ import annotations
@@ -44,14 +44,10 @@ from .errors import EstimationError
 # Unused here; perfbench/test_perfbench.py expects its tracer to wrap this
 # name in this module.
 from .response import response_rates  # noqa: F401
-from .sampling import DrawnSample
+from .sampling import FLAGGED, FTF, WEB, DrawnSample
 
 class DegenerateEstimate(EstimationError):
     """The sample realization does not support this estimator."""
-
-
-# Response classes: web and ftf respondents, flagged and other nonrespondents.
-WEB, FTF, FLAGGED, OTHER = range(4)
 
 
 @dataclass(frozen=True)
@@ -84,8 +80,6 @@ class SampleStats:
 
     sample: DrawnSample
     yt: np.ndarray  # outcomes variables-major, [K, n]
-    d: np.ndarray
-    cls: np.ndarray  # each household's response class, WEB ... OTHER
     n_hat: float
     w_hat: float
     m_hat: float
@@ -100,20 +94,14 @@ class SampleStats:
 def sample_stats(sample: DrawnSample, yt: np.ndarray) -> SampleStats:
     """The statistics every estimator reads of ``sample`` with [K, n] outcomes
     ``yt``; its sums are numpy reductions along rows of ``yt``, not BLAS."""
-    d = sample.d
-    dw = sample.delta_w.astype(float)
-    df = sample.delta_f.astype(float)
-    elig = sample.flags().astype(float)
-    d_w, d_f, d_m = d * dw, d * df, d * (1.0 - dw)
+    d, cls = sample.d, sample.cls
+    d_w, d_f = d * (cls == WEB), d * (cls == FTF)
     w_hat, f_hat = float(d_w.sum()), float(d_f.sum())
     a_w, a_f = (yt * d_w).sum(axis=1), (yt * d_f).sum(axis=1)
-    # ftf respondents are flagged (``response.collect``), so a nonrespondent
-    # is FTF, FLAGGED or OTHER by how many of delta_f and the flag it has
-    cls = (1 - sample.delta_w) * (OTHER - sample.delta_f - sample.flags())
     return SampleStats(
-        sample=sample, yt=yt, d=d, cls=cls,
-        n_hat=float(d.sum()), w_hat=w_hat, m_hat=float(d_m.sum()),
-        me_hat=float((d_m * elig).sum()), f_hat=f_hat, a_w=a_w, a_f=a_f,
+        sample=sample, yt=yt, n_hat=float(d.sum()), w_hat=w_hat,
+        m_hat=float((d * (cls != WEB)).sum()), f_hat=f_hat, a_w=a_w, a_f=a_f,
+        me_hat=float((d * ((cls == FTF) | (cls == FLAGGED))).sum()),
         ybar_w=a_w / w_hat if w_hat > 0 else np.full(len(yt), np.nan),
         ybar_f=a_f / f_hat if f_hat > 0 else np.full(len(yt), np.nan),
     )
@@ -127,7 +115,7 @@ def uniform_adjustment(st: SampleStats) -> EstimatorResult:
     """
     om = 1.0 if st.sample.ftf_rate is None else st.sample.ftf_rate
     g = np.array([1.0, 1.0 / om, 0.0, 0.0])  # response expansion dw + df/omega by class
-    dg = st.d * g[st.cls]
+    dg = st.sample.d * g[st.sample.cls]
     num = float(dg.sum())
     if num <= 0.0:
         raise DegenerateEstimate("no respondents; overall response rate is zero")
@@ -267,7 +255,8 @@ def compute_factors(sample_a: DrawnSample, sample_b: DrawnSample,
         return CompositeFactors(lam=fixed, kappa=fixed)
     n_psus = len(sample_b.psus)
 
-    def eff(count: int, clustered: bool) -> float:
+    def eff(counted: np.ndarray, clustered: bool) -> float:
+        count = np.count_nonzero(counted)
         if count <= 0:
             raise EstimationError("zero respondents leave an effective size of zero")
         if not clustered:
@@ -275,11 +264,8 @@ def compute_factors(sample_a: DrawnSample, sample_b: DrawnSample,
         deff = 1.0 + icc * (count / n_psus - 1.0)
         return count / max(deff, 1.0)
 
-    resp_a = int(((sample_a.delta_w > 0) | (sample_a.delta_f > 0)).sum())
-    resp_b = int(((sample_b.delta_w > 0) | (sample_b.delta_f > 0)).sum())
-    web_a = int((sample_a.delta_w > 0).sum())
-    web_b = int((sample_b.delta_w > 0).sum())
-    ea, eb = eff(resp_a, False), eff(resp_b, True)
-    wa, wb = eff(web_a, False), eff(web_b, True)
+    # respondents are WEB and FTF, the two lowest classes
+    ea, eb = eff(sample_a.cls <= FTF, False), eff(sample_b.cls <= FTF, True)
+    wa, wb = eff(sample_a.cls == WEB, False), eff(sample_b.cls == WEB, True)
     return CompositeFactors(lam=ea / (ea + eb), kappa=wa / (wa + wb))
 

@@ -422,17 +422,19 @@ def summarize(results: Replicates, truth: np.ndarray,
     ``cil_reference`` maps variable names to the mean confidence-interval
     length used to normalize CIL (typically the cross-scenario mean);
     without it each variable is normalized by the within-run mean across
-    estimators.
+    estimators.  It holds one label's used rows at a time.
     """
     truth = np.asarray(truth, dtype=float)
-    used = [_used_rows(results, i) for i in range(len(results.labels))]
-    if cil_reference is None:
-        cil_reference = {v: float(np.mean([u[3][:, j].mean() for u in used]))
+    if cil_reference is None:  # a pass that keeps only each label's K mean lengths
+        means = [[cils[:, j].mean() for j in range(len(variable_names))]
+                 for cils in (_used_rows(results, col)[3] for col in range(len(results.labels)))]
+        cil_reference = {v: float(np.mean([m[j] for m in means]))
                          for j, v in enumerate(variable_names)}
     ref = np.array([cil_reference.get(v) or 0.0 for v in variable_names], dtype=float)
 
     rows = []
-    for label, (points, variances, covered, cils, degenerate) in zip(results.labels, used):
+    for col, label in enumerate(results.labels):
+        points, variances, covered, cils, degenerate = _used_rows(results, col)
         n = len(points)
         rel = (points - truth) / truth
         sq = rel**2
@@ -464,6 +466,7 @@ def summarize(results: Replicates, truth: np.ndarray,
         columns = {metric: np.append(each, mean) for metric, (each, mean) in table.items()}
         rows += [SummaryRow(label, v, n, degenerate, **{m: float(c[j]) for m, c in columns.items()})
                  for j, v in enumerate((*variable_names, AGGREGATE))]
+        del points, variances, covered, cils, rel, sq, cv_i  # freed before the next label
     return ScenarioSummary(scenario=scenario_id, variables=tuple(variable_names),
                            rows=tuple(rows))
 

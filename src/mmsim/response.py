@@ -2,8 +2,9 @@
 
 Each sample is collected in one step: a web push, then the optional
 face-to-face (ftf) follow-up of a subsample of web nonrespondents.  The
-follow-up subsample is drawn from the web outcome, so ``collect`` sets
-the web response indicators before it runs the follow-up step.
+follow-up subsample is drawn from the web outcome, so ``collect`` codes
+each household's response class (``sampling``: WEB, FTF, FLAGGED or
+OTHER) from the web outcome before it runs the follow-up step.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .population import LABEL_FTF, LABEL_WEB, StochasticLabels, _derive
-from .sampling import DrawnSample
+from .sampling import FLAGGED, FTF, OTHER, WEB, DrawnSample
 
 
 @dataclass(frozen=True)
@@ -41,46 +42,41 @@ class ResponseRates:
 
 def collect(sample: DrawnSample, labels: np.ndarray | StochasticLabels,
             followup: Callable[[DrawnSample], DrawnSample] | None = None) -> DrawnSample:
-    """Set response indicators from population labels.
+    """Set each household's response class from population labels.
 
     ``labels`` is anything indexed by population row that returns those
     rows' labels: a population-length array such as ``Population.labels``,
     or a lookup such as ``population.StochasticLabels`` that classifies
     only the rows asked for.  It is indexed once, with ``sample.unit_idx``.
 
-    delta_w = 1 iff the household is a web respondent.  ``followup`` (for
+    Web respondents are WEB and everyone else OTHER.  ``followup`` (for
     example ``sampling.followup_all_units`` or a ``subsample_*`` step with
-    its rng bound) then flags web nonrespondents, and delta_f = 1 iff the
-    household is an ftf respondent *and* was flagged.  Without a follow-up
-    step nobody is flagged.  Nonrespondent households never respond.
+    its rng bound) then recodes the nonrespondents it selects as FLAGGED,
+    and each flagged household labelled ftf becomes FTF.  Without a
+    follow-up step nobody is flagged.  Nonrespondent households never respond.
     """
     lab = labels[sample.unit_idx]
-    sample = _derive(sample, delta_w=(lab == LABEL_WEB).astype(np.uint8),
-                     delta_f=np.zeros(sample.n_units, dtype=np.uint8))
+    sample = _derive(sample, cls=np.where(lab == LABEL_WEB, WEB, OTHER))
     if followup is None:
         return sample
     sample = followup(sample)
-    return _derive(sample, delta_f=((lab == LABEL_FTF) & sample.flags()).astype(np.uint8))
+    return _derive(sample, cls=np.where((sample.cls == FLAGGED) & (lab == LABEL_FTF),
+                                        FTF, sample.cls))
 
 
 def response_rates(sample: DrawnSample) -> ResponseRates:
     """Design-weighted web, conditional ftf, and overall response rates of a
-    sample ``collect`` has set the response indicators of."""
-    d = sample.d
-    dw = sample.delta_w.astype(float)
-    df = sample.delta_f.astype(float)
+    sample ``collect`` has set the response classes of."""
+    d, cls = sample.d, sample.cls
     n_hat = float(d.sum())
-    w_hat = float((d * dw).sum())
-    m_hat = float((d * (1.0 - dw)).sum())
+    w_hat = float((d * (cls == WEB)).sum())
+    m_hat = float((d * (cls != WEB)).sum())
     r_w = w_hat / n_hat
-    if m_hat == 0.0:
-        r_f = 0.0  # nobody left after the web phase
-    elif sample.ftf_rate is None:
-        r_f = 0.0  # protocol has no second phase
+    if m_hat == 0.0 or sample.ftf_rate is None:
+        r_f = 0.0  # nobody left after the web phase, or no second phase
     else:
-        elig = sample.flags()
-        me_hat = float((d * (1.0 - dw) * elig).sum())
-        f_hat = float((d * df).sum())
+        me_hat = float((d * ((cls == FTF) | (cls == FLAGGED))).sum())
+        f_hat = float((d * (cls == FTF)).sum())
         r_f = f_hat / me_hat if me_hat > 0.0 else float("nan")
     r = r_w + (1.0 - r_w) * r_f
     return ResponseRates(

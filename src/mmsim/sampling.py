@@ -11,6 +11,13 @@ a fixed fraction of web nonrespondents within each PSU (systematic from
 a randomly ordered list, so each nonrespondent is flagged with exactly
 that probability), or an equal-probability subset of whole PSUs.
 
+A household's response class is one int8 code, ``DrawnSample.cls``: WEB,
+a web respondent; FTF, followed up face to face and responded; FLAGGED,
+followed up without response; OTHER, a web nonrespondent not followed
+up.  ``response.collect`` codes WEB and OTHER; a follow-up step here,
+which sees only who is WEB, recodes those it selects as FLAGGED; then
+``collect`` makes the flagged ftf respondents FTF.
+
 A sample records its design as two facts: which PSUs it drew (none for
 an unclustered sample), and the rate at which its web nonrespondents go
 to face-to-face follow-up (all of them for the hybrid design's clustered
@@ -21,7 +28,7 @@ its position among the sampled PSUs; the PSUs followed up are a mask.
 The two-stage take and the unit follow-up work on all selected PSUs at
 once, but they draw exactly what the per-PSU definitions draw: the same
 random numbers in the same order, so each generator ends in the same
-state, and the samples and flags they return are identical.  Only the
+state, and the samples and classes they return are identical.  Only the
 work that draws nothing (grouping, sorting, the systematic positions)
 is vectorized.
 """
@@ -39,10 +46,13 @@ from .population import Population, _derive, _group
 PI_FPC_WARNING = 0.2  # first-stage fractions above this make the
                       # with-replacement variance noticeably conservative
 
+# Response classes, in the order of the estimators' score coefficients.
+WEB, FTF, FLAGGED, OTHER = np.arange(4, dtype=np.int8)
+
 
 @dataclass(frozen=True)
 class DrawnSample:
-    """A realized sample with design weights and response state.
+    """A realized sample with design weights and response classes.
 
     ``unit_idx`` indexes rows of the source population; all other arrays
     are parallel to it.  Two facts tell the designs apart:
@@ -57,6 +67,7 @@ class DrawnSample:
       subsampled share of the sampled PSUs under PSU subsampling.  None
       when the sample has no follow-up phase.
 
+    ``cls`` holds the response classes once ``response.collect`` has set them.
     The draws here build a sample from a design checked before any replicate.
     """
 
@@ -67,18 +78,11 @@ class DrawnSample:
     psu_code: np.ndarray | None = None
     ftf_rate: float | None = None
     psu_subsample: np.ndarray | None = None
-    in_ftf_subsample: np.ndarray | None = None
-    delta_w: np.ndarray | None = None
-    delta_f: np.ndarray | None = None
+    cls: np.ndarray | None = None
 
     @property
     def n_units(self) -> int:
         return len(self.unit_idx)
-
-    def flags(self) -> np.ndarray:
-        if self.in_ftf_subsample is None:
-            return np.zeros(self.n_units, dtype=bool)
-        return self.in_ftf_subsample
 
 
 def srswor(pop: Population, n: int, rng: np.random.Generator, tag: str = "S") -> DrawnSample:
@@ -209,7 +213,7 @@ def subsample_nonrespondents_units(sample: DrawnSample, omega: float,
     list); each draws a permutation of its nonrespondents, then (for
     omega < 1) one uniform start.
     """
-    nonresp = np.flatnonzero(sample.delta_w == 0)
+    nonresp = np.flatnonzero(sample.cls != WEB)
     codes = np.zeros(sample.n_units, dtype=np.intp) if sample.psus is None else sample.psu_code
     by_psu, starts = _group(codes[nonresp])
     pool = nonresp if by_psu is None else nonresp[by_psu]  # by PSU, rows ascending within
@@ -219,9 +223,9 @@ def subsample_nonrespondents_units(sample: DrawnSample, omega: float,
         rng.shuffle(pool[a:a + m])  # the draws of rng.permutation(m)
         if omega < 1.0:
             u.append(rng.random())
-    flags = np.zeros(sample.n_units, dtype=bool)
-    flags[pool[_systematic_positions(sizes, omega, np.asarray(u))]] = True
-    return _derive(sample, in_ftf_subsample=flags, ftf_rate=omega)
+    cls = sample.cls.copy()
+    cls[pool[_systematic_positions(sizes, omega, np.asarray(u))]] = FLAGGED
+    return _derive(sample, cls=cls, ftf_rate=omega)
 
 
 def subsample_psus(sample: DrawnSample, count: int,
@@ -231,12 +235,11 @@ def subsample_psus(sample: DrawnSample, count: int,
     psus = sample.psus
     chosen = np.zeros(len(psus), dtype=bool)
     chosen[rng.permutation(len(psus))[:count]] = True
-    flags = chosen[sample.psu_code] & (sample.delta_w == 0)
-    return _derive(sample, in_ftf_subsample=flags, psu_subsample=chosen,
-                   ftf_rate=count / len(psus))
+    cls = np.where(chosen[sample.psu_code] & (sample.cls != WEB), FLAGGED, sample.cls)
+    return _derive(sample, cls=cls, psu_subsample=chosen, ftf_rate=count / len(psus))
 
 
 def followup_all_units(sample: DrawnSample) -> DrawnSample:
     """Flag every web nonrespondent for follow-up (no subsampling)."""
-    return _derive(sample, in_ftf_subsample=sample.delta_w == 0, ftf_rate=1.0)
+    return _derive(sample, cls=np.where(sample.cls == WEB, WEB, FLAGGED), ftf_rate=1.0)
 

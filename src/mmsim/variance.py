@@ -72,13 +72,13 @@ def block_variances(blocks: list, units: tuple[np.ndarray | None, int]) -> list[
     codes, n_groups = units
     if n_groups < 2:
         raise EstimationError("fewer than 2 variance units")
-    st = blocks[0].stats
+    st, sample = blocks[0].stats, blocks[0].stats.sample
     a, b = np.stack([blk.a for blk in blocks]), np.stack([blk.b for blk in blocks])
-    dy = st.yt * st.d
+    dy = st.yt * sample.d
     if codes is None:
-        return list(_household_variances(st.cls, st.d, dy, a, b))
-    k, key = len(dy), st.cls.astype(np.intp) * n_groups + codes  # (class, unit)
-    d_sums = np.bincount(key, st.d, 4 * n_groups).reshape(4, -1)
+        return list(_household_variances(sample.cls, sample.d, dy, a, b))
+    k, key = len(dy), sample.cls.astype(np.intp) * n_groups + codes  # (class, unit)
+    d_sums = np.bincount(key, sample.d, 4 * n_groups).reshape(4, -1)
     bins = (key + (np.arange(k) * (4 * n_groups))[:, None]).ravel()
     dy_sums = np.bincount(bins, dy.ravel(), 4 * k * n_groups).reshape(k, 4, -1)
     u = (a.transpose(0, 2, 1)[..., None] * d_sums + b[:, None, :, None] * dy_sums).sum(axis=2)

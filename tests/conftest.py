@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmsim.population import Population, SyntheticPopSpec, VariableSpec, psu_frame_of
-from mmsim.sampling import DrawnSample, _pps_draw, _pps_frame
+from mmsim.sampling import FLAGGED, FTF, OTHER, WEB, DrawnSample, _pps_draw, _pps_frame
 from mmsim.variance import block_variances, first_stage_units
 
 
@@ -68,6 +68,17 @@ def small_synthetic():
     return generate_synthetic(SMALL_SPEC)
 
 
+def response_classes(delta_w, delta_f=None, elig=None):
+    """The class codes of households by web response ``delta_w``, ftf
+    response ``delta_f`` (none by default) and follow-up flag ``elig`` (none
+    by default): WEB, else FTF, else FLAGGED if flagged, else OTHER."""
+    delta_w = np.asarray(delta_w, dtype=bool)
+    delta_f = np.zeros_like(delta_w) if delta_f is None else np.asarray(delta_f, dtype=bool)
+    elig = np.zeros_like(delta_w) if elig is None else np.asarray(elig, dtype=bool)
+    assert not (delta_f & (delta_w | ~elig)).any(), "an ftf respondent is a flagged nonrespondent"
+    return np.select([delta_w, delta_f, elig], [WEB, FTF, FLAGGED], OTHER).astype(np.int8)
+
+
 def toy_sample(d, delta_w, delta_f=None, elig=None, psu_ids=None,
                clustered=True, ftf_rate=1.0, psu_subsample=None, tag="S"):
     """Directly assemble a DrawnSample in a fixed response state.
@@ -79,8 +90,6 @@ def toy_sample(d, delta_w, delta_f=None, elig=None, psu_ids=None,
     d = np.asarray(d, dtype=float)
     n = len(d)
     delta_w = np.asarray(delta_w, dtype=np.uint8)
-    delta_f = (np.zeros(n, dtype=np.uint8) if delta_f is None
-               else np.asarray(delta_f, dtype=np.uint8))
     psu_ids = (np.zeros(n, dtype=np.int64) if psu_ids is None
                else np.asarray(psu_ids, dtype=np.int64))
     psus, psu_code = np.unique(psu_ids, return_inverse=True) if clustered else (None, None)
@@ -96,8 +105,7 @@ def toy_sample(d, delta_w, delta_f=None, elig=None, psu_ids=None,
             raise ValueError("explicit eligibility needed for this follow-up rate")
     return DrawnSample(
         tag=tag, unit_idx=np.arange(n), d=d, psus=psus, psu_code=psu_code, ftf_rate=ftf_rate,
-        psu_subsample=psu_subsample, in_ftf_subsample=np.asarray(elig, dtype=bool),
-        delta_w=delta_w, delta_f=delta_f,
+        psu_subsample=psu_subsample, cls=response_classes(delta_w, delta_f, elig),
     )
 
 
@@ -157,11 +165,11 @@ def random_case(rng):
 def _masses(sample):
     """One sample's design weights d, response masks, follow-up rate omega and
     weighted masses: size n, web respondents w, nonrespondents m (me of them
-    flagged for follow-up) and ftf respondents f."""
-    d, web, ftf = np.asarray(sample.d, dtype=float), sample.delta_w == 1, sample.delta_f == 1
+    followed up) and ftf respondents f."""
+    d, web, ftf = np.asarray(sample.d, dtype=float), sample.cls == WEB, sample.cls == FTF
     return SimpleNamespace(
         d=d, web=web, ftf=ftf, omega=1.0 if sample.ftf_rate is None else sample.ftf_rate,
-        n=d.sum(), w=d[web].sum(), m=d[~web].sum(), me=d[~web & sample.flags()].sum(),
+        n=d.sum(), w=d[web].sum(), m=d[~web].sum(), me=d[ftf | (sample.cls == FLAGGED)].sum(),
         f=d[ftf].sum())
 
 
@@ -187,8 +195,8 @@ def _one_sample(estimator, s):
 
 def reference_weights(estimator, *samples, factor=None):
     """Respondent weights of ``estimator`` by sample tag, one vector over each
-    sample's units, from the samples' ``d``, ``delta_w``, ``delta_f``,
-    ``flags()`` and ``ftf_rate`` alone.  T1, T2, T2_AltOmega and TA take one
+    sample's units, from the samples' ``d``, response classes ``cls`` and
+    ``ftf_rate`` alone.  T1, T2, T2_AltOmega and TA take one
     sample; TDF1 and TDF2 (composite size) take samples A and B, and
     ``factor`` is their lam or kappa."""
     if len(samples) == 1:
@@ -227,8 +235,8 @@ def variance_of(result, plans=None):
 def household_scores(block):
     """The [K, n] scores d_i * (a[c_i] + b[c_i] * y_i) of a score block, one
     household at a time."""
-    st = block.stats
-    return st.d * (block.a[st.cls].T + block.b[st.cls] * st.yt)
+    s = block.stats.sample
+    return s.d * (block.a[s.cls].T + block.b[s.cls] * block.stats.yt)
 
 
 def reference_variance(e, units):

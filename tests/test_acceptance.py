@@ -34,6 +34,7 @@ from mmsim.estimators import (
     web_only,
 )
 from mmsim.montecarlo import AGGREGATE, DesignSpec, EstimatorSpec, ScenarioSpec
+from mmsim.sampling import FLAGGED, OTHER
 
 from conftest import make_population, random_case, reference_total, reference_weights, toy_sample
 from test_enumeration import LAB6, Y6, expected_t2, srswor_outcomes, two_stage_outcomes
@@ -164,7 +165,7 @@ def test_acceptance_3_weight_formula_duality(capsys):
         rng = np.random.default_rng(70_000 + seed)
         sample_b, y_b = random_case(rng)
         sample_b = replace(sample_b, tag="B", ftf_rate=1.0, psu_subsample=None,
-                           in_ftf_subsample=sample_b.delta_w == 0)
+                           cls=np.where(sample_b.cls == OTHER, FLAGGED, sample_b.cls))
         n_a = int(rng.integers(5, 25))
         delta_w = (rng.random(n_a) < 0.6).astype(np.uint8)
         delta_w[0] = 1

@@ -30,7 +30,7 @@ import pytest
 from mmsim.estimators import followup_adjustment, sample_stats
 from mmsim.sampling import DrawnSample
 
-from conftest import pps_draw
+from conftest import pps_draw, response_classes
 
 W, F = 0, 1  # full-response labels: web respondent / ftf respondent
 
@@ -125,7 +125,7 @@ def assemble(unit_ids, d, psu_ids, labels, flags, ftf_rate, psus=None,
         psu_code=np.searchsorted(psus, [psu_ids[u] for u in unit_ids]) if clustered else None,
         ftf_rate=ftf_rate,
         psu_subsample=None if psu_subsample is None else np.isin(psus, sorted(psu_subsample)),
-        in_ftf_subsample=elig, delta_w=delta_w, delta_f=delta_f,
+        cls=response_classes(delta_w, delta_f, elig),
     )
 
 

@@ -13,6 +13,7 @@ from mmsim.estimators import (
     web_composite,
     web_only,
 )
+from mmsim.sampling import FLAGGED, FTF, OTHER, WEB
 from conftest import (
     household_scores,
     random_case,
@@ -196,7 +197,7 @@ def test_ta_hand_case():
 def test_tb1_matches_t1_with_full_followup():
     # TB1 is T1 on a clustered sample whose nonrespondents are all followed up
     sample, y = four_unit_sample()
-    assert sample.ftf_rate == 1.0 and sample.flags().tolist() == [False, True, True, True]
+    assert sample.ftf_rate == 1.0 and sample.cls.tolist() == [WEB, FLAGGED, FTF, FLAGGED]
     assert uniform_adjustment(sample_stats(sample, y.T)).total[0] == pytest.approx(
         reference_total(reference_weights("T1", sample), {"S": y})[0])
 
@@ -338,10 +339,10 @@ def test_weight_equation_bracket_duality(seed):
                                                   expansion="realized"),
                     outcomes, "T2_AltOmega", sample)
     ones = np.ones((sample.n_units, 1))
-    d, web = sample.d, sample.delta_w == 1
+    d, cls = sample.d, sample.cls
     # T1 carries the sample size; T2 the web mass plus the flagged nonrespondents over omega
-    sizes = {uniform_adjustment: d.sum(),
-             followup_adjustment: d[web].sum() + d[~web & sample.flags()].sum() / sample.ftf_rate}
+    sizes = {uniform_adjustment: d.sum(), followup_adjustment:
+             d[cls == WEB].sum() + d[(cls == FTF) | (cls == FLAGGED)].sum() / sample.ftf_rate}
     for estimate, size in sizes.items():
         assert estimate(sample_stats(sample, ones.T)).total[0] == pytest.approx(size, rel=1e-12)
 
@@ -353,7 +354,7 @@ def test_hybrid_duality(seed, kappa):
     sample_b, y_b = random_case(rng)
     sample_b = type(sample_b)(**{**sample_b.__dict__, "tag": "B",
                                  "ftf_rate": 1.0, "psu_subsample": None,
-                                 "in_ftf_subsample": sample_b.delta_w == 0})
+                                 "cls": np.where(sample_b.cls == OTHER, FLAGGED, sample_b.cls)})
     n_a = int(rng.integers(5, 30))
     delta_w = (rng.random(n_a) < 0.6).astype(np.uint8)
     delta_w[0] = 1

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -419,6 +420,30 @@ def test_all_degenerate_raises():
     with pytest.raises(DegenerateResultsError, match="E: all 1 iterations"):
         summarize(_replicates([[np.nan]], [[np.nan]], truth, reasons=["x"]),
                   truth, ("v1",), "S")
+
+
+@pytest.mark.parametrize("reference", [None, {"v1": 30.0}])
+def test_summarize_holds_one_labels_used_rows_at_a_time(reference):
+    """A b1a-sized run (5000 iterations, 6 labels, 6 variables): summarize's
+    traced peak stays within two and a half labels' used rows, 4 [n, K]
+    float arrays each, with or without a CIL reference."""
+    n, labels, k = 5000, 6, 6
+    rng = np.random.default_rng(6)
+    truth = np.linspace(10.0, 60.0, k)
+    point = truth * (1 + rng.normal(0.0, 0.1, (n, labels, k)))
+    variance = rng.uniform(1.0, 30.0, (n, labels, k))
+    _, _, covered = confidence_interval(point, variance, truth)
+    results = Replicates(tuple(f"E{i}" for i in range(labels)), truth, point, variance,
+                         covered, np.full((n, labels), "", dtype=object))
+    names = tuple(f"v{j + 1}" for j in range(k))
+    tracemalloc.start()
+    try:
+        summarize(results, truth, names, "S", cil_reference=reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_label = 4 * n * k * 8
+    assert peak <= 2.5 * one_label, f"{peak / one_label:.2f} labels' used rows"
 
 
 def test_coverage_standard_error_shrinks_with_iterations():

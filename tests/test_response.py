@@ -5,17 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmsim.estimators import FLAGGED, FTF, OTHER, WEB, sample_stats
 from mmsim.population import (
     LABEL_FTF,
     LABEL_NONE,
     LABEL_WEB,
     MODE_NAMES,
     StochasticLabels,
+    _derive,
     attach_propensities,
 )
 from mmsim.response import collect, response_rates
 from mmsim.sampling import (
+    FLAGGED,
+    FTF,
+    OTHER,
+    WEB,
     followup_all_units,
     srswor,
     subsample_nonrespondents_units,
@@ -39,7 +43,7 @@ def _sample_with_labels(labels, rng=None):
 def test_web_only_marks_web_respondents():
     pop, s = _sample_with_labels([LABEL_WEB] * 4)
     out = collect(s, pop.labels)
-    assert out.delta_w.all() and not out.delta_f.any()
+    assert out.cls.dtype == np.int8 and (out.cls == WEB).all()
 
 
 def test_ftf_response_requires_subsample_flag():
@@ -49,13 +53,13 @@ def test_ftf_response_requires_subsample_flag():
     def followup(web):
         web = subsample_nonrespondents_units(web, 1.0, np.random.default_rng(1))
         # un-flag one ftf respondent by hand: it must not respond
-        flags = web.flags().copy()
-        flags[ftf_pos[0]] = False
-        return type(web)(**{**web.__dict__, "in_ftf_subsample": flags})
+        cls = web.cls.copy()
+        cls[ftf_pos[0]] = OTHER
+        return _derive(web, cls=cls)
 
     out = collect(s, pop.labels, followup)
-    assert out.delta_f[ftf_pos[0]] == 0
-    assert out.delta_f[ftf_pos[1]] == 1
+    assert out.cls[ftf_pos[0]] == OTHER
+    assert out.cls[ftf_pos[1]] == FTF
 
 
 def test_full_followup_on_full_response_population():
@@ -64,7 +68,7 @@ def test_full_followup_on_full_response_population():
     labels = rng.integers(0, 2, 60)
     pop, s = _sample_with_labels(labels)
     out = collect(s, pop.labels, followup_all_units)
-    assert ((out.delta_w + out.delta_f) == 1).all()
+    assert ((out.cls == WEB) | (out.cls == FTF)).all()
     assert response_rates(out).r == pytest.approx(1.0)
 
 
@@ -107,8 +111,8 @@ def test_degenerate_rate_when_no_eligible_units():
 
     def followup(web):
         web = subsample_nonrespondents_units(web, 1.0, np.random.default_rng(3))
-        flags = np.zeros(3, dtype=bool)  # force an empty follow-up subsample
-        return type(web)(**{**web.__dict__, "in_ftf_subsample": flags})
+        # force an empty follow-up subsample
+        return _derive(web, cls=np.where(web.cls == FLAGGED, OTHER, web.cls))
 
     out = collect(s, pop.labels, followup)
     r = response_rates(out)
@@ -136,7 +140,7 @@ def test_adding_a_responder_never_decreases_overall_rate():
         pop, s = _sample_with_labels(labels, np.random.default_rng(5))
         out = collect(s, pop.labels, followup_all_units)
         base = response_rates(out)
-        nonresp = np.flatnonzero((out.delta_w == 0) & (out.delta_f == 0))
+        nonresp = np.flatnonzero((out.cls == FLAGGED) | (out.cls == OTHER))
         if not len(nonresp) or base.degenerate:
             continue
         promoted = pop.labels.copy()
@@ -145,33 +149,77 @@ def test_adding_a_responder_never_decreases_overall_rate():
         assert response_rates(bumped).r >= base.r - 1e-12
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), stochastic=st.booleans(),
-       step=st.sampled_from(["all", "units", "psus"]))
-def test_response_classes_partition_each_sample(seed, stochastic, step):
-    """After ``collect``, each household is a web respondent, an ftf
-    respondent, a flagged or another nonrespondent, and nothing else: ftf
-    respondents were flagged, web respondents never are.  The classes
-    ``sample_stats`` codes for the variance are these."""
-    rng = np.random.default_rng(seed)
+def _clustered_population(rng):
+    """40 PSUs of 8 to 14 households, random modes and labels."""
     sizes = rng.integers(8, 15, 40)
     n = int(sizes.sum())
-    pop = make_population(rng.normal(size=n), np.repeat(np.arange(40), sizes),
-                          modes=rng.integers(0, 3, n), labels=rng.integers(0, 3, n))
+    return make_population(rng.normal(size=n), np.repeat(np.arange(40), sizes),
+                           modes=rng.integers(0, 3, n), labels=rng.integers(0, 3, n))
+
+
+FOLLOWUPS = {"all": lambda rng: followup_all_units,
+             "units": lambda rng: partial(subsample_nonrespondents_units, omega=0.5, rng=rng),
+             "psus": lambda rng: partial(subsample_psus, count=2, rng=rng)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stochastic=st.booleans(),
+       step=st.sampled_from(sorted(FOLLOWUPS)))
+def test_response_classes_partition_each_sample(seed, stochastic, step):
+    """After ``collect``, each household's class follows from its label and
+    whether the follow-up step selected it: WEB for a web label; else FTF
+    or FLAGGED, by its label, if selected; else OTHER.  The step selects
+    only web nonrespondents and recodes no one else; the web push, the
+    step and the final recode all give int8 codes."""
+    rng = np.random.default_rng(seed)
+    pop = _clustered_population(rng)
     labels = pop.labels
     if stochastic:
         pw = rng.uniform(0.0, 1.0, 3)
         table = np.column_stack([pw, rng.uniform(0.0, 1.0, 3) * (1.0 - pw)])
         pop = attach_propensities(pop, dict(zip(MODE_NAMES, table.tolist())))
         labels = StochasticLabels(pop, rng)
-    followup = {"all": followup_all_units,
-                "units": partial(subsample_nonrespondents_units, omega=0.5, rng=rng),
-                "psus": partial(subsample_psus, count=2, rng=rng)}[step]
+    seen = []
+
+    def followup(web):
+        seen.extend([web, FOLLOWUPS[step](rng)(web)])
+        return seen[-1]
+
     out = collect(two_stage_select(pop, 4, 6, rng), labels, followup)
-    web, ftf, flagged = out.delta_w == 1, out.delta_f == 1, out.flags()
-    classes = np.stack([web, ftf, flagged & ~web & ~ftf, ~flagged & ~web & ~ftf])
-    assert (classes.sum(axis=0) == 1).all()
-    assert not (ftf & ~flagged).any()
-    assert not (web & flagged).any()
-    codes = np.array([WEB, FTF, FLAGGED, OTHER])[classes.argmax(axis=0)]
-    assert (sample_stats(out, np.ones((1, out.n_units))).cls == codes).all()
+    web, followed = seen
+    lab = labels[out.unit_idx]
+    assert web.cls.dtype == followed.cls.dtype == out.cls.dtype == np.int8
+    np.testing.assert_array_equal(web.cls, np.where(lab == LABEL_WEB, WEB, OTHER))
+    selected = followed.cls == FLAGGED
+    assert not (selected & (lab == LABEL_WEB)).any()
+    np.testing.assert_array_equal(followed.cls[~selected], web.cls[~selected])
+    if step == "all":
+        np.testing.assert_array_equal(selected, lab != LABEL_WEB)
+    if step == "psus":
+        np.testing.assert_array_equal(selected, followed.psu_subsample[followed.psu_code]
+                                      & (lab != LABEL_WEB))
+    oracle = [WEB if lb == LABEL_WEB else (FTF if lb == LABEL_FTF else FLAGGED) if sel
+              else OTHER for lb, sel in zip(lab.tolist(), selected.tolist())]
+    np.testing.assert_array_equal(out.cls, np.array(oracle, dtype=np.int8))
+
+
+@pytest.mark.parametrize("step", sorted(FOLLOWUPS))
+@pytest.mark.parametrize("seed", range(4))
+def test_followup_selection_is_blind_to_ftf_outcomes(seed, step):
+    """Swapping the F and N labels of the web nonrespondents changes who of
+    the followed-up households responds, but neither which households are
+    followed up nor the follow-up draws."""
+    rng = np.random.default_rng(seed)
+    pop = _clustered_population(rng)
+    sample = two_stage_select(pop, 4, 6, rng)
+    swapped = np.choose(pop.labels, [LABEL_WEB, LABEL_NONE, LABEL_FTF]).astype(np.int8)
+    outs, states = [], []
+    for labels in (pop.labels, swapped):
+        step_rng = np.random.default_rng(seed + 100)
+        outs.append(collect(sample, labels, FOLLOWUPS[step](step_rng)))
+        states.append(step_rng.bit_generator.state)
+    (one, two), followed = outs, [(o.cls == FTF) | (o.cls == FLAGGED) for o in outs]
+    np.testing.assert_array_equal(followed[0], followed[1])
+    assert states[0] == states[1]
+    assert followed[0].any() and (one.cls == FTF).any() and (two.cls == FTF).any()
+    np.testing.assert_array_equal(one.cls == FTF, two.cls == FLAGGED)

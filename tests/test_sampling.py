@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from mmsim.errors import ValidationError
 from mmsim.population import _derive
 from mmsim.sampling import (
+    FLAGGED,
+    WEB,
     DrawnSample,
     followup_all_units,
     srswor,
@@ -17,25 +19,23 @@ from mmsim.sampling import (
     two_stage_select,
 )
 
-from conftest import make_population, pps_draw
+from conftest import make_population, pps_draw, response_classes
 
 
 def make_drawn(n, psu_ids=None, delta_w=None, psus=None, d=None):
     """A clustered sample of ``n`` households with PSU ids ``psu_ids`` (all
-    0 by default) from the sampled PSUs ``psus`` (those ids by default)."""
+    0 by default) from the sampled PSUs ``psus`` (those ids by default), with
+    web response ``delta_w`` and no one followed up."""
     psu_ids = np.zeros(n, dtype=np.int64) if psu_ids is None else np.asarray(psu_ids)
     psus = np.unique(psu_ids) if psus is None else np.asarray(psus, dtype=np.int64)
-    sample = DrawnSample(
+    return DrawnSample(
         tag="S",
         unit_idx=np.arange(n),
         d=np.ones(n) if d is None else np.asarray(d, dtype=float),
         psus=psus,
         psu_code=np.searchsorted(psus, psu_ids),
+        cls=None if delta_w is None else response_classes(delta_w),
     )
-    if delta_w is not None:
-        object.__setattr__(sample, "delta_w", np.asarray(delta_w, dtype=np.uint8))
-        object.__setattr__(sample, "delta_f", np.zeros(n, dtype=np.uint8))
-    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +236,15 @@ def _systematic_take(m, omega, rng):
 def _unit_followup_reference(sample, omega, rng):
     """Per-PSU definition of the unit follow-up: PSUs in ascending id order,
     each a permutation of its nonrespondents, then a systematic take."""
-    flags = np.zeros(sample.n_units, dtype=bool)
-    nonresp = np.flatnonzero(sample.delta_w == 0)
+    cls = sample.cls.copy()
+    nonresp = np.flatnonzero(sample.cls != WEB)
     psu_ids = sample.psus[sample.psu_code]
     for psu in np.unique(psu_ids[nonresp]):
         pool = nonresp[psu_ids[nonresp] == psu]
         perm = rng.permutation(len(pool))
         take = _systematic_take(len(pool), omega, rng)
-        flags[pool[perm[take]]] = True
-    return _derive(sample, in_ftf_subsample=flags, ftf_rate=omega)
+        cls[pool[perm[take]]] = FLAGGED
+    return _derive(sample, cls=cls, ftf_rate=omega)
 
 
 def _assert_same_sample(got, want):
@@ -252,7 +252,8 @@ def _assert_same_sample(got, want):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
     assert got.psus.dtype == want.psus.dtype and got.psus.tobytes() == want.psus.tobytes()
-    assert got.flags().tobytes() == want.flags().tobytes()
+    assert got.cls is want.cls is None or (
+        got.cls.dtype == np.int8 and got.cls.tobytes() == want.cls.tobytes())
     assert got.ftf_rate == want.ftf_rate
 
 
@@ -299,9 +300,8 @@ def test_draws_match_per_psu_definitions(layout, omega, seed):
     _assert_psu_codes(pop, got)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    delta_w = np.asarray(responds, dtype=np.uint8)[got.unit_idx]
-    got = _derive(got, delta_w=delta_w, delta_f=np.zeros_like(delta_w))
-    want = _derive(want, delta_w=delta_w.copy(), delta_f=np.zeros_like(delta_w))
+    cls = response_classes(np.asarray(responds)[got.unit_idx])
+    got, want = _derive(got, cls=cls), _derive(want, cls=cls.copy())
     got = subsample_nonrespondents_units(got, omega, rng)
     want = _unit_followup_reference(want, omega, ref_rng)
     _assert_same_sample(got, want)
@@ -368,7 +368,7 @@ def test_unit_followup_start_on_the_last_position(u):
 def test_omega_one_flags_all_nonrespondents():
     s = make_drawn(10, delta_w=[1, 0, 0, 1, 0, 1, 0, 0, 0, 1])
     out = subsample_nonrespondents_units(s, 1.0, np.random.default_rng(11))
-    np.testing.assert_array_equal(out.flags(), np.asarray(s.delta_w) == 0)
+    np.testing.assert_array_equal(out.cls == FLAGGED, s.cls != WEB)
     assert out.ftf_rate == 1.0
 
 
@@ -377,8 +377,8 @@ def test_half_rate_on_105_nonrespondents_takes_52_or_53():
     s = make_drawn(110, delta_w=[1] * 5 + [0] * 105)
     for _ in range(40):
         out = subsample_nonrespondents_units(s, 0.5, rng)
-        assert int(out.flags().sum()) in (52, 53)
-        assert not out.flags()[:5].any()  # respondents never flagged
+        assert np.count_nonzero(out.cls == FLAGGED) in (52, 53)
+        assert (out.cls[:5] == WEB).all()  # respondents never flagged
 
 
 def test_unit_subsample_take_is_unbiased():
@@ -387,7 +387,7 @@ def test_unit_subsample_take_is_unbiased():
                    delta_w=np.tile([1, 0, 0, 0], 10))
     omega = 0.35
     reps = 4000
-    total = sum(subsample_nonrespondents_units(s, omega, rng).flags().sum()
+    total = sum(np.count_nonzero(subsample_nonrespondents_units(s, omega, rng).cls == FLAGGED)
                 for _ in range(reps))
     n_nr = 30
     expect = omega * n_nr
@@ -402,7 +402,7 @@ def test_unit_subsample_flags_each_nonrespondent_at_rate_omega():
     reps = 20_000
     hits = np.zeros(7)
     for _ in range(reps):
-        hits += subsample_nonrespondents_units(s, omega, rng).flags()
+        hits += subsample_nonrespondents_units(s, omega, rng).cls == FLAGGED
     sd = math.sqrt(omega * (1 - omega) / reps)
     np.testing.assert_array_less(np.abs(hits[:5] / reps - omega), 4 * sd)
     assert hits[5:].sum() == 0
@@ -424,7 +424,7 @@ def test_full_psu_subsample_equals_all_units_followup():
     rng = np.random.default_rng(15)
     everything = subsample_psus(s, 4, rng)
     all_units = followup_all_units(s)
-    np.testing.assert_array_equal(everything.flags(), all_units.flags())
+    np.testing.assert_array_equal(everything.cls, all_units.cls)
     assert everything.ftf_rate == pytest.approx(1.0)
 
 
@@ -439,9 +439,9 @@ def test_psu_rate_is_count_over_sampled():
 def test_psu_subsample_never_leaks_outside_chosen_psus():
     s = _clustered_sample()
     out = subsample_psus(s, 2, np.random.default_rng(17))
-    assert out.psu_subsample[out.psu_code[out.flags()]].all()
+    assert out.psu_subsample[out.psu_code[out.cls == FLAGGED]].all()
     inside = out.psu_subsample[out.psu_code]
-    np.testing.assert_array_equal(out.flags(), inside & (np.asarray(out.delta_w) == 0))
+    np.testing.assert_array_equal(out.cls == FLAGGED, inside & (s.cls != WEB))
 
 
 def test_psu_subsample_uniform_selection():
@@ -461,7 +461,7 @@ def _psu_followup_reference(sample, count, rng):
     of a permutation of the sampled ids, and the web nonrespondents in them."""
     chosen = frozenset(int(p) for p in rng.permutation(sample.psus)[:count])
     in_chosen = np.isin(sample.psus[sample.psu_code], sorted(chosen))
-    return chosen, in_chosen & (sample.delta_w == 0)
+    return chosen, in_chosen & (sample.cls != WEB)
 
 
 @pytest.mark.parametrize("n_psus", [1, 2, 3, 10, 64, 97, 1000])
@@ -478,6 +478,6 @@ def test_psu_followup_matches_the_id_definition(n_psus, seed):
         chosen, flags = _psu_followup_reference(s, count, ref_rng)
         assert out.psu_subsample.sum() == count
         assert frozenset(s.psus[out.psu_subsample].tolist()) == chosen
-        assert out.flags().tobytes() == flags.tobytes()
+        assert (out.cls == FLAGGED).tobytes() == flags.tobytes()
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
